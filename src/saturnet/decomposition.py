@@ -6,16 +6,28 @@ sink components of its strong-component condensation are the irreducible
 trapping sets; every other node is transient. A trapping set is
 "out-connected" when some of its rows lose mass (sum below 1), in which case
 the induced block has spectral radius below one.
+
+None of this depends on the exogenous flow, so :func:`block_structure`
+computes it once per (immutable) Network and every analysis reads that copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from ._linear import stationary_block
 from .errors import InputError
 from .model import EPS_FEAS, Network, require_valid
+
+
+def _successors(n: int, rows: np.ndarray, cols: np.ndarray) -> list[list[int]]:
+    """Per-node successor lists from the row-major edge list of np.nonzero."""
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    cols = cols.tolist()
+    return [cols[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
 def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
@@ -24,8 +36,11 @@ def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
     Returns components in reverse topological order (every edge leaving a
     component points to a component that appears *earlier* in the list).
     """
-    n = adj.shape[0]
-    succ = [np.nonzero(adj[i])[0].tolist() for i in range(n)]
+    return _tarjan(_successors(adj.shape[0], *np.nonzero(adj)))
+
+
+def _tarjan(succ: list[list[int]]) -> list[list[int]]:
+    n = len(succ)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -107,23 +122,123 @@ def decompose(net: Network) -> Decomposition:
     """
     require_valid(net)
     P = net.P
-    adj = P > 0
-    comps = strongly_connected_components(adj)
+    rows, cols = np.nonzero(P > 0)
+    comps = _tarjan(_successors(net.n, rows, cols))
+
+    label = np.empty(net.n, dtype=np.intp)
+    for k, comp in enumerate(comps):
+        label[comp] = k
+    leaky = np.zeros(len(comps), dtype=bool)  # some edge leaves the component
+    leaky[label[rows][label[rows] != label[cols]]] = True
+    deficient = np.zeros(len(comps), dtype=bool)
+    deficient[label[P.sum(axis=1) < 1.0 - EPS_FEAS]] = True
 
     sinks = []
     transient: list[int] = []
-    for comp in comps:
-        idx = np.array(comp)
-        outside = np.ones(net.n, dtype=bool)
-        outside[idx] = False
-        if adj[np.ix_(idx, outside)].any():
+    for k, comp in enumerate(comps):
+        if leaky[k]:
             transient.extend(comp)
         else:
-            deficient = bool(np.any(P[idx].sum(axis=1) < 1.0 - EPS_FEAS))
-            sinks.append(SinkComponent(tuple(comp), deficient))
+            sinks.append(SinkComponent(tuple(comp), bool(deficient[k])))
     sinks.sort(key=lambda s: s.nodes[0])
     transient.sort()
     return Decomposition(tuple(transient), tuple(sinks))
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _diagonal_block(P: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    return P if nodes.size == P.shape[0] else P[np.ix_(nodes, nodes)]
+
+
+class SinkBlock(NamedTuple):
+    """One trapping set with its flow-independent data.
+
+    ``nodes`` is its index array, ``span`` its place in
+    :attr:`BlockStructure.sink_nodes`, and ``stationary`` the invariant
+    probability vector of a stochastic set (None for an out-connected one).
+    """
+
+    component: SinkComponent
+    nodes: np.ndarray
+    span: slice
+    stationary: np.ndarray | None
+
+    def block(self, P: np.ndarray) -> np.ndarray:
+        """The set's diagonal block of P (P itself when the set is every node)."""
+        return _diagonal_block(P, self.nodes)
+
+
+@dataclass(frozen=True)
+class BlockStructure:
+    """Everything the analyses need of a network that does not depend on c.
+
+    Per-set data lives in flat arrays laid out like ``sink_nodes`` (set
+    after set; set l starts at ``starts[l]``), so a network with thousands
+    of sets keeps a handful of arrays rather than thousands of small
+    objects; :meth:`sink` gives one set's view of them.
+    ``routed`` is P restricted to transient rows and sink-node columns,
+    so the effective inflows of all trapping sets are one matvec; it is the
+    only part of P kept (at most n^2/4 entries). Diagonal blocks are sliced
+    from P per call, and a set spanning every node uses P itself.
+    """
+
+    decomposition: Decomposition
+    transient: np.ndarray
+    sink_nodes: np.ndarray
+    starts: np.ndarray
+    stationary: np.ndarray  # stochastic sets only; zero on out-connected ones
+    routed: np.ndarray
+
+    def sink(self, l: int) -> SinkBlock:
+        component = self.decomposition.sinks[l]
+        span = slice(int(self.starts[l]), int(self.starts[l + 1]))
+        pi = None if component.out_connected else self.stationary[span]
+        return SinkBlock(component, self.sink_nodes[span], span, pi)
+
+    def sinks(self) -> Iterator[SinkBlock]:
+        """Every trapping set, in decomposition order."""
+        return map(self.sink, range(len(self.decomposition.sinks)))
+
+    def inflows(self, c: np.ndarray, x_T: np.ndarray) -> np.ndarray:
+        """Effective inflow of every sink node, in ``sink_nodes`` order.
+
+        Exogenous flow plus what the transient part, at values ``x_T``,
+        routes in; a set's share is ``inflows(c, x_T)[sink.span]``.
+        """
+        return c[self.sink_nodes] + self.routed.T @ x_T
+
+
+def _build_structure(net: Network) -> BlockStructure:
+    dec = decompose(net)
+    T = np.asarray(dec.transient, dtype=np.intp)
+    sink_nodes = np.concatenate([np.asarray(s.nodes, dtype=np.intp) for s in dec.sinks])
+    starts = np.cumsum([0] + [len(s.nodes) for s in dec.sinks])
+    stationary = np.zeros(sink_nodes.size)
+    for sink, a, b in zip(dec.sinks, starts[:-1], starts[1:]):
+        if not sink.out_connected:
+            stationary[a:b] = stationary_block(_diagonal_block(net.P, sink_nodes[a:b]))
+    routed = net.P[np.ix_(T, sink_nodes)]
+    return BlockStructure(
+        dec, *map(_readonly, (T, sink_nodes, starts, stationary, routed))
+    )
+
+
+def block_structure(net: Network) -> BlockStructure:
+    """The flow-independent structure of ``net``, built on first use.
+
+    It is kept on the Network object (whose arrays are frozen), so every
+    later call on the same object reuses it. Raises InputError for an
+    invalid network, on every call.
+    """
+    cached = net.__dict__.get("_block_structure")
+    if cached is None:
+        cached = _build_structure(net)
+        object.__setattr__(net, "_block_structure", cached)
+    return cached
 
 
 def deficiency_set(net: Network) -> tuple[int, ...]:

@@ -46,7 +46,8 @@ def simulate(
     """Integrate the flow dynamics from x0 and report the terminal residual.
 
     ``stop_tol`` ends the run early once the drift's sup norm falls below it;
-    by default the full horizon is integrated.
+    the stopping state is then the last sample, whatever ``sample_every``.
+    By default the full horizon is integrated.
     """
     require_valid(net)
     c = as_flow(c, net.n)
@@ -74,6 +75,9 @@ def simulate(
     for k in range(1, steps + 1):
         k1 = drift(x)
         if stop_tol is not None and float(np.max(np.abs(k1))) <= stop_tol:
+            if (k - 1) % sample_every:  # the stopping state was not sampled yet
+                times.append((k - 1) * dt)
+                states.append(x.copy())
             break
         k2 = drift(x + 0.5 * dt * k1)
         k3 = drift(x + 0.5 * dt * k2)

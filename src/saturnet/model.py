@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,10 @@ class Network:
     Construction checks shapes and finiteness only. Value-level invariants
     (nonnegativity, sub-stochastic rows, nonnegative capacities) are checked
     by :func:`validate`, which reports rather than raises.
+
+    Everything derived from (P, w) alone, such as the validation report
+    behind :func:`require_valid` and the trapping-set structure, is computed
+    on first use and kept on the object for every later call.
     """
 
     P: np.ndarray
@@ -90,6 +95,10 @@ class Network:
     @property
     def n(self) -> int:
         return self.w.shape[0]
+
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        return validate(self)
 
 
 @dataclass(frozen=True)
@@ -218,7 +227,7 @@ def validate(net: Network) -> ValidationReport:
 
 def require_valid(net: Network) -> None:
     """Raise InputError if the network invariants do not hold."""
-    report = validate(net)
+    report = net._validation
     if not report.ok:
         msgs = "; ".join(v.message for v in report.violations)
         raise InputError(f"invalid network: {msgs}")

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fmt import csv_lines
-from ._linear import stationary_block
-from .decomposition import decompose
+from .decomposition import block_structure
 from .errors import InputError, NotCriticalError
 from .model import EquilibriumVector, Network, as_flow, require_valid
 from .solver import DEFAULT_OPTIONS, SolveOptions, _extremes, _transient_state
@@ -160,14 +159,11 @@ def max_jump_norm(net: Network, p: float) -> float:
     require_valid(net)
     if not (p >= 1):
         raise InputError("norm exponent p must be >= 1")
-    dec = decompose(net)
-    terms = []
-    for sink in dec.sinks:
-        if sink.out_connected:
-            continue
-        S = np.asarray(sink.nodes, dtype=int)
-        pi = stationary_block(net.P[np.ix_(S, S)])
-        terms.append((float(np.min(net.w[S] / pi)), pi))
+    terms = [
+        (float(np.min(net.w[sink.nodes] / sink.stationary)), sink.stationary)
+        for sink in block_structure(net).sinks()
+        if sink.stationary is not None
+    ]
     if not terms:
         return 0.0
     if math.isinf(p):
@@ -176,15 +172,13 @@ def max_jump_norm(net: Network, p: float) -> float:
     return float(total ** (1.0 / p))
 
 
-def _sink_inflow_sum(net, ray, dec, sink_nodes, opts, eps: float) -> float:
+def _sink_inflow_sum(net, ray, st, sink, opts, eps: float) -> float:
     """Aggregate effective inflow of one trapping set at shock size eps."""
     c = ray.c_at(eps)
-    T = np.asarray(dec.transient, dtype=int)
-    S = np.asarray(sink_nodes, dtype=int)
-    total = float(c[S].sum())
-    if T.size:
-        x_T = _transient_state(net, c, opts, dec)
-        total += float((net.P[np.ix_(T, S)].T @ x_T).sum())
+    total = float(c[sink.nodes].sum())
+    if st.transient.size:
+        x_T = _transient_state(net, c, opts, st)
+        total += float((st.routed[:, sink.span].T @ x_T).sum())
     return total
 
 
@@ -199,16 +193,16 @@ def find_critical_eps(
     over the whole range.
     """
     opts = opts or DEFAULT_OPTIONS
-    require_valid(net)
-    dec = decompose(net)
-    if not 0 <= sink_index < len(dec.sinks):
-        raise InputError(f"sink_index {sink_index} out of range (found {len(dec.sinks)} sinks)")
+    st = block_structure(net)
+    found = len(st.decomposition.sinks)
+    if not 0 <= sink_index < found:
+        raise InputError(f"sink_index {sink_index} out of range (found {found} sinks)")
     if ray.c0.shape != (net.n,):
         raise InputError("ray dimension does not match the network")
-    nodes = dec.sinks[sink_index].nodes
+    sink = st.sink(sink_index)
 
     def g(eps):
-        return _sink_inflow_sum(net, ray, dec, nodes, opts, eps)
+        return _sink_inflow_sum(net, ray, st, sink, opts, eps)
 
     atol = 1e-12 * (1.0 + float(np.abs(ray.c0).sum()) + float(np.abs(ray.q).sum()))
     lo, hi = ray.eps_lo, ray.eps_hi
@@ -255,11 +249,11 @@ def sweep(
     require_valid(net)
     if ray.c0.shape != (net.n,):
         raise InputError("ray dimension does not match the network")
-    dec = decompose(net)
+    dec = block_structure(net).decomposition
     records = []
     for eps in np.linspace(ray.eps_lo, ray.eps_hi, ray.grid):
         c = ray.c_at(eps)
-        lo_eq, hi_eq = _extremes(net, c, opts, dec)
+        lo_eq, hi_eq = _extremes(net, c, opts)
         defaults = tuple(
             int(i) for i in np.nonzero(lo_eq.x < net.w - opts.tol_class)[0]
         )
@@ -286,7 +280,7 @@ def sweep(
         _, analyses, _ = _classify_for_jump(net, c_star, opts)
         if analyses[l].kind is not SinkKind.ZERO_SUM_SEGMENT:
             continue  # inflow sum crosses zero but the line misses the box
-        lo_eq, hi_eq = _extremes(net, c_star, opts, dec)
+        lo_eq, hi_eq = _extremes(net, c_star, opts)
         jump = hi_eq.x - lo_eq.x
         crossings.append(
             CriticalCrossing(

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linear import pinned_particular, segment_bounds, stationary_block, zero_sum_tolerance
-from .decomposition import Decomposition, decompose
+from ._linear import pinned_particular, segment_bounds, zero_sum_tolerance
+from .decomposition import BlockStructure, Decomposition, block_structure
 from .errors import InputError, NonConvergenceError, PartitionInconsistencyError
 from .model import EquilibriumVector, Network, as_flow, require_valid
 
@@ -107,13 +107,14 @@ def _iter_loop(QT, w, c, x, max_steps, tol):
     return x, max_steps, False
 
 
-def _exact_candidate(QT, w, c, x, tol_class, gate):
+def _exact_candidate(Q, w, c, x, tol_class, gate):
     """Guess the saturation pattern from x and re-solve the interior exactly.
 
     Classification here uses the full inflow (including any diagonal mass),
     which is the pattern the fixed point itself obeys. Returns the candidate
     only if it reproduces itself under the map to within ``gate``.
     """
+    QT = Q.T
     y = QT @ x + c
     surplus = y > w + tol_class
     deficit = y < -tol_class
@@ -121,8 +122,9 @@ def _exact_candidate(QT, w, c, x, tol_class, gate):
     cand = np.where(surplus, w, 0.0)
     if interior.any():
         idx = np.nonzero(interior)[0]
-        A = np.eye(idx.size) - QT[np.ix_(idx, idx)]
-        rhs = c[idx] + QT[idx] @ cand
+        # I - Q[idx, idx]', gathered from the rows of Q
+        A = (np.eye(idx.size) - Q[np.ix_(idx, idx)]).T
+        rhs = c[idx] + (QT @ cand)[idx]
         try:
             v = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:
@@ -136,17 +138,19 @@ def _exact_candidate(QT, w, c, x, tol_class, gate):
 
 
 def _hunt_unique(Q, w, c, opts, from_top):
-    """Find the unique equilibrium of a block by iteration + exact re-solves."""
+    """Find the unique equilibrium of a block by iteration + exact re-solves.
+
+    ``Q`` is the block itself, untransposed; it may be the network's P.
+    """
     k = w.size
     if k == 0:
         return np.zeros(0)
-    QT = np.ascontiguousarray(Q.T)
     gate = 0.5 * opts.tol_fp
     x = w.copy() if from_top else np.zeros(k)
     budget = opts.max_iter
     chunk = _CHUNK_START
     while True:
-        cand = _exact_candidate(QT, w, c, x, opts.tol_class, gate)
+        cand = _exact_candidate(Q, w, c, x, opts.tol_class, gate)
         if cand is not None:
             return cand
         if budget <= 0:
@@ -155,26 +159,26 @@ def _hunt_unique(Q, w, c, opts, from_top):
                 last_iterate=x,
                 iterations=opts.max_iter,
             )
-        x, used, converged = _iter_loop(QT, w, c, x, min(chunk, budget), gate)
+        x, used, converged = _iter_loop(Q.T, w, c, x, min(chunk, budget), gate)
         budget -= used
         if converged:
-            cand = _exact_candidate(QT, w, c, x, opts.tol_class, gate)
+            cand = _exact_candidate(Q, w, c, x, opts.tol_class, gate)
             return cand if cand is not None else x
         chunk = min(chunk * 2, _CHUNK_MAX)
 
 
-def _sink_extremes(Q, w, c_eff, opts, stochastic):
+def _sink_extremes(Q, w, c_eff, opts, pi):
     """Both extreme equilibria of a trapping-set block.
 
+    ``pi`` is the block's stationary vector, None for an out-connected block.
     Returns (low, high, slack) where slack bounds the residual floor
     inherited from treating a nearly-zero inflow sum as exactly zero.
     """
-    if not stochastic:
+    if pi is None:
         x = _hunt_unique(Q, w, c_eff, opts, from_top=False)
         return x, x, 0.0
     total = float(c_eff.sum())
     if abs(total) <= zero_sum_tolerance(c_eff):
-        pi = stationary_block(Q)
         base = pinned_particular(Q, c_eff)
         lo, hi = segment_bounds(base, pi, w)
         slack = max(abs(total), 1e-15 * (1.0 + float(np.max(w, initial=0.0))))
@@ -189,33 +193,30 @@ def _sink_extremes(Q, w, c_eff, opts, stochastic):
     return x, x, 0.0
 
 
-def _transient_state(net, c, opts, dec) -> np.ndarray:
+def _transient_state(net, c, opts, st: BlockStructure) -> np.ndarray:
     """Equilibrium values on the transient part (unique; empty array if none)."""
-    T = np.asarray(dec.transient, dtype=int)
+    T = st.transient
     if T.size == 0:
         return np.zeros(0)
     return _hunt_unique(net.P[np.ix_(T, T)], net.w[T], c[T], opts, from_top=False)
 
 
-def _extremes(net, c, opts, dec=None):
+def _extremes(net, c, opts):
     """Minimal and maximal equilibria, assembled blockwise."""
-    require_valid(net)
+    st = block_structure(net)
     c = as_flow(c, net.n)
-    if dec is None:
-        dec = decompose(net)
     x_lo = np.zeros(net.n)
     x_hi = np.zeros(net.n)
-    T = np.asarray(dec.transient, dtype=int)
-    xT = _transient_state(net, c, opts, dec)
-    if T.size:
-        x_lo[T] = xT
-        x_hi[T] = xT
+    T = st.transient
+    xT = _transient_state(net, c, opts, st)
+    x_lo[T] = xT
+    x_hi[T] = xT
+    inflow = st.inflows(c, xT)
     slack = 0.0
-    for sink in dec.sinks:
-        S = np.asarray(sink.nodes, dtype=int)
-        c_eff = c[S] + (net.P[np.ix_(T, S)].T @ xT if T.size else 0.0)
+    for sink in st.sinks():
+        S = sink.nodes
         lo_b, hi_b, s = _sink_extremes(
-            net.P[np.ix_(S, S)], net.w[S], c_eff, opts, stochastic=not sink.out_connected
+            sink.block(net.P), net.w[S], inflow[sink.span], opts, sink.stationary
         )
         x_lo[S] = lo_b
         x_hi[S] = hi_b
@@ -280,9 +281,15 @@ def maximal_equilibrium(net: Network, c, opts: SolveOptions | None = None) -> Eq
 def extremal_equilibria(
     net: Network, c, opts: SolveOptions | None = None, dec: Decomposition | None = None
 ) -> tuple[EquilibriumVector, EquilibriumVector]:
-    """Minimal and maximal equilibria in one pass (shares the decomposition)."""
+    """Minimal and maximal equilibria in one pass.
+
+    ``dec`` is optional and, when given, must be the network's own
+    decomposition; the network's cached structure is used either way.
+    """
     opts = opts or DEFAULT_OPTIONS
-    return _extremes(net, c, opts, dec)
+    if dec is not None and dec != block_structure(net).decomposition:
+        raise InputError("dec is not the decomposition of this network")
+    return _extremes(net, c, opts)
 
 
 def _unsaturated_inflow(net, c, x):
@@ -344,7 +351,7 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     deficit = z < -opts.tol_class
     exposed = ~(surplus | deficit)
 
-    dec = decompose(net)
+    st = block_structure(net)
     known = np.where(surplus, w, 0.0)
     slack = 0.0
 
@@ -359,17 +366,18 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
             ) from None
         return v
 
-    T = np.asarray(dec.transient, dtype=int)
+    T = st.transient
     if T.size:
         U = T[exposed[T]]
         if U.size:
             known[U] = solve_block(U)
 
-    for sink in dec.sinks:
-        S = np.asarray(sink.nodes, dtype=int)
+    for sink in st.sinks():
+        S = sink.nodes
         U = S[exposed[S]]
-        if U.size == S.size and not sink.out_connected:
-            block = net.P[np.ix_(S, S)]
+        pi = sink.stationary
+        if U.size == S.size and pi is not None:
+            block = sink.block(net.P)
             c_eff = c[S] + QT[S] @ known  # within-sink knowns are all zero here
             total = float(c_eff.sum())
             if abs(total) > zero_sum_tolerance(c_eff):
@@ -377,7 +385,6 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
                     "whole stochastic trapping set classified exposed but its inflow "
                     f"sum {total:.3g} is nonzero; no unsaturated solution exists"
                 )
-            pi = stationary_block(block)
             base = pinned_particular(block, c_eff)
             lo, hi = segment_bounds(base, pi, w[S])
             if hi < lo - 1e-9:

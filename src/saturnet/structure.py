@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from ._linear import pinned_particular, segment_bounds, stationary_block, zero_sum_tolerance
-from .decomposition import Decomposition, decompose, strongly_connected_components
+from .decomposition import Decomposition, block_structure, strongly_connected_components
 from .errors import InputError
 from .model import EPS_FEAS, EquilibriumVector, Network, as_flow, require_valid
 from .solver import (
@@ -102,30 +102,27 @@ def particular_solution(block, inflow) -> np.ndarray:
     return pinned_particular(Q, inflow, check_tol=10.0 * tol + 1e-12)
 
 
-def _analyze(net, c, opts, dec=None):
-    require_valid(net)
+def _analyze(net, c, opts):
+    st = block_structure(net)
     c = as_flow(c, net.n)
-    if dec is None:
-        dec = decompose(net)
-    T = np.asarray(dec.transient, dtype=int)
-    x_T = _transient_state(net, c, opts, dec)
+    x_T = _transient_state(net, c, opts, st)
+    inflow = st.inflows(c, x_T)
     analyses = []
-    for l, sink in enumerate(dec.sinks):
-        S = np.asarray(sink.nodes, dtype=int)
-        c_eff = c[S] + (net.P[np.ix_(T, S)].T @ x_T if T.size else 0.0)
-        if sink.out_connected:
-            analyses.append(SinkAnalysis(l, sink.nodes, SinkKind.OUT_CONNECTED, inflow=c_eff))
+    for l, sink in enumerate(st.sinks()):
+        nodes = sink.component.nodes
+        c_eff = inflow[sink.span]
+        pi = sink.stationary
+        if pi is None:
+            analyses.append(SinkAnalysis(l, nodes, SinkKind.OUT_CONNECTED, inflow=c_eff))
             continue
-        block = net.P[np.ix_(S, S)]
-        pi = stationary_block(block)
         total = float(c_eff.sum())
         if abs(total) > zero_sum_tolerance(c_eff):
             analyses.append(
-                SinkAnalysis(l, sink.nodes, SinkKind.NONZERO_SUM, inflow=c_eff, stationary=pi)
+                SinkAnalysis(l, nodes, SinkKind.NONZERO_SUM, inflow=c_eff, stationary=pi)
             )
             continue
-        base = pinned_particular(block, c_eff)
-        lo, hi = segment_bounds(base, pi, net.w[S])
+        base = pinned_particular(sink.block(net.P), c_eff)
+        lo, hi = segment_bounds(base, pi, net.w[sink.nodes])
         condition = hi - lo  # equals min(base/pi) + min((w-base)/pi)
         if condition > zero_sum_tolerance(c_eff):
             kind, alpha = SinkKind.ZERO_SUM_SEGMENT, (lo, hi)
@@ -133,12 +130,12 @@ def _analyze(net, c, opts, dec=None):
             kind, alpha = SinkKind.ZERO_SUM_UNIQUE, None
         analyses.append(
             SinkAnalysis(
-                l, sink.nodes, kind,
+                l, nodes, kind,
                 inflow=c_eff, stationary=pi, base=base,
                 condition_value=condition, alpha_range=alpha,
             )
         )
-    return dec, x_T, analyses
+    return st.decomposition, x_T, analyses
 
 
 def classify(
@@ -277,7 +274,7 @@ def equilibrium_set(net: Network, c, opts: SolveOptions | None = None) -> Equili
     """Explicit representation of all equilibria of (net, c)."""
     opts = opts or DEFAULT_OPTIONS
     dec, x_T, analyses = _analyze(net, c, opts)
-    lo, _ = _extremes(net, c, opts, dec)
+    lo, _ = _extremes(net, c, opts)
     components = []
     for a in analyses:
         idx = np.asarray(a.nodes, dtype=int)

@@ -65,6 +65,17 @@ class TestSimulate:
         assert traj.times[-1] < 50.0  # stopped early
         assert np.array_equal(traj.states[-1], traj.terminal)
 
+    def test_early_stop_between_samples_reports_the_stopping_state(self, triangle):
+        c = np.array([1.0, 0.5, -0.2])
+        every_step = simulate(triangle, c, np.zeros(3), stop_tol=1e-6)
+        sparse = simulate(triangle, c, np.zeros(3), sample_every=1000, stop_tol=1e-6)
+        assert every_step.times[-1] < 200.0  # the run did stop early
+        assert sparse.times[-1] == every_step.times[-1]
+        assert np.array_equal(sparse.terminal, every_step.terminal)
+        assert np.array_equal(sparse.states[-1], sparse.terminal)
+        assert sparse.residual <= 1e-6
+        assert np.all(np.diff(sparse.times) > 0)
+
     def test_csv_format(self, triangle):
         traj = simulate(triangle, C_STAR, np.zeros(3), t_end=0.05, dt=0.01)
         lines = traj.to_csv().strip().split("\n")
