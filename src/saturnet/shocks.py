@@ -19,8 +19,16 @@ from ._fmt import csv_lines
 from .decomposition import block_structure
 from .errors import InputError, NotCriticalError
 from .model import EquilibriumVector, Network, as_flow, require_valid
-from .solver import DEFAULT_OPTIONS, SolveOptions, _extremes, _transient_state
-from .structure import SinkKind, _analyze
+from .solver import (
+    DEFAULT_OPTIONS,
+    SinkKind,
+    SolveOptions,
+    _analyze,
+    _assemble_extremes,
+    _extremes,
+    _transient_state,
+)
+from .structure import classify
 
 #: Absolute bisection tolerance on the critical shock magnitude.
 EPS_BISECT_TOL = 1e-10
@@ -135,18 +143,12 @@ def loss_jump(net: Network, c_star, opts: SolveOptions | None = None) -> float:
     equilibrium at c_star is unique.
     """
     opts = opts or DEFAULT_OPTIONS
-    _, analyses, unique = _classify_for_jump(net, c_star, opts)
+    _, analyses, unique = classify(net, c_star, opts)
     if unique:
         raise NotCriticalError("equilibrium at c_star is unique; no jump to measure")
     return float(
         sum(a.condition_value for a in analyses if a.kind is SinkKind.ZERO_SUM_SEGMENT)
     )
-
-
-def _classify_for_jump(net, c_star, opts):
-    dec, _, analyses = _analyze(net, c_star, opts)
-    unique = all(a.kind is not SinkKind.ZERO_SUM_SEGMENT for a in analyses)
-    return dec, analyses, unique
 
 
 def max_jump_norm(net: Network, p: float) -> float:
@@ -277,10 +279,10 @@ def sweep(
         if eps_star is None:
             continue
         c_star = ray.c_at(eps_star)
-        _, analyses, _ = _classify_for_jump(net, c_star, opts)
-        if analyses[l].kind is not SinkKind.ZERO_SUM_SEGMENT:
+        found = _analyze(net, c_star, opts)
+        if found.sinks[l].kind is not SinkKind.ZERO_SUM_SEGMENT:
             continue  # inflow sum crosses zero but the line misses the box
-        lo_eq, hi_eq = _extremes(net, c_star, opts)
+        lo_eq, hi_eq = _assemble_extremes(net, found, opts)
         jump = hi_eq.x - lo_eq.x
         crossings.append(
             CriticalCrossing(

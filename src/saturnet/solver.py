@@ -13,9 +13,16 @@ the solver works blockwise over the trapping-set decomposition:
   the answer);
 * stochastic sinks whose effective inflow sums to zero: the solution set is
   the segment {base + a*pi} clipped to the box, and both extremes are read
-  off the segment bounds directly;
+  off the segment bounds directly; a segment no longer than the zero-sum
+  tolerance is the single point at its middle, and a line that misses the
+  box is hunted like a nonzero sum;
 * stochastic sinks with nonzero inflow sum: the equilibrium is unique and
   has a saturated node on the heavy side, so the hunt starts from that side.
+
+One pass (``_analyze``) solves the transient part, forms every sink's
+effective inflow and gives each sink its SinkAnalysis; ``classify``,
+``equilibrium_set``, ``refine`` and the shock sweep read the same verdicts,
+so a unique verdict always comes with x_min == x_max.
 
 Iteration from 0 starts below every equilibrium and stays there; iteration
 from w stays above. Either way the first exact fixed point found on a
@@ -25,11 +32,13 @@ uniqueness block is the block's equilibrium.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from ._linear import pinned_particular, segment_bounds, zero_sum_tolerance
-from .decomposition import BlockStructure, Decomposition, block_structure
+from .decomposition import BlockStructure, Decomposition, SinkBlock, block_structure
 from .errors import InputError, NonConvergenceError, PartitionInconsistencyError
 from .model import EquilibriumVector, Network, as_flow, require_valid
 
@@ -167,32 +176,6 @@ def _hunt_unique(Q, w, c, opts, from_top):
         chunk = min(chunk * 2, _CHUNK_MAX)
 
 
-def _sink_extremes(Q, w, c_eff, opts, pi):
-    """Both extreme equilibria of a trapping-set block.
-
-    ``pi`` is the block's stationary vector, None for an out-connected block.
-    Returns (low, high, slack) where slack bounds the residual floor
-    inherited from treating a nearly-zero inflow sum as exactly zero.
-    """
-    if pi is None:
-        x = _hunt_unique(Q, w, c_eff, opts, from_top=False)
-        return x, x, 0.0
-    total = float(c_eff.sum())
-    if abs(total) <= zero_sum_tolerance(c_eff):
-        base = pinned_particular(Q, c_eff)
-        lo, hi = segment_bounds(base, pi, w)
-        slack = max(abs(total), 1e-15 * (1.0 + float(np.max(w, initial=0.0))))
-        if hi >= lo - slack:
-            if hi < lo:  # degenerate single point straddling the boundary
-                lo = hi = 0.5 * (lo + hi)
-            x_lo = np.clip(base + lo * pi, 0.0, w)
-            x_hi = np.clip(base + hi * pi, 0.0, w)
-            return x_lo, x_hi, abs(total)
-        # the solution line misses the box: unique boundary equilibrium
-    x = _hunt_unique(Q, w, c_eff, opts, from_top=total > 0)
-    return x, x, 0.0
-
-
 def _transient_state(net, c, opts, st: BlockStructure) -> np.ndarray:
     """Equilibrium values on the transient part (unique; empty array if none)."""
     T = st.transient
@@ -201,32 +184,125 @@ def _transient_state(net, c, opts, st: BlockStructure) -> np.ndarray:
     return _hunt_unique(net.P[np.ix_(T, T)], net.w[T], c[T], opts, from_top=False)
 
 
-def _extremes(net, c, opts):
-    """Minimal and maximal equilibria, assembled blockwise."""
+class SinkKind(str, Enum):
+    OUT_CONNECTED = "out_connected"
+    NONZERO_SUM = "stochastic_nonzero_sum"
+    ZERO_SUM_UNIQUE = "stochastic_zero_sum_unique"
+    ZERO_SUM_SEGMENT = "stochastic_zero_sum_segment"
+
+
+@dataclass(frozen=True)
+class SinkAnalysis:
+    """Per-trapping-set uniqueness verdict and, where relevant, the line data.
+
+    ``stationary`` is the invariant probability vector of the sink block
+    (absent for out-connected sinks); ``base`` is one solution of the
+    unsaturated system on the sink, pinned to zero on the sink's last node
+    (absent unless the inflow sum is zero); ``condition_value`` is the
+    segment length in line-parameter units with the stationary vector
+    normalized to sum 1.
+    """
+
+    index: int
+    nodes: tuple[int, ...]
+    kind: SinkKind
+    inflow: np.ndarray | None = None
+    stationary: np.ndarray | None = None
+    base: np.ndarray | None = None
+    condition_value: float | None = None
+    alpha_range: tuple[float, float] | None = None
+
+
+def _sink_analysis(index, sink: SinkBlock, net, c_eff):
+    """Verdict on one trapping set at effective inflow ``c_eff``.
+
+    Returns the SinkAnalysis and the line-parameter interval on which the
+    set's equilibria lie, ``(alpha_lo, alpha_hi)``; it is None when the set
+    has no solution line inside the box, and then its one equilibrium has to
+    be hunted. A segment no longer than the zero-sum tolerance counts as the
+    single point at its middle, so a unique verdict always comes with one
+    point.
+    """
+    nodes = sink.component.nodes
+    pi = sink.stationary
+    if pi is None:
+        return SinkAnalysis(index, nodes, SinkKind.OUT_CONNECTED, inflow=c_eff), None
+    total = float(c_eff.sum())
+    tol = zero_sum_tolerance(c_eff)
+    if abs(total) > tol:
+        return SinkAnalysis(index, nodes, SinkKind.NONZERO_SUM, inflow=c_eff, stationary=pi), None
+    w = net.w[sink.nodes]
+    base = pinned_particular(sink.block(net.P), c_eff)
+    lo, hi = segment_bounds(base, pi, w)
+    condition = hi - lo  # equals min(base/pi) + min((w-base)/pi)
+    if condition > tol:
+        kind, alpha, line = SinkKind.ZERO_SUM_SEGMENT, (lo, hi), (lo, hi)
+    else:
+        kind, alpha = SinkKind.ZERO_SUM_UNIQUE, None
+        # a line that touches the box, or misses it by rounding only
+        slack = max(abs(total), 1e-15 * (1.0 + float(np.max(w))))
+        line = (0.5 * (lo + hi),) * 2 if condition >= -slack else None
+    analysis = SinkAnalysis(
+        index, nodes, kind,
+        inflow=c_eff, stationary=pi, base=base, condition_value=condition, alpha_range=alpha,
+    )
+    return analysis, line
+
+
+class _Analysis(NamedTuple):
+    """One pass over the blocks at a flow: transient values, then every sink."""
+
+    structure: BlockStructure
+    c: np.ndarray
+    transient: np.ndarray
+    blocks: list[SinkBlock]
+    sinks: list[SinkAnalysis]
+    lines: list[tuple[float, float] | None]
+
+
+def _analyze(net, c, opts) -> _Analysis:
+    """Transient solve, effective inflows and every sink's verdict; no hunts."""
     st = block_structure(net)
     c = as_flow(c, net.n)
+    x_T = _transient_state(net, c, opts, st)
+    inflow = st.inflows(c, x_T)
+    blocks = list(st.sinks())
+    sinks, lines = [], []
+    for l, sink in enumerate(blocks):
+        analysis, line = _sink_analysis(l, sink, net, inflow[sink.span])
+        sinks.append(analysis)
+        lines.append(line)
+    return _Analysis(st, c, x_T, blocks, sinks, lines)
+
+
+def _assemble_extremes(net, found: _Analysis, opts):
+    """Minimal and maximal equilibria from an analysis, residual-checked.
+
+    Sinks with a line take its endpoints; every other sink has one
+    equilibrium, hunted from the heavy side of its inflow.
+    """
     x_lo = np.zeros(net.n)
     x_hi = np.zeros(net.n)
-    T = st.transient
-    xT = _transient_state(net, c, opts, st)
-    x_lo[T] = xT
-    x_hi[T] = xT
-    inflow = st.inflows(c, xT)
+    T = found.structure.transient
+    x_lo[T] = found.transient
+    x_hi[T] = found.transient
     slack = 0.0
-    for sink in st.sinks():
+    for sink, a, line in zip(found.blocks, found.sinks, found.lines):
         S = sink.nodes
-        lo_b, hi_b, s = _sink_extremes(
-            sink.block(net.P), net.w[S], inflow[sink.span], opts, sink.stationary
-        )
-        x_lo[S] = lo_b
-        x_hi[S] = hi_b
-        slack = max(slack, s)
+        w = net.w[S]
+        if line is None:
+            from_top = a.kind is not SinkKind.OUT_CONNECTED and a.inflow.sum() > 0
+            x_lo[S] = x_hi[S] = _hunt_unique(sink.block(net.P), w, a.inflow, opts, from_top)
+        else:
+            x_lo[S] = np.clip(a.base + line[0] * a.stationary, 0.0, w)
+            x_hi[S] = np.clip(a.base + line[1] * a.stationary, 0.0, w)
+            slack = max(slack, abs(float(a.inflow.sum())))
     # a nearly-zero inflow sum treated as zero leaves a residual floor of
     # about |sum|; allow headroom over it for the solve and clip fuzz
     gate = max(opts.tol_fp, 8.0 * slack)
     results = []
     for x in (x_lo, x_hi):
-        res = fixed_point_residual(net, c, x)
+        res = fixed_point_residual(net, found.c, x)
         if res > gate:
             raise NonConvergenceError(
                 f"assembled equilibrium has residual {res:.3g} above tolerance {gate:.3g}",
@@ -234,6 +310,11 @@ def _extremes(net, c, opts):
             )
         results.append(EquilibriumVector(x, res))
     return results[0], results[1]
+
+
+def _extremes(net, c, opts):
+    """Minimal and maximal equilibria, assembled blockwise."""
+    return _assemble_extremes(net, _analyze(net, c, opts), opts)
 
 
 # ----------------------------- public operations -----------------------------
@@ -292,9 +373,16 @@ def extremal_equilibria(
     return _extremes(net, c, opts)
 
 
-def _unsaturated_inflow(net, c, x):
-    """Per-node inflow excluding each node's own routed return, plus c."""
-    return net.P.T @ x - np.diag(net.P) * x + c
+def _node_masks(net, c, x, tol_class):
+    """Surplus, exposed and deficit masks of x.
+
+    Each node is judged on its inflow excluding its own routed return, plus
+    c; ties within ``tol_class`` of a boundary are exposed.
+    """
+    z = net.P.T @ x - np.diag(net.P) * x + c
+    surplus = z > net.w + tol_class
+    deficit = z < -tol_class
+    return surplus, ~(surplus | deficit), deficit
 
 
 def node_partition(net: Network, c, x, opts: SolveOptions | None = None) -> NodePartition:
@@ -313,15 +401,8 @@ def node_partition(net: Network, c, x, opts: SolveOptions | None = None) -> Node
     res = fixed_point_residual(net, c, x)
     if res > opts.tol_class:
         raise InputError(f"x is not an equilibrium (residual {res:.3g} > {opts.tol_class:.3g})")
-    z = _unsaturated_inflow(net, c, x)
-    surplus = z > net.w + opts.tol_class
-    deficit = z < -opts.tol_class
-    exposed = ~(surplus | deficit)
-    return NodePartition(
-        tuple(int(i) for i in np.nonzero(surplus)[0]),
-        tuple(int(i) for i in np.nonzero(exposed)[0]),
-        tuple(int(i) for i in np.nonzero(deficit)[0]),
-    )
+    masks = _node_masks(net, c, x, opts.tol_class)
+    return NodePartition(*(tuple(int(i) for i in np.nonzero(m)[0]) for m in masks))
 
 
 def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumVector:
@@ -346,10 +427,7 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
 
     w = net.w
     QT = net.P.T
-    z = _unsaturated_inflow(net, c, x)
-    surplus = z > w + opts.tol_class
-    deficit = z < -opts.tol_class
-    exposed = ~(surplus | deficit)
+    surplus, exposed, _ = _node_masks(net, c, x, opts.tol_class)
 
     st = block_structure(net)
     known = np.where(surplus, w, 0.0)
@@ -372,28 +450,26 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
         if U.size:
             known[U] = solve_block(U)
 
-    for sink in st.sinks():
+    for l, sink in enumerate(st.sinks()):
         S = sink.nodes
         U = S[exposed[S]]
-        pi = sink.stationary
-        if U.size == S.size and pi is not None:
-            block = sink.block(net.P)
+        if U.size == S.size and sink.stationary is not None:
             c_eff = c[S] + QT[S] @ known  # within-sink knowns are all zero here
+            a, line = _sink_analysis(l, sink, net, c_eff)
             total = float(c_eff.sum())
-            if abs(total) > zero_sum_tolerance(c_eff):
+            if a.kind is SinkKind.NONZERO_SUM:
                 raise PartitionInconsistencyError(
                     "whole stochastic trapping set classified exposed but its inflow "
                     f"sum {total:.3g} is nonzero; no unsaturated solution exists"
                 )
-            base = pinned_particular(block, c_eff)
-            lo, hi = segment_bounds(base, pi, w[S])
-            if hi < lo - 1e-9:
+            if line is None:
                 raise PartitionInconsistencyError(
                     "solution line of an exposed trapping set misses the box"
                 )
-            a_hat = float(pi @ (x[S] - base) / (pi @ pi))
-            a_hat = min(max(a_hat, lo), max(lo, hi))
-            known[S] = np.clip(base + a_hat * pi, 0.0, w[S])
+            pi = a.stationary
+            a_hat = float(pi @ (x[S] - a.base) / (pi @ pi))
+            a_hat = min(max(a_hat, line[0]), line[1])
+            known[S] = np.clip(a.base + a_hat * pi, 0.0, w[S])
             slack = max(slack, abs(total))
         elif U.size:
             known[U] = solve_block(U)

@@ -17,51 +17,23 @@ uniqueness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from ._linear import pinned_particular, segment_bounds, stationary_block, zero_sum_tolerance
-from .decomposition import Decomposition, block_structure, strongly_connected_components
+from ._linear import pinned_particular, stationary_block, zero_sum_tolerance
+from .decomposition import Decomposition, strongly_connected_components
 from .errors import InputError
 from .model import EPS_FEAS, EquilibriumVector, Network, as_flow, require_valid
 from .solver import (
     DEFAULT_OPTIONS,
+    SinkAnalysis,
+    SinkKind,
     SolveOptions,
-    _extremes,
-    _transient_state,
+    _analyze,
+    _assemble_extremes,
     fixed_point_map,
     fixed_point_residual,
 )
-
-
-class SinkKind(str, Enum):
-    OUT_CONNECTED = "out_connected"
-    NONZERO_SUM = "stochastic_nonzero_sum"
-    ZERO_SUM_UNIQUE = "stochastic_zero_sum_unique"
-    ZERO_SUM_SEGMENT = "stochastic_zero_sum_segment"
-
-
-@dataclass(frozen=True)
-class SinkAnalysis:
-    """Per-trapping-set uniqueness verdict and, where relevant, the line data.
-
-    ``stationary`` is the invariant probability vector of the sink block
-    (absent for out-connected sinks); ``base`` is one solution of the
-    unsaturated system on the sink, pinned to zero on the sink's last node
-    (absent unless the inflow sum is zero); ``condition_value`` is the
-    segment length in line-parameter units with the stationary vector
-    normalized to sum 1.
-    """
-
-    index: int
-    nodes: tuple[int, ...]
-    kind: SinkKind
-    inflow: np.ndarray | None = None
-    stationary: np.ndarray | None = None
-    base: np.ndarray | None = None
-    condition_value: float | None = None
-    alpha_range: tuple[float, float] | None = None
 
 
 def stationary_distribution(block) -> np.ndarray:
@@ -102,50 +74,14 @@ def particular_solution(block, inflow) -> np.ndarray:
     return pinned_particular(Q, inflow, check_tol=10.0 * tol + 1e-12)
 
 
-def _analyze(net, c, opts):
-    st = block_structure(net)
-    c = as_flow(c, net.n)
-    x_T = _transient_state(net, c, opts, st)
-    inflow = st.inflows(c, x_T)
-    analyses = []
-    for l, sink in enumerate(st.sinks()):
-        nodes = sink.component.nodes
-        c_eff = inflow[sink.span]
-        pi = sink.stationary
-        if pi is None:
-            analyses.append(SinkAnalysis(l, nodes, SinkKind.OUT_CONNECTED, inflow=c_eff))
-            continue
-        total = float(c_eff.sum())
-        if abs(total) > zero_sum_tolerance(c_eff):
-            analyses.append(
-                SinkAnalysis(l, nodes, SinkKind.NONZERO_SUM, inflow=c_eff, stationary=pi)
-            )
-            continue
-        base = pinned_particular(sink.block(net.P), c_eff)
-        lo, hi = segment_bounds(base, pi, net.w[sink.nodes])
-        condition = hi - lo  # equals min(base/pi) + min((w-base)/pi)
-        if condition > zero_sum_tolerance(c_eff):
-            kind, alpha = SinkKind.ZERO_SUM_SEGMENT, (lo, hi)
-        else:
-            kind, alpha = SinkKind.ZERO_SUM_UNIQUE, None
-        analyses.append(
-            SinkAnalysis(
-                l, nodes, kind,
-                inflow=c_eff, stationary=pi, base=base,
-                condition_value=condition, alpha_range=alpha,
-            )
-        )
-    return st.decomposition, x_T, analyses
-
-
 def classify(
     net: Network, c, opts: SolveOptions | None = None
 ) -> tuple[Decomposition, list[SinkAnalysis], bool]:
     """Per-sink uniqueness analysis; the boolean is True iff no sink is a segment."""
     opts = opts or DEFAULT_OPTIONS
-    dec, _, analyses = _analyze(net, c, opts)
-    unique = all(a.kind is not SinkKind.ZERO_SUM_SEGMENT for a in analyses)
-    return dec, analyses, unique
+    found = _analyze(net, c, opts)
+    unique = all(a.kind is not SinkKind.ZERO_SUM_SEGMENT for a in found.sinks)
+    return found.structure.decomposition, found.sinks, unique
 
 
 # ----------------------------- equilibrium set -----------------------------
@@ -183,63 +119,38 @@ class EquilibriumSet:
     components: tuple  # FixedComponent | SegmentComponent, in sink order
     is_unique: bool
 
-    def _assemble(self, pick) -> np.ndarray:
+    def _assemble(self, alpha) -> np.ndarray:
+        """The member placed at ``alpha(k, comp)`` on each segment component k."""
         x = np.zeros(self.n)
-        t = np.asarray(self.transient_nodes, dtype=int)
-        if t.size:
-            x[t] = self.transient_values
-        for comp in self.components:
-            idx = np.asarray(comp.nodes, dtype=int)
-            x[idx] = pick(comp)
+        x[list(self.transient_nodes)] = self.transient_values
+        for k, comp in enumerate(self.components):
+            x[list(comp.nodes)] = (
+                comp.values if isinstance(comp, FixedComponent) else comp.at(alpha(k, comp))
+            )
         return x
 
     def x_min(self) -> np.ndarray:
-        return self._assemble(
-            lambda comp: comp.values
-            if isinstance(comp, FixedComponent)
-            else comp.at(comp.alpha_min)
-        )
+        return self._assemble(lambda k, comp: comp.alpha_min)
 
     def x_max(self) -> np.ndarray:
-        return self._assemble(
-            lambda comp: comp.values
-            if isinstance(comp, FixedComponent)
-            else comp.at(comp.alpha_max)
-        )
+        return self._assemble(lambda k, comp: comp.alpha_max)
 
     def sample(self, alphas: dict[int, float]) -> np.ndarray:
         """Assemble the member with the given alpha per segment component index."""
-        x = np.zeros(self.n)
-        t = np.asarray(self.transient_nodes, dtype=int)
-        if t.size:
-            x[t] = self.transient_values
-        for k, comp in enumerate(self.components):
-            idx = np.asarray(comp.nodes, dtype=int)
-            if isinstance(comp, FixedComponent):
-                x[idx] = comp.values
-            else:
-                x[idx] = comp.at(alphas[k])
-        return x
+        return self._assemble(lambda k, comp: alphas[k])
 
     def distance_sup(self, x) -> float:
         """Sup-norm distance from x to the nearest member of the set."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise InputError(f"x has shape {x.shape}, expected ({self.n},)")
-        nearest = np.zeros(self.n)
-        t = np.asarray(self.transient_nodes, dtype=int)
-        if t.size:
-            nearest[t] = self.transient_values
-        for comp in self.components:
-            idx = np.asarray(comp.nodes, dtype=int)
-            if isinstance(comp, FixedComponent):
-                nearest[idx] = comp.values
-            else:
-                d = comp.direction
-                a = float(d @ (x[idx] - comp.base) / (d @ d))
-                a = min(max(a, comp.alpha_min), comp.alpha_max)
-                nearest[idx] = comp.at(a)
-        return float(np.max(np.abs(x - nearest))) if self.n else 0.0
+
+        def nearest(k, comp):
+            d = comp.direction
+            a = float(d @ (x[list(comp.nodes)] - comp.base) / (d @ d))
+            return min(max(a, comp.alpha_min), comp.alpha_max)
+
+        return float(np.max(np.abs(x - self._assemble(nearest)))) if self.n else 0.0
 
     def to_json_dict(self) -> dict:
         comps = []
@@ -273,23 +184,22 @@ class EquilibriumSet:
 def equilibrium_set(net: Network, c, opts: SolveOptions | None = None) -> EquilibriumSet:
     """Explicit representation of all equilibria of (net, c)."""
     opts = opts or DEFAULT_OPTIONS
-    dec, x_T, analyses = _analyze(net, c, opts)
-    lo, _ = _extremes(net, c, opts)
+    found = _analyze(net, c, opts)
+    lo, _ = _assemble_extremes(net, found, opts)
     components = []
-    for a in analyses:
-        idx = np.asarray(a.nodes, dtype=int)
+    for a in found.sinks:
         if a.kind is SinkKind.ZERO_SUM_SEGMENT:
             components.append(
                 SegmentComponent(a.nodes, a.base, a.stationary, *a.alpha_range)
             )
         else:
-            components.append(FixedComponent(a.nodes, lo.x[idx]))
+            components.append(FixedComponent(a.nodes, lo.x[list(a.nodes)]))
     return EquilibriumSet(
         n=net.n,
-        transient_nodes=dec.transient,
-        transient_values=x_T,
+        transient_nodes=found.structure.decomposition.transient,
+        transient_values=found.transient,
         components=tuple(components),
-        is_unique=all(a.kind is not SinkKind.ZERO_SUM_SEGMENT for a in analyses),
+        is_unique=all(a.kind is not SinkKind.ZERO_SUM_SEGMENT for a in found.sinks),
     )
 
 

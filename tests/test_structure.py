@@ -184,13 +184,25 @@ class TestEquilibriumSet:
 
     def test_endpoints_match_solver_random(self):
         rng = np.random.default_rng(83)
+        cases = []
         for _ in range(100):
             P = random_irreducible_stochastic(rng)
             n = P.shape[0]
             net = Network(P, rng.uniform(0.5, 4.0, n))
-            c = zero_sum_flow(rng, n)
+            cases.append((net, zero_sum_flow(rng, n)))
+        # segments shorter than the zero-sum tolerance, which count as one point
+        t = 1.0 - 1e-10
+        cases.append((Network([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0]), np.array([t, -t])))
+        cases.append((Network(TRIANGLE_P, [5e-10, 3e-10, 2e-10]), np.array([1.0, 0.5, -0.2]) * 1e-10))
+        for net, c in cases:
             eq_set = equilibrium_set(net, c)
             lo, hi = extremal_equilibria(net, c)
+            _, _, unique = classify(net, c)
+            assert eq_set.is_unique == unique
+            if unique:
+                assert np.array_equal(lo.x, hi.x)
+                assert np.array_equal(eq_set.x_min(), lo.x)
+                assert np.array_equal(eq_set.x_max(), hi.x)
             assert np.allclose(eq_set.x_min(), lo.x, atol=1e-9)
             assert np.allclose(eq_set.x_max(), hi.x, atol=1e-9)
 
