@@ -164,7 +164,7 @@ def _cmd_solve(args) -> int:
         "x_max": hi.x.tolist(),
         "residual_min": lo.residual,
         "residual_max": hi.residual,
-        "unique": bool(np.max(np.abs(hi.x - lo.x)) <= opts.tol_class),
+        "unique": bool(np.array_equal(lo.x, hi.x)),
         "partition": part.to_json_dict(),
     }
     _emit(dumps(payload), args.output)
@@ -208,7 +208,7 @@ def _cmd_loss(args) -> int:
     payload = {
         "loss_min": systemic_loss(net, c0, c, hi),
         "loss_max": systemic_loss(net, c0, c, lo),
-        "unique": bool(np.max(np.abs(hi.x - lo.x)) <= opts.tol_class),
+        "unique": bool(np.array_equal(lo.x, hi.x)),
     }
     _emit(dumps(payload), args.output)
     return 0

@@ -267,7 +267,7 @@ def sweep(
                 loss_min=_loss(ray.c0, c, net.w, hi_eq.x),
                 loss_max=_loss(ray.c0, c, net.w, lo_eq.x),
                 defaults=defaults,
-                unique=bool(np.max(np.abs(hi_eq.x - lo_eq.x)) <= opts.tol_class),
+                unique=bool(np.array_equal(lo_eq.x, hi_eq.x)),
             )
         )
 

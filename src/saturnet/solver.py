@@ -6,11 +6,9 @@ from the top (w, which dominates every equilibrium) converges downward to
 the maximal one. Plain iteration can stall near saturation boundaries, so
 the solver works blockwise over the trapping-set decomposition:
 
-* transient block and out-connected sinks: iterate a little, classify nodes
-  as saturated-high / saturated-low / interior, re-solve the interior block
-  exactly, and accept the candidate once it reproduces itself under the map
-  (the equilibrium is unique on these blocks, so any exact fixed point is
-  the answer);
+* transient block and out-connected sinks: the equilibrium is unique, and
+  ``_hunt_unique`` finds it by map steps plus one exact linear solve per
+  repeated saturation pattern;
 * stochastic sinks whose effective inflow sums to zero: the solution set is
   the segment {base + a*pi} clipped to the box, and both extremes are read
   off the segment bounds directly; a segment no longer than the zero-sum
@@ -23,10 +21,6 @@ One pass (``_analyze``) solves the transient part, forms every sink's
 effective inflow and gives each sink its SinkAnalysis; ``classify``,
 ``equilibrium_set``, ``refine`` and the shock sweep read the same verdicts,
 so a unique verdict always comes with x_min == x_max.
-
-Iteration from 0 starts below every equilibrium and stays there; iteration
-from w stays above. Either way the first exact fixed point found on a
-uniqueness block is the block's equilibrium.
 """
 
 from __future__ import annotations
@@ -41,9 +35,6 @@ from ._linear import pinned_particular, segment_bounds, zero_sum_tolerance
 from .decomposition import BlockStructure, Decomposition, SinkBlock, block_structure
 from .errors import InputError, NonConvergenceError, PartitionInconsistencyError
 from .model import EquilibriumVector, Network, as_flow, require_valid
-
-_CHUNK_START = 32
-_CHUNK_MAX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,79 +92,79 @@ def fixed_point_residual(net: Network, c, x) -> float:
     return float(np.max(np.abs(fixed_point_map(net, c, x) - x))) if net.n else 0.0
 
 
-# ----------------------------- iteration core -----------------------------
+# ----------------------------- block hunt -----------------------------
 
 
-def _iter_loop(QT, w, c, x, max_steps, tol):
-    """Run the saturated iteration; returns (state, steps_used, converged)."""
-    x = np.array(x, dtype=float)
-    for k in range(max_steps):
-        xn = np.minimum(np.maximum(QT @ x + c, 0.0), w)
-        diff = float(np.max(np.abs(xn - x))) if x.size else 0.0
-        x = xn
-        if diff <= tol:
-            return x, k + 1, True
-    return x, max_steps, False
+def _scale(w, c) -> float:
+    """max(1, |w|_inf, |c|_inf), the size that residual gates are relative to."""
+    return max(1.0, float(np.max(w, initial=0.0)), float(np.max(np.abs(c), initial=0.0)))
 
 
-def _exact_candidate(Q, w, c, x, tol_class, gate):
-    """Guess the saturation pattern from x and re-solve the interior exactly.
+def _solve_pattern(Q, w, c, pattern):
+    """The block's candidate equilibrium for one saturation pattern.
 
-    Classification here uses the full inflow (including any diagonal mass),
-    which is the pattern the fixed point itself obeys. Returns the candidate
-    only if it reproduces itself under the map to within ``gate``.
+    Nodes marked +1 are pinned to w and nodes marked -1 to 0; the rest solve
+    x = Q'x + c exactly among themselves. The result is clipped to [0, w];
+    None when that linear system is singular.
     """
-    QT = Q.T
-    y = QT @ x + c
-    surplus = y > w + tol_class
-    deficit = y < -tol_class
-    interior = ~(surplus | deficit)
-    cand = np.where(surplus, w, 0.0)
-    if interior.any():
-        idx = np.nonzero(interior)[0]
+    x = np.where(pattern > 0, w, 0.0)
+    idx = np.flatnonzero(pattern == 0)
+    if idx.size:
         # I - Q[idx, idx]', gathered from the rows of Q
         A = (np.eye(idx.size) - Q[np.ix_(idx, idx)]).T
-        rhs = c[idx] + (QT @ cand)[idx]
+        rhs = c[idx] + (Q.T @ x)[idx]
         try:
             v = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(v)):
             return None
-        cand[idx] = v
-    np.clip(cand, 0.0, w, out=cand)
-    res = np.max(np.abs(np.minimum(np.maximum(QT @ cand + c, 0.0), w) - cand))
-    return cand if res <= gate else None
+        x[idx] = v
+    return np.clip(x, 0.0, w, out=x)
 
 
 def _hunt_unique(Q, w, c, opts, from_top):
-    """Find the unique equilibrium of a block by iteration + exact re-solves.
+    """Find the unique equilibrium of a block by map steps and pattern solves.
 
-    ``Q`` is the block itself, untransposed; it may be the network's P.
+    ``Q`` is the block itself, untransposed; it may be the network's P. Each
+    step applies the map. When the saturation pattern of Q'x + c (+1 above
+    w, -1 below 0, 0 within ``tol_class`` of the box) repeats from the
+    previous step and has not been solved in this hunt, it is solved once;
+    a solution that reproduces itself under the map is the answer, and the
+    map carries on from it otherwise. No pattern is solved twice, and the
+    map converges from any point of the box on a block with a unique
+    equilibrium, so the hunt ends; ``max_iter`` bounds its steps. Both
+    checks use ``0.5 * tol_fp`` relative to the block's scale: at large
+    scale an exact solve is off by an ulp, and the map from it can cycle at
+    that ulp.
     """
     k = w.size
     if k == 0:
         return np.zeros(0)
-    gate = 0.5 * opts.tol_fp
+    QT = Q.T
+    gate = 0.5 * opts.tol_fp * _scale(w, c)
     x = w.copy() if from_top else np.zeros(k)
-    budget = opts.max_iter
-    chunk = _CHUNK_START
-    while True:
-        cand = _exact_candidate(Q, w, c, x, opts.tol_class, gate)
-        if cand is not None:
-            return cand
-        if budget <= 0:
-            raise NonConvergenceError(
-                f"no convergence within {opts.max_iter} iterations on a {k}-node block",
-                last_iterate=x,
-                iterations=opts.max_iter,
-            )
-        x, used, converged = _iter_loop(Q.T, w, c, x, min(chunk, budget), gate)
-        budget -= used
-        if converged:
-            cand = _exact_candidate(Q, w, c, x, opts.tol_class, gate)
-            return cand if cand is not None else x
-        chunk = min(chunk * 2, _CHUNK_MAX)
+    solved, previous = set(), None
+    for _ in range(opts.max_iter):
+        y = QT @ x + c
+        pattern = (y > w + opts.tol_class).astype(np.int8) - (y < -opts.tol_class)
+        key = pattern.tobytes()
+        exact = key == previous and key not in solved
+        if exact:
+            solved.add(key)
+            cand = _solve_pattern(Q, w, c, pattern)
+            exact = cand is not None
+            if exact:
+                x, y = cand, QT @ cand + c
+        xn = np.minimum(np.maximum(y, 0.0), w)
+        if np.max(np.abs(xn - x)) <= gate:
+            return x if exact else xn
+        x, previous = xn, key
+    raise NonConvergenceError(
+        f"no convergence within {opts.max_iter} iterations on a {k}-node block",
+        last_iterate=x,
+        iterations=opts.max_iter,
+    )
 
 
 def _transient_state(net, c, opts, st: BlockStructure) -> np.ndarray:
@@ -275,6 +266,17 @@ def _analyze(net, c, opts) -> _Analysis:
     return _Analysis(st, c, x_T, blocks, sinks, lines)
 
 
+def _residual_gate(net, c, opts, slack):
+    """Largest residual an assembled or refined result may carry.
+
+    ``tol_fp`` is taken relative to the problem's scale. A nearly-zero
+    inflow sum treated as zero leaves a residual floor of about |sum|,
+    passed in as ``slack``; allow headroom over it for the solve and clip
+    fuzz.
+    """
+    return max(opts.tol_fp * _scale(net.w, c), 8.0 * slack)
+
+
 def _assemble_extremes(net, found: _Analysis, opts):
     """Minimal and maximal equilibria from an analysis, residual-checked.
 
@@ -297,9 +299,7 @@ def _assemble_extremes(net, found: _Analysis, opts):
             x_lo[S] = np.clip(a.base + line[0] * a.stationary, 0.0, w)
             x_hi[S] = np.clip(a.base + line[1] * a.stationary, 0.0, w)
             slack = max(slack, abs(float(a.inflow.sum())))
-    # a nearly-zero inflow sum treated as zero leaves a residual floor of
-    # about |sum|; allow headroom over it for the solve and clip fuzz
-    gate = max(opts.tol_fp, 8.0 * slack)
+    gate = _residual_gate(net, found.c, opts, slack)
     results = []
     for x in (x_lo, x_hi):
         res = fixed_point_residual(net, found.c, x)
@@ -334,9 +334,15 @@ def iterate(net: Network, c, x0, opts: SolveOptions | None = None) -> Equilibriu
         raise InputError(f"x0 has shape {x0.shape}, expected ({net.n},)")
     if np.any(x0 < -opts.tol_fp) or np.any(x0 > net.w + opts.tol_fp):
         raise InputError("x0 must lie in the box [0, w]")
-    x, used, converged = _iter_loop(net.P.T, net.w, c, x0, opts.max_iter, opts.tol_fp)
+    x, QT = x0, net.P.T
+    for used in range(1, opts.max_iter + 1):
+        xn = np.minimum(np.maximum(QT @ x + c, 0.0), net.w)
+        step = float(np.max(np.abs(xn - x))) if net.n else 0.0
+        x = xn
+        if step <= opts.tol_fp:
+            break
     res = fixed_point_residual(net, c, x)
-    if not converged and res > opts.tol_fp:
+    if step > opts.tol_fp and res > opts.tol_fp:
         raise NonConvergenceError(
             f"iteration did not converge within {used} steps (residual {res:.3g})",
             last_iterate=x,
@@ -408,13 +414,13 @@ def node_partition(net: Network, c, x, opts: SolveOptions | None = None) -> Node
 def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumVector:
     """Polish an approximate equilibrium by exact solves on the exposed block.
 
-    Saturated nodes are pinned to w or 0 and the exposed block is re-solved
-    exactly, transient part first, then each trapping set. If a stochastic
-    trapping set is entirely exposed its linear system is singular (the
-    solution set is a line); the input is then projected to the nearest line
-    point inside the box. Raises PartitionInconsistencyError when the result
-    does not reproduce itself under the map, which signals that the input was
-    too far from an equilibrium for the classification tolerance.
+    Saturated nodes are pinned to w or 0 and the exposed nodes are re-solved
+    exactly in one linear solve. If a stochastic trapping set is entirely
+    exposed its linear system is singular (the solution set is a line); the
+    input is then projected to the nearest line point inside the box. Raises
+    PartitionInconsistencyError when the result does not reproduce itself
+    under the map, which signals that the input was too far from an
+    equilibrium for the classification tolerance.
     """
     opts = opts or DEFAULT_OPTIONS
     require_valid(net)
@@ -425,58 +431,43 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     if x.shape != (net.n,):
         raise InputError(f"x has shape {x.shape}, expected ({net.n},)")
 
-    w = net.w
-    QT = net.P.T
-    surplus, exposed, _ = _node_masks(net, c, x, opts.tol_class)
-
-    st = block_structure(net)
-    known = np.where(surplus, w, 0.0)
+    surplus, exposed, deficit = _node_masks(net, c, x, opts.tol_class)
+    pattern = surplus.astype(np.int8) - deficit
+    lines = []
+    for l, sink in enumerate(block_structure(net).sinks()):
+        # a wholly exposed stochastic set has a singular system: pin it to 0
+        # for the solve, then project x onto its solution line
+        if sink.stationary is not None and exposed[sink.nodes].all():
+            pattern[sink.nodes] = -1
+            lines.append((l, sink))
+    known = _solve_pattern(net.P, net.w, c, pattern)
+    if known is None:
+        raise PartitionInconsistencyError(
+            "exposed block is singular outside the whole-trapping-set case"
+        )
     slack = 0.0
-
-    def solve_block(unknown_idx):
-        A = np.eye(unknown_idx.size) - QT[np.ix_(unknown_idx, unknown_idx)]
-        rhs = c[unknown_idx] + QT[unknown_idx] @ known
-        try:
-            v = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            raise PartitionInconsistencyError(
-                "exposed block is singular outside the whole-trapping-set case"
-            ) from None
-        return v
-
-    T = st.transient
-    if T.size:
-        U = T[exposed[T]]
-        if U.size:
-            known[U] = solve_block(U)
-
-    for l, sink in enumerate(st.sinks()):
+    for l, sink in lines:
         S = sink.nodes
-        U = S[exposed[S]]
-        if U.size == S.size and sink.stationary is not None:
-            c_eff = c[S] + QT[S] @ known  # within-sink knowns are all zero here
-            a, line = _sink_analysis(l, sink, net, c_eff)
-            total = float(c_eff.sum())
-            if a.kind is SinkKind.NONZERO_SUM:
-                raise PartitionInconsistencyError(
-                    "whole stochastic trapping set classified exposed but its inflow "
-                    f"sum {total:.3g} is nonzero; no unsaturated solution exists"
-                )
-            if line is None:
-                raise PartitionInconsistencyError(
-                    "solution line of an exposed trapping set misses the box"
-                )
-            pi = a.stationary
-            a_hat = float(pi @ (x[S] - a.base) / (pi @ pi))
-            a_hat = min(max(a_hat, line[0]), line[1])
-            known[S] = np.clip(a.base + a_hat * pi, 0.0, w[S])
-            slack = max(slack, abs(total))
-        elif U.size:
-            known[U] = solve_block(U)
+        c_eff = c[S] + net.P.T[S] @ known  # within-sink knowns are all zero here
+        a, line = _sink_analysis(l, sink, net, c_eff)
+        total = float(c_eff.sum())
+        if a.kind is SinkKind.NONZERO_SUM:
+            raise PartitionInconsistencyError(
+                "whole stochastic trapping set classified exposed but its inflow "
+                f"sum {total:.3g} is nonzero; no unsaturated solution exists"
+            )
+        if line is None:
+            raise PartitionInconsistencyError(
+                "solution line of an exposed trapping set misses the box"
+            )
+        pi = a.stationary
+        a_hat = float(pi @ (x[S] - a.base) / (pi @ pi))
+        a_hat = min(max(a_hat, line[0]), line[1])
+        known[S] = np.clip(a.base + a_hat * pi, 0.0, net.w[S])
+        slack = max(slack, abs(total))
 
-    np.clip(known, 0.0, w, out=known)
     res = fixed_point_residual(net, c, known)
-    if res > max(opts.tol_fp, 8.0 * slack):
+    if res > _residual_gate(net, c, opts, slack):
         raise PartitionInconsistencyError(
             f"refined point has residual {res:.3g}; classification tolerance too loose for this input",
             candidate=known,

@@ -58,6 +58,24 @@ class TestSolveCommand:
         assert payload["n"] == 2
 
 
+class TestUniqueVerdict:
+    def test_short_segment_agrees_with_classify(self, capsys, tmp_path):
+        # 4-cycle whose segment, eps = 0.9e-9 long per node, is longer than
+        # the zero-sum tolerance but shorter than tol_class: not unique
+        eps = 0.9e-9
+        net = tmp_path / "cycle.json"
+        net.write_text(json.dumps({
+            "n": 4, "P": np.roll(np.eye(4), 1, axis=1).tolist(), "w": [1.0] * 4,
+            "c": [-(1 - eps), 1 - eps, 0.0, 0.0],
+        }))
+        code, out = run(capsys, "classify", "--input", str(net))
+        assert code == 0 and json.loads(out)["is_unique"] is False
+        code, out = run(capsys, "solve", "--input", str(net))
+        assert code == 0 and json.loads(out)["unique"] is False
+        code, out = run(capsys, "loss", "--input", str(net), "--c0", "0,1,0,0")
+        assert code == 0 and json.loads(out)["unique"] is False
+
+
 class TestValidateCommand:
     def test_valid_network(self, capsys):
         code, out = run(capsys, "validate", "--input", str(DEMOS / "triangle.json"))

@@ -189,6 +189,15 @@ class TestSweep:
             if r.unique:
                 assert r.loss_min == pytest.approx(r.loss_max, abs=1e-9)
 
+    def test_unique_flag_is_the_analysis_verdict(self):
+        # the last grid point is a segment shorter than tol_class
+        eps = 0.9e-9
+        net = Network(np.roll(np.eye(4), 1, axis=1), np.ones(4))
+        ray = ShockRay([0.0, 1.0, 0.0, 0.0], [1 - eps, eps, 0.0, 0.0], 0.0, 1.0, 2)
+        records, _ = sweep(net, ray)
+        assert [r.unique for r in records] == [True, False]
+        assert not np.array_equal(records[-1].x_min, records[-1].x_max)
+
     def test_one_sided_limits_near_crossing(self, triangle):
         delta = 1e-6
         lo_side, _ = extremal_equilibria(triangle, C_BASE - (9.0 - delta) * Q_DIR)

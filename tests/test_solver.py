@@ -8,7 +8,9 @@ from saturnet import (
     Network,
     NonConvergenceError,
     PartitionInconsistencyError,
+    SinkKind,
     SolveOptions,
+    classify,
     extremal_equilibria,
     fixed_point_map,
     fixed_point_residual,
@@ -19,7 +21,7 @@ from saturnet import (
     refine,
 )
 
-from conftest import C_BASE, C_STAR, X_MAX_STAR, X_MIN_STAR, random_network
+from conftest import C_BASE, C_STAR, TRIANGLE_P, TRIANGLE_W, X_MAX_STAR, X_MIN_STAR, random_network
 from oracles import brute_maximal, brute_minimal
 
 
@@ -190,6 +192,103 @@ class TestExtremes:
             lo, hi = extremal_equilibria(net, c)
             assert np.allclose(lo.x, brute_minimal(net.P, net.w, c), atol=1e-8)
             assert np.allclose(hi.x, brute_maximal(net.P, net.w, c), atol=1e-8)
+
+
+def strongly_connected_routing(rng, n, row_sums) -> np.ndarray:
+    """Sparse random routing with a covering cycle and the given row sums."""
+    P = rng.random((n, n)) * (rng.random((n, n)) < min(1.0, 4.0 / n))
+    np.fill_diagonal(P, 0.0)
+    order = rng.permutation(n)
+    for i in range(n):
+        P[order[i], order[(i + 1) % n]] += rng.uniform(0.3, 1.0)
+    return P / P.sum(axis=1)[:, None] * row_sums[:, None]
+
+
+def hunt_cases(kind, seed, count):
+    """Seeded (net, c) pairs, n up to 50, whose one trapping set is hunted.
+
+    ``out_connected``: row sums in [0.3, 0.95]. ``near_stochastic``: row sums
+    around 0.999 and a small flow, where plain iteration creeps.
+    ``nonzero_sum``: stochastic, with an inflow sum of alternating sign.
+    """
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(2, 51))
+        w = rng.uniform(0.5, 5.0, n)
+        if kind == "out_connected":
+            P = strongly_connected_routing(rng, n, rng.uniform(0.3, 0.95, n))
+            c = rng.uniform(-3.0, 3.0, n)
+        elif kind == "near_stochastic":
+            P = strongly_connected_routing(rng, n, rng.uniform(0.998, 0.9995, n))
+            c = rng.uniform(-1.0, 1.0, n) * w * 10.0 ** rng.uniform(-4.0, -2.0)
+        else:
+            P = strongly_connected_routing(rng, n, np.ones(n))
+            c = rng.uniform(-1.0, 1.0, n)
+            c += (-1.0) ** case * rng.uniform(0.05, 1.0) / n - c.mean()
+        yield Network(P, w), c
+
+
+# near-stochastic pair whose saturation pattern is misjudged at first
+SLOW_PAIR = (Network([[0.0, 0.999], [0.999, 0.0]], [1.0, 1.0]), np.array([0.5, -0.2]))
+
+# the all-interior pattern's solution leaves the box by less than tol_class
+DEAD_BAND_PAIR = (Network([[0.0, 0.5], [0.5, 0.0]], [1.0, 1.0]), np.array([0.75 + 5e-10, -2.5e-10]))
+
+
+class TestPatternHunt:
+    @pytest.mark.parametrize("kind", ["out_connected", "near_stochastic", "nonzero_sum"])
+    def test_against_plain_iteration(self, kind):
+        for net, c in hunt_cases(kind, 71, 8):
+            if kind == "nonzero_sum":
+                assert classify(net, c)[1][0].kind is SinkKind.NONZERO_SUM
+            lo, hi = extremal_equilibria(net, c)
+            assert np.allclose(lo.x, brute_minimal(net.P, net.w, c), atol=1e-8)
+            assert np.allclose(hi.x, brute_maximal(net.P, net.w, c), atol=1e-8)
+
+    def test_no_pattern_solved_twice(self, monkeypatch):
+        # an equal (matrix, right-hand side) pair means the same pinned node
+        # sets are being solved again within one call
+        solve = np.linalg.solve
+        systems = set()
+
+        def recording(A, b):
+            key = (A.tobytes(), np.asarray(b).tobytes())
+            assert key not in systems
+            systems.add(key)
+            return solve(A, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        total = 0
+        for net, c in [*hunt_cases("near_stochastic", 73, 12), SLOW_PAIR, DEAD_BAND_PAIR]:
+            systems.clear()
+            lo, _ = extremal_equilibria(net, c)
+            assert lo.residual <= 1e-12
+            total += len(systems)
+        assert total > 14
+
+
+class TestScale:
+    @pytest.mark.parametrize("s", [1e6, 1e9])
+    def test_scaled_critical_triangle(self, s):
+        # a segment sink: residuals grow with the scale, not the answer
+        lo, hi = extremal_equilibria(Network(TRIANGLE_P, TRIANGLE_W), C_STAR)
+        net = Network(TRIANGLE_P, s * TRIANGLE_W)
+        lo_s, hi_s = extremal_equilibria(net, s * C_STAR)
+        np.testing.assert_allclose(lo_s.x, s * lo.x, rtol=1e-12, atol=1e-12 * s)
+        np.testing.assert_allclose(hi_s.x, s * hi.x, rtol=1e-12, atol=1e-12 * s)
+        for x in (lo_s, hi_s):
+            np.testing.assert_allclose(refine(net, s * C_STAR, x).x, x.x, rtol=1e-12, atol=1e-12 * s)
+
+    @pytest.mark.parametrize("s", [1e6, 1e9])
+    @pytest.mark.parametrize("kind", ["near_stochastic", "nonzero_sum"])
+    def test_scaled_hunts(self, kind, s):
+        # an exact pattern solve is off by an ulp of s here, far above an
+        # absolute 1e-12, and the map from it cycles at that ulp
+        for net, c in hunt_cases(kind, 5, 10):
+            lo, _ = extremal_equilibria(net, c)
+            lo_s, hi_s = extremal_equilibria(Network(net.P, s * net.w), s * c)
+            assert np.array_equal(lo_s.x, hi_s.x)
+            np.testing.assert_allclose(lo_s.x, s * lo.x, rtol=0, atol=1e-12 * s * np.max(net.w))
 
 
 class TestNodePartition:
