@@ -95,9 +95,10 @@ def fixed_point_residual(net: Network, c, x) -> float:
 # ----------------------------- block hunt -----------------------------
 
 
-def _scale(w, c) -> float:
-    """max(1, |w|_inf, |c|_inf), the size that residual gates are relative to."""
-    return max(1.0, float(np.max(w, initial=0.0)), float(np.max(np.abs(c), initial=0.0)))
+def _scale(w) -> float:
+    """max(1, |w|_inf), which residual gates are relative to; c is left out, since
+    equilibria lie in [0, w] and a node with |c| far above w is clamped exactly."""
+    return max(1.0, float(np.max(w, initial=0.0)))
 
 
 def _solve_pattern(Q, w, c, pattern):
@@ -134,15 +135,14 @@ def _hunt_unique(Q, w, c, opts, from_top):
     map carries on from it otherwise. No pattern is solved twice, and the
     map converges from any point of the box on a block with a unique
     equilibrium, so the hunt ends; ``max_iter`` bounds its steps. Both
-    checks use ``0.5 * tol_fp`` relative to the block's scale: at large
-    scale an exact solve is off by an ulp, and the map from it can cycle at
-    that ulp.
+    checks use ``0.5 * tol_fp`` relative to ``_scale``: at large scale the map
+    from an exact solve can cycle at one ulp.
     """
     k = w.size
     if k == 0:
         return np.zeros(0)
     QT = Q.T
-    gate = 0.5 * opts.tol_fp * _scale(w, c)
+    gate = 0.5 * opts.tol_fp * _scale(w)
     x = w.copy() if from_top else np.zeros(k)
     solved, previous = set(), None
     for _ in range(opts.max_iter):
@@ -266,7 +266,7 @@ def _analyze(net, c, opts) -> _Analysis:
     return _Analysis(st, c, x_T, blocks, sinks, lines)
 
 
-def _residual_gate(net, c, opts, slack):
+def _residual_gate(net, opts, slack):
     """Largest residual an assembled or refined result may carry.
 
     ``tol_fp`` is taken relative to the problem's scale. A nearly-zero
@@ -274,7 +274,7 @@ def _residual_gate(net, c, opts, slack):
     passed in as ``slack``; allow headroom over it for the solve and clip
     fuzz.
     """
-    return max(opts.tol_fp * _scale(net.w, c), 8.0 * slack)
+    return max(opts.tol_fp * _scale(net.w), 8.0 * slack)
 
 
 def _assemble_extremes(net, found: _Analysis, opts):
@@ -299,7 +299,7 @@ def _assemble_extremes(net, found: _Analysis, opts):
             x_lo[S] = np.clip(a.base + line[0] * a.stationary, 0.0, w)
             x_hi[S] = np.clip(a.base + line[1] * a.stationary, 0.0, w)
             slack = max(slack, abs(float(a.inflow.sum())))
-    gate = _residual_gate(net, found.c, opts, slack)
+    gate = _residual_gate(net, opts, slack)
     results = []
     for x in (x_lo, x_hi):
         res = fixed_point_residual(net, found.c, x)
@@ -411,16 +411,25 @@ def node_partition(net: Network, c, x, opts: SolveOptions | None = None) -> Node
     return NodePartition(*(tuple(int(i) for i in np.nonzero(m)[0]) for m in masks))
 
 
+def _refine_block(Q, w, c, pattern):
+    """``_solve_pattern`` for ``refine``, which has no fallback if it is singular."""
+    x = _solve_pattern(Q, w, c, pattern)
+    if x is None:
+        raise PartitionInconsistencyError("exposed block is singular outside the whole-trapping-set case")
+    return x
+
+
 def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumVector:
     """Polish an approximate equilibrium by exact solves on the exposed block.
 
     Saturated nodes are pinned to w or 0 and the exposed nodes are re-solved
-    exactly in one linear solve. If a stochastic trapping set is entirely
-    exposed its linear system is singular (the solution set is a line); the
-    input is then projected to the nearest line point inside the box. Raises
-    PartitionInconsistencyError when the result does not reproduce itself
-    under the map, which signals that the input was too far from an
-    equilibrium for the classification tolerance.
+    exactly, one block at a time: the transient part first, then each
+    trapping set at its effective inflow. If a stochastic trapping set is
+    entirely exposed its linear system is singular (the solution set is a
+    line); the input is then projected to the nearest line point inside the
+    box. Raises PartitionInconsistencyError when the result does not
+    reproduce itself under the map, which signals that the input was too far
+    from an equilibrium for the classification tolerance.
     """
     opts = opts or DEFAULT_OPTIONS
     require_valid(net)
@@ -433,22 +442,21 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
 
     surplus, exposed, deficit = _node_masks(net, c, x, opts.tol_class)
     pattern = surplus.astype(np.int8) - deficit
-    lines = []
-    for l, sink in enumerate(block_structure(net).sinks()):
-        # a wholly exposed stochastic set has a singular system: pin it to 0
-        # for the solve, then project x onto its solution line
-        if sink.stationary is not None and exposed[sink.nodes].all():
-            pattern[sink.nodes] = -1
-            lines.append((l, sink))
-    known = _solve_pattern(net.P, net.w, c, pattern)
-    if known is None:
-        raise PartitionInconsistencyError(
-            "exposed block is singular outside the whole-trapping-set case"
-        )
+    st = block_structure(net)
+    T = st.transient
+    known = np.where(surplus, net.w, 0.0)
+    known[T] = _refine_block(net.P[np.ix_(T, T)], net.w[T], c[T], pattern[T])
+    inflow = st.inflows(c, known[T])
     slack = 0.0
-    for l, sink in lines:
+    for l, sink in enumerate(st.sinks()):
         S = sink.nodes
-        c_eff = c[S] + net.P.T[S] @ known  # within-sink knowns are all zero here
+        if not exposed[S].any():
+            continue
+        c_eff = inflow[sink.span]
+        if sink.stationary is None or not exposed[S].all():
+            known[S] = _refine_block(sink.block(net.P), net.w[S], c_eff, pattern[S])
+            continue
+        # a wholly exposed stochastic set is singular: project x onto its line
         a, line = _sink_analysis(l, sink, net, c_eff)
         total = float(c_eff.sum())
         if a.kind is SinkKind.NONZERO_SUM:
@@ -457,9 +465,7 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
                 f"sum {total:.3g} is nonzero; no unsaturated solution exists"
             )
         if line is None:
-            raise PartitionInconsistencyError(
-                "solution line of an exposed trapping set misses the box"
-            )
+            raise PartitionInconsistencyError("solution line of an exposed trapping set misses the box")
         pi = a.stationary
         a_hat = float(pi @ (x[S] - a.base) / (pi @ pi))
         a_hat = min(max(a_hat, line[0]), line[1])
@@ -467,7 +473,7 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
         slack = max(slack, abs(total))
 
     res = fixed_point_residual(net, c, known)
-    if res > _residual_gate(net, c, opts, slack):
+    if res > _residual_gate(net, opts, slack):
         raise PartitionInconsistencyError(
             f"refined point has residual {res:.3g}; classification tolerance too loose for this input",
             candidate=known,

@@ -291,6 +291,22 @@ class TestScale:
             np.testing.assert_allclose(lo_s.x, s * lo.x, rtol=0, atol=1e-12 * s * np.max(net.w))
 
 
+    def test_huge_flow_does_not_loosen_gates(self):
+        # node 2 is clamped to 0 exactly, so its |c| adds no rounding and
+        # must not widen the gates; a gate of 0.5 would accept the first
+        # map step (0.3, 0.2, 0) from 0
+        P = np.full((3, 3), 0.45)
+        np.fill_diagonal(P, 0.0)
+        net = Network(P, np.ones(3))
+        c = np.array([0.3, 0.2, -1e12])
+        x1 = 0.39 / 0.7975
+        exact = np.array([x1, 0.45 * x1 + 0.2, 0.0])
+        for x in extremal_equilibria(net, c):
+            np.testing.assert_allclose(x.x, exact, rtol=0, atol=1e-12)
+            assert x.residual <= 1e-12
+        np.testing.assert_allclose(refine(net, c, np.full(3, 0.4)).x, exact, rtol=0, atol=1e-12)
+
+
 class TestNodePartition:
     def test_all_surplus_at_baseline(self, triangle):
         part = node_partition(triangle, C_BASE, triangle.w)
@@ -345,6 +361,31 @@ class TestRefine:
     def test_far_point_raises_inconsistency(self, two_cycle):
         with pytest.raises(PartitionInconsistencyError):
             refine(two_cycle, np.array([0.4, -0.9]), np.array([1.0, 1.0]))
+
+    def test_solves_blockwise(self, monkeypatch):
+        # a 4-node transient core feeding three leaky 2-node trapping sets,
+        # every node exposed: no solve may span more than one block
+        P = np.zeros((10, 10))
+        P[:4, :4] = 0.15
+        P[:4, 4:] = 0.05
+        np.fill_diagonal(P, 0.0)
+        for a in (4, 6, 8):
+            P[a, a + 1] = P[a + 1, a] = 0.6
+        net = Network(P, np.full(10, 10.0))
+        c = np.ones(10)
+        lo, _ = extremal_equilibria(net, c)
+        assert node_partition(net, c, lo).exposed == tuple(range(10))
+        solve = np.linalg.solve
+        sizes = []
+
+        def recording(A, b):
+            sizes.append(len(b))
+            return solve(A, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        out = refine(net, c, lo.x + 1e-10)
+        assert sizes == [4, 2, 2, 2]
+        np.testing.assert_allclose(out.x, lo.x, rtol=0, atol=1e-12)
 
     def test_random_refinement_agrees_with_solver(self):
         rng = np.random.default_rng(61)
