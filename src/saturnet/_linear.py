@@ -11,14 +11,6 @@ import numpy as np
 
 from .errors import InputError
 
-#: Relative threshold under which an inflow sum counts as zero.
-ZERO_SUM_REL = 1e-9
-
-
-def zero_sum_tolerance(c: np.ndarray) -> float:
-    """Scale-aware threshold for treating sum(c) as zero."""
-    return ZERO_SUM_REL * (1.0 + float(np.abs(c).sum()))
-
 
 def stationary_block(Q: np.ndarray) -> np.ndarray:
     """Positive invariant probability vector of an irreducible stochastic block.

@@ -254,7 +254,8 @@ def is_out_connected(net: Network, nodes) -> bool:
     A block is out-connected when it has at least one row summing below 1
     and every node of the block can reach such a row inside the block. This
     is exactly the condition under which the block's spectral radius is
-    strictly below one.
+    strictly below one. Every node reaches a trapping set of the induced
+    sub-network, so that holds iff each of its trapping sets has such a row.
     """
     require_valid(net)
     idx = sorted({int(i) for i in nodes})
@@ -262,19 +263,5 @@ def is_out_connected(net: Network, nodes) -> bool:
         raise InputError("node set must be nonempty")
     if idx[0] < 0 or idx[-1] >= net.n:
         raise InputError(f"node indices must lie in [0, {net.n - 1}]")
-    sub = net.P[np.ix_(idx, idx)]
-    k = len(idx)
-    deficient = sub.sum(axis=1) < 1.0 - EPS_FEAS
-    if not deficient.any():
-        return False
-    # reverse reachability from the deficient rows inside the block
-    adj = sub > 0
-    reached = deficient.copy()
-    frontier = list(np.nonzero(deficient)[0])
-    while frontier:
-        j = frontier.pop()
-        for i in np.nonzero(adj[:, j])[0]:
-            if not reached[i]:
-                reached[i] = True
-                frontier.append(int(i))
-    return bool(reached.all())
+    sub = decompose(Network(net.P[np.ix_(idx, idx)], net.w[idx]))
+    return all(sink.out_connected for sink in sub.sinks)

@@ -17,8 +17,6 @@ from .errors import InputError
 from .model import Network, as_flow, require_valid
 from .solver import fixed_point_residual
 
-TOL_DYN = 1e-8
-
 
 @dataclass(frozen=True)
 class Trajectory:

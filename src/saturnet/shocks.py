@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fmt import csv_lines
+from ._tol import ROUND_REL, flow_tolerance, scale
 from .decomposition import block_structure
 from .errors import InputError, NotCriticalError
 from .model import EquilibriumVector, Network, as_flow, require_valid
@@ -119,12 +120,13 @@ def systemic_loss(net: Network, c0, c, x) -> float:
     """Aggregate pre-shock minus post-shock net worth at equilibrium x.
 
     Splits into the direct shock (sum c0 - sum c) plus the payment shortfall
-    (sum w - sum x). Defined for shocks only: requires c <= c0 entrywise.
+    (sum w - sum x). Defined for shocks only: requires c <= c0 entrywise, up
+    to rounding relative to the network's scale and |c0|_1.
     """
     require_valid(net)
     c0 = as_flow(c0, net.n)
     c = as_flow(c, net.n)
-    if np.any(c > c0 + 1e-12):
+    if np.any(c > c0 + flow_tolerance(ROUND_REL, scale(net.w), c0)):
         raise InputError("loss requires a shock: c must not exceed c0 entrywise")
     if isinstance(x, EquilibriumVector):
         x = x.x
@@ -206,7 +208,7 @@ def find_critical_eps(
     def g(eps):
         return _sink_inflow_sum(net, ray, st, sink, opts, eps)
 
-    atol = 1e-12 * (1.0 + float(np.abs(ray.c0).sum()) + float(np.abs(ray.q).sum()))
+    atol = flow_tolerance(ROUND_REL, scale(net.w), np.abs(ray.c0) + np.abs(ray.q))
     lo, hi = ray.eps_lo, ray.eps_hi
     g_lo, g_hi = g(lo), g(hi)
     if abs(g_lo) <= atol:
@@ -252,13 +254,12 @@ def sweep(
     if ray.c0.shape != (net.n,):
         raise InputError("ray dimension does not match the network")
     dec = block_structure(net).decomposition
+    paid = net.w - opts.tol_class * scale(net.w)
     records = []
     for eps in np.linspace(ray.eps_lo, ray.eps_hi, ray.grid):
         c = ray.c_at(eps)
         lo_eq, hi_eq = _extremes(net, c, opts)
-        defaults = tuple(
-            int(i) for i in np.nonzero(lo_eq.x < net.w - opts.tol_class)[0]
-        )
+        defaults = tuple(int(i) for i in np.nonzero(lo_eq.x < paid)[0])
         records.append(
             SweepRecord(
                 eps=float(eps),

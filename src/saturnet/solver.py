@@ -21,6 +21,8 @@ One pass (``_analyze``) solves the transient part, forms every sink's
 effective inflow and gives each sink its SinkAnalysis; ``classify``,
 ``equilibrium_set``, ``refine`` and the shock sweep read the same verdicts,
 so a unique verdict always comes with x_min == x_max.
+
+Every tolerance is relative to the box scale s = max w, with no floor (``_tol``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linear import pinned_particular, segment_bounds, zero_sum_tolerance
+from ._linear import pinned_particular, segment_bounds
+from ._tol import TOUCH_REL, ZERO_SUM_REL, flow_tolerance, scale
 from .decomposition import BlockStructure, Decomposition, SinkBlock, block_structure
 from .errors import InputError, NonConvergenceError, PartitionInconsistencyError
 from .model import EquilibriumVector, Network, as_flow, require_valid
@@ -44,7 +47,8 @@ class SolveOptions:
     ``tol_fp`` is the sup-norm residual/convergence tolerance, ``tol_class``
     the dead-band used when classifying nodes against the saturation
     boundaries (ties go to the interior class, whose exact linear solve then
-    settles the value).
+    settles the value). Both are relative to s = max w of the block or
+    network checked, with no floor.
     """
 
     tol_fp: float = 1e-12
@@ -95,10 +99,9 @@ def fixed_point_residual(net: Network, c, x) -> float:
 # ----------------------------- block hunt -----------------------------
 
 
-def _scale(w) -> float:
-    """max(1, |w|_inf), which residual gates are relative to; c is left out, since
-    equilibria lie in [0, w] and a node with |c| far above w is clamped exactly."""
-    return max(1.0, float(np.max(w, initial=0.0)))
+def _saturation_pattern(y, w, band):
+    """+1 where the inflow y is above w, -1 below 0, 0 within ``band`` of [0, w]."""
+    return (y > w + band).astype(np.int8) - (y < -band)
 
 
 def _solve_pattern(Q, w, c, pattern):
@@ -135,19 +138,18 @@ def _hunt_unique(Q, w, c, opts, from_top):
     map carries on from it otherwise. No pattern is solved twice, and the
     map converges from any point of the box on a block with a unique
     equilibrium, so the hunt ends; ``max_iter`` bounds its steps. Both
-    checks use ``0.5 * tol_fp`` relative to ``_scale``: at large scale the map
-    from an exact solve can cycle at one ulp.
+    checks use ``0.5 * tol_fp`` relative to the block's scale: at large
+    scale the map from an exact solve can cycle at one ulp. ``c`` is left
+    out of the scale, since a node with |c| far above w is clamped exactly.
     """
-    k = w.size
-    if k == 0:
-        return np.zeros(0)
     QT = Q.T
-    gate = 0.5 * opts.tol_fp * _scale(w)
-    x = w.copy() if from_top else np.zeros(k)
+    s = scale(w)
+    gate, band = 0.5 * opts.tol_fp * s, opts.tol_class * s
+    x = w.copy() if from_top else np.zeros(w.size)
     solved, previous = set(), None
     for _ in range(opts.max_iter):
         y = QT @ x + c
-        pattern = (y > w + opts.tol_class).astype(np.int8) - (y < -opts.tol_class)
+        pattern = _saturation_pattern(y, w, band)
         key = pattern.tobytes()
         exact = key == previous and key not in solved
         if exact:
@@ -161,7 +163,7 @@ def _hunt_unique(Q, w, c, opts, from_top):
             return x if exact else xn
         x, previous = xn, key
     raise NonConvergenceError(
-        f"no convergence within {opts.max_iter} iterations on a {k}-node block",
+        f"no convergence within {opts.max_iter} iterations on a {w.size}-node block",
         last_iterate=x,
         iterations=opts.max_iter,
     )
@@ -218,11 +220,12 @@ def _sink_analysis(index, sink: SinkBlock, net, c_eff):
     pi = sink.stationary
     if pi is None:
         return SinkAnalysis(index, nodes, SinkKind.OUT_CONNECTED, inflow=c_eff), None
+    w = net.w[sink.nodes]
+    s = scale(w)
     total = float(c_eff.sum())
-    tol = zero_sum_tolerance(c_eff)
+    tol = flow_tolerance(ZERO_SUM_REL, s, c_eff)
     if abs(total) > tol:
         return SinkAnalysis(index, nodes, SinkKind.NONZERO_SUM, inflow=c_eff, stationary=pi), None
-    w = net.w[sink.nodes]
     base = pinned_particular(sink.block(net.P), c_eff)
     lo, hi = segment_bounds(base, pi, w)
     condition = hi - lo  # equals min(base/pi) + min((w-base)/pi)
@@ -231,7 +234,7 @@ def _sink_analysis(index, sink: SinkBlock, net, c_eff):
     else:
         kind, alpha = SinkKind.ZERO_SUM_UNIQUE, None
         # a line that touches the box, or misses it by rounding only
-        slack = max(abs(total), 1e-15 * (1.0 + float(np.max(w))))
+        slack = max(abs(total), TOUCH_REL * s)
         line = (0.5 * (lo + hi),) * 2 if condition >= -slack else None
     analysis = SinkAnalysis(
         index, nodes, kind,
@@ -269,12 +272,12 @@ def _analyze(net, c, opts) -> _Analysis:
 def _residual_gate(net, opts, slack):
     """Largest residual an assembled or refined result may carry.
 
-    ``tol_fp`` is taken relative to the problem's scale. A nearly-zero
+    ``tol_fp`` is taken relative to the network's scale. A nearly-zero
     inflow sum treated as zero leaves a residual floor of about |sum|,
     passed in as ``slack``; allow headroom over it for the solve and clip
     fuzz.
     """
-    return max(opts.tol_fp * _scale(net.w), 8.0 * slack)
+    return max(opts.tol_fp * scale(net.w), 8.0 * slack)
 
 
 def _assemble_extremes(net, found: _Analysis, opts):
@@ -332,17 +335,18 @@ def iterate(net: Network, c, x0, opts: SolveOptions | None = None) -> Equilibriu
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (net.n,):
         raise InputError(f"x0 has shape {x0.shape}, expected ({net.n},)")
-    if np.any(x0 < -opts.tol_fp) or np.any(x0 > net.w + opts.tol_fp):
+    tol = opts.tol_fp * scale(net.w)
+    if np.any(x0 < -tol) or np.any(x0 > net.w + tol):
         raise InputError("x0 must lie in the box [0, w]")
     x, QT = x0, net.P.T
     for used in range(1, opts.max_iter + 1):
         xn = np.minimum(np.maximum(QT @ x + c, 0.0), net.w)
         step = float(np.max(np.abs(xn - x))) if net.n else 0.0
         x = xn
-        if step <= opts.tol_fp:
+        if step <= tol:
             break
     res = fixed_point_residual(net, c, x)
-    if step > opts.tol_fp and res > opts.tol_fp:
+    if step > tol and res > tol:
         raise NonConvergenceError(
             f"iteration did not converge within {used} steps (residual {res:.3g})",
             last_iterate=x,
@@ -379,35 +383,30 @@ def extremal_equilibria(
     return _extremes(net, c, opts)
 
 
-def _node_masks(net, c, x, tol_class):
-    """Surplus, exposed and deficit masks of x.
-
-    Each node is judged on its inflow excluding its own routed return, plus
-    c; ties within ``tol_class`` of a boundary are exposed.
-    """
-    z = net.P.T @ x - np.diag(net.P) * x + c
-    surplus = z > net.w + tol_class
-    deficit = z < -tol_class
-    return surplus, ~(surplus | deficit), deficit
+def _checked_equilibrium(net, c, x, tol):
+    """``(c, x, tol * s)`` as arrays; x must be an equilibrium to within ``tol`` relative to s."""
+    require_valid(net)
+    c = as_flow(c, net.n)
+    x = np.asarray(x.x if isinstance(x, EquilibriumVector) else x, dtype=float)
+    tol *= scale(net.w)
+    res = fixed_point_residual(net, c, x)
+    if res > tol:
+        raise InputError(f"x is not an equilibrium (residual {res:.3g} > {tol:.3g})")
+    return c, x, tol
 
 
 def node_partition(net: Network, c, x, opts: SolveOptions | None = None) -> NodePartition:
     """Classify nodes as surplus / exposed / deficit at an equilibrium x.
 
-    The split is the same for every equilibrium of the same (net, c), so any
-    equilibrium may be passed in. Ties within ``tol_class`` of a boundary are
-    classified exposed.
+    Each node is judged on its inflow excluding its own routed return, plus
+    c. The split is the same for every equilibrium of the same (net, c), so
+    any equilibrium may be passed in. Ties within ``tol_class`` (relative to
+    the network's scale) of a boundary are classified exposed, and x must be
+    an equilibrium to within the same tolerance.
     """
-    opts = opts or DEFAULT_OPTIONS
-    require_valid(net)
-    c = as_flow(c, net.n)
-    if isinstance(x, EquilibriumVector):
-        x = x.x
-    x = np.asarray(x, dtype=float)
-    res = fixed_point_residual(net, c, x)
-    if res > opts.tol_class:
-        raise InputError(f"x is not an equilibrium (residual {res:.3g} > {opts.tol_class:.3g})")
-    masks = _node_masks(net, c, x, opts.tol_class)
+    c, x, tol = _checked_equilibrium(net, c, x, (opts or DEFAULT_OPTIONS).tol_class)
+    pattern = _saturation_pattern(net.P.T @ x - np.diag(net.P) * x + c, net.w, tol)
+    masks = (pattern > 0, pattern == 0, pattern < 0)
     return NodePartition(*(tuple(int(i) for i in np.nonzero(m)[0]) for m in masks))
 
 
@@ -422,6 +421,7 @@ def _refine_block(Q, w, c, pattern):
 def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumVector:
     """Polish an approximate equilibrium by exact solves on the exposed block.
 
+    Nodes are judged on their whole inflow P'x + c, as in the hunt.
     Saturated nodes are pinned to w or 0 and the exposed nodes are re-solved
     exactly, one block at a time: the transient part first, then each
     trapping set at its effective inflow. If a stochastic trapping set is
@@ -440,20 +440,19 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     if x.shape != (net.n,):
         raise InputError(f"x has shape {x.shape}, expected ({net.n},)")
 
-    surplus, exposed, deficit = _node_masks(net, c, x, opts.tol_class)
-    pattern = surplus.astype(np.int8) - deficit
+    pattern = _saturation_pattern(net.P.T @ x + c, net.w, opts.tol_class * scale(net.w))
     st = block_structure(net)
     T = st.transient
-    known = np.where(surplus, net.w, 0.0)
+    known = np.where(pattern > 0, net.w, 0.0)
     known[T] = _refine_block(net.P[np.ix_(T, T)], net.w[T], c[T], pattern[T])
     inflow = st.inflows(c, known[T])
     slack = 0.0
     for l, sink in enumerate(st.sinks()):
         S = sink.nodes
-        if not exposed[S].any():
-            continue
+        if pattern[S].all():
+            continue  # every node saturated: already pinned
         c_eff = inflow[sink.span]
-        if sink.stationary is None or not exposed[S].all():
+        if sink.stationary is None or pattern[S].any():
             known[S] = _refine_block(sink.block(net.P), net.w[S], c_eff, pattern[S])
             continue
         # a wholly exposed stochastic set is singular: project x onto its line

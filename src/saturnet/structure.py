@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linear import pinned_particular, stationary_block, zero_sum_tolerance
+from ._linear import pinned_particular, stationary_block
+from ._tol import ROUND_REL, ZERO_SUM_REL, flow_tolerance
 from .decomposition import Decomposition, strongly_connected_components
 from .errors import InputError
-from .model import EPS_FEAS, EquilibriumVector, Network, as_flow, require_valid
+from .model import EPS_FEAS, Network
 from .solver import (
     DEFAULT_OPTIONS,
     SinkAnalysis,
@@ -31,8 +32,8 @@ from .solver import (
     SolveOptions,
     _analyze,
     _assemble_extremes,
+    _checked_equilibrium,
     fixed_point_map,
-    fixed_point_residual,
 )
 
 
@@ -68,10 +69,10 @@ def particular_solution(block, inflow) -> np.ndarray:
         raise InputError(f"inflow has shape {inflow.shape}, expected ({Q.shape[0]},)")
     stationary_distribution(Q)  # validates shape, stochasticity, irreducibility
     total = float(inflow.sum())
-    tol = zero_sum_tolerance(inflow)
+    tol = flow_tolerance(ZERO_SUM_REL, 0.0, inflow)  # no box here: relative to |inflow|_1
     if abs(total) > tol:
         raise InputError(f"inflow sums to {total:.6g}; a solution requires a zero sum")
-    return pinned_particular(Q, inflow, check_tol=10.0 * tol + 1e-12)
+    return pinned_particular(Q, inflow, check_tol=10.0 * tol)
 
 
 def classify(
@@ -102,7 +103,9 @@ class SegmentComponent:
     alpha_max: float
 
     def at(self, alpha: float) -> np.ndarray:
-        if not self.alpha_min - 1e-12 <= alpha <= self.alpha_max + 1e-12:
+        """The member at ``alpha``, which may pass the bounds by rounding only."""
+        slack = ROUND_REL * max(abs(self.alpha_min), abs(self.alpha_max))
+        if not self.alpha_min - slack <= alpha <= self.alpha_max + slack:
             raise InputError(
                 f"alpha {alpha} outside [{self.alpha_min}, {self.alpha_max}]"
             )
@@ -203,21 +206,15 @@ def equilibrium_set(net: Network, c, opts: SolveOptions | None = None) -> Equili
     )
 
 
-def nash_payments(net: Network, c, x, tol: float = 1e-9) -> tuple[np.ndarray, float]:
+def nash_payments(net: Network, c, x, tol: float = DEFAULT_OPTIONS.tol_class) -> tuple[np.ndarray, float]:
     """Per-edge payments X[i][j] = x_i * P[i][j] induced by an equilibrium.
 
     Also returns the sup-norm residual of the per-entry best-response
     identity X[i][j] = P[i][j] * clamp_i(sum_k X[k][i] + c_i), which vanishes
-    exactly when x is a fixed point.
+    exactly when x is a fixed point. x must be an equilibrium to within
+    ``tol`` relative to the network's scale.
     """
-    require_valid(net)
-    c = as_flow(c, net.n)
-    if isinstance(x, EquilibriumVector):
-        x = x.x
-    x = np.asarray(x, dtype=float)
-    res = fixed_point_residual(net, c, x)
-    if res > tol:
-        raise InputError(f"x is not an equilibrium (residual {res:.3g} > {tol:.3g})")
+    c, x, _ = _checked_equilibrium(net, c, x, tol)
     payments = x[:, None] * net.P
     best = fixed_point_map(net, c, x)
     residual = float(np.max(np.abs(x - best)[:, None] * net.P)) if net.n else 0.0

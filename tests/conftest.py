@@ -73,3 +73,42 @@ def random_irreducible_stochastic(rng, n_max=4) -> np.ndarray:
 def zero_sum_flow(rng, n) -> np.ndarray:
     r = rng.uniform(-2.0, 2.0, n)
     return r - r.mean()
+
+
+def strongly_connected_routing(rng, n, row_sums) -> np.ndarray:
+    """Sparse random routing with a covering cycle and the given row sums."""
+    P = rng.random((n, n)) * (rng.random((n, n)) < min(1.0, 4.0 / n))
+    np.fill_diagonal(P, 0.0)
+    order = rng.permutation(n)
+    for i in range(n):
+        P[order[i], order[(i + 1) % n]] += rng.uniform(0.3, 1.0)
+    return P / P.sum(axis=1)[:, None] * row_sums[:, None]
+
+
+def hunt_case(rng, kind, sign=1.0) -> tuple[Network, np.ndarray]:
+    """One seeded (net, c) pair, n up to 50, whose one trapping set is hunted.
+
+    ``out_connected``: row sums in [0.3, 0.95]. ``near_stochastic``: row sums
+    around 0.999 and a small flow, where plain iteration creeps.
+    ``nonzero_sum``: stochastic, with an inflow sum of the sign of ``sign``.
+    """
+    n = int(rng.integers(2, 51))
+    w = rng.uniform(0.5, 5.0, n)
+    if kind == "out_connected":
+        P = strongly_connected_routing(rng, n, rng.uniform(0.3, 0.95, n))
+        c = rng.uniform(-3.0, 3.0, n)
+    elif kind == "near_stochastic":
+        P = strongly_connected_routing(rng, n, rng.uniform(0.998, 0.9995, n))
+        c = rng.uniform(-1.0, 1.0, n) * w * 10.0 ** rng.uniform(-4.0, -2.0)
+    else:
+        P = strongly_connected_routing(rng, n, np.ones(n))
+        c = rng.uniform(-1.0, 1.0, n)
+        c += sign * rng.uniform(0.05, 1.0) / n - c.mean()
+    return Network(P, w), c
+
+
+def hunt_cases(kind, seed, count):
+    """``count`` seeded hunt_case pairs; nonzero inflow sums alternate in sign."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        yield hunt_case(rng, kind, (-1.0) ** case)

@@ -7,9 +7,10 @@ import jsonschema
 import numpy as np
 import pytest
 
+from saturnet import extremal_equilibria, node_partition
 from saturnet.cli import main
 
-from conftest import X_MAX_STAR, X_MIN_STAR
+from conftest import X_MAX_STAR, X_MIN_STAR, hunt_cases
 
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = REPO / "demos"
@@ -56,6 +57,20 @@ class TestSolveCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["n"] == 2
+
+
+class TestScaledSolve:
+    def test_large_scale_partition(self, capsys, tmp_path):
+        # rounding in a 1e9-scaled equilibrium is far above an absolute
+        # tol_class; the partition must come out as for the unscaled network
+        s = 1e9
+        for net, c in hunt_cases("near_stochastic", 5, 3):
+            part = node_partition(net, c, extremal_equilibria(net, c)[0]).to_json_dict()
+            path = tmp_path / "scaled.json"
+            path.write_text(json.dumps({"n": net.n, "P": net.P.tolist(), "w": (s * net.w).tolist(),
+                                        "c": (s * c).tolist()}))
+            code, out = run(capsys, "solve", "--input", str(path))
+            assert code == 0 and json.loads(out)["partition"] == part
 
 
 class TestUniqueVerdict:

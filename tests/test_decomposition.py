@@ -175,3 +175,20 @@ class TestIsOutConnected:
                 assert power_radius(sub) < 1.0 - 1e-9
                 checked += 1
         assert checked > 50
+
+    def test_blocks_not_out_connected_have_radius_one(self):
+        # sparse, mostly stochastic rows, so many subsets hold a closed class
+        rng = np.random.default_rng(19)
+        checked = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            P = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.2, 0.6))
+            sums = P.sum(axis=1)
+            P[sums > 0] /= sums[sums > 0, None]
+            P[rng.random(n) < 0.2] *= 0.5
+            net = Network(P, np.ones(n))
+            nodes = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+            if not is_out_connected(net, nodes):
+                assert power_radius(net.P[np.ix_(nodes, nodes)]) >= 1.0 - 1e-9
+                checked += 1
+        assert checked > 50

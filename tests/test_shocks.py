@@ -17,7 +17,10 @@ from saturnet import (
     systemic_loss,
 )
 
-from conftest import C_BASE, C_STAR, CONDITION_STAR, PI_TRIANGLE, Q_DIR, X_MAX_STAR, X_MIN_STAR, random_network
+from conftest import (
+    C_BASE, C_STAR, CONDITION_STAR, PI_TRIANGLE, Q_DIR, TRIANGLE_P, TRIANGLE_W, X_MAX_STAR, X_MIN_STAR,
+    random_network,
+)
 
 
 def demo_ray(eps_hi=14.0, grid=57) -> ShockRay:
@@ -188,6 +191,21 @@ class TestSweep:
             assert r.loss_min <= r.loss_max + 1e-12
             if r.unique:
                 assert r.loss_min == pytest.approx(r.loss_max, abs=1e-9)
+
+    @pytest.mark.parametrize("lam", [1e-10, 1e9])
+    def test_scaled_readme_sweep(self, triangle, lam):
+        # scaling w, c0 and q by lam scales every answer and moves no verdict
+        records, crossings = sweep(triangle, demo_ray(grid=1401))
+        net = Network(TRIANGLE_P, lam * TRIANGLE_W)
+        records_s, crossings_s = sweep(net, ShockRay(lam * C_BASE, lam * Q_DIR, 0.0, 14.0, 1401))
+        assert [(r.unique, len(r.defaults)) for r in records_s] == [
+            (r.unique, len(r.defaults)) for r in records
+        ]
+        assert max(len(r.defaults) for r in records) == 3
+        assert [cr.eps_star for cr in crossings_s] == [cr.eps_star for cr in crossings] != []
+        for cr_s, cr in zip(crossings_s, crossings):
+            np.testing.assert_allclose(cr_s.jump_vector, lam * cr.jump_vector, rtol=1e-12, atol=0)
+            assert cr_s.loss_jump == pytest.approx(lam * cr.loss_jump, rel=1e-12)
 
     def test_unique_flag_is_the_analysis_verdict(self):
         # the last grid point is a segment shorter than tol_class

@@ -21,7 +21,9 @@ from saturnet import (
     refine,
 )
 
-from conftest import C_BASE, C_STAR, TRIANGLE_P, TRIANGLE_W, X_MAX_STAR, X_MIN_STAR, random_network
+from conftest import (
+    C_BASE, C_STAR, TRIANGLE_P, TRIANGLE_W, X_MAX_STAR, X_MIN_STAR, hunt_cases, random_network,
+)
 from oracles import brute_maximal, brute_minimal
 
 
@@ -194,40 +196,6 @@ class TestExtremes:
             assert np.allclose(hi.x, brute_maximal(net.P, net.w, c), atol=1e-8)
 
 
-def strongly_connected_routing(rng, n, row_sums) -> np.ndarray:
-    """Sparse random routing with a covering cycle and the given row sums."""
-    P = rng.random((n, n)) * (rng.random((n, n)) < min(1.0, 4.0 / n))
-    np.fill_diagonal(P, 0.0)
-    order = rng.permutation(n)
-    for i in range(n):
-        P[order[i], order[(i + 1) % n]] += rng.uniform(0.3, 1.0)
-    return P / P.sum(axis=1)[:, None] * row_sums[:, None]
-
-
-def hunt_cases(kind, seed, count):
-    """Seeded (net, c) pairs, n up to 50, whose one trapping set is hunted.
-
-    ``out_connected``: row sums in [0.3, 0.95]. ``near_stochastic``: row sums
-    around 0.999 and a small flow, where plain iteration creeps.
-    ``nonzero_sum``: stochastic, with an inflow sum of alternating sign.
-    """
-    rng = np.random.default_rng(seed)
-    for case in range(count):
-        n = int(rng.integers(2, 51))
-        w = rng.uniform(0.5, 5.0, n)
-        if kind == "out_connected":
-            P = strongly_connected_routing(rng, n, rng.uniform(0.3, 0.95, n))
-            c = rng.uniform(-3.0, 3.0, n)
-        elif kind == "near_stochastic":
-            P = strongly_connected_routing(rng, n, rng.uniform(0.998, 0.9995, n))
-            c = rng.uniform(-1.0, 1.0, n) * w * 10.0 ** rng.uniform(-4.0, -2.0)
-        else:
-            P = strongly_connected_routing(rng, n, np.ones(n))
-            c = rng.uniform(-1.0, 1.0, n)
-            c += (-1.0) ** case * rng.uniform(0.05, 1.0) / n - c.mean()
-        yield Network(P, w), c
-
-
 # near-stochastic pair whose saturation pattern is misjudged at first
 SLOW_PAIR = (Network([[0.0, 0.999], [0.999, 0.0]], [1.0, 1.0]), np.array([0.5, -0.2]))
 
@@ -290,6 +258,17 @@ class TestScale:
             assert np.array_equal(lo_s.x, hi_s.x)
             np.testing.assert_allclose(lo_s.x, s * lo.x, rtol=0, atol=1e-12 * s * np.max(net.w))
 
+
+    def test_small_scale_triangle(self):
+        # an inflow sum of 1.3 s is far from zero at any scale s, so the
+        # one equilibrium is hunted and not read off a line
+        s = 1e-10
+        net = Network(TRIANGLE_P, s * TRIANGLE_W)
+        c = s * np.array([1.0, 0.5, -0.2])
+        _, analyses, unique = classify(net, c)
+        assert unique and analyses[0].kind is SinkKind.NONZERO_SUM
+        for x in extremal_equilibria(net, c):
+            np.testing.assert_allclose(x.x, s * np.array([1.6, 3.0, 2.0]), rtol=1e-12, atol=0)
 
     def test_huge_flow_does_not_loosen_gates(self):
         # node 2 is clamped to 0 exactly, so its |c| adds no rounding and
@@ -361,6 +340,19 @@ class TestRefine:
     def test_far_point_raises_inconsistency(self, two_cycle):
         with pytest.raises(PartitionInconsistencyError):
             refine(two_cycle, np.array([0.4, -0.9]), np.array([1.0, 1.0]))
+
+    def test_node_saturated_through_its_self_loop(self):
+        # node 0 receives 0.75 * x_1 + 0.2 = 1.9 < w_0 from outside and
+        # reaches 2.9 only through its own routed return 0.5 * x_0
+        net = Network([[0.5, 0.5], [0.75, 0.25]], [2.0, 3.0])
+        c = np.array([0.2, 0.7])
+        exact = np.array([2.0, 1.7 / 0.75])
+        lo, hi = extremal_equilibria(net, c)
+        np.testing.assert_allclose(lo.x, exact, rtol=0, atol=1e-12)
+        for x in (lo.x, hi.x, exact + 1e-10):
+            out = refine(net, c, x)
+            np.testing.assert_allclose(out.x, exact, rtol=0, atol=1e-12)
+            assert out.residual <= 1e-12
 
     def test_solves_blockwise(self, monkeypatch):
         # a 4-node transient core feeding three leaky 2-node trapping sets,
