@@ -1,0 +1,136 @@
+"""The hunt for the unique equilibria of a stack of blocks.
+
+A stack holds blocks of one size k: matrices Q of shape (m, k, k), and
+capacities w and inflows c of shape (m, k), one block per row. Each block
+follows its own hunt, by the rules of ``hunt_unique``; the stack only shares
+the arithmetic, so every block gets, bit for bit, the answer it would get
+alone. A single block is a stack of one.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ._linear import solve_stack, transposed_matvec
+from ._tol import scale
+from .errors import NonConvergenceError
+
+
+def saturation_pattern(y, above, below):
+    """+1 where the inflow y is above ``above``, -1 below ``below``, else 0.
+
+    The edges are w plus the dead-band and minus the dead-band.
+    """
+    return (y > above).astype(np.int8) - (y < below)
+
+
+_NO_PATTERN = np.int8(2)  # equals no saturation pattern, so nothing repeats at a hunt's first step
+
+
+def pick_rows(mask):
+    """Index of the rows a boolean mask picks: a slice, whose picks are views, when it picks all."""
+    return slice(None) if np.count_nonzero(mask) == len(mask) else mask
+
+
+def solve_patterns(Q, w, c, pattern):
+    """Each block's candidate equilibrium for its saturation pattern, stacked.
+
+    Nodes marked +1 are pinned to w and nodes marked -1 to 0; the rest solve
+    x = Q'x + c exactly among themselves, with one stacked solve per number
+    of free nodes. The result is clipped to [0, w]; ``ok`` is False on the
+    rows whose linear system is singular.
+    """
+    x = np.where(pattern > 0, w, 0.0)
+    free = pattern == 0
+    counts = free.sum(axis=1)
+    ok = np.ones(len(x), dtype=bool)
+    sizes = sorted(set(counts.tolist()) - {0})
+    if sizes:
+        rhs = transposed_matvec(Q, x) + c
+    for f in sizes:
+        rows = np.flatnonzero(counts == f)[:, None]
+        idx = np.nonzero(free[rows[:, 0]])[1].reshape(-1, f)
+        # I - Q[idx, idx]' per row, gathered from the rows of Q; two index
+        # arrays into the stacked rows gather as fast as np.ix_, three do not
+        sub = Q.reshape(-1, Q.shape[-1])[(rows * Q.shape[-1] + idx)[:, :, None], idx[:, None, :]]
+        A = (np.eye(f) - sub).transpose(0, 2, 1)
+        v = solve_stack(A, rhs[rows, idx])
+        good = np.isfinite(v).all(axis=1)
+        if np.count_nonzero(good) == len(good):
+            x[rows, idx] = v
+        else:
+            x[rows[good], idx[good]] = v[good]
+            ok[rows[~good, 0]] = False
+    return np.clip(x, 0.0, w, out=x), ok
+
+
+def hunt_unique(Q, w, c, opts, from_top, label):
+    """Find the unique equilibrium of every block of a stack by map steps and pattern solves.
+
+    ``Q`` (m, k, k) holds the blocks, untransposed (``P[None]`` for a block
+    that is the whole network), ``w`` and ``c`` (m, k) their capacities and
+    inflows, and ``from_top`` (m,) marks the blocks that start from w
+    instead of 0. Each block follows its own hunt; the stack only shares the
+    arithmetic. Each step applies the map. When a block's saturation pattern
+    of Q'x + c (+1 above w, -1 below 0, 0 within ``tol_class`` of the box)
+    repeats from its previous step and it has not solved that pattern yet,
+    the pattern is solved once; a solution that reproduces itself under the
+    map is the block's answer, and its map carries on from it otherwise. A
+    block leaves the stack at the step its answer settles. No block solves a
+    pattern twice, and the map converges from any point of the box on a
+    block with a unique equilibrium, so the hunt ends; ``max_iter`` bounds
+    its steps, and the NonConvergenceError then names the first unsettled
+    row i by the keywords ``label(i)``. Both checks use ``0.5 * tol_fp``
+    relative to the block's scale: at large scale the map from an exact
+    solve can cycle at one ulp. ``c`` is left out of the scale, since a node
+    with |c| far above w is clamped exactly.
+    """
+    s = scale(w)
+    gate, band = 0.5 * opts.tol_fp * s, (opts.tol_class * s)[:, None]
+    above, below = w + band, -band  # the dead-band's edges
+    x = np.where(from_top[:, None], w, 0.0)
+    rows = out = None  # once some rows settle first: the live rows' places in ``out``
+    previous = _NO_PATTERN
+    solved = []  # (rows, patterns) of every solve step
+    for _ in range(opts.max_iter):
+        y = transposed_matvec(Q, x) + c
+        pattern = saturation_pattern(y, above, below)
+        exact = (pattern == previous).all(axis=1)
+        if np.count_nonzero(exact):
+            for hit, seen in solved:
+                exact &= ~hit | (seen != pattern).any(axis=1)
+            if np.count_nonzero(exact):
+                solved.append((exact, pattern))
+                pick = pick_rows(exact)
+                cand, ok = solve_patterns(Q[pick], w[pick], c[pick], pattern[pick])
+                if np.count_nonzero(ok) < len(ok):
+                    exact = exact.copy()
+                    exact[exact] = ok
+                    pick, cand = pick_rows(exact), cand[ok]
+                x[pick] = cand
+                y[pick] = transposed_matvec(Q[pick], cand) + c[pick]
+        xn = np.minimum(np.maximum(y, 0.0), w)
+        done = np.abs(xn - x).max(axis=1) <= gate
+        settled = np.count_nonzero(done)
+        if settled == len(done):
+            x = np.where(exact[:, None], x, xn)
+            if out is None:
+                return x
+            out[rows] = x
+            return out
+        if settled:
+            if out is None:
+                out, rows = np.empty_like(x), np.arange(len(x))
+            out[rows[done]] = np.where(exact[done, None], x[done], xn[done])
+            live = ~done
+            Q, w, c, gate, above, below, rows, xn, pattern = (
+                a[live] for a in (Q, w, c, gate, above, below, rows, xn, pattern)
+            )
+            solved = [(hit[live], seen[live]) for hit, seen in solved if hit[live].any()]
+        x, previous = xn, pattern
+    raise NonConvergenceError(
+        f"no convergence within {opts.max_iter} iterations",
+        last_iterate=x[0],
+        iterations=opts.max_iter,
+        **label(0 if rows is None else rows[0]),
+    )

@@ -1,4 +1,9 @@
-"""Direct linear solves on irreducible stochastic blocks.
+"""Direct linear solves on stacks of blocks.
+
+Every function here takes a stack: matrices of shape (m, k, k) and vectors
+of shape (m, k), one block per row, and treats all of them at once, with
+one stacked solve where there is one to do. A single block is a stack of
+one.
 
 Power iteration is deliberately avoided: blocks may be periodic (a plain
 2-cycle oscillates) and the blocks handled here are small enough that dense
@@ -12,31 +17,58 @@ import numpy as np
 from .errors import InputError
 
 
+def solve_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solutions v[i] of A[i] v[i] = b[i]; a row of NaN where A[i] is singular.
+
+    A stack of more than one is solved at once. A stack of one, or a stack
+    with a singular member, is solved one system at a time, so a single
+    block's solve is a plain ``np.linalg.solve(A, b)`` call; each system gets
+    the same answer either way.
+    """
+    if len(A) > 1:
+        try:
+            return np.linalg.solve(A, b[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            pass  # some member is singular: find it by solving one by one
+    return np.array([_solve_or_nan(a, r) for a, r in zip(A, b)])
+
+
+def _solve_or_nan(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        return np.full(b.shape, np.nan)
+
+
+def transposed_matvec(Q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Q[i]' x[i] for every row i of a stack."""
+    return (x[:, None, :] @ Q)[:, 0, :]
+
+
 def stationary_block(Q: np.ndarray) -> np.ndarray:
-    """Positive invariant probability vector of an irreducible stochastic block.
+    """Positive invariant probability vectors of irreducible stochastic blocks.
 
     Solves (I - Q') pi = 0 with one equation replaced by the normalization
     sum(pi) = 1; for irreducible stochastic Q that square system is
     nonsingular.
     """
-    k = Q.shape[0]
+    m, k = Q.shape[:2]
     if k == 1:
-        return np.ones(1)
-    M = np.eye(k) - Q.T
-    M[-1, :] = 1.0
-    rhs = np.zeros(k)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise InputError(f"stationary solve failed: {exc}") from None
+        return np.ones((m, 1))
+    M = np.eye(k) - Q.transpose(0, 2, 1)
+    M[:, -1, :] = 1.0
+    rhs = np.zeros((m, k))
+    rhs[:, -1] = 1.0
+    pi = solve_stack(M, rhs)
+    if not np.all(np.isfinite(pi)):
+        raise InputError("stationary solve failed: singular system")
     if np.any(pi <= 0):
         raise InputError("stationary vector has non-positive entries; block is not irreducible stochastic")
-    return pi / pi.sum()
+    return pi / pi.sum(axis=1, keepdims=True)
 
 
 def pinned_particular(Q: np.ndarray, rhs: np.ndarray, check_tol: float | None = None) -> np.ndarray:
-    """One solution of x = Q'x + rhs on an irreducible stochastic block.
+    """One solution x[i] of x = Q[i]'x + rhs[i] on each irreducible stochastic block.
 
     The last coordinate is pinned to 0 and the remaining (k-1)-dimensional
     system is solved exactly; the dropped equation closes automatically when
@@ -44,18 +76,16 @@ def pinned_particular(Q: np.ndarray, rhs: np.ndarray, check_tol: float | None = 
     downstream quantities are invariant under shifts along the stationary
     direction.
     """
-    k = Q.shape[0]
-    if k == 1:
-        x = np.zeros(1)
-    else:
-        A = np.eye(k - 1) - Q.T[: k - 1, : k - 1]
-        try:
-            head = np.linalg.solve(A, rhs[: k - 1])
-        except np.linalg.LinAlgError as exc:
-            raise InputError(f"pinned solve failed: {exc}") from None
-        x = np.append(head, 0.0)
+    m, k = rhs.shape
+    x = np.zeros((m, k))
+    if k > 1:
+        A = np.eye(k - 1) - Q.transpose(0, 2, 1)[:, : k - 1, : k - 1]
+        head = solve_stack(A, rhs[:, : k - 1])
+        if not np.all(np.isfinite(head)):
+            raise InputError("pinned solve failed: singular system")
+        x[:, : k - 1] = head
     if check_tol is not None:
-        gap = np.max(np.abs(x - (Q.T @ x + rhs)))
+        gap = np.max(np.abs(x - (transposed_matvec(Q, x) + rhs)))
         if gap > check_tol:
             raise InputError(
                 f"system x = Q'x + rhs is inconsistent (closure gap {gap:.3g}); rhs must sum to zero"
@@ -63,12 +93,12 @@ def pinned_particular(Q: np.ndarray, rhs: np.ndarray, check_tol: float | None = 
     return x
 
 
-def segment_bounds(base: np.ndarray, direction: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """Parameter interval for which base + t*direction stays inside [0, w].
+def segment_bounds(base: np.ndarray, direction: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter intervals for which base[i] + t*direction[i] stays inside [0, w[i]].
 
-    ``direction`` must be strictly positive. Returns (lo, hi); empty
-    intersection shows up as lo > hi.
+    ``direction`` must be strictly positive. Returns (lo, hi), one entry per
+    row; an empty intersection shows up as lo > hi.
     """
-    lo = float(np.max(-base / direction))
-    hi = float(np.min((w - base) / direction))
+    lo = np.max(-base / direction, axis=1)
+    hi = np.min((w - base) / direction, axis=1)
     return lo, hi

@@ -3,7 +3,8 @@
 Equilibria lie in [0, w], so the scale of the block or network checked is
 s = max w, with no floor: rescaling (w, c) rescales every answer and every
 threshold alike, and an all-zero box is held to exact answers. A threshold
-on a sum of flows c is the constant times s + |c|_1.
+on a sum of flows c is the constant times s + |c|_1. Both helpers take a
+stack of blocks as well, one block per row, and then give one value per row.
 """
 
 import numpy as np
@@ -16,11 +17,11 @@ ROUND_REL = 1e-12
 TOUCH_REL = 1e-15
 
 
-def scale(w: np.ndarray) -> float:
+def scale(w: np.ndarray):
     """s = max w, the unit of every tolerance on the box [0, w]."""
-    return float(w.max(initial=0.0))
+    return w.max(axis=-1, initial=0.0)
 
 
-def flow_tolerance(rel: float, s: float, c: np.ndarray) -> float:
+def flow_tolerance(rel: float, s, c: np.ndarray):
     """``rel * (s + |c|_1)`` for a sum of the flows ``c`` next to a box of scale s."""
-    return rel * (s + float(np.abs(c).sum()))
+    return rel * (s + np.abs(c).sum(axis=-1))

@@ -154,8 +154,16 @@ def _diagonal_block(P: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return P if nodes.size == P.shape[0] else P[np.ix_(nodes, nodes)]
 
 
+def diagonal_blocks(P: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The diagonal blocks of P on the node sets ``nodes`` (m, k), stacked (m, k, k).
+
+    A set that spans every node gets ``P[None]``, a view of P.
+    """
+    return P[None] if nodes.shape[1] == P.shape[0] else P[nodes[:, :, None], nodes[:, None, :]]
+
+
 class SinkBlock(NamedTuple):
-    """One trapping set with its flow-independent data.
+    """One trapping set, read off its size group.
 
     ``nodes`` is its index array, ``span`` its place in
     :attr:`BlockStructure.sink_nodes`, and ``stationary`` the invariant
@@ -172,32 +180,54 @@ class SinkBlock(NamedTuple):
         return _diagonal_block(P, self.nodes)
 
 
+class SizeGroup(NamedTuple):
+    """Every trapping set of one size k, stacked in decomposition order.
+
+    ``sets`` (m,) are their indices, ``nodes`` (m, k) their node ids and
+    ``pos`` (m, k) the places of those nodes in
+    :attr:`BlockStructure.sink_nodes`. ``w`` (m, k) are their capacities,
+    ``stochastic`` (m,) marks the stochastic sets and ``stationary`` (m, k)
+    holds their invariant probability vectors (zero rows for out-connected
+    sets). Their diagonal blocks of P are gathered per call by
+    :func:`diagonal_blocks`.
+    """
+
+    sets: np.ndarray
+    nodes: np.ndarray
+    pos: np.ndarray
+    w: np.ndarray
+    stochastic: np.ndarray
+    stationary: np.ndarray
+
+
 @dataclass(frozen=True)
 class BlockStructure:
     """Everything the analyses need of a network that does not depend on c.
 
-    Per-set data lives in flat arrays laid out like ``sink_nodes`` (set
-    after set; set l starts at ``starts[l]``), so a network with thousands
-    of sets keeps a handful of arrays rather than thousands of small
-    objects; :meth:`sink` gives one set's view of them.
-    ``routed`` is P restricted to transient rows and sink-node columns,
-    so the effective inflows of all trapping sets are one matvec; it is the
-    only part of P kept (at most n^2/4 entries). Diagonal blocks are sliced
-    from P per call, and a set spanning every node uses P itself.
+    Per-set data lives in ``groups``, stacked by set size, so that every set
+    of one size is analysed by array operations at once; set l is row
+    ``place[l][1]`` of group ``place[l][0]``, and :meth:`sink` gives its
+    view. ``sink_nodes`` lists the sets' nodes set after set (set l starts
+    at ``starts[l]``). ``routed`` is P restricted to transient rows and
+    those sink-node columns, so the effective inflows of all trapping sets
+    are one matvec; it is the only part of P kept here (at most n²/4
+    entries), and diagonal blocks of P are sliced per call.
     """
 
     decomposition: Decomposition
     transient: np.ndarray
     sink_nodes: np.ndarray
     starts: np.ndarray
-    stationary: np.ndarray  # stochastic sets only; zero on out-connected ones
     routed: np.ndarray
+    groups: tuple[SizeGroup, ...]
+    place: np.ndarray
 
     def sink(self, l: int) -> SinkBlock:
         component = self.decomposition.sinks[l]
-        span = slice(int(self.starts[l]), int(self.starts[l + 1]))
-        pi = None if component.out_connected else self.stationary[span]
-        return SinkBlock(component, self.sink_nodes[span], span, pi)
+        g, r = self.place[l]
+        group = self.groups[g]
+        pi = None if component.out_connected else group.stationary[r]
+        return SinkBlock(component, group.nodes[r], slice(int(self.starts[l]), int(self.starts[l + 1])), pi)
 
     def sinks(self) -> Iterator[SinkBlock]:
         """Every trapping set, in decomposition order."""
@@ -207,23 +237,41 @@ class BlockStructure:
         """Effective inflow of every sink node, in ``sink_nodes`` order.
 
         Exogenous flow plus what the transient part, at values ``x_T``,
-        routes in; a set's share is ``inflows(c, x_T)[sink.span]``.
+        routes in; a set's share is ``inflows(c, x_T)[sink.span]``, and a
+        size group's is ``inflows(c, x_T)[group.pos]``.
         """
         return c[self.sink_nodes] + self.routed.T @ x_T
+
+
+def _size_group(P: np.ndarray, w: np.ndarray, sink_nodes, starts, sets, stochastic) -> SizeGroup:
+    """The stacked data of the sets ``sets``, which all have one size."""
+    k = int(starts[sets[0] + 1] - starts[sets[0]])
+    pos = starts[sets][:, None] + np.arange(k)
+    nodes = sink_nodes[pos]
+    stationary = np.zeros(nodes.shape)
+    if stochastic.any():
+        stationary[stochastic] = stationary_block(diagonal_blocks(P, nodes[stochastic]))
+    return SizeGroup(*map(_readonly, (sets, nodes, pos, w[nodes], stochastic, stationary)))
 
 
 def _build_structure(net: Network) -> BlockStructure:
     dec = decompose(net)
     T = np.asarray(dec.transient, dtype=np.intp)
     sink_nodes = np.concatenate([np.asarray(s.nodes, dtype=np.intp) for s in dec.sinks])
-    starts = np.cumsum([0] + [len(s.nodes) for s in dec.sinks])
-    stationary = np.zeros(sink_nodes.size)
-    for sink, a, b in zip(dec.sinks, starts[:-1], starts[1:]):
-        if not sink.out_connected:
-            stationary[a:b] = stationary_block(_diagonal_block(net.P, sink_nodes[a:b]))
-    routed = net.P[np.ix_(T, sink_nodes)]
+    sizes = np.array([len(s.nodes) for s in dec.sinks])
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    stochastic = np.array([not s.out_connected for s in dec.sinks])
+    groups = []
+    place = np.empty((len(sizes), 2), dtype=np.intp)
+    for k in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
+        sets = np.flatnonzero(sizes == k)
+        place[sets, 0], place[sets, 1] = len(groups), np.arange(len(sets))
+        groups.append(_size_group(net.P, net.w, sink_nodes, starts, sets, stochastic[sets]))
     return BlockStructure(
-        dec, *map(_readonly, (T, sink_nodes, starts, stationary, routed))
+        dec,
+        *map(_readonly, (T, sink_nodes, starts, net.P[np.ix_(T, sink_nodes)])),
+        tuple(groups),
+        _readonly(place),
     )
 
 

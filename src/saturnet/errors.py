@@ -15,27 +15,53 @@ class FileFormatError(SaturnetError):
     """An input file does not have the expected structure."""
 
 
-class NonConvergenceError(SaturnetError):
+class BlockError(SaturnetError):
+    """An error that belongs to one block of the decomposition, when known.
+
+    ``block`` is the trapping set's index (None for the transient part or
+    when no single block is at fault), ``kind`` its SinkKind or
+    ``"transient"``, and ``nodes`` its node ids. The message starts with
+    them.
+    """
+
+    def __init__(self, message: str, block: int | None = None, kind=None, nodes=()):
+        self.block = block
+        self.kind = kind
+        self.nodes = tuple(int(i) for i in nodes)
+        if kind is not None:
+            message = f"{_describe_block(block, kind, self.nodes)}: {message}"
+        super().__init__(message)
+
+
+def _describe_block(block: int | None, kind, nodes) -> str:
+    """``trapping set 3 (out_connected; nodes 4, 7)`` or ``the transient part (nodes ...)``."""
+    shown = ", ".join(map(str, nodes[:10])) + (f", ... ({len(nodes)} nodes)" if len(nodes) > 10 else "")
+    if block is None:
+        return f"the transient part (nodes {shown})"
+    return f"trapping set {block} ({getattr(kind, 'value', kind)}; nodes {shown})"
+
+
+class NonConvergenceError(BlockError):
     """Fixed-point iteration exhausted its budget without converging.
 
     Carries the last iterate so callers can inspect or resume.
     """
 
-    def __init__(self, message: str, last_iterate=None, iterations: int = 0):
-        super().__init__(message)
+    def __init__(self, message: str, last_iterate=None, iterations: int = 0, **block):
+        super().__init__(message, **block)
         self.last_iterate = last_iterate
         self.iterations = iterations
 
 
-class PartitionInconsistencyError(SaturnetError):
+class PartitionInconsistencyError(BlockError):
     """An exact re-solve contradicted the node classification it was based on.
 
     Usually means the input point was too far from an equilibrium for the
     classification tolerance in use.
     """
 
-    def __init__(self, message: str, candidate=None, residual: float | None = None):
-        super().__init__(message)
+    def __init__(self, message: str, candidate=None, residual: float | None = None, **block):
+        super().__init__(message, **block)
         self.candidate = candidate
         self.residual = residual
 

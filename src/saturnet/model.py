@@ -30,9 +30,11 @@ import numpy as np
 
 from .errors import FileFormatError, InputError
 
-#: Absolute tolerance for data-level feasibility checks (nonnegativity,
-#: row sums). Inputs are human-scale decimals; anything tighter rejects
-#: legitimate files.
+#: Absolute tolerance for the feasibility checks of routing fractions
+#: (nonnegativity, row sums), which have no units. Inputs are human-scale
+#: decimals; anything tighter rejects legitimate files. Quantities with
+#: units (capacities, liabilities, assets) have no scale to be absolute
+#: in, so their signs are judged exactly.
 EPS_FEAS = 1e-9
 
 
@@ -135,9 +137,9 @@ class LiabilityData:
         b = _as_vector(self.b, "b", n)
         u = _as_vector(self.u, "u", n)
         for name, arr in (("W", W), ("a", a), ("b", b), ("u", u)):
-            if np.any(arr < -EPS_FEAS):
+            if np.any(arr < 0):
                 raise InputError(f"{name} has negative entries")
-        if np.any(np.abs(np.diag(W)) > EPS_FEAS):
+        if np.any(np.diag(W) != 0):
             raise InputError("W must have a zero diagonal (no self-obligations)")
         object.__setattr__(self, "W", _frozen(W))
         object.__setattr__(self, "a", _frozen(a))
@@ -217,7 +219,7 @@ def validate(net: Network) -> ValidationReport:
             Violation("row_sum", (int(i),),
                       f"row {i} sums to {row_sums[i]}, exceeding 1")
         )
-    for i in np.nonzero(w < -EPS_FEAS)[0]:
+    for i in np.nonzero(w < 0)[0]:
         found.append(
             Violation("negative_capacity", (int(i),),
                       f"w[{i}] = {w[i]} is negative")

@@ -27,6 +27,7 @@ from .solver import (
     _analyze,
     _assemble_extremes,
     _extremes,
+    _sink_analyses,
     _transient_state,
 )
 from .structure import classify
@@ -254,7 +255,7 @@ def sweep(
     if ray.c0.shape != (net.n,):
         raise InputError("ray dimension does not match the network")
     dec = block_structure(net).decomposition
-    paid = net.w - opts.tol_class * scale(net.w)
+    paid = net.w - opts.tol_class * net.w
     records = []
     for eps in np.linspace(ray.eps_lo, ray.eps_hi, ray.grid):
         c = ray.c_at(eps)
@@ -281,7 +282,7 @@ def sweep(
             continue
         c_star = ray.c_at(eps_star)
         found = _analyze(net, c_star, opts)
-        if found.sinks[l].kind is not SinkKind.ZERO_SUM_SEGMENT:
+        if _sink_analyses(found)[l].kind is not SinkKind.ZERO_SUM_SEGMENT:
             continue  # inflow sum crosses zero but the line misses the box
         lo_eq, hi_eq = _assemble_extremes(net, found, opts)
         jump = hi_eq.x - lo_eq.x

@@ -7,7 +7,7 @@ the maximal one. Plain iteration can stall near saturation boundaries, so
 the solver works blockwise over the trapping-set decomposition:
 
 * transient block and out-connected sinks: the equilibrium is unique, and
-  ``_hunt_unique`` finds it by map steps plus one exact linear solve per
+  ``_hunt.hunt_unique`` finds it by map steps plus one exact linear solve per
   repeated saturation pattern;
 * stochastic sinks whose effective inflow sums to zero: the solution set is
   the segment {base + a*pi} clipped to the box, and both extremes are read
@@ -17,10 +17,21 @@ the solver works blockwise over the trapping-set decomposition:
 * stochastic sinks with nonzero inflow sum: the equilibrium is unique and
   has a saturated node on the heavy side, so the hunt starts from that side.
 
-One pass (``_analyze``) solves the transient part, forms every sink's
-effective inflow and gives each sink its SinkAnalysis; ``classify``,
-``equilibrium_set``, ``refine`` and the shock sweep read the same verdicts,
-so a unique verdict always comes with x_min == x_max.
+Once the transient values are known the sinks are independent, so the sink
+layer is one block-diagonal problem. The network's structure stacks the
+trapping sets by size (``BlockStructure.groups``), and the solver works on
+each size group as arrays: one pass (``_analyze``) solves the transient
+part, forms every sink's effective inflow and gives each group its verdict
+arrays (``_verdicts``) with one stacked particular solve; ``hunt_unique``
+then hunts every unique set of a group at once, with one stacked pattern
+solve per step and number of free nodes. Each set keeps its own start side,
+gates, dead-band and solved patterns, and leaves the stack at the step where
+it alone would have settled, so its answer is bit for bit the one it would
+get alone; the transient part is a stack of one. ``classify``,
+``equilibrium_set``, ``refine`` and the shock sweep read the same verdicts
+(``SinkAnalysis`` objects are built from the arrays only for ``classify``
+and ``equilibrium_set``), so a unique verdict always comes with
+x_min == x_max.
 
 Every tolerance is relative to the box scale s = max w, with no floor (``_tol``).
 """
@@ -29,13 +40,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
+from ._hunt import hunt_unique, pick_rows, saturation_pattern, solve_patterns
 from ._linear import pinned_particular, segment_bounds
 from ._tol import TOUCH_REL, ZERO_SUM_REL, flow_tolerance, scale
-from .decomposition import BlockStructure, Decomposition, SinkBlock, block_structure
+from .decomposition import BlockStructure, Decomposition, block_structure, diagonal_blocks
 from .errors import InputError, NonConvergenceError, PartitionInconsistencyError
 from .model import EquilibriumVector, Network, as_flow, require_valid
 
@@ -85,88 +98,26 @@ class NodePartition:
 
 def fixed_point_map(net: Network, c, x) -> np.ndarray:
     """One application of x -> clamp(P'x + c, [0, w])."""
-    c = as_flow(c, net.n)
-    x = np.asarray(x, dtype=float)
-    return np.minimum(np.maximum(net.P.T @ x + c, 0.0), net.w)
+    return _map(net, as_flow(c, net.n), np.asarray(x, dtype=float))
 
 
 def fixed_point_residual(net: Network, c, x) -> float:
     """Sup-norm distance between x and its image under the saturated map."""
-    x = np.asarray(x, dtype=float)
-    return float(np.max(np.abs(fixed_point_map(net, c, x) - x))) if net.n else 0.0
+    return _residual(net, as_flow(c, net.n), np.asarray(x, dtype=float))
 
 
-# ----------------------------- block hunt -----------------------------
+def _map(net, c, x):
+    """``fixed_point_map`` on a checked flow and a float array."""
+    return np.minimum(np.maximum(net.P.T @ x + c, 0.0), net.w)
 
 
-def _saturation_pattern(y, w, band):
-    """+1 where the inflow y is above w, -1 below 0, 0 within ``band`` of [0, w]."""
-    return (y > w + band).astype(np.int8) - (y < -band)
+def _residual(net, c, x) -> float:
+    """``fixed_point_residual`` on a checked flow and a float array."""
+    return float(np.max(np.abs(_map(net, c, x) - x))) if net.n else 0.0
 
 
-def _solve_pattern(Q, w, c, pattern):
-    """The block's candidate equilibrium for one saturation pattern.
-
-    Nodes marked +1 are pinned to w and nodes marked -1 to 0; the rest solve
-    x = Q'x + c exactly among themselves. The result is clipped to [0, w];
-    None when that linear system is singular.
-    """
-    x = np.where(pattern > 0, w, 0.0)
-    idx = np.flatnonzero(pattern == 0)
-    if idx.size:
-        # I - Q[idx, idx]', gathered from the rows of Q
-        A = (np.eye(idx.size) - Q[np.ix_(idx, idx)]).T
-        rhs = c[idx] + (Q.T @ x)[idx]
-        try:
-            v = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(v)):
-            return None
-        x[idx] = v
-    return np.clip(x, 0.0, w, out=x)
-
-
-def _hunt_unique(Q, w, c, opts, from_top):
-    """Find the unique equilibrium of a block by map steps and pattern solves.
-
-    ``Q`` is the block itself, untransposed; it may be the network's P. Each
-    step applies the map. When the saturation pattern of Q'x + c (+1 above
-    w, -1 below 0, 0 within ``tol_class`` of the box) repeats from the
-    previous step and has not been solved in this hunt, it is solved once;
-    a solution that reproduces itself under the map is the answer, and the
-    map carries on from it otherwise. No pattern is solved twice, and the
-    map converges from any point of the box on a block with a unique
-    equilibrium, so the hunt ends; ``max_iter`` bounds its steps. Both
-    checks use ``0.5 * tol_fp`` relative to the block's scale: at large
-    scale the map from an exact solve can cycle at one ulp. ``c`` is left
-    out of the scale, since a node with |c| far above w is clamped exactly.
-    """
-    QT = Q.T
-    s = scale(w)
-    gate, band = 0.5 * opts.tol_fp * s, opts.tol_class * s
-    x = w.copy() if from_top else np.zeros(w.size)
-    solved, previous = set(), None
-    for _ in range(opts.max_iter):
-        y = QT @ x + c
-        pattern = _saturation_pattern(y, w, band)
-        key = pattern.tobytes()
-        exact = key == previous and key not in solved
-        if exact:
-            solved.add(key)
-            cand = _solve_pattern(Q, w, c, pattern)
-            exact = cand is not None
-            if exact:
-                x, y = cand, QT @ cand + c
-        xn = np.minimum(np.maximum(y, 0.0), w)
-        if np.max(np.abs(xn - x)) <= gate:
-            return x if exact else xn
-        x, previous = xn, key
-    raise NonConvergenceError(
-        f"no convergence within {opts.max_iter} iterations on a {w.size}-node block",
-        last_iterate=x,
-        iterations=opts.max_iter,
-    )
+def _transient_label(st: BlockStructure) -> dict:
+    return {"block": None, "kind": "transient", "nodes": st.transient}
 
 
 def _transient_state(net, c, opts, st: BlockStructure) -> np.ndarray:
@@ -174,7 +125,10 @@ def _transient_state(net, c, opts, st: BlockStructure) -> np.ndarray:
     T = st.transient
     if T.size == 0:
         return np.zeros(0)
-    return _hunt_unique(net.P[np.ix_(T, T)], net.w[T], c[T], opts, from_top=False)
+    return hunt_unique(
+        diagonal_blocks(net.P, T[None]), net.w[T][None], c[T][None], opts, np.zeros(1, dtype=bool),
+        lambda i: _transient_label(st),
+    )[0]
 
 
 class SinkKind(str, Enum):
@@ -182,6 +136,11 @@ class SinkKind(str, Enum):
     NONZERO_SUM = "stochastic_nonzero_sum"
     ZERO_SUM_UNIQUE = "stochastic_zero_sum_unique"
     ZERO_SUM_SEGMENT = "stochastic_zero_sum_segment"
+
+
+#: The kind codes of the verdict arrays: ``_KINDS[code]``.
+_KINDS = tuple(SinkKind)
+_OUT, _NONZERO, _UNIQUE, _SEGMENT = range(len(_KINDS))
 
 
 @dataclass(frozen=True)
@@ -206,67 +165,97 @@ class SinkAnalysis:
     alpha_range: tuple[float, float] | None = None
 
 
-def _sink_analysis(index, sink: SinkBlock, net, c_eff):
-    """Verdict on one trapping set at effective inflow ``c_eff``.
+class _Verdicts(NamedTuple):
+    """The verdicts on a stack of trapping sets of one size, one row per set.
 
-    Returns the SinkAnalysis and the line-parameter interval on which the
-    set's equilibria lie, ``(alpha_lo, alpha_hi)``; it is None when the set
-    has no solution line inside the box, and then its one equilibrium has to
-    be hunted. A segment no longer than the zero-sum tolerance counts as the
-    single point at its middle, so a unique verdict always comes with one
-    point.
+    ``kind`` holds codes into ``_KINDS``. ``base``, ``condition`` and
+    ``alpha`` (lo, hi) hold on zero-sum rows only. ``line`` (lo, hi) is the
+    line-parameter interval on which a set's equilibria lie, on the rows
+    marked ``has_line``; every other set has one equilibrium, which is
+    hunted.
     """
-    nodes = sink.component.nodes
-    pi = sink.stationary
-    if pi is None:
-        return SinkAnalysis(index, nodes, SinkKind.OUT_CONNECTED, inflow=c_eff), None
-    w = net.w[sink.nodes]
+
+    inflow: np.ndarray
+    total: np.ndarray
+    kind: np.ndarray
+    base: np.ndarray
+    condition: np.ndarray
+    alpha: tuple[np.ndarray, np.ndarray]
+    line: tuple[np.ndarray, np.ndarray]
+    has_line: np.ndarray
+
+
+def _verdicts(P, nodes, pi, w, inflow, stochastic) -> _Verdicts:
+    """Verdicts on the sets of a stack at effective inflows ``inflow`` (m, k).
+
+    ``nodes`` (m, k) are the sets' nodes in P, ``pi`` their stationary
+    vectors and ``stochastic`` (m,) marks the stochastic ones. A stochastic
+    set whose inflow sums to zero within tolerance has a solution line; it
+    is a segment when longer than that tolerance, and otherwise counts as
+    the single point at its middle, so a unique verdict always comes with
+    one point. A line that misses the box (beyond rounding) is no line.
+    """
+    m = len(inflow)
+    total = inflow.sum(axis=1)
     s = scale(w)
-    total = float(c_eff.sum())
-    tol = flow_tolerance(ZERO_SUM_REL, s, c_eff)
-    if abs(total) > tol:
-        return SinkAnalysis(index, nodes, SinkKind.NONZERO_SUM, inflow=c_eff, stationary=pi), None
-    base = pinned_particular(sink.block(net.P), c_eff)
-    lo, hi = segment_bounds(base, pi, w)
-    condition = hi - lo  # equals min(base/pi) + min((w-base)/pi)
-    if condition > tol:
-        kind, alpha, line = SinkKind.ZERO_SUM_SEGMENT, (lo, hi), (lo, hi)
-    else:
-        kind, alpha = SinkKind.ZERO_SUM_UNIQUE, None
+    tol = flow_tolerance(ZERO_SUM_REL, s, inflow)
+    kind = stochastic.astype(np.int8)  # _NONZERO or _OUT until a zero sum shows
+    base = np.zeros(inflow.shape)
+    condition, lo, hi, line_lo, line_hi = np.full((5, m), np.nan)
+    has_line = np.zeros(m, dtype=bool)
+    zero = stochastic & (np.abs(total) <= tol)
+    if np.count_nonzero(zero):
+        base[zero] = pinned_particular(diagonal_blocks(P, nodes[zero]), inflow[zero])
+        lo[zero], hi[zero] = segment_bounds(base[zero], pi[zero], w[zero])
+        condition = hi - lo  # equals min(base/pi) + min((w-base)/pi)
+        segment = zero & (condition > tol)
+        unique = zero & ~segment
+        kind[segment], kind[unique] = _SEGMENT, _UNIQUE
+        line_lo[segment], line_hi[segment] = lo[segment], hi[segment]
+        line_lo[unique] = line_hi[unique] = 0.5 * (lo[unique] + hi[unique])
         # a line that touches the box, or misses it by rounding only
-        slack = max(abs(total), TOUCH_REL * s)
-        line = (0.5 * (lo + hi),) * 2 if condition >= -slack else None
-    analysis = SinkAnalysis(
-        index, nodes, kind,
-        inflow=c_eff, stationary=pi, base=base, condition_value=condition, alpha_range=alpha,
-    )
-    return analysis, line
+        slack = np.maximum(np.abs(total[unique]), TOUCH_REL * s[unique])
+        has_line[segment] = True
+        has_line[unique] = condition[unique] >= -slack
+    return _Verdicts(inflow, total, kind, base, condition, (lo, hi), (line_lo, line_hi), has_line)
 
 
 class _Analysis(NamedTuple):
-    """One pass over the blocks at a flow: transient values, then every sink."""
+    """One pass over the blocks at a flow: transient values, then every size group."""
 
     structure: BlockStructure
     c: np.ndarray
     transient: np.ndarray
-    blocks: list[SinkBlock]
-    sinks: list[SinkAnalysis]
-    lines: list[tuple[float, float] | None]
+    groups: list[_Verdicts]  # one per structure.groups entry
 
 
 def _analyze(net, c, opts) -> _Analysis:
-    """Transient solve, effective inflows and every sink's verdict; no hunts."""
+    """Transient solve, effective inflows and every set's verdict; no hunts."""
     st = block_structure(net)
     c = as_flow(c, net.n)
     x_T = _transient_state(net, c, opts, st)
     inflow = st.inflows(c, x_T)
-    blocks = list(st.sinks())
-    sinks, lines = [], []
-    for l, sink in enumerate(blocks):
-        analysis, line = _sink_analysis(l, sink, net, inflow[sink.span])
-        sinks.append(analysis)
-        lines.append(line)
-    return _Analysis(st, c, x_T, blocks, sinks, lines)
+    groups = [_verdicts(net.P, g.nodes, g.stationary, g.w, inflow[g.pos], g.stochastic) for g in st.groups]
+    return _Analysis(st, c, x_T, groups)
+
+
+def _sink_analyses(found: _Analysis) -> list[SinkAnalysis]:
+    """Every set's SinkAnalysis, in decomposition order, read off the verdict arrays."""
+    sinks = found.structure.decomposition.sinks
+    out = [None] * len(sinks)
+    for g, v in zip(found.structure.groups, found.groups):
+        condition, lo, hi = v.condition.tolist(), v.alpha[0].tolist(), v.alpha[1].tolist()
+        for r, (l, code) in enumerate(zip(g.sets.tolist(), v.kind.tolist())):
+            zero = code in (_UNIQUE, _SEGMENT)
+            out[l] = SinkAnalysis(
+                l, sinks[l].nodes, _KINDS[code],
+                inflow=v.inflow[r],
+                stationary=g.stationary[r] if code != _OUT else None,
+                base=v.base[r] if zero else None,
+                condition_value=condition[r] if zero else None,
+                alpha_range=(lo[r], hi[r]) if code == _SEGMENT else None,
+            )
+    return out
 
 
 def _residual_gate(net, opts, slack):
@@ -283,8 +272,9 @@ def _residual_gate(net, opts, slack):
 def _assemble_extremes(net, found: _Analysis, opts):
     """Minimal and maximal equilibria from an analysis, residual-checked.
 
-    Sinks with a line take its endpoints; every other sink has one
-    equilibrium, hunted from the heavy side of its inflow.
+    Sets with a line take its endpoints; every other set has one
+    equilibrium, and each size group hunts those of its sets together, each
+    from the heavy side of its inflow.
     """
     x_lo = np.zeros(net.n)
     x_hi = np.zeros(net.n)
@@ -292,20 +282,30 @@ def _assemble_extremes(net, found: _Analysis, opts):
     x_lo[T] = found.transient
     x_hi[T] = found.transient
     slack = 0.0
-    for sink, a, line in zip(found.blocks, found.sinks, found.lines):
-        S = sink.nodes
-        w = net.w[S]
-        if line is None:
-            from_top = a.kind is not SinkKind.OUT_CONNECTED and a.inflow.sum() > 0
-            x_lo[S] = x_hi[S] = _hunt_unique(sink.block(net.P), w, a.inflow, opts, from_top)
-        else:
-            x_lo[S] = np.clip(a.base + line[0] * a.stationary, 0.0, w)
-            x_hi[S] = np.clip(a.base + line[1] * a.stationary, 0.0, w)
-            slack = max(slack, abs(float(a.inflow.sum())))
+    for g, v in zip(found.structure.groups, found.groups):
+        line = v.has_line
+        if np.count_nonzero(line):
+            nodes, pi, w, base = g.nodes[line], g.stationary[line], g.w[line], v.base[line]
+            x_lo[nodes] = np.clip(base + v.line[0][line, None] * pi, 0.0, w)
+            x_hi[nodes] = np.clip(base + v.line[1][line, None] * pi, 0.0, w)
+            slack = max(slack, float(np.abs(v.total[line]).max()))
+        hunt = ~line
+        if np.count_nonzero(hunt):
+
+            def label(i, g=g, v=v, hunt=hunt):
+                r = np.flatnonzero(hunt)[i]
+                return {"block": int(g.sets[r]), "kind": _KINDS[v.kind[r]], "nodes": g.nodes[r]}
+
+            pick = pick_rows(hunt)
+            from_top = g.stochastic[pick] & (v.total[pick] > 0)
+            nodes = g.nodes[pick]
+            x_lo[nodes] = x_hi[nodes] = hunt_unique(
+                diagonal_blocks(net.P, nodes), g.w[pick], v.inflow[pick], opts, from_top, label
+            )
     gate = _residual_gate(net, opts, slack)
     results = []
     for x in (x_lo, x_hi):
-        res = fixed_point_residual(net, found.c, x)
+        res = _residual(net, found.c, x)
         if res > gate:
             raise NonConvergenceError(
                 f"assembled equilibrium has residual {res:.3g} above tolerance {gate:.3g}",
@@ -400,22 +400,42 @@ def node_partition(net: Network, c, x, opts: SolveOptions | None = None) -> Node
 
     Each node is judged on its inflow excluding its own routed return, plus
     c. The split is the same for every equilibrium of the same (net, c), so
-    any equilibrium may be passed in. Ties within ``tol_class`` (relative to
-    the network's scale) of a boundary are classified exposed, and x must be
-    an equilibrium to within the same tolerance.
+    any equilibrium may be passed in. Node i's dead-band is
+    ``tol_class * w_i``: ties within it of the node's boundaries 0 and w_i
+    are classified exposed. x must be an equilibrium to within ``tol_class``
+    relative to the network's scale.
     """
-    c, x, tol = _checked_equilibrium(net, c, x, (opts or DEFAULT_OPTIONS).tol_class)
-    pattern = _saturation_pattern(net.P.T @ x - np.diag(net.P) * x + c, net.w, tol)
+    opts = opts or DEFAULT_OPTIONS
+    c, x, _ = _checked_equilibrium(net, c, x, opts.tol_class)
+    band = opts.tol_class * net.w
+    pattern = saturation_pattern(net.P.T @ x - np.diag(net.P) * x + c, net.w + band, -band)
     masks = (pattern > 0, pattern == 0, pattern < 0)
     return NodePartition(*(tuple(int(i) for i in np.nonzero(m)[0]) for m in masks))
 
 
-def _refine_block(Q, w, c, pattern):
-    """``_solve_pattern`` for ``refine``, which has no fallback if it is singular."""
-    x = _solve_pattern(Q, w, c, pattern)
-    if x is None:
-        raise PartitionInconsistencyError("exposed block is singular outside the whole-trapping-set case")
-    return x
+def _set_verdict(net, sink, c_eff) -> _Verdicts:
+    """The verdict on one stochastic trapping set at effective inflow ``c_eff``: a stack of one."""
+    S = sink.nodes[None]
+    return _verdicts(net.P, S, sink.stationary[None], net.w[S], c_eff[None], np.ones(1, dtype=bool))
+
+
+def _sink_label(st: BlockStructure, net, inflow, l: int) -> dict:
+    """Index, kind and nodes of trapping set l at effective inflows ``inflow``."""
+    sink = st.sink(l)
+    kind = SinkKind.OUT_CONNECTED
+    if sink.stationary is not None:
+        kind = _KINDS[_set_verdict(net, sink, inflow[sink.span]).kind[0]]
+    return {"block": l, "kind": kind, "nodes": sink.nodes}
+
+
+def _refine_block(Q, w, c, pattern, label):
+    """``solve_patterns`` on one block for ``refine``, which has no fallback if it is singular."""
+    x, ok = solve_patterns(Q[None], w[None], c[None], pattern[None])
+    if not ok[0]:
+        raise PartitionInconsistencyError(
+            "exposed block is singular outside the whole-trapping-set case", **label()
+        )
+    return x[0]
 
 
 def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumVector:
@@ -427,9 +447,11 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     trapping set at its effective inflow. If a stochastic trapping set is
     entirely exposed its linear system is singular (the solution set is a
     line); the input is then projected to the nearest line point inside the
-    box. Raises PartitionInconsistencyError when the result does not
-    reproduce itself under the map, which signals that the input was too far
-    from an equilibrium for the classification tolerance.
+    box, which the analysis of that set gives. Raises
+    PartitionInconsistencyError, naming the block at fault (for the final
+    check, the block of the node with the largest residual), when the result
+    does not reproduce itself under the map, which signals that the input
+    was too far from an equilibrium for the classification tolerance.
     """
     opts = opts or DEFAULT_OPTIONS
     require_valid(net)
@@ -440,11 +462,12 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     if x.shape != (net.n,):
         raise InputError(f"x has shape {x.shape}, expected ({net.n},)")
 
-    pattern = _saturation_pattern(net.P.T @ x + c, net.w, opts.tol_class * scale(net.w))
+    band = opts.tol_class * scale(net.w)
+    pattern = saturation_pattern(net.P.T @ x + c, net.w + band, -band)
     st = block_structure(net)
     T = st.transient
     known = np.where(pattern > 0, net.w, 0.0)
-    known[T] = _refine_block(net.P[np.ix_(T, T)], net.w[T], c[T], pattern[T])
+    known[T] = _refine_block(net.P[np.ix_(T, T)], net.w[T], c[T], pattern[T], lambda: _transient_label(st))
     inflow = st.inflows(c, known[T])
     slack = 0.0
     for l, sink in enumerate(st.sinks()):
@@ -452,30 +475,42 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
         if pattern[S].all():
             continue  # every node saturated: already pinned
         c_eff = inflow[sink.span]
+        label = partial(_sink_label, st, net, inflow, l)
         if sink.stationary is None or pattern[S].any():
-            known[S] = _refine_block(sink.block(net.P), net.w[S], c_eff, pattern[S])
+            known[S] = _refine_block(sink.block(net.P), net.w[S], c_eff, pattern[S], label)
             continue
         # a wholly exposed stochastic set is singular: project x onto its line
-        a, line = _sink_analysis(l, sink, net, c_eff)
-        total = float(c_eff.sum())
-        if a.kind is SinkKind.NONZERO_SUM:
+        v = _set_verdict(net, sink, c_eff)
+        total = float(v.total[0])
+        if v.kind[0] == _NONZERO:
             raise PartitionInconsistencyError(
                 "whole stochastic trapping set classified exposed but its inflow "
-                f"sum {total:.3g} is nonzero; no unsaturated solution exists"
+                f"sum {total:.3g} is nonzero; no unsaturated solution exists",
+                **label(),
             )
-        if line is None:
-            raise PartitionInconsistencyError("solution line of an exposed trapping set misses the box")
-        pi = a.stationary
-        a_hat = float(pi @ (x[S] - a.base) / (pi @ pi))
-        a_hat = min(max(a_hat, line[0]), line[1])
-        known[S] = np.clip(a.base + a_hat * pi, 0.0, net.w[S])
+        if not v.has_line[0]:
+            raise PartitionInconsistencyError(
+                "solution line of an exposed trapping set misses the box", **label()
+            )
+        pi, base = sink.stationary, v.base[0]
+        a_hat = float(pi @ (x[S] - base) / (pi @ pi))
+        a_hat = min(max(a_hat, v.line[0][0]), v.line[1][0])
+        known[S] = np.clip(base + a_hat * pi, 0.0, net.w[S])
         slack = max(slack, abs(total))
 
-    res = fixed_point_residual(net, c, known)
+    gaps = np.abs(fixed_point_map(net, c, known) - known)
+    res = float(np.max(gaps))
     if res > _residual_gate(net, opts, slack):
+        worst = int(np.argmax(gaps))
+        at = np.flatnonzero(st.sink_nodes == worst)
+        label = (
+            _sink_label(st, net, inflow, int(np.searchsorted(st.starts, at[0], side="right")) - 1)
+            if at.size else _transient_label(st)
+        )
         raise PartitionInconsistencyError(
             f"refined point has residual {res:.3g}; classification tolerance too loose for this input",
             candidate=known,
             residual=res,
+            **label,
         )
     return EquilibriumVector(known, res)

@@ -33,6 +33,7 @@ from .solver import (
     _analyze,
     _assemble_extremes,
     _checked_equilibrium,
+    _sink_analyses,
     fixed_point_map,
 )
 
@@ -53,7 +54,7 @@ def stationary_distribution(block) -> np.ndarray:
         raise InputError("block is not row-stochastic")
     if len(strongly_connected_components(Q > 0)) != 1:
         raise InputError("block is not irreducible")
-    return stationary_block(Q)
+    return stationary_block(Q[None])[0]
 
 
 def particular_solution(block, inflow) -> np.ndarray:
@@ -72,7 +73,7 @@ def particular_solution(block, inflow) -> np.ndarray:
     tol = flow_tolerance(ZERO_SUM_REL, 0.0, inflow)  # no box here: relative to |inflow|_1
     if abs(total) > tol:
         raise InputError(f"inflow sums to {total:.6g}; a solution requires a zero sum")
-    return pinned_particular(Q, inflow, check_tol=10.0 * tol)
+    return pinned_particular(Q[None], inflow[None], check_tol=10.0 * tol)[0]
 
 
 def classify(
@@ -81,8 +82,9 @@ def classify(
     """Per-sink uniqueness analysis; the boolean is True iff no sink is a segment."""
     opts = opts or DEFAULT_OPTIONS
     found = _analyze(net, c, opts)
-    unique = all(a.kind is not SinkKind.ZERO_SUM_SEGMENT for a in found.sinks)
-    return found.structure.decomposition, found.sinks, unique
+    sinks = _sink_analyses(found)
+    unique = all(a.kind is not SinkKind.ZERO_SUM_SEGMENT for a in sinks)
+    return found.structure.decomposition, sinks, unique
 
 
 # ----------------------------- equilibrium set -----------------------------
@@ -189,8 +191,9 @@ def equilibrium_set(net: Network, c, opts: SolveOptions | None = None) -> Equili
     opts = opts or DEFAULT_OPTIONS
     found = _analyze(net, c, opts)
     lo, _ = _assemble_extremes(net, found, opts)
+    sinks = _sink_analyses(found)
     components = []
-    for a in found.sinks:
+    for a in sinks:
         if a.kind is SinkKind.ZERO_SUM_SEGMENT:
             components.append(
                 SegmentComponent(a.nodes, a.base, a.stationary, *a.alpha_range)
@@ -202,7 +205,7 @@ def equilibrium_set(net: Network, c, opts: SolveOptions | None = None) -> Equili
         transient_nodes=found.structure.decomposition.transient,
         transient_values=found.transient,
         components=tuple(components),
-        is_unique=all(a.kind is not SinkKind.ZERO_SUM_SEGMENT for a in found.sinks),
+        is_unique=all(a.kind is not SinkKind.ZERO_SUM_SEGMENT for a in sinks),
     )
 
 

@@ -124,7 +124,7 @@ def test_cached_arrays_cannot_be_written():
     with pytest.raises(ValueError):
         analyses[0].stationary[0] = 1.0
     st = block_structure(net)
-    for arr in (st.transient, st.sink_nodes, st.starts, st.stationary, st.routed, st.sink(0).nodes):
+    for arr in (st.transient, st.sink_nodes, st.starts, st.routed, st.place, st.sink(0).nodes, *st.groups[0]):
         assert not arr.flags.writeable
 
 

@@ -7,7 +7,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from saturnet import extremal_equilibria, node_partition
+import saturnet.cli
+from saturnet import extremal_equilibria, node_partition, refine
 from saturnet.cli import main
 
 from conftest import X_MAX_STAR, X_MIN_STAR, hunt_cases
@@ -279,6 +280,36 @@ class TestErrorPaths:
         assert code == 0
         payload = json.loads(out)
         assert np.allclose(payload["x_min"], [1.0, 0.799], atol=1e-9)
+
+    def test_non_convergence_names_the_block(self, capsys, tmp_path):
+        # set 0 saturates at once; set 1 (nodes 2, 3) creeps
+        P = np.zeros((4, 4))
+        P[0, 1] = P[1, 0] = 1.0
+        P[2, 3] = P[3, 2] = 0.999
+        path = tmp_path / "two_sets.json"
+        path.write_text(json.dumps({"n": 4, "P": P.tolist(), "w": [1.0] * 4, "c": [2.0, 2.0, 0.5, -0.2]}))
+        assert main(["solve", "--input", str(path), "--max-iter", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "saturnet: error: no-convergence: trapping set 1 (out_connected; nodes 2, 3): "
+            "no convergence within 1 iterations\n"
+        )
+
+    def test_partition_inconsistency_names_the_block(self, capsys, monkeypatch):
+        # no subcommand refines, so let solve hand refine an input far from
+        # any equilibrium of the demo's one trapping set
+        def far_refine(net, c, opts):
+            x = refine(net, c, np.zeros(net.n), opts)
+            return x, x
+
+        monkeypatch.setattr(saturnet.cli, "extremal_equilibria", far_refine)
+        path = DEMOS / "triangle_critical.json"
+        assert main(["solve", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "saturnet: error: no-convergence: trapping set 0 (stochastic_zero_sum_segment; nodes 0, 1, 2): "
+        )
+        assert err.count("\n") == 1
 
     def test_error_diagnostic_is_one_line(self, capsys):
         main(["solve", "--input", "/nonexistent/x.json"])

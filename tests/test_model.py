@@ -10,6 +10,7 @@ from saturnet import (
     InputError,
     LiabilityData,
     Network,
+    extremal_equilibria,
     from_liabilities,
     load_input,
     network_to_dict,
@@ -83,6 +84,13 @@ class TestNetwork:
         report = validate(Network([[0.0]], [-1.0]))
         assert [v.kind for v in report.violations] == ["negative_capacity"]
 
+    def test_small_negative_capacity_is_flagged(self):
+        # capacities have units: a tiny scale must not hide a negative one
+        net = Network([[0.0, 1.0], [1.0, 0.0]], [2e-10, -5e-10])
+        assert [v.kind for v in validate(net).violations] == ["negative_capacity"]
+        with pytest.raises(InputError, match="invalid network"):
+            extremal_equilibria(net, [1e-10, 1e-10])
+
     def test_validate_flags_negative_entry(self):
         report = validate(Network([[0.0, -0.25], [0.0, 0.0]], [1.0, 1.0]))
         assert any(v.kind == "negative_entry" for v in report.violations)
@@ -141,6 +149,19 @@ class TestFromLiabilities:
             LiabilityData([[0.5, 0.0], [0.0, 0.0]], [0.0, 0], [0.0, 0], [0.0, 0])
         with pytest.raises(InputError):
             LiabilityData(np.zeros((2, 2)), [-1.0, 0], [0.0, 0], [0.0, 0])
+
+    def test_small_liability_entries_are_judged_exactly(self):
+        tiny = 1e-12
+        for bad in (
+            ([[0.0, -tiny], [0.0, 0.0]], [0.0, 0], [0.0, 0], [0.0, 0]),
+            ([[tiny, 0.0], [0.0, 0.0]], [0.0, 0], [0.0, 0], [0.0, 0]),
+            (np.zeros((2, 2)), [0.0, 0], [0.0, -tiny], [0.0, 0]),
+            (np.zeros((2, 2)), [0.0, 0], [0.0, 0], [-tiny, 0]),
+        ):
+            with pytest.raises(InputError):
+                LiabilityData(*bad)
+        data = LiabilityData([[0.0, tiny], [2 * tiny, 0.0]], [tiny, 0.0], [0.0, tiny], [tiny, 0.0])
+        assert validate(from_liabilities(data)[0]).ok
 
 
 class TestFiles:

@@ -295,6 +295,15 @@ class TestSweep:
         records2, _ = sweep(triangle, demo_ray(grid=15))
         assert sweep_to_csv(records2, 3) == text
 
+    def test_small_node_default_beside_a_large_one(self):
+        # node 1's capacity is far below 1e-9 of node 0's; paying 0 of it is
+        # still a default, judged against its own capacity
+        net = Network(np.zeros((2, 2)), [1e10, 1.0])
+        records, _ = sweep(net, ShockRay([5e9, -1.0], [1.0, 0.0], 0.0, 1.0, 3))
+        for r in records:
+            assert r.x_min[1] == 0.0
+            assert r.defaults == (0, 1)
+
     def test_default_thresholds_along_demo_ray(self, triangle):
         # first default: node 1 (0-based) leaves saturation at 4.15/0.59
         records, _ = sweep(triangle, ShockRay(C_BASE, Q_DIR, 6.9, 7.2, 31))

@@ -20,6 +20,7 @@ from saturnet import (
     node_partition,
     refine,
 )
+from saturnet.decomposition import block_structure
 
 from conftest import (
     C_BASE, C_STAR, TRIANGLE_P, TRIANGLE_W, X_MAX_STAR, X_MIN_STAR, hunt_cases, random_network,
@@ -235,6 +236,64 @@ class TestPatternHunt:
         assert total > 14
 
 
+def slow_second_set():
+    """Two 2-node sets: set 0 saturates at once, set 1 (nodes 2, 3) creeps."""
+    P = np.zeros((4, 4))
+    P[0, 1] = P[1, 0] = 1.0
+    P[2, 3] = P[3, 2] = 0.999
+    return Network(P, np.ones(4)), np.array([2.0, 2.0, 0.5, -0.2])
+
+
+def slow_transient():
+    """A creeping transient pair (nodes 0, 1) draining into a self-loop."""
+    P = np.zeros((3, 3))
+    P[0, 1], P[1, 0], P[1, 2], P[2, 2] = 0.999, 0.0005, 0.4985, 1.0
+    return Network(P, np.ones(3)), np.array([0.5, -0.2, 0.0])
+
+
+class TestBlockErrors:
+    def test_unsettled_set_is_named(self):
+        net, c = slow_second_set()
+        with pytest.raises(NonConvergenceError) as err:
+            extremal_equilibria(net, c, SolveOptions(max_iter=1))
+        e = err.value
+        assert (e.block, e.kind, e.nodes) == (1, SinkKind.OUT_CONNECTED, (2, 3))
+        assert str(e).startswith("trapping set 1 (out_connected; nodes 2, 3): ")
+        assert e.last_iterate.shape == (2,) and e.iterations == 1
+        lo, _ = extremal_equilibria(net, c)
+        np.testing.assert_allclose(lo.x, [1.0, 1.0, 1.0, 0.799], atol=1e-9)
+
+    def test_unsettled_transient_part_is_named(self):
+        net, c = slow_transient()
+        with pytest.raises(NonConvergenceError) as err:
+            extremal_equilibria(net, c, SolveOptions(max_iter=1))
+        e = err.value
+        assert (e.block, e.kind, e.nodes) == (None, "transient", (0, 1))
+        assert str(e).startswith("the transient part (nodes 0, 1): ")
+
+    def test_refine_names_the_inconsistent_set(self):
+        # set 0 is refined exactly; set 1 is a 2-cycle whose input is far off
+        P = np.zeros((4, 4))
+        P[0, 1] = P[1, 0] = 0.5
+        P[2, 3] = P[3, 2] = 1.0
+        net = Network(P, np.ones(4))
+        with pytest.raises(PartitionInconsistencyError) as err:
+            refine(net, [0.1, 0.1, 0.4, -0.9], [0.2, 0.2, 1.0, 1.0])
+        e = err.value
+        assert (e.block, e.kind, e.nodes) == (1, SinkKind.NONZERO_SUM, (2, 3))
+        assert str(e).startswith("trapping set 1 (stochastic_nonzero_sum; nodes 2, 3): ")
+        assert e.residual > 0.1 and e.candidate.shape == (4,)
+
+    def test_long_node_lists_are_shortened(self):
+        P = np.full((12, 12), 0.0908)
+        np.fill_diagonal(P, 0.0)
+        net = Network(P, np.ones(12))
+        with pytest.raises(NonConvergenceError) as err:
+            extremal_equilibria(net, np.full(12, 0.01), SolveOptions(max_iter=1))
+        assert err.value.nodes == tuple(range(12))
+        assert "nodes 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ... (12 nodes)" in str(err.value)
+
+
 class TestScale:
     @pytest.mark.parametrize("s", [1e6, 1e9])
     def test_scaled_critical_triangle(self, s):
@@ -300,6 +359,15 @@ class TestNodePartition:
         c = np.full(3, -100.0)
         part = node_partition(triangle, c, np.zeros(3))
         assert part.deficit == (0, 1, 2)
+
+    def test_dead_band_is_per_node(self):
+        # node 1's inflow -1 is far outside its own box [0, 1], though within
+        # 1e-9 of node 0's capacity
+        net = Network(np.zeros((2, 2)), [1e10, 1.0])
+        c = np.array([5e9, -1.0])
+        lo, _ = extremal_equilibria(net, c)
+        part = node_partition(net, c, lo)
+        assert part.exposed == (0,) and part.deficit == (1,)
 
     def test_rejects_non_equilibrium(self, triangle):
         with pytest.raises(InputError):
@@ -393,3 +461,86 @@ class TestRefine:
             assert polished.residual <= 1e-12
             lo = minimal_equilibrium(net, c)
             assert np.allclose(polished.x, lo.x, atol=1e-5)
+
+
+def core_feeding_sets(rng, sizes, count, core=4):
+    """A transient core feeding ``count`` trapping sets of each size in ``sizes``.
+
+    The sets of one size take the four kinds in turn, and all have aperiodic
+    dense blocks. The core feeds the out-connected sets and the nonzero-sum sets
+    of positive own sum; a zero-sum set gets no inflow from the core and an
+    own flow that sums to zero exactly, small for a segment and far outside
+    the box (or, for one node, on a zero-capacity node) for a unique verdict.
+    Returns (net, c, kinds), kinds in decomposition order.
+    """
+    layout = [(k, list(SinkKind)[i % 4], i // 4) for k in sizes for i in range(count)]
+    n = core + sum(k for k, _, _ in layout)
+    P = np.zeros((n, n))
+    w = rng.uniform(0.5, 5.0, n)
+    c = np.zeros(n)
+    P[:core, :core] = rng.uniform(0.0, 0.1, (core, core))
+    c[:core] = rng.uniform(0.5, 3.0, core)
+    start = core
+    for k, kind, i in layout:
+        S = slice(start, start + k)
+        block = rng.uniform(0.1, 1.0, (k, k))
+        P[S, S] = block / block.sum(axis=1, keepdims=True)
+        fed = kind is SinkKind.OUT_CONNECTED or (kind is SinkKind.NONZERO_SUM and i % 2 == 0)
+        if kind is SinkKind.OUT_CONNECTED:
+            P[S, S] *= rng.uniform(0.5, 0.9, (k, 1))
+            c[S] = rng.uniform(-1.0, 1.0, k)
+        elif kind is SinkKind.NONZERO_SUM:
+            c[S] = rng.uniform(-1.0, 1.0, k)
+            c[S] += (1.0 if fed else -1.0) * rng.uniform(0.3, 1.0) / k - c[S].mean()
+        elif k > 1:
+            d = 1.0 / 64 if kind is SinkKind.ZERO_SUM_SEGMENT else 8.0
+            c[start], c[start + 1] = -d, d
+        elif kind is SinkKind.ZERO_SUM_UNIQUE:
+            w[start] = 0.0  # the solution line x = t meets the box [0, 0] in one point
+        if fed:
+            P[rng.integers(core), S] = rng.uniform(0.01, 0.03, k)
+        start += k
+    return Network(P, w), c, [kind for _, kind, _ in layout]
+
+
+class TestStackedLayer:
+    def test_each_set_as_if_alone(self):
+        # a set's extremes do not depend on the other sets stacked with it:
+        # bit for bit, they are those of the set alone at its effective inflow
+        rng = np.random.default_rng(606)
+        for _ in range(5):
+            net, c, kinds = core_feeding_sets(rng, range(1, 7), 8)
+            dec, analyses, _ = classify(net, c)
+            assert [a.kind for a in analyses] == kinds
+            lo, hi = extremal_equilibria(net, c)
+            for a in analyses:
+                S = list(a.nodes)
+                alone = Network(net.P[np.ix_(S, S)], net.w[S])
+                lo_1, hi_1 = extremal_equilibria(alone, a.inflow)
+                assert np.array_equal(lo.x[S], lo_1.x) and np.array_equal(hi.x[S], hi_1.x)
+            np.testing.assert_allclose(lo.x, brute_minimal(net.P, net.w, c), rtol=0, atol=1e-8)
+            np.testing.assert_allclose(hi.x, brute_maximal(net.P, net.w, c), rtol=0, atol=1e-8)
+
+    def test_solve_count_does_not_grow_with_the_number_of_sets(self, monkeypatch):
+        # ten disjoint copies of a core with 30 two-node and 30 three-node
+        # sets: ten times the sets, one transient part, the same solves (the
+        # structures, with their stationary solves, are built beforehand)
+        net, c, _ = core_feeding_sets(np.random.default_rng(77), (2, 3), 30)
+        copies = 10
+        big = Network(np.kron(np.eye(copies), net.P), np.tile(net.w, copies))
+        sets = [len(block_structure(x).decomposition.sinks) for x in (net, big)]
+        assert sets == [60, 600]
+        solve = np.linalg.solve
+        calls = []
+
+        def counting(A, b):
+            calls.append(np.shape(b))
+            return solve(A, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        counts = []
+        for network, flow in ((net, c), (big, np.tile(c, copies))):
+            calls.clear()
+            extremal_equilibria(network, flow)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
