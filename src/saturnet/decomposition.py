@@ -9,12 +9,17 @@ the induced block has spectral radius below one.
 
 None of this depends on the exogenous flow, so :func:`block_structure`
 computes it once per (immutable) Network and every analysis reads that copy.
+There, the trapping sets are stacked by size (:class:`SizeGroup`), the only
+per-set layout: ``set_of`` maps each node to its set, ``group_of(l)`` gives
+set l as a size group of one, and ``inflows`` gives the effective inflows
+as one vector indexed by node, so any reader gathers a set's share by its
+node ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,10 +155,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _diagonal_block(P: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    return P if nodes.size == P.shape[0] else P[np.ix_(nodes, nodes)]
-
-
 def diagonal_blocks(P: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """The diagonal blocks of P on the node sets ``nodes`` (m, k), stacked (m, k, k).
 
@@ -162,39 +163,18 @@ def diagonal_blocks(P: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return P[None] if nodes.shape[1] == P.shape[0] else P[nodes[:, :, None], nodes[:, None, :]]
 
 
-class SinkBlock(NamedTuple):
-    """One trapping set, read off its size group.
-
-    ``nodes`` is its index array, ``span`` its place in
-    :attr:`BlockStructure.sink_nodes`, and ``stationary`` the invariant
-    probability vector of a stochastic set (None for an out-connected one).
-    """
-
-    component: SinkComponent
-    nodes: np.ndarray
-    span: slice
-    stationary: np.ndarray | None
-
-    def block(self, P: np.ndarray) -> np.ndarray:
-        """The set's diagonal block of P (P itself when the set is every node)."""
-        return _diagonal_block(P, self.nodes)
-
-
 class SizeGroup(NamedTuple):
     """Every trapping set of one size k, stacked in decomposition order.
 
-    ``sets`` (m,) are their indices, ``nodes`` (m, k) their node ids and
-    ``pos`` (m, k) the places of those nodes in
-    :attr:`BlockStructure.sink_nodes`. ``w`` (m, k) are their capacities,
-    ``stochastic`` (m,) marks the stochastic sets and ``stationary`` (m, k)
-    holds their invariant probability vectors (zero rows for out-connected
-    sets). Their diagonal blocks of P are gathered per call by
-    :func:`diagonal_blocks`.
+    ``sets`` (m,) are their indices and ``nodes`` (m, k) their node ids.
+    ``w`` (m, k) are their capacities, ``stochastic`` (m,) marks the
+    stochastic sets and ``stationary`` (m, k) holds their invariant
+    probability vectors (zero rows for out-connected sets). Their diagonal
+    blocks of P are gathered per call by :func:`diagonal_blocks`.
     """
 
     sets: np.ndarray
     nodes: np.ndarray
-    pos: np.ndarray
     w: np.ndarray
     stochastic: np.ndarray
     stationary: np.ndarray
@@ -206,52 +186,46 @@ class BlockStructure:
 
     Per-set data lives in ``groups``, stacked by set size, so that every set
     of one size is analysed by array operations at once; set l is row
-    ``place[l][1]`` of group ``place[l][0]``, and :meth:`sink` gives its
-    view. ``sink_nodes`` lists the sets' nodes set after set (set l starts
-    at ``starts[l]``). ``routed`` is P restricted to transient rows and
-    those sink-node columns, so the effective inflows of all trapping sets
-    are one matvec; it is the only part of P kept here (at most n²/4
-    entries), and diagonal blocks of P are sliced per call.
+    ``place[l][1]`` of group ``place[l][0]``, :meth:`group_of` gives it as a
+    group of one, and ``set_of`` (n,) gives each node's set (-1 on transient
+    nodes). ``sink_nodes`` lists the sets' nodes set after set. ``routed``
+    is P restricted to transient rows and those sink-node columns, so the
+    effective inflows of all trapping sets are one matvec; it is the only
+    part of P kept here (at most n²/4 entries), and diagonal blocks of P are
+    sliced per call.
     """
 
     decomposition: Decomposition
     transient: np.ndarray
     sink_nodes: np.ndarray
-    starts: np.ndarray
+    set_of: np.ndarray
     routed: np.ndarray
     groups: tuple[SizeGroup, ...]
     place: np.ndarray
 
-    def sink(self, l: int) -> SinkBlock:
-        component = self.decomposition.sinks[l]
+    def group_of(self, l: int) -> SizeGroup:
+        """Trapping set l as a size group of one: views of its row of its group."""
         g, r = self.place[l]
-        group = self.groups[g]
-        pi = None if component.out_connected else group.stationary[r]
-        return SinkBlock(component, group.nodes[r], slice(int(self.starts[l]), int(self.starts[l + 1])), pi)
-
-    def sinks(self) -> Iterator[SinkBlock]:
-        """Every trapping set, in decomposition order."""
-        return map(self.sink, range(len(self.decomposition.sinks)))
+        return SizeGroup(*(a[r : r + 1] for a in self.groups[g]))
 
     def inflows(self, c: np.ndarray, x_T: np.ndarray) -> np.ndarray:
-        """Effective inflow of every sink node, in ``sink_nodes`` order.
+        """Effective inflow of every node, indexed by node.
 
-        Exogenous flow plus what the transient part, at values ``x_T``,
-        routes in; a set's share is ``inflows(c, x_T)[sink.span]``, and a
-        size group's is ``inflows(c, x_T)[group.pos]``.
+        Exogenous flow plus, on the sink nodes, what the transient part at
+        values ``x_T`` routes in; a set's share is ``inflows(c, x_T)[nodes]``
+        for its node ids, so a size group's is ``inflows(c, x_T)[group.nodes]``.
         """
-        return c[self.sink_nodes] + self.routed.T @ x_T
+        inflow = c.copy()
+        inflow[self.sink_nodes] += self.routed.T @ x_T
+        return inflow
 
 
-def _size_group(P: np.ndarray, w: np.ndarray, sink_nodes, starts, sets, stochastic) -> SizeGroup:
-    """The stacked data of the sets ``sets``, which all have one size."""
-    k = int(starts[sets[0] + 1] - starts[sets[0]])
-    pos = starts[sets][:, None] + np.arange(k)
-    nodes = sink_nodes[pos]
+def _size_group(P: np.ndarray, w: np.ndarray, sets, nodes, stochastic) -> SizeGroup:
+    """The stacked data of the sets ``sets``, whose nodes ``nodes`` (m, k) all have one size."""
     stationary = np.zeros(nodes.shape)
     if stochastic.any():
         stationary[stochastic] = stationary_block(diagonal_blocks(P, nodes[stochastic]))
-    return SizeGroup(*map(_readonly, (sets, nodes, pos, w[nodes], stochastic, stationary)))
+    return SizeGroup(*map(_readonly, (sets, nodes, w[nodes], stochastic, stationary)))
 
 
 def _build_structure(net: Network) -> BlockStructure:
@@ -259,17 +233,20 @@ def _build_structure(net: Network) -> BlockStructure:
     T = np.asarray(dec.transient, dtype=np.intp)
     sink_nodes = np.concatenate([np.asarray(s.nodes, dtype=np.intp) for s in dec.sinks])
     sizes = np.array([len(s.nodes) for s in dec.sinks])
-    starts = np.concatenate(([0], np.cumsum(sizes)))
+    starts = np.cumsum(sizes) - sizes
+    set_of = np.full(net.n, -1, dtype=np.intp)
+    set_of[sink_nodes] = np.repeat(np.arange(len(sizes)), sizes)
     stochastic = np.array([not s.out_connected for s in dec.sinks])
     groups = []
     place = np.empty((len(sizes), 2), dtype=np.intp)
     for k in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
         sets = np.flatnonzero(sizes == k)
         place[sets, 0], place[sets, 1] = len(groups), np.arange(len(sets))
-        groups.append(_size_group(net.P, net.w, sink_nodes, starts, sets, stochastic[sets]))
+        nodes = sink_nodes[starts[sets][:, None] + np.arange(k)]
+        groups.append(_size_group(net.P, net.w, sets, nodes, stochastic[sets]))
     return BlockStructure(
         dec,
-        *map(_readonly, (T, sink_nodes, starts, net.P[np.ix_(T, sink_nodes)])),
+        *map(_readonly, (T, sink_nodes, set_of, net.P[np.ix_(T, sink_nodes)])),
         tuple(groups),
         _readonly(place),
     )

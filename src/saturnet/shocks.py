@@ -21,13 +21,13 @@ from .decomposition import block_structure
 from .errors import InputError, NotCriticalError
 from .model import EquilibriumVector, Network, as_flow, require_valid
 from .solver import (
+    _SEGMENT,
     DEFAULT_OPTIONS,
     SinkKind,
     SolveOptions,
     _analyze,
     _assemble_extremes,
     _extremes,
-    _sink_analyses,
     _transient_state,
 )
 from .structure import classify
@@ -159,32 +159,24 @@ def max_jump_norm(net: Network, p: float) -> float:
 
     Each stochastic trapping set contributes (min_i w_i/pi_i) * pi in the
     worst case (realized at c = 0); out-connected sinks and the transient
-    part never jump.
+    part never jump. The terms are added in decomposition order.
     """
     require_valid(net)
     if not (p >= 1):
         raise InputError("norm exponent p must be >= 1")
-    terms = [
-        (float(np.min(net.w[sink.nodes] / sink.stationary)), sink.stationary)
-        for sink in block_structure(net).sinks()
-        if sink.stationary is not None
-    ]
+    st = block_structure(net)
+    terms = []
+    for l in range(len(st.decomposition.sinks)):
+        group = st.group_of(l)
+        if group.stochastic[0]:
+            pi = group.stationary[0]
+            terms.append((float(np.min(group.w[0] / pi)), pi))
     if not terms:
         return 0.0
     if math.isinf(p):
         return max(m * float(np.max(pi)) for m, pi in terms)
     total = sum(m**p * float(np.sum(pi**p)) for m, pi in terms)
     return float(total ** (1.0 / p))
-
-
-def _sink_inflow_sum(net, ray, st, sink, opts, eps: float) -> float:
-    """Aggregate effective inflow of one trapping set at shock size eps."""
-    c = ray.c_at(eps)
-    total = float(c[sink.nodes].sum())
-    if st.transient.size:
-        x_T = _transient_state(net, c, opts, st)
-        total += float((st.routed[:, sink.span].T @ x_T).sum())
-    return total
 
 
 def find_critical_eps(
@@ -194,8 +186,9 @@ def find_critical_eps(
 
     The sum is nonincreasing in eps for nonnegative shock directions
     (transient values move monotonically with c), so bisection localizes the
-    root to within EPS_BISECT_TOL. Returns None when the sum keeps one sign
-    over the whole range.
+    root to within EPS_BISECT_TOL. The sum is taken over the set's nodes of
+    the node-indexed effective inflows. Returns None when the sum keeps one
+    sign over the whole range.
     """
     opts = opts or DEFAULT_OPTIONS
     st = block_structure(net)
@@ -204,10 +197,12 @@ def find_critical_eps(
         raise InputError(f"sink_index {sink_index} out of range (found {found} sinks)")
     if ray.c0.shape != (net.n,):
         raise InputError("ray dimension does not match the network")
-    sink = st.sink(sink_index)
+    S = st.group_of(sink_index).nodes[0]
 
     def g(eps):
-        return _sink_inflow_sum(net, ray, st, sink, opts, eps)
+        """The set's effective inflow sum at shock size eps."""
+        c = ray.c_at(eps)
+        return float(st.inflows(c, _transient_state(net, c, opts, st))[S].sum())
 
     atol = flow_tolerance(ROUND_REL, scale(net.w), np.abs(ray.c0) + np.abs(ray.q))
     lo, hi = ray.eps_lo, ray.eps_hi
@@ -254,7 +249,7 @@ def sweep(
     require_valid(net)
     if ray.c0.shape != (net.n,):
         raise InputError("ray dimension does not match the network")
-    dec = block_structure(net).decomposition
+    st = block_structure(net)
     paid = net.w - opts.tol_class * net.w
     records = []
     for eps in np.linspace(ray.eps_lo, ray.eps_hi, ray.grid):
@@ -274,7 +269,7 @@ def sweep(
         )
 
     crossings = []
-    for l, sink in enumerate(dec.sinks):
+    for l, sink in enumerate(st.decomposition.sinks):
         if sink.out_connected:
             continue  # always unique, no jump possible
         eps_star = find_critical_eps(net, ray, l, opts)
@@ -282,7 +277,8 @@ def sweep(
             continue
         c_star = ray.c_at(eps_star)
         found = _analyze(net, c_star, opts)
-        if _sink_analyses(found)[l].kind is not SinkKind.ZERO_SUM_SEGMENT:
+        g, r = st.place[l]
+        if found.groups[g].kind[r] != _SEGMENT:
             continue  # inflow sum crosses zero but the line misses the box
         lo_eq, hi_eq = _assemble_extremes(net, found, opts)
         jump = hi_eq.x - lo_eq.x

@@ -21,8 +21,9 @@ Once the transient values are known the sinks are independent, so the sink
 layer is one block-diagonal problem. The network's structure stacks the
 trapping sets by size (``BlockStructure.groups``), and the solver works on
 each size group as arrays: one pass (``_analyze``) solves the transient
-part, forms every sink's effective inflow and gives each group its verdict
-arrays (``_verdicts``) with one stacked particular solve; ``hunt_unique``
+part, forms the effective inflows (one vector indexed by node) and gives
+each group its verdict arrays (``_verdicts``) with one stacked particular
+solve; ``hunt_unique``
 then hunts every unique set of a group at once, with one stacked pattern
 solve per step and number of free nodes. Each set keeps its own start side,
 gates, dead-band and solved patterns, and leaves the stack at the step where
@@ -31,7 +32,9 @@ get alone; the transient part is a stack of one. ``classify``,
 ``equilibrium_set``, ``refine`` and the shock sweep read the same verdicts
 (``SinkAnalysis`` objects are built from the arrays only for ``classify``
 and ``equilibrium_set``), so a unique verdict always comes with
-x_min == x_max.
+x_min == x_max. Where one set is needed (``refine``'s per-set solves and
+projection, the block an error names) it is taken as a size group of one,
+``BlockStructure.group_of``, and judged by the same ``_verdicts``.
 
 Every tolerance is relative to the box scale s = max w, with no floor (``_tol``).
 """
@@ -48,7 +51,7 @@ import numpy as np
 from ._hunt import hunt_unique, pick_rows, saturation_pattern, solve_patterns
 from ._linear import pinned_particular, segment_bounds
 from ._tol import TOUCH_REL, ZERO_SUM_REL, flow_tolerance, scale
-from .decomposition import BlockStructure, Decomposition, block_structure, diagonal_blocks
+from .decomposition import BlockStructure, Decomposition, SizeGroup, block_structure, diagonal_blocks
 from .errors import InputError, NonConvergenceError, PartitionInconsistencyError
 from .model import EquilibriumVector, Network, as_flow, require_valid
 
@@ -185,16 +188,17 @@ class _Verdicts(NamedTuple):
     has_line: np.ndarray
 
 
-def _verdicts(P, nodes, pi, w, inflow, stochastic) -> _Verdicts:
-    """Verdicts on the sets of a stack at effective inflows ``inflow`` (m, k).
+def _verdicts(P, group: SizeGroup, inflow) -> _Verdicts:
+    """Verdicts on the sets of a size group at the node-indexed inflows ``inflow`` (n,).
 
-    ``nodes`` (m, k) are the sets' nodes in P, ``pi`` their stationary
-    vectors and ``stochastic`` (m,) marks the stochastic ones. A stochastic
-    set whose inflow sums to zero within tolerance has a solution line; it
-    is a segment when longer than that tolerance, and otherwise counts as
-    the single point at its middle, so a unique verdict always comes with
-    one point. A line that misses the box (beyond rounding) is no line.
+    A stochastic set whose inflow sums to zero within tolerance has a
+    solution line; it is a segment when longer than that tolerance, and
+    otherwise counts as the single point at its middle, so a unique verdict
+    always comes with one point. A line that misses the box (beyond
+    rounding) is no line.
     """
+    nodes, pi, w, stochastic = group.nodes, group.stationary, group.w, group.stochastic
+    inflow = inflow[nodes]
     m = len(inflow)
     total = inflow.sum(axis=1)
     s = scale(w)
@@ -226,6 +230,7 @@ class _Analysis(NamedTuple):
     structure: BlockStructure
     c: np.ndarray
     transient: np.ndarray
+    inflow: np.ndarray  # node-indexed, BlockStructure.inflows
     groups: list[_Verdicts]  # one per structure.groups entry
 
 
@@ -235,8 +240,7 @@ def _analyze(net, c, opts) -> _Analysis:
     c = as_flow(c, net.n)
     x_T = _transient_state(net, c, opts, st)
     inflow = st.inflows(c, x_T)
-    groups = [_verdicts(net.P, g.nodes, g.stationary, g.w, inflow[g.pos], g.stochastic) for g in st.groups]
-    return _Analysis(st, c, x_T, groups)
+    return _Analysis(st, c, x_T, inflow, [_verdicts(net.P, g, inflow) for g in st.groups])
 
 
 def _sink_analyses(found: _Analysis) -> list[SinkAnalysis]:
@@ -305,11 +309,13 @@ def _assemble_extremes(net, found: _Analysis, opts):
     gate = _residual_gate(net, opts, slack)
     results = []
     for x in (x_lo, x_hi):
-        res = _residual(net, found.c, x)
+        gaps = np.abs(_map(net, found.c, x) - x)
+        res = float(np.max(gaps)) if net.n else 0.0
         if res > gate:
             raise NonConvergenceError(
                 f"assembled equilibrium has residual {res:.3g} above tolerance {gate:.3g}",
                 last_iterate=x,
+                **_block_label(net, found.structure, found.inflow, np.argmax(gaps)),
             )
         results.append(EquilibriumVector(x, res))
     return results[0], results[1]
@@ -413,24 +419,21 @@ def node_partition(net: Network, c, x, opts: SolveOptions | None = None) -> Node
     return NodePartition(*(tuple(int(i) for i in np.nonzero(m)[0]) for m in masks))
 
 
-def _set_verdict(net, sink, c_eff) -> _Verdicts:
-    """The verdict on one stochastic trapping set at effective inflow ``c_eff``: a stack of one."""
-    S = sink.nodes[None]
-    return _verdicts(net.P, S, sink.stationary[None], net.w[S], c_eff[None], np.ones(1, dtype=bool))
+def _block_label(net, st: BlockStructure, inflow, i) -> dict:
+    """Index, kind and nodes of the block that holds node i, at node inflows ``inflow``."""
+    l = int(st.set_of[i])
+    if l < 0:
+        return _transient_label(st)
+    group = st.group_of(l)
+    return {"block": l, "kind": _KINDS[_verdicts(net.P, group, inflow).kind[0]], "nodes": group.nodes[0]}
 
 
-def _sink_label(st: BlockStructure, net, inflow, l: int) -> dict:
-    """Index, kind and nodes of trapping set l at effective inflows ``inflow``."""
-    sink = st.sink(l)
-    kind = SinkKind.OUT_CONNECTED
-    if sink.stationary is not None:
-        kind = _KINDS[_set_verdict(net, sink, inflow[sink.span]).kind[0]]
-    return {"block": l, "kind": kind, "nodes": sink.nodes}
+def _refine_block(net, nodes, c, pattern, label):
+    """``solve_patterns`` on the block ``nodes`` (a stack of one) at node inflows ``c``.
 
-
-def _refine_block(Q, w, c, pattern, label):
-    """``solve_patterns`` on one block for ``refine``, which has no fallback if it is singular."""
-    x, ok = solve_patterns(Q[None], w[None], c[None], pattern[None])
+    ``refine`` has no fallback if the block is singular.
+    """
+    x, ok = solve_patterns(diagonal_blocks(net.P, nodes), net.w[nodes], c[nodes], pattern[nodes])
     if not ok[0]:
         raise PartitionInconsistencyError(
             "exposed block is singular outside the whole-trapping-set case", **label()
@@ -441,11 +444,12 @@ def _refine_block(Q, w, c, pattern, label):
 def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumVector:
     """Polish an approximate equilibrium by exact solves on the exposed block.
 
-    Nodes are judged on their whole inflow P'x + c, as in the hunt.
-    Saturated nodes are pinned to w or 0 and the exposed nodes are re-solved
-    exactly, one block at a time: the transient part first, then each
-    trapping set at its effective inflow. If a stochastic trapping set is
-    entirely exposed its linear system is singular (the solution set is a
+    Nodes are judged on their whole inflow P'x + c, as in the hunt, each with
+    the dead-band ``tol_class * w_i`` of ``node_partition``. Saturated nodes
+    are pinned to w or 0 and the exposed nodes are re-solved exactly, one
+    block at a time: the transient part first, then each trapping set at its
+    effective inflow, in decomposition order. If a stochastic trapping set
+    is entirely exposed its linear system is singular (the solution set is a
     line); the input is then projected to the nearest line point inside the
     box, which the analysis of that set gives. Raises
     PartitionInconsistencyError, naming the block at fault (for the final
@@ -462,25 +466,25 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     if x.shape != (net.n,):
         raise InputError(f"x has shape {x.shape}, expected ({net.n},)")
 
-    band = opts.tol_class * scale(net.w)
+    band = opts.tol_class * net.w
     pattern = saturation_pattern(net.P.T @ x + c, net.w + band, -band)
     st = block_structure(net)
     T = st.transient
     known = np.where(pattern > 0, net.w, 0.0)
-    known[T] = _refine_block(net.P[np.ix_(T, T)], net.w[T], c[T], pattern[T], lambda: _transient_label(st))
+    known[T] = _refine_block(net, T[None], c, pattern, lambda: _transient_label(st))
     inflow = st.inflows(c, known[T])
     slack = 0.0
-    for l, sink in enumerate(st.sinks()):
-        S = sink.nodes
+    for l in range(len(st.decomposition.sinks)):
+        group = st.group_of(l)
+        S = group.nodes[0]
         if pattern[S].all():
             continue  # every node saturated: already pinned
-        c_eff = inflow[sink.span]
-        label = partial(_sink_label, st, net, inflow, l)
-        if sink.stationary is None or pattern[S].any():
-            known[S] = _refine_block(sink.block(net.P), net.w[S], c_eff, pattern[S], label)
+        label = partial(_block_label, net, st, inflow, S[0])
+        if not group.stochastic[0] or pattern[S].any():
+            known[S] = _refine_block(net, group.nodes, inflow, pattern, label)
             continue
         # a wholly exposed stochastic set is singular: project x onto its line
-        v = _set_verdict(net, sink, c_eff)
+        v = _verdicts(net.P, group, inflow)
         total = float(v.total[0])
         if v.kind[0] == _NONZERO:
             raise PartitionInconsistencyError(
@@ -492,7 +496,7 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
             raise PartitionInconsistencyError(
                 "solution line of an exposed trapping set misses the box", **label()
             )
-        pi, base = sink.stationary, v.base[0]
+        pi, base = group.stationary[0], v.base[0]
         a_hat = float(pi @ (x[S] - base) / (pi @ pi))
         a_hat = min(max(a_hat, v.line[0][0]), v.line[1][0])
         known[S] = np.clip(base + a_hat * pi, 0.0, net.w[S])
@@ -501,16 +505,10 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     gaps = np.abs(fixed_point_map(net, c, known) - known)
     res = float(np.max(gaps))
     if res > _residual_gate(net, opts, slack):
-        worst = int(np.argmax(gaps))
-        at = np.flatnonzero(st.sink_nodes == worst)
-        label = (
-            _sink_label(st, net, inflow, int(np.searchsorted(st.starts, at[0], side="right")) - 1)
-            if at.size else _transient_label(st)
-        )
         raise PartitionInconsistencyError(
             f"refined point has residual {res:.3g}; classification tolerance too loose for this input",
             candidate=known,
             residual=res,
-            **label,
+            **_block_label(net, st, inflow, np.argmax(gaps)),
         )
     return EquilibriumVector(known, res)

@@ -73,7 +73,13 @@ def particular_solution(block, inflow) -> np.ndarray:
     tol = flow_tolerance(ZERO_SUM_REL, 0.0, inflow)  # no box here: relative to |inflow|_1
     if abs(total) > tol:
         raise InputError(f"inflow sums to {total:.6g}; a solution requires a zero sum")
-    return pinned_particular(Q[None], inflow[None], check_tol=10.0 * tol)[0]
+    x = pinned_particular(Q[None], inflow[None])[0]
+    gap = float(np.max(np.abs(x - (Q.T @ x + inflow))))
+    if gap > 10.0 * tol:
+        raise InputError(
+            f"system x = Q'x + rhs is inconsistent (closure gap {gap:.3g}); rhs must sum to zero"
+        )
+    return x
 
 
 def classify(

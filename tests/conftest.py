@@ -8,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
+import saturnet.solver
 from saturnet import Network, strongly_connected_components
 
 # 3-node strongly connected stochastic demo network used throughout.
@@ -112,3 +113,23 @@ def hunt_cases(kind, seed, count):
     rng = np.random.default_rng(seed)
     for case in range(count):
         yield hunt_case(rng, kind, (-1.0) ** case)
+
+
+def shifted_second_set(monkeypatch):
+    """Two 2-node sets hunted as one stack, whose second answer is patched 0.3 too low.
+
+    Set 0 is out-connected (answer 0.2, 0.2), set 1 a 2-cycle with a
+    positive inflow sum (answer 1, 0.8). Returns (net, c).
+    """
+    P = np.zeros((4, 4))
+    P[0, 1] = P[1, 0] = 0.5
+    P[2, 3] = P[3, 2] = 1.0
+    hunt = saturnet.solver.hunt_unique
+
+    def shifted(Q, w, c, opts, from_top, label):
+        x = hunt(Q, w, c, opts, from_top, label)
+        x[1] -= 0.3
+        return x
+
+    monkeypatch.setattr(saturnet.solver, "hunt_unique", shifted)
+    return Network(P, np.ones(4)), np.array([0.1, 0.1, 0.4, -0.2])

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import saturnet as sn
-from saturnet.decomposition import block_structure
+from saturnet.decomposition import block_structure, diagonal_blocks
 
 from conftest import C_STAR, TRIANGLE_P, TRIANGLE_W, random_network, zero_sum_flow
 
@@ -124,12 +124,13 @@ def test_cached_arrays_cannot_be_written():
     with pytest.raises(ValueError):
         analyses[0].stationary[0] = 1.0
     st = block_structure(net)
-    for arr in (st.transient, st.sink_nodes, st.starts, st.routed, st.place, st.sink(0).nodes, *st.groups[0]):
+    for arr in (st.transient, st.sink_nodes, st.set_of, st.routed, st.place, *st.group_of(0), *st.groups[0]):
         assert not arr.flags.writeable
 
 
 def test_whole_network_block_is_not_copied(triangle):
-    assert block_structure(triangle).sink(0).block(triangle.P) is triangle.P
+    blocks = diagonal_blocks(triangle.P, block_structure(triangle).group_of(0).nodes)
+    assert blocks.shape == (1, 3, 3) and np.shares_memory(blocks, triangle.P)
 
 
 def test_invalid_network_raises_every_time():

@@ -11,7 +11,7 @@ import saturnet.cli
 from saturnet import extremal_equilibria, node_partition, refine
 from saturnet.cli import main
 
-from conftest import X_MAX_STAR, X_MIN_STAR, hunt_cases
+from conftest import X_MAX_STAR, X_MIN_STAR, hunt_cases, shifted_second_set
 
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = REPO / "demos"
@@ -294,6 +294,18 @@ class TestErrorPaths:
             "saturnet: error: no-convergence: trapping set 1 (out_connected; nodes 2, 3): "
             "no convergence within 1 iterations\n"
         )
+
+    def test_assembled_residual_names_the_block(self, capsys, monkeypatch, tmp_path):
+        net, c = shifted_second_set(monkeypatch)
+        path = tmp_path / "two_sets.json"
+        path.write_text(json.dumps({"n": 4, "P": net.P.tolist(), "w": net.w.tolist(), "c": c.tolist()}))
+        assert main(["solve", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "saturnet: error: no-convergence: trapping set 1 (stochastic_nonzero_sum; nodes 2, 3): "
+            "assembled equilibrium has residual "
+        )
+        assert err.count("\n") == 1
 
     def test_partition_inconsistency_names_the_block(self, capsys, monkeypatch):
         # no subcommand refines, so let solve hand refine an input far from

@@ -16,14 +16,17 @@ from saturnet import (
     fixed_point_residual,
     iterate,
     maximal_equilibrium,
+    max_jump_norm,
     minimal_equilibrium,
     node_partition,
     refine,
+    stationary_distribution,
 )
 from saturnet.decomposition import block_structure
 
 from conftest import (
     C_BASE, C_STAR, TRIANGLE_P, TRIANGLE_W, X_MAX_STAR, X_MIN_STAR, hunt_cases, random_network,
+    shifted_second_set,
 )
 from oracles import brute_maximal, brute_minimal
 
@@ -284,6 +287,16 @@ class TestBlockErrors:
         assert str(e).startswith("trapping set 1 (stochastic_nonzero_sum; nodes 2, 3): ")
         assert e.residual > 0.1 and e.candidate.shape == (4,)
 
+    def test_assembled_residual_names_the_worst_set(self, monkeypatch):
+        net, c = shifted_second_set(monkeypatch)
+        with pytest.raises(NonConvergenceError) as err:
+            extremal_equilibria(net, c)
+        e = err.value
+        assert (e.block, e.kind, e.nodes) == (1, SinkKind.NONZERO_SUM, (2, 3))
+        assert str(e).startswith(
+            "trapping set 1 (stochastic_nonzero_sum; nodes 2, 3): assembled equilibrium has residual "
+        )
+
     def test_long_node_lists_are_shortened(self):
         P = np.full((12, 12), 0.0908)
         np.fill_diagonal(P, 0.0)
@@ -422,6 +435,18 @@ class TestRefine:
             np.testing.assert_allclose(out.x, exact, rtol=0, atol=1e-12)
             assert out.residual <= 1e-12
 
+    def test_dead_band_is_per_node(self):
+        # node 1 (inflow -0.4) is deficit; a band of tol_class * max w would
+        # call it exposed next to node 0's capacity of 1e10
+        P = np.zeros((3, 3))
+        P[1, 2] = P[2, 1] = 0.5
+        c = np.array([0.0, -0.5, 0.2])
+        for w_0 in (1.0, 1e10):
+            net = Network(P, [w_0, 1.0, 1.0])
+            out = refine(net, c, [0.0, 0.0, 0.2])
+            assert np.array_equal(out.x, [0.0, 0.0, 0.2]) and out.residual == 0.0
+            assert np.array_equal(out.x, minimal_equilibrium(net, c).x)
+
     def test_solves_blockwise(self, monkeypatch):
         # a 4-node transient core feeding three leaky 2-node trapping sets,
         # every node exposed: no solve may span more than one block
@@ -544,3 +569,28 @@ class TestStackedLayer:
             extremal_equilibria(network, flow)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    def test_readers_of_sets_out_of_size_order(self):
+        # sizes 3, 1, 2, 1, 3, 2 in decomposition order, each in the four
+        # kinds: the size groups hold the sets in another order than the
+        # decomposition, and the exposed segment sets make refine project
+        sizes = (3, 1, 2, 1, 3, 2)
+        net, c, kinds = core_feeding_sets(np.random.default_rng(707), sizes, 4)
+        dec, analyses, _ = classify(net, c)
+        assert [len(s.nodes) for s in dec.sinks] == [k for k in sizes for _ in range(4)]
+        assert [a.kind for a in analyses] == kinds
+        lo, hi = extremal_equilibria(net, c)
+        exposed = set(node_partition(net, c, lo).exposed)
+        assert any(a.kind is SinkKind.ZERO_SUM_SEGMENT and exposed >= set(a.nodes) for a in analyses)
+        for x in (lo, hi):  # unchanged up to the projection's rounding
+            np.testing.assert_allclose(refine(net, c, x).x, x.x, rtol=0, atol=1e-15 * net.w.max())
+        terms = []
+        for sink in dec.sinks:
+            if not sink.out_connected:
+                S = list(sink.nodes)
+                pi = stationary_distribution(net.P[np.ix_(S, S)])
+                terms.append((float(np.min(net.w[S] / pi)), pi))
+        for p in (1.0, 2.0, 3.5):
+            expected = float(sum(m**p * float(np.sum(pi**p)) for m, pi in terms) ** (1.0 / p))
+            assert max_jump_norm(net, p) == expected
+        assert max_jump_norm(net, np.inf) == max(m * float(np.max(pi)) for m, pi in terms)
