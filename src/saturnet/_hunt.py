@@ -4,7 +4,10 @@ A stack holds blocks of one size k: matrices Q of shape (m, k, k), and
 capacities w and inflows c of shape (m, k), one block per row. Each block
 follows its own hunt, by the rules of ``hunt_unique``; the stack only shares
 the arithmetic, so every block gets, bit for bit, the answer it would get
-alone. A single block is a stack of one.
+alone. Every step works on the whole live stack, with no picking of rows:
+a block that has nothing to solve at a step is handed to the stacked solve
+fully pinned, and a block whose system is singular keeps its iterate. A
+single block is a stack of one.
 """
 
 from __future__ import annotations
@@ -24,12 +27,9 @@ def saturation_pattern(y, above, below):
     return (y > above).astype(np.int8) - (y < below)
 
 
-_NO_PATTERN = np.int8(2)  # equals no saturation pattern, so nothing repeats at a hunt's first step
-
-
-def pick_rows(mask):
-    """Index of the rows a boolean mask picks: a slice, whose picks are views, when it picks all."""
-    return slice(None) if np.count_nonzero(mask) == len(mask) else mask
+# equals no saturation pattern, so nothing repeats at a hunt's first step;
+# as a pattern to solve it pins every node, so a row marked so poses no system
+_NO_PATTERN = np.int8(2)
 
 
 def solve_patterns(Q, w, c, pattern):
@@ -37,8 +37,9 @@ def solve_patterns(Q, w, c, pattern):
 
     Nodes marked +1 are pinned to w and nodes marked -1 to 0; the rest solve
     x = Q'x + c exactly among themselves, with one stacked solve per number
-    of free nodes. The result is clipped to [0, w]; ``ok`` is False on the
-    rows whose linear system is singular.
+    of free nodes. A row with no free node poses no system. The result is
+    clipped to [0, w]; ``ok`` is False on the rows whose linear system is
+    singular, and their free nodes are NaN.
     """
     x = np.where(pattern > 0, w, 0.0)
     free = pattern == 0
@@ -55,12 +56,8 @@ def solve_patterns(Q, w, c, pattern):
         sub = Q.reshape(-1, Q.shape[-1])[(rows * Q.shape[-1] + idx)[:, :, None], idx[:, None, :]]
         A = (np.eye(f) - sub).transpose(0, 2, 1)
         v = solve_stack(A, rhs[rows, idx])
-        good = np.isfinite(v).all(axis=1)
-        if np.count_nonzero(good) == len(good):
-            x[rows, idx] = v
-        else:
-            x[rows[good], idx[good]] = v[good]
-            ok[rows[~good, 0]] = False
+        x[rows, idx] = v
+        ok[rows[:, 0]] = np.isfinite(v).all(axis=1)
     return np.clip(x, 0.0, w, out=x), ok
 
 
@@ -76,20 +73,23 @@ def hunt_unique(Q, w, c, opts, from_top, label):
     repeats from its previous step and it has not solved that pattern yet,
     the pattern is solved once; a solution that reproduces itself under the
     map is the block's answer, and its map carries on from it otherwise. A
-    block leaves the stack at the step its answer settles. No block solves a
-    pattern twice, and the map converges from any point of the box on a
-    block with a unique equilibrium, so the hunt ends; ``max_iter`` bounds
-    its steps, and the NonConvergenceError then names the first unsettled
-    row i by the keywords ``label(i)``. Both checks use ``0.5 * tol_fp``
-    relative to the block's scale: at large scale the map from an exact
-    solve can cycle at one ulp. ``c`` is left out of the scale, since a node
-    with |c| far above w is clamped exactly.
+    block whose pattern system is singular keeps its iterate. Every step
+    maps, pattern-checks and solves the whole live stack: the blocks that
+    do not solve go to ``solve_patterns`` fully pinned, so they pose no
+    system. A block leaves the stack at the step its answer settles. No
+    block solves a pattern twice, and the map converges from any point of
+    the box on a block with a unique equilibrium, so the hunt ends;
+    ``max_iter`` bounds its steps, and the NonConvergenceError then names
+    the first unsettled row i by the keywords ``label(i)``. Both checks use
+    ``0.5 * tol_fp`` relative to the block's scale: at large scale the map
+    from an exact solve can cycle at one ulp. ``c`` is left out of the
+    scale, since a node with |c| far above w is clamped exactly.
     """
     s = scale(w)
     gate, band = 0.5 * opts.tol_fp * s, (opts.tol_class * s)[:, None]
     above, below = w + band, -band  # the dead-band's edges
     x = np.where(from_top[:, None], w, 0.0)
-    rows = out = None  # once some rows settle first: the live rows' places in ``out``
+    out, rows = np.empty_like(x), np.arange(len(x))  # the answers, and the live rows' places in them
     previous = _NO_PATTERN
     solved = []  # (rows, patterns) of every solve step
     for _ in range(opts.max_iter):
@@ -101,27 +101,17 @@ def hunt_unique(Q, w, c, opts, from_top, label):
                 exact &= ~hit | (seen != pattern).any(axis=1)
             if np.count_nonzero(exact):
                 solved.append((exact, pattern))
-                pick = pick_rows(exact)
-                cand, ok = solve_patterns(Q[pick], w[pick], c[pick], pattern[pick])
-                if np.count_nonzero(ok) < len(ok):
-                    exact = exact.copy()
-                    exact[exact] = ok
-                    pick, cand = pick_rows(exact), cand[ok]
-                x[pick] = cand
-                y[pick] = transposed_matvec(Q[pick], cand) + c[pick]
+                cand, ok = solve_patterns(Q, w, c, np.where(exact[:, None], pattern, _NO_PATTERN))
+                exact = exact & ok  # not in place: ``solved`` keeps the rows that tried
+                x = np.where(exact[:, None], cand, x)
+                y = transposed_matvec(Q, x) + c
         xn = np.minimum(np.maximum(y, 0.0), w)
         done = np.abs(xn - x).max(axis=1) <= gate
         settled = np.count_nonzero(done)
-        if settled == len(done):
-            x = np.where(exact[:, None], x, xn)
-            if out is None:
-                return x
-            out[rows] = x
-            return out
         if settled:
-            if out is None:
-                out, rows = np.empty_like(x), np.arange(len(x))
-            out[rows[done]] = np.where(exact[done, None], x[done], xn[done])
+            out[rows] = np.where(exact[:, None], x, xn)  # rows still live are written again later
+            if settled == len(done):
+                return out
             live = ~done
             Q, w, c, gate, above, below, rows, xn, pattern = (
                 a[live] for a in (Q, w, c, gate, above, below, rows, xn, pattern)
@@ -132,5 +122,5 @@ def hunt_unique(Q, w, c, opts, from_top, label):
         f"no convergence within {opts.max_iter} iterations",
         last_iterate=x[0],
         iterations=opts.max_iter,
-        **label(0 if rows is None else rows[0]),
+        **label(rows[0]),
     )

@@ -74,7 +74,7 @@ def _options(args) -> SolveOptions:
     kwargs = {}
     if args.tol_fp is not None:
         kwargs["tol_fp"] = args.tol_fp
-    if getattr(args, "tol_class", None) is not None:
+    if args.tol_class is not None:
         kwargs["tol_class"] = args.tol_class
     if args.max_iter is not None:
         kwargs["max_iter"] = args.max_iter
@@ -92,30 +92,32 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"saturnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, solves=False):
+        """A subcommand; ``solves`` gives it the solver's tolerance flags."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="network or liability JSON file")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.add_argument("--tol-fp", dest="tol_fp", type=float, default=None)
-        p.add_argument("--tol-class", dest="tol_class", type=float, default=None)
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+        if solves:
+            p.add_argument("--tol-fp", dest="tol_fp", type=float, default=None)
+            p.add_argument("--tol-class", dest="tol_class", type=float, default=None)
+            p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
         return p
 
     add("validate", "check network invariants; exit 1 on violations")
     add("convert", "convert a liability file to a network file")
     add("decompose", "transient part and trapping sets")
-    add("solve", "minimal/maximal equilibria and the node partition")
-    add("classify", "per-sink uniqueness analysis")
-    add("set", "explicit representation of the whole equilibrium set")
+    add("solve", "minimal/maximal equilibria and the node partition", solves=True)
+    add("classify", "per-sink uniqueness analysis", solves=True)
+    add("set", "explicit representation of the whole equilibrium set", solves=True)
 
-    p = add("loss", "systemic loss of the file's flow relative to a baseline")
+    p = add("loss", "systemic loss of the file's flow relative to a baseline", solves=True)
     p.add_argument("--c0", required=True, help="baseline flow, comma-separated")
 
     p = add("jump", "largest possible equilibrium jump, p = 1, 2, inf")
     p.add_argument("--p", choices=["1", "2", "inf"], default=None,
                    help="report a single norm instead of all three")
 
-    p = add("sweep", "shock-ray sweep; writes CSV plus a crossings JSON")
+    p = add("sweep", "shock-ray sweep; writes CSV plus a crossings JSON", solves=True)
     p.add_argument("--c0", default=None, help="baseline flow (default: the file's c)")
     p.add_argument("--q", required=True, help="shock direction, comma-separated")
     p.add_argument("--eps-lo", dest="eps_lo", type=float, default=0.0)

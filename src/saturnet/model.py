@@ -65,8 +65,10 @@ def _as_vector(value, name: str, n: int | None = None) -> np.ndarray:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
-    a.setflags(write=False)
+    """``a`` read-only; a copy unless it is already read-only and owns its memory."""
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.setflags(write=False)
     return a
 
 

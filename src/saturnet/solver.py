@@ -43,15 +43,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from ._hunt import hunt_unique, pick_rows, saturation_pattern, solve_patterns
+from ._hunt import hunt_unique, saturation_pattern, solve_patterns
 from ._linear import pinned_particular, segment_bounds
 from ._tol import TOUCH_REL, ZERO_SUM_REL, flow_tolerance, scale
-from .decomposition import BlockStructure, Decomposition, SizeGroup, block_structure, diagonal_blocks
+from .decomposition import BlockStructure, SizeGroup, block_structure, diagonal_blocks
 from .errors import InputError, NonConvergenceError, PartitionInconsistencyError
 from .model import EquilibriumVector, Network, as_flow, require_valid
 
@@ -119,10 +118,6 @@ def _residual(net, c, x) -> float:
     return float(np.max(np.abs(_map(net, c, x) - x))) if net.n else 0.0
 
 
-def _transient_label(st: BlockStructure) -> dict:
-    return {"block": None, "kind": "transient", "nodes": st.transient}
-
-
 def _transient_state(net, c, opts, st: BlockStructure) -> np.ndarray:
     """Equilibrium values on the transient part (unique; empty array if none)."""
     T = st.transient
@@ -130,7 +125,7 @@ def _transient_state(net, c, opts, st: BlockStructure) -> np.ndarray:
         return np.zeros(0)
     return hunt_unique(
         diagonal_blocks(net.P, T[None]), net.w[T][None], c[T][None], opts, np.zeros(1, dtype=bool),
-        lambda i: _transient_label(st),
+        lambda i: _block_label(net, st, c, T[0]),
     )[0]
 
 
@@ -295,16 +290,10 @@ def _assemble_extremes(net, found: _Analysis, opts):
             slack = max(slack, float(np.abs(v.total[line]).max()))
         hunt = ~line
         if np.count_nonzero(hunt):
-
-            def label(i, g=g, v=v, hunt=hunt):
-                r = np.flatnonzero(hunt)[i]
-                return {"block": int(g.sets[r]), "kind": _KINDS[v.kind[r]], "nodes": g.nodes[r]}
-
-            pick = pick_rows(hunt)
-            from_top = g.stochastic[pick] & (v.total[pick] > 0)
-            nodes = g.nodes[pick]
+            nodes, from_top = g.nodes[hunt], g.stochastic[hunt] & (v.total[hunt] > 0)
             x_lo[nodes] = x_hi[nodes] = hunt_unique(
-                diagonal_blocks(net.P, nodes), g.w[pick], v.inflow[pick], opts, from_top, label
+                diagonal_blocks(net.P, nodes), g.w[hunt], v.inflow[hunt], opts, from_top,
+                lambda i: _block_label(net, found.structure, found.inflow, nodes[i, 0]),
             )
     gate = _residual_gate(net, opts, slack)
     results = []
@@ -376,16 +365,10 @@ def maximal_equilibrium(net: Network, c, opts: SolveOptions | None = None) -> Eq
 
 
 def extremal_equilibria(
-    net: Network, c, opts: SolveOptions | None = None, dec: Decomposition | None = None
+    net: Network, c, opts: SolveOptions | None = None
 ) -> tuple[EquilibriumVector, EquilibriumVector]:
-    """Minimal and maximal equilibria in one pass.
-
-    ``dec`` is optional and, when given, must be the network's own
-    decomposition; the network's cached structure is used either way.
-    """
+    """Minimal and maximal equilibria in one pass."""
     opts = opts or DEFAULT_OPTIONS
-    if dec is not None and dec != block_structure(net).decomposition:
-        raise InputError("dec is not the decomposition of this network")
     return _extremes(net, c, opts)
 
 
@@ -423,20 +406,21 @@ def _block_label(net, st: BlockStructure, inflow, i) -> dict:
     """Index, kind and nodes of the block that holds node i, at node inflows ``inflow``."""
     l = int(st.set_of[i])
     if l < 0:
-        return _transient_label(st)
+        return {"block": None, "kind": "transient", "nodes": st.transient}
     group = st.group_of(l)
     return {"block": l, "kind": _KINDS[_verdicts(net.P, group, inflow).kind[0]], "nodes": group.nodes[0]}
 
 
-def _refine_block(net, nodes, c, pattern, label):
-    """``solve_patterns`` on the block ``nodes`` (a stack of one) at node inflows ``c``.
+def _refine_block(net, st: BlockStructure, nodes, inflow, pattern):
+    """``solve_patterns`` on the block ``nodes`` (a stack of one) at node inflows ``inflow``.
 
     ``refine`` has no fallback if the block is singular.
     """
-    x, ok = solve_patterns(diagonal_blocks(net.P, nodes), net.w[nodes], c[nodes], pattern[nodes])
+    x, ok = solve_patterns(diagonal_blocks(net.P, nodes), net.w[nodes], inflow[nodes], pattern[nodes])
     if not ok[0]:
         raise PartitionInconsistencyError(
-            "exposed block is singular outside the whole-trapping-set case", **label()
+            "exposed block is singular outside the whole-trapping-set case",
+            **_block_label(net, st, inflow, nodes[0, 0]),
         )
     return x[0]
 
@@ -445,7 +429,9 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     """Polish an approximate equilibrium by exact solves on the exposed block.
 
     Nodes are judged on their whole inflow P'x + c, as in the hunt, each with
-    the dead-band ``tol_class * w_i`` of ``node_partition``. Saturated nodes
+    the dead-band ``tol_class * w_i`` of ``node_partition``, except that a
+    node already on a bound (x_i <= 0 or x_i >= w_i) whose inflow lies
+    beyond that bound is pinned there even inside its dead-band. Saturated nodes
     are pinned to w or 0 and the exposed nodes are re-solved exactly, one
     block at a time: the transient part first, then each trapping set at its
     effective inflow, in decomposition order. If a stochastic trapping set
@@ -466,12 +452,15 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     if x.shape != (net.n,):
         raise InputError(f"x has shape {x.shape}, expected ({net.n},)")
 
+    # a node already on a bound has no dead-band on that side: an inflow
+    # beyond the bound pins it there
     band = opts.tol_class * net.w
-    pattern = saturation_pattern(net.P.T @ x + c, net.w + band, -band)
+    above, below = np.where(x >= net.w, net.w, net.w + band), np.where(x <= 0.0, 0.0, -band)
+    pattern = saturation_pattern(net.P.T @ x + c, above, below)
     st = block_structure(net)
     T = st.transient
     known = np.where(pattern > 0, net.w, 0.0)
-    known[T] = _refine_block(net, T[None], c, pattern, lambda: _transient_label(st))
+    known[T] = _refine_block(net, st, T[None], c, pattern)
     inflow = st.inflows(c, known[T])
     slack = 0.0
     for l in range(len(st.decomposition.sinks)):
@@ -479,9 +468,8 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
         S = group.nodes[0]
         if pattern[S].all():
             continue  # every node saturated: already pinned
-        label = partial(_block_label, net, st, inflow, S[0])
         if not group.stochastic[0] or pattern[S].any():
-            known[S] = _refine_block(net, group.nodes, inflow, pattern, label)
+            known[S] = _refine_block(net, st, group.nodes, inflow, pattern)
             continue
         # a wholly exposed stochastic set is singular: project x onto its line
         v = _verdicts(net.P, group, inflow)
@@ -490,11 +478,12 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
             raise PartitionInconsistencyError(
                 "whole stochastic trapping set classified exposed but its inflow "
                 f"sum {total:.3g} is nonzero; no unsaturated solution exists",
-                **label(),
+                **_block_label(net, st, inflow, S[0]),
             )
         if not v.has_line[0]:
             raise PartitionInconsistencyError(
-                "solution line of an exposed trapping set misses the box", **label()
+                "solution line of an exposed trapping set misses the box",
+                **_block_label(net, st, inflow, S[0]),
             )
         pi, base = group.stationary[0], v.base[0]
         a_hat = float(pi @ (x[S] - base) / (pi @ pi))

@@ -157,12 +157,3 @@ def test_network_fields_and_repr_are_unchanged():
     before = repr(net)
     sn.equilibrium_set(net, [0.5])
     assert repr(net) == before
-
-
-def test_foreign_decomposition_is_refused(triangle):
-    other = sn.decompose(sn.Network(np.zeros((3, 3)), np.ones(3)))
-    with pytest.raises(sn.InputError):
-        sn.extremal_equilibria(triangle, C_STAR, dec=other)
-    own = sn.decompose(triangle)
-    assert _same(sn.extremal_equilibria(triangle, C_STAR, dec=own),
-                 sn.extremal_equilibria(triangle, C_STAR))

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -248,6 +251,13 @@ class TestErrorPaths:
     def test_missing_input_flag(self, capsys):
         assert main(["solve"]) == 3
 
+    def test_tolerance_flags_only_on_solving_commands(self, capsys):
+        path = str(DEMOS / "triangle.json")
+        for command in ("validate", "decompose", "jump", "simulate"):
+            assert main([command, "--input", path, "--tol-fp", "1e-9"]) == 3
+        for command in ("solve", "classify", "set"):
+            assert main([command, "--input", path, "--tol-fp", "1e-9", "--max-iter", "50"]) == 0
+
     def test_missing_file(self, capsys):
         assert main(["solve", "--input", "/nonexistent/x.json"]) == 3
 
@@ -345,3 +355,23 @@ class TestErrorPaths:
             "--output", "/nonexistent-dir/out.json",
         )
         assert code == 3
+
+
+def test_commands_import_no_scipy_or_numpy_ma(tmp_path):
+    # peak memory is gated by the benchmark: scipy.sparse.csgraph roughly
+    # doubles the resident set, and numpy.ma adds over a megabyte
+    script = f"""
+import sys
+import numpy
+before = set(sys.modules)
+from saturnet.cli import main
+demo, out = {str(DEMOS / "triangle.json")!r}, {str(tmp_path)!r}
+for argv in (["solve"], ["classify"], ["set"], ["sweep", "--q", "0.07,0.59,0.34", "--eps-hi", "14"]):
+    assert main([argv[0], "--input", demo, "--output", f"{{out}}/{{argv[0]}}", *argv[1:]]) == 0
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    added = done.stdout.split()
+    assert "saturnet.solver" in added
+    assert [m for m in added if m.split(".")[0] == "scipy" or m.startswith("numpy.ma")] == []

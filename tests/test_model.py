@@ -70,6 +70,20 @@ class TestNetwork:
         with pytest.raises(ValueError):
             triangle.w[0] = 9.0
 
+    def test_frozen_arrays_are_shared_and_writable_ones_copied(self, triangle):
+        again = Network(triangle.P, triangle.w)
+        assert again.P is triangle.P and again.w is triangle.w
+        assert not again.P.flags.writeable and not again.w.flags.writeable
+        P, w = np.array(TRIANGLE_P), np.array(TRIANGLE_W)
+        net = Network(P, w)
+        assert not np.shares_memory(net.P, P) and not np.shares_memory(net.w, w)
+        P[0, 1] = w[0] = 9.0
+        assert net.P[0, 1] == 0.75 and net.w[0] == 5.0
+        # a read-only view of writable memory is copied too
+        view = P.view()
+        view.setflags(write=False)
+        assert not np.shares_memory(Network(view, w).P, P)
+
     def test_validate_accepts_demo(self, triangle):
         assert validate(triangle).ok
 

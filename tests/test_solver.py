@@ -22,6 +22,8 @@ from saturnet import (
     refine,
     stationary_distribution,
 )
+import saturnet._hunt
+from saturnet._hunt import hunt_unique, solve_patterns
 from saturnet.decomposition import block_structure
 
 from conftest import (
@@ -239,6 +241,47 @@ class TestPatternHunt:
         assert total > 14
 
 
+class TestSingularRows:
+    """A stacked pattern solve with a singular member, which no workload reaches."""
+
+    def test_singular_row_is_flagged_and_the_rest_solved(self):
+        # row 0 is an exactly stochastic 2-cycle with every node free
+        Q = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.5], [0.5, 0.0]]])
+        w = np.ones((2, 2))
+        c = np.array([[0.1, -0.1], [0.3, 0.1]])
+        pattern = np.zeros((2, 2), dtype=np.int8)
+        x, ok = solve_patterns(Q, w, c, pattern)
+        assert ok.tolist() == [False, True]
+        alone, alone_ok = solve_patterns(Q[1:], w[1:], c[1:], pattern[1:])
+        assert alone_ok.tolist() == [True]
+        assert x[1].tobytes() == alone[0].tobytes()
+
+    def test_hunt_keeps_the_iterate_of_a_singular_row(self, monkeypatch):
+        # row 0 (self-loops 0.1) is made singular at every solve: its map
+        # carries on alone while row 1 solves its pattern
+        Q = np.array([[[0.1, 0.8], [0.8, 0.1]], [[0.0, 0.5], [0.5, 0.0]]])
+        w = np.ones((2, 2))
+        c = np.array([[0.05, 0.02], [0.3, 0.1]])
+        solve, nan_rows = saturnet._hunt.solve_stack, []
+
+        def singular_row_0(A, b):
+            v = solve(A, b)
+            hit = A[:, 0, 0] == 0.9
+            nan_rows.append(int(np.count_nonzero(hit)))
+            v[hit] = np.nan
+            return v
+
+        monkeypatch.setattr(saturnet._hunt, "solve_stack", singular_row_0)
+        opts, bottom = SolveOptions(), np.zeros(2, dtype=bool)
+        x = hunt_unique(Q, w, c, opts, bottom, None)
+        assert sum(nan_rows) > 0
+        for r in range(2):
+            alone = hunt_unique(Q[r : r + 1], w[r : r + 1], c[r : r + 1], opts, bottom[:1], None)
+            assert x[r].tobytes() == alone[0].tobytes()
+        exact = [np.linalg.solve(np.eye(2) - q.T, b) for q, b in zip(Q, c)]
+        np.testing.assert_allclose(x, exact, rtol=0, atol=1e-11)
+
+
 def slow_second_set():
     """Two 2-node sets: set 0 saturates at once, set 1 (nodes 2, 3) creeps."""
     P = np.zeros((4, 4))
@@ -446,6 +489,16 @@ class TestRefine:
             out = refine(net, c, [0.0, 0.0, 0.2])
             assert np.array_equal(out.x, [0.0, 0.0, 0.2]) and out.residual == 0.0
             assert np.array_equal(out.x, minimal_equilibrium(net, c).x)
+
+    def test_node_on_a_bound_is_pinned_inside_its_dead_band(self):
+        # node 0's inflow 0.5 * 0.5 - 0.251 = -1e-3 lies inside its dead-band
+        # of 1e-9 * 1e7; it sits at 0, so it stays pinned there
+        net = Network([[0.0, 0.5], [0.5, 0.0]], [1e7, 1.0])
+        c = np.array([-0.251, 0.5])
+        lo = minimal_equilibrium(net, c)
+        assert np.array_equal(lo.x, [0.0, 0.5])
+        out = refine(net, c, lo)
+        assert np.array_equal(out.x, [0.0, 0.5]) and out.residual == 0.0
 
     def test_solves_blockwise(self, monkeypatch):
         # a 4-node transient core feeding three leaky 2-node trapping sets,
