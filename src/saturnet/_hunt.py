@@ -7,7 +7,9 @@ the arithmetic, so every block gets, bit for bit, the answer it would get
 alone. Every step works on the whole live stack, with no picking of rows:
 a block that has nothing to solve at a step is handed to the stacked solve
 fully pinned, and a block whose system is singular keeps its iterate. A
-single block is a stack of one.
+single block is a stack of one. A single matrix Q (1, k, k) may serve every
+row, as when one block is hunted at many flows; it is broadcast, never
+copied.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ def solve_patterns(Q, w, c, pattern):
 
     Nodes marked +1 are pinned to w and nodes marked -1 to 0; the rest solve
     x = Q'x + c exactly among themselves, with one stacked solve per number
-    of free nodes. A row with no free node poses no system. The result is
+    of free nodes; ``Q`` is one block per row, or one block (1, k, k) that
+    every row shares. A row with no free node poses no system. The result is
     clipped to [0, w]; ``ok`` is False on the rows whose linear system is
     singular, and their free nodes are NaN.
     """
@@ -48,13 +51,16 @@ def solve_patterns(Q, w, c, pattern):
     sizes = sorted(set(counts.tolist()) - {0})
     if sizes:
         rhs = transposed_matvec(Q, x) + c
+    k = Q.shape[-1]
     for f in sizes:
         rows = np.flatnonzero(counts == f)[:, None]
         idx = np.nonzero(free[rows[:, 0]])[1].reshape(-1, f)
-        # I - Q[idx, idx]' per row, gathered from the rows of Q; two index
-        # arrays into the stacked rows gather as fast as np.ix_, three do not
-        sub = Q.reshape(-1, Q.shape[-1])[(rows * Q.shape[-1] + idx)[:, :, None], idx[:, None, :]]
-        A = (np.eye(f) - sub).transpose(0, 2, 1)
+        # I - Q[idx, idx]' per row, gathered from the rows of Q (from its one
+        # row when shared); two index arrays into the stacked rows gather as
+        # fast as np.ix_, three do not
+        first = rows * k if len(Q) > 1 else 0
+        sub = Q.reshape(-1, k)[(first + idx)[:, :, None], idx[:, None, :]]
+        A = np.subtract(np.eye(f), sub, out=sub).transpose(0, 2, 1)
         v = solve_stack(A, rhs[rows, idx])
         x[rows, idx] = v
         ok[rows[:, 0]] = np.isfinite(v).all(axis=1)
@@ -64,10 +70,11 @@ def solve_patterns(Q, w, c, pattern):
 def hunt_unique(Q, w, c, opts, from_top, label):
     """Find the unique equilibrium of every block of a stack by map steps and pattern solves.
 
-    ``Q`` (m, k, k) holds the blocks, untransposed (``P[None]`` for a block
-    that is the whole network), ``w`` and ``c`` (m, k) their capacities and
-    inflows, and ``from_top`` (m,) marks the blocks that start from w
-    instead of 0. Each block follows its own hunt; the stack only shares the
+    ``Q`` (m, k, k) holds the blocks, untransposed, or is one block (1, k, k)
+    that every row shares (``P[None]`` for a block that is the whole
+    network, or one block at m flows); ``w`` and ``c`` (m, k) are the rows'
+    capacities and inflows, and ``from_top`` (m,) marks the rows that start
+    from w instead of 0. Each row follows its own hunt; the stack only shares the
     arithmetic. Each step applies the map. When a block's saturation pattern
     of Q'x + c (+1 above w, -1 below 0, 0 within ``tol_class`` of the box)
     repeats from its previous step and it has not solved that pattern yet,
@@ -113,8 +120,10 @@ def hunt_unique(Q, w, c, opts, from_top, label):
             if settled == len(done):
                 return out
             live = ~done
-            Q, w, c, gate, above, below, rows, xn, pattern = (
-                a[live] for a in (Q, w, c, gate, above, below, rows, xn, pattern)
+            if len(Q) > 1:
+                Q = Q[live]
+            w, c, gate, above, below, rows, xn, pattern = (
+                a[live] for a in (w, c, gate, above, below, rows, xn, pattern)
             )
             solved = [(hit[live], seen[live]) for hit, seen in solved if hit[live].any()]
         x, previous = xn, pattern

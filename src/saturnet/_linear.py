@@ -3,7 +3,8 @@
 Every function here takes a stack: matrices of shape (m, k, k) and vectors
 of shape (m, k), one block per row, and treats all of them at once, with
 one stacked solve where there is one to do. A single block is a stack of
-one.
+one. A stack of one matrix (1, k, k) is shared by every row of the
+vectors: it is broadcast, never copied.
 
 Power iteration is deliberately avoided: blocks may be periodic (a plain
 2-cycle oscillates) and the blocks handled here are small enough that dense
@@ -23,14 +24,15 @@ def solve_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     A stack of more than one is solved at once. A stack of one, or a stack
     with a singular member, is solved one system at a time, so a single
     block's solve is a plain ``np.linalg.solve(A, b)`` call; each system gets
-    the same answer either way.
+    the same answer either way. A single matrix (1, k, k) serves every row
+    of b.
     """
-    if len(A) > 1:
+    if len(b) > 1:
         try:
             return np.linalg.solve(A, b[..., None])[..., 0]
         except np.linalg.LinAlgError:
             pass  # some member is singular: find it by solving one by one
-    return np.array([_solve_or_nan(a, r) for a, r in zip(A, b)])
+    return np.array([_solve_or_nan(a, r) for a, r in zip(np.broadcast_to(A, b.shape + b.shape[-1:]), b)])
 
 
 def _solve_or_nan(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -41,7 +43,12 @@ def _solve_or_nan(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def transposed_matvec(Q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Q[i]' x[i] for every row i of a stack."""
+    """Q[i]' x[i] for every row i of a stack; a single Q (1, k, l) serves every row.
+
+    Each row is one vector-matrix product, bit for bit ``Q[i].T @ x[i]``,
+    whatever the number of rows; a matrix-matrix product ``x @ Q[0]`` can
+    round differently.
+    """
     return (x[:, None, :] @ Q)[:, 0, :]
 
 

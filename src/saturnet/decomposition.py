@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linear import stationary_block
+from ._linear import stationary_block, transposed_matvec
 from .errors import InputError
 from .model import EPS_FEAS, Network, require_valid
 
@@ -209,14 +209,14 @@ class BlockStructure:
         return SizeGroup(*(a[r : r + 1] for a in self.groups[g]))
 
     def inflows(self, c: np.ndarray, x_T: np.ndarray) -> np.ndarray:
-        """Effective inflow of every node, indexed by node.
+        """Effective inflow of every node at each of F flows, indexed by node (F, n).
 
-        Exogenous flow plus, on the sink nodes, what the transient part at
-        values ``x_T`` routes in; a set's share is ``inflows(c, x_T)[nodes]``
-        for its node ids, so a size group's is ``inflows(c, x_T)[group.nodes]``.
+        Exogenous flows ``c`` (F, n) plus, on the sink nodes, what the
+        transient part at values ``x_T`` (F, k_T) routes in; a set's share at
+        flow f is ``inflows(c, x_T)[f, nodes]`` for its node ids.
         """
         inflow = c.copy()
-        inflow[self.sink_nodes] += self.routed.T @ x_T
+        inflow[:, self.sink_nodes] += transposed_matvec(self.routed[None], x_T)
         return inflow
 
 

@@ -20,16 +20,19 @@ class BlockError(SaturnetError):
 
     ``block`` is the trapping set's index (None for the transient part or
     when no single block is at fault), ``kind`` its SinkKind or
-    ``"transient"``, and ``nodes`` its node ids. The message starts with
-    them.
+    ``"transient"``, and ``nodes`` its node ids. ``at`` names the flow at
+    which it failed, when one of many was solved (``"eps = 0.35"`` in a
+    sweep). The message starts with them.
     """
 
-    def __init__(self, message: str, block: int | None = None, kind=None, nodes=()):
+    def __init__(self, message: str, block: int | None = None, kind=None, nodes=(), at: str | None = None):
         self.block = block
         self.kind = kind
         self.nodes = tuple(int(i) for i in nodes)
+        self.at = at
         if kind is not None:
-            message = f"{_describe_block(block, kind, self.nodes)}: {message}"
+            where = "" if at is None else f" at {at}"
+            message = f"{_describe_block(block, kind, self.nodes)}{where}: {message}"
         super().__init__(message)
 
 

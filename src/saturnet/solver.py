@@ -20,15 +20,18 @@ the solver works blockwise over the trapping-set decomposition:
 Once the transient values are known the sinks are independent, so the sink
 layer is one block-diagonal problem. The network's structure stacks the
 trapping sets by size (``BlockStructure.groups``), and the solver works on
-each size group as arrays: one pass (``_analyze``) solves the transient
-part, forms the effective inflows (one vector indexed by node) and gives
-each group its verdict arrays (``_verdicts``) with one stacked particular
+each size group as arrays, at a stack of F flows at once (one flow for
+``solve`` and its kin, a chunk of grid points for the shock sweep): one
+pass (``_analyze``) hunts the transient part at every flow (one stack whose
+rows share the transient block), forms the effective inflows (one vector
+per flow, indexed by node) and gives each group its verdict arrays
+(``_verdicts``), F·m rows for its m sets, with one stacked particular
 solve; ``hunt_unique``
-then hunts every unique set of a group at once, with one stacked pattern
-solve per step and number of free nodes. Each set keeps its own start side,
-gates, dead-band and solved patterns, and leaves the stack at the step where
-it alone would have settled, so its answer is bit for bit the one it would
-get alone; the transient part is a stack of one. ``classify``,
+then hunts every unique set of a group at every flow at once, with one
+stacked pattern solve per step and number of free nodes. Each row keeps its
+own start side, gates, dead-band and solved patterns, and leaves the stack
+at the step where it alone would have settled, so its answer is bit for bit
+the one it would get alone; a single flow is a stack of one. ``classify``,
 ``equilibrium_set``, ``refine`` and the shock sweep read the same verdicts
 (``SinkAnalysis`` objects are built from the arrays only for ``classify``
 and ``equilibrium_set``), so a unique verdict always comes with
@@ -43,12 +46,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._hunt import hunt_unique, saturation_pattern, solve_patterns
-from ._linear import pinned_particular, segment_bounds
+from ._linear import pinned_particular, segment_bounds, transposed_matvec
 from ._tol import TOUCH_REL, ZERO_SUM_REL, flow_tolerance, scale
 from .decomposition import BlockStructure, SizeGroup, block_structure, diagonal_blocks
 from .errors import InputError, NonConvergenceError, PartitionInconsistencyError
@@ -118,15 +121,19 @@ def _residual(net, c, x) -> float:
     return float(np.max(np.abs(_map(net, c, x) - x))) if net.n else 0.0
 
 
-def _transient_state(net, c, opts, st: BlockStructure) -> np.ndarray:
-    """Equilibrium values on the transient part (unique; empty array if none)."""
-    T = st.transient
+def _transient_states(net, st: BlockStructure, c, opts, at=None) -> np.ndarray:
+    """Equilibrium values on the transient part (unique) at each flow of ``c`` (F, n); (F, k_T).
+
+    One hunt, whose rows share the transient block. ``at(f)`` names flow f
+    in an error.
+    """
+    T, F = st.transient, len(c)
     if T.size == 0:
-        return np.zeros(0)
+        return np.zeros((F, 0))
     return hunt_unique(
-        diagonal_blocks(net.P, T[None]), net.w[T][None], c[T][None], opts, np.zeros(1, dtype=bool),
-        lambda i: _block_label(net, st, c, T[0]),
-    )[0]
+        diagonal_blocks(net.P, T[None]), np.broadcast_to(net.w[T], (F, T.size)), c[:, T], opts,
+        np.zeros(F, dtype=bool), lambda f: _block_label(net, st, None, T[0], at and at(f)),
+    )
 
 
 class SinkKind(str, Enum):
@@ -184,7 +191,7 @@ class _Verdicts(NamedTuple):
 
 
 def _verdicts(P, group: SizeGroup, inflow) -> _Verdicts:
-    """Verdicts on the sets of a size group at the node-indexed inflows ``inflow`` (n,).
+    """Verdicts on the rows of a size group at their inflows ``inflow`` (m, k), row r on ``group.nodes[r]``.
 
     A stochastic set whose inflow sums to zero within tolerance has a
     solution line; it is a segment when longer than that tolerance, and
@@ -193,7 +200,6 @@ def _verdicts(P, group: SizeGroup, inflow) -> _Verdicts:
     rounding) is no line.
     """
     nodes, pi, w, stochastic = group.nodes, group.stationary, group.w, group.stochastic
-    inflow = inflow[nodes]
     m = len(inflow)
     total = inflow.sum(axis=1)
     s = scale(w)
@@ -220,22 +226,40 @@ def _verdicts(P, group: SizeGroup, inflow) -> _Verdicts:
 
 
 class _Analysis(NamedTuple):
-    """One pass over the blocks at a flow: transient values, then every size group."""
+    """One pass over the blocks at F flows: transient values, then every size group.
+
+    ``stacks`` holds each size group repeated once per flow, so that row
+    f·m + r of a stack, and of its verdicts in ``groups``, is set r of the
+    group at flow f.
+    """
 
     structure: BlockStructure
-    c: np.ndarray
-    transient: np.ndarray
-    inflow: np.ndarray  # node-indexed, BlockStructure.inflows
-    groups: list[_Verdicts]  # one per structure.groups entry
+    c: np.ndarray  # (F, n)
+    transient: np.ndarray  # (F, k_T)
+    inflow: np.ndarray  # (F, n), node-indexed, BlockStructure.inflows
+    stacks: list[SizeGroup]  # one per structure.groups entry
+    groups: list[_Verdicts]
+    at: Callable[[int], str] | None  # names flow f in an error
 
 
-def _analyze(net, c, opts) -> _Analysis:
-    """Transient solve, effective inflows and every set's verdict; no hunts."""
+def _repeat(group: SizeGroup, F: int) -> SizeGroup:
+    """The size group stacked F times, once per flow."""
+    return group if F == 1 else SizeGroup(*(np.tile(a, (F,) + (1,) * (a.ndim - 1)) for a in group))
+
+
+def _analyze(net, c, opts, at=None) -> _Analysis:
+    """Transient solve, effective inflows and every set's verdict at each checked flow of ``c`` (F, n).
+
+    No set is hunted. ``at(f)`` names flow f in an error.
+    """
     st = block_structure(net)
-    c = as_flow(c, net.n)
-    x_T = _transient_state(net, c, opts, st)
+    x_T = _transient_states(net, st, c, opts, at)
     inflow = st.inflows(c, x_T)
-    return _Analysis(st, c, x_T, inflow, [_verdicts(net.P, g, inflow) for g in st.groups])
+    stacks = [_repeat(g, len(c)) for g in st.groups]
+    groups = [
+        _verdicts(net.P, s, inflow[:, g.nodes].reshape(s.nodes.shape)) for g, s in zip(st.groups, stacks)
+    ]
+    return _Analysis(st, c, x_T, inflow, stacks, groups, at)
 
 
 def _sink_analyses(found: _Analysis) -> list[SinkAnalysis]:
@@ -262,57 +286,63 @@ def _residual_gate(net, opts, slack):
 
     ``tol_fp`` is taken relative to the network's scale. A nearly-zero
     inflow sum treated as zero leaves a residual floor of about |sum|,
-    passed in as ``slack``; allow headroom over it for the solve and clip
-    fuzz.
+    passed in as ``slack`` (one per flow, or one); allow headroom over it
+    for the solve and clip fuzz.
     """
-    return max(opts.tol_fp * scale(net.w), 8.0 * slack)
+    return np.maximum(opts.tol_fp * scale(net.w), 8.0 * slack)
 
 
 def _assemble_extremes(net, found: _Analysis, opts):
-    """Minimal and maximal equilibria from an analysis, residual-checked.
+    """Minimal and maximal equilibria at every flow of an analysis, residual-checked.
 
-    Sets with a line take its endpoints; every other set has one
-    equilibrium, and each size group hunts those of its sets together, each
-    from the heavy side of its inflow.
+    Returns ``x`` (2, F, n), the minimal equilibria ``x[0]`` and the maximal
+    ones ``x[1]``, and their residuals (2, F). Sets with a line take its
+    endpoints; every other set has one equilibrium, and each size group
+    hunts those of its sets at every flow together, each from the heavy
+    side of its inflow. An error names the first flow at fault, the
+    minimal side first.
     """
-    x_lo = np.zeros(net.n)
-    x_hi = np.zeros(net.n)
-    T = found.structure.transient
-    x_lo[T] = found.transient
-    x_hi[T] = found.transient
-    slack = 0.0
-    for g, v in zip(found.structure.groups, found.groups):
+    st, c, at = found.structure, found.c, found.at
+    F, n = c.shape
+    x = np.zeros((2, F, n))
+    x[:, :, st.transient] = found.transient
+    slack = np.zeros(F)
+    for g, v in zip(found.stacks, found.groups):
+        flow = np.repeat(np.arange(F), len(g.sets) // F)  # the flow of each row
         line = v.has_line
         if np.count_nonzero(line):
             nodes, pi, w, base = g.nodes[line], g.stationary[line], g.w[line], v.base[line]
-            x_lo[nodes] = np.clip(base + v.line[0][line, None] * pi, 0.0, w)
-            x_hi[nodes] = np.clip(base + v.line[1][line, None] * pi, 0.0, w)
-            slack = max(slack, float(np.abs(v.total[line]).max()))
+            f = flow[line, None]
+            x[0, f, nodes] = np.clip(base + v.line[0][line, None] * pi, 0.0, w)
+            x[1, f, nodes] = np.clip(base + v.line[1][line, None] * pi, 0.0, w)
+            np.maximum(slack, np.where(line, np.abs(v.total), 0.0).reshape(F, -1).max(axis=1), out=slack)
         hunt = ~line
         if np.count_nonzero(hunt):
-            nodes, from_top = g.nodes[hunt], g.stochastic[hunt] & (v.total[hunt] > 0)
-            x_lo[nodes] = x_hi[nodes] = hunt_unique(
+            nodes, f, from_top = g.nodes[hunt], flow[hunt], g.stochastic[hunt] & (v.total[hunt] > 0)
+            x[:, f[:, None], nodes] = hunt_unique(
                 diagonal_blocks(net.P, nodes), g.w[hunt], v.inflow[hunt], opts, from_top,
-                lambda i: _block_label(net, found.structure, found.inflow, nodes[i, 0]),
+                lambda i: _block_label(net, st, found.inflow[f[i]], nodes[i, 0], at and at(f[i])),
             )
     gate = _residual_gate(net, opts, slack)
-    results = []
-    for x in (x_lo, x_hi):
-        gaps = np.abs(_map(net, found.c, x) - x)
-        res = float(np.max(gaps)) if net.n else 0.0
-        if res > gate:
-            raise NonConvergenceError(
-                f"assembled equilibrium has residual {res:.3g} above tolerance {gate:.3g}",
-                last_iterate=x,
-                **_block_label(net, found.structure, found.inflow, np.argmax(gaps)),
-            )
-        results.append(EquilibriumVector(x, res))
-    return results[0], results[1]
+    y = transposed_matvec(net.P[None], x.reshape(2 * F, n)).reshape(x.shape) + c
+    gaps = np.abs(np.minimum(np.maximum(y, 0.0), net.w) - x)
+    res = gaps.max(axis=2)
+    bad = res > gate
+    if np.count_nonzero(bad):
+        f = int(np.flatnonzero(bad.any(axis=0))[0])
+        side = 0 if bad[0, f] else 1
+        raise NonConvergenceError(
+            f"assembled equilibrium has residual {res[side, f]:.3g} above tolerance {gate[f]:.3g}",
+            last_iterate=x[side, f],
+            **_block_label(net, st, found.inflow[f], np.argmax(gaps[side, f]), at and at(f)),
+        )
+    return x, res
 
 
 def _extremes(net, c, opts):
-    """Minimal and maximal equilibria, assembled blockwise."""
-    return _assemble_extremes(net, _analyze(net, c, opts), opts)
+    """Minimal and maximal equilibria, assembled blockwise: the stack of one flow."""
+    x, res = _assemble_extremes(net, _analyze(net, as_flow(c, net.n)[None], opts), opts)
+    return EquilibriumVector(x[0, 0], res[0, 0]), EquilibriumVector(x[1, 0], res[1, 0])
 
 
 # ----------------------------- public operations -----------------------------
@@ -402,13 +432,17 @@ def node_partition(net: Network, c, x, opts: SolveOptions | None = None) -> Node
     return NodePartition(*(tuple(int(i) for i in np.nonzero(m)[0]) for m in masks))
 
 
-def _block_label(net, st: BlockStructure, inflow, i) -> dict:
-    """Index, kind and nodes of the block that holds node i, at node inflows ``inflow``."""
+def _block_label(net, st: BlockStructure, inflow, i, at=None) -> dict:
+    """Index, kind and nodes of the block that holds node i at node inflows ``inflow`` (n,).
+
+    ``at`` names the flow, when one of many was solved.
+    """
     l = int(st.set_of[i])
     if l < 0:
-        return {"block": None, "kind": "transient", "nodes": st.transient}
+        return {"block": None, "kind": "transient", "nodes": st.transient, "at": at}
     group = st.group_of(l)
-    return {"block": l, "kind": _KINDS[_verdicts(net.P, group, inflow).kind[0]], "nodes": group.nodes[0]}
+    kind = _KINDS[_verdicts(net.P, group, inflow[group.nodes]).kind[0]]
+    return {"block": l, "kind": kind, "nodes": group.nodes[0], "at": at}
 
 
 def _refine_block(net, st: BlockStructure, nodes, inflow, pattern):
@@ -461,7 +495,7 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     T = st.transient
     known = np.where(pattern > 0, net.w, 0.0)
     known[T] = _refine_block(net, st, T[None], c, pattern)
-    inflow = st.inflows(c, known[T])
+    inflow = st.inflows(c[None], known[T][None])[0]
     slack = 0.0
     for l in range(len(st.decomposition.sinks)):
         group = st.group_of(l)
@@ -472,7 +506,7 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
             known[S] = _refine_block(net, st, group.nodes, inflow, pattern)
             continue
         # a wholly exposed stochastic set is singular: project x onto its line
-        v = _verdicts(net.P, group, inflow)
+        v = _verdicts(net.P, group, inflow[group.nodes])
         total = float(v.total[0])
         if v.kind[0] == _NONZERO:
             raise PartitionInconsistencyError(

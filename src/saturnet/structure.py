@@ -24,7 +24,7 @@ from ._linear import pinned_particular, stationary_block
 from ._tol import ROUND_REL, ZERO_SUM_REL, flow_tolerance
 from .decomposition import Decomposition, strongly_connected_components
 from .errors import InputError
-from .model import EPS_FEAS, Network
+from .model import EPS_FEAS, Network, as_flow
 from .solver import (
     DEFAULT_OPTIONS,
     SinkAnalysis,
@@ -87,7 +87,7 @@ def classify(
 ) -> tuple[Decomposition, list[SinkAnalysis], bool]:
     """Per-sink uniqueness analysis; the boolean is True iff no sink is a segment."""
     opts = opts or DEFAULT_OPTIONS
-    found = _analyze(net, c, opts)
+    found = _analyze(net, as_flow(c, net.n)[None], opts)
     sinks = _sink_analyses(found)
     unique = all(a.kind is not SinkKind.ZERO_SUM_SEGMENT for a in sinks)
     return found.structure.decomposition, sinks, unique
@@ -195,8 +195,8 @@ class EquilibriumSet:
 def equilibrium_set(net: Network, c, opts: SolveOptions | None = None) -> EquilibriumSet:
     """Explicit representation of all equilibria of (net, c)."""
     opts = opts or DEFAULT_OPTIONS
-    found = _analyze(net, c, opts)
-    lo, _ = _assemble_extremes(net, found, opts)
+    found = _analyze(net, as_flow(c, net.n)[None], opts)
+    x, _ = _assemble_extremes(net, found, opts)
     sinks = _sink_analyses(found)
     components = []
     for a in sinks:
@@ -205,11 +205,11 @@ def equilibrium_set(net: Network, c, opts: SolveOptions | None = None) -> Equili
                 SegmentComponent(a.nodes, a.base, a.stationary, *a.alpha_range)
             )
         else:
-            components.append(FixedComponent(a.nodes, lo.x[list(a.nodes)]))
+            components.append(FixedComponent(a.nodes, x[0, 0, list(a.nodes)]))
     return EquilibriumSet(
         n=net.n,
         transient_nodes=found.structure.decomposition.transient,
-        transient_values=found.transient,
+        transient_values=found.transient[0],
         components=tuple(components),
         is_unique=all(a.kind is not SinkKind.ZERO_SUM_SEGMENT for a in sinks),
     )

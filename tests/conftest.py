@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 import saturnet.solver
-from saturnet import Network, strongly_connected_components
+from saturnet import Network, SinkKind, strongly_connected_components
 
 # 3-node strongly connected stochastic demo network used throughout.
 TRIANGLE_P = np.array([[0.0, 0.75, 0.25], [0.0, 0.0, 1.0], [0.3, 0.7, 0.0]])
@@ -113,6 +113,46 @@ def hunt_cases(kind, seed, count):
     rng = np.random.default_rng(seed)
     for case in range(count):
         yield hunt_case(rng, kind, (-1.0) ** case)
+
+
+def core_feeding_sets(rng, sizes, count, core=4):
+    """A transient core feeding ``count`` trapping sets of each size in ``sizes``.
+
+    The sets of one size take the four kinds in turn, and all have aperiodic
+    dense blocks. The core feeds the out-connected sets and the nonzero-sum sets
+    of positive own sum; a zero-sum set gets no inflow from the core and an
+    own flow that sums to zero exactly, small for a segment and far outside
+    the box (or, for one node, on a zero-capacity node) for a unique verdict.
+    Returns (net, c, kinds), kinds in decomposition order.
+    """
+    layout = [(k, list(SinkKind)[i % 4], i // 4) for k in sizes for i in range(count)]
+    n = core + sum(k for k, _, _ in layout)
+    P = np.zeros((n, n))
+    w = rng.uniform(0.5, 5.0, n)
+    c = np.zeros(n)
+    P[:core, :core] = rng.uniform(0.0, 0.1, (core, core))
+    c[:core] = rng.uniform(0.5, 3.0, core)
+    start = core
+    for k, kind, i in layout:
+        S = slice(start, start + k)
+        block = rng.uniform(0.1, 1.0, (k, k))
+        P[S, S] = block / block.sum(axis=1, keepdims=True)
+        fed = kind is SinkKind.OUT_CONNECTED or (kind is SinkKind.NONZERO_SUM and i % 2 == 0)
+        if kind is SinkKind.OUT_CONNECTED:
+            P[S, S] *= rng.uniform(0.5, 0.9, (k, 1))
+            c[S] = rng.uniform(-1.0, 1.0, k)
+        elif kind is SinkKind.NONZERO_SUM:
+            c[S] = rng.uniform(-1.0, 1.0, k)
+            c[S] += (1.0 if fed else -1.0) * rng.uniform(0.3, 1.0) / k - c[S].mean()
+        elif k > 1:
+            d = 1.0 / 64 if kind is SinkKind.ZERO_SUM_SEGMENT else 8.0
+            c[start], c[start + 1] = -d, d
+        elif kind is SinkKind.ZERO_SUM_UNIQUE:
+            w[start] = 0.0  # the solution line x = t meets the box [0, 0] in one point
+        if fed:
+            P[rng.integers(core), S] = rng.uniform(0.01, 0.03, k)
+        start += k
+    return Network(P, w), c, [kind for _, kind, _ in layout]
 
 
 def shifted_second_set(monkeypatch):

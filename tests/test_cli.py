@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -222,6 +223,18 @@ class TestSweepCommand:
         first = out_csv.read_text().strip().split("\n")[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[2]) == 0.0  # zero loss at the baseline itself
+
+    @pytest.mark.parametrize("bound", ["--eps-hi=inf", "--eps-hi=nan", "--eps-lo=-inf"])
+    def test_non_finite_range_is_a_validation_error(self, capsys, tmp_path, bound):
+        argv = [
+            "sweep", "--input", str(DEMOS / "triangle_baseline.json"), "--q", "1,1,1",
+            "--eps-hi", "5", bound, "--output", str(tmp_path / "sweep.csv"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 1
+        assert capsys.readouterr().err == "saturnet: error: validation: eps_lo and eps_hi must be finite\n"
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_requires_output(self, capsys):
         code, _ = run(

@@ -1,15 +1,19 @@
 """CLI artifacts pinned byte for byte.
 
 ``tests/golden/`` holds the stdout of ``solve``, ``classify``, ``set`` and
-``decompose`` on every demo file, and the README's 1401-point shock sweep
-(CSV plus crossings JSON). A change to any of these files needs a stated
-reason. To rewrite them from the current code, run
+``decompose`` on every demo file, the README's 1401-point shock sweep (CSV
+plus crossings JSON), and the 101-point sweep of a fixed 39-node ray
+(``seeded_ray.json``: a transient core feeding trapping sets of sizes 1 to
+4 in all four kinds, with shuffled node labels and four crossings; its
+shock direction is the file's ``q``). A change to any of these files needs
+a stated reason. To rewrite them from the current code, run
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -29,6 +33,17 @@ SWEEP_ARGS = (
 )
 SWEEP_CSV = "readme_sweep.csv"
 SWEEP_CROSSINGS = "readme_sweep.crossings.json"
+RAY_INPUT = GOLDEN / "seeded_ray.json"
+RAY_CSV = "seeded_ray.csv"
+RAY_CROSSINGS = "seeded_ray.crossings.json"
+
+
+def _ray_args() -> tuple[str, ...]:
+    q = json.loads(RAY_INPUT.read_text(encoding="utf-8"))["q"]
+    return (
+        "--input", str(RAY_INPUT), "--q=" + ",".join(repr(float(v)) for v in q),
+        "--eps-lo", "0", "--eps-hi", "10", "--grid", "101",
+    )
 
 
 def _write_command(command: str, demo: str, target: Path) -> None:
@@ -36,8 +51,8 @@ def _write_command(command: str, demo: str, target: Path) -> None:
     assert code == 0
 
 
-def _write_sweep(target: Path) -> None:
-    assert main(["sweep", *SWEEP_ARGS, "--output", str(target)]) == 0
+def _write_sweep(args, target: Path) -> None:
+    assert main(["sweep", *args, "--output", str(target)]) == 0
 
 
 @pytest.mark.parametrize("demo", DEMO_NAMES)
@@ -48,12 +63,20 @@ def test_command_output(command, demo, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{demo}.{command}.json").read_bytes()
 
 
+def _check_sweep(args, csv_name, crossings_name, tmp_path) -> None:
+    out = tmp_path / csv_name
+    _write_sweep(args, out)
+    assert out.read_bytes() == (GOLDEN / csv_name).read_bytes()
+    crossings = tmp_path / crossings_name
+    assert crossings.read_bytes() == (GOLDEN / crossings_name).read_bytes()
+
+
 def test_readme_sweep(tmp_path):
-    out = tmp_path / SWEEP_CSV
-    _write_sweep(out)
-    assert out.read_bytes() == (GOLDEN / SWEEP_CSV).read_bytes()
-    crossings = tmp_path / SWEEP_CROSSINGS
-    assert crossings.read_bytes() == (GOLDEN / SWEEP_CROSSINGS).read_bytes()
+    _check_sweep(SWEEP_ARGS, SWEEP_CSV, SWEEP_CROSSINGS, tmp_path)
+
+
+def test_seeded_ray_sweep(tmp_path):
+    _check_sweep(_ray_args(), RAY_CSV, RAY_CROSSINGS, tmp_path)
 
 
 if __name__ == "__main__":
@@ -61,5 +84,6 @@ if __name__ == "__main__":
     for command in COMMANDS:
         for demo in DEMO_NAMES:
             _write_command(command, demo, GOLDEN / f"{demo}.{command}.json")
-    _write_sweep(GOLDEN / SWEEP_CSV)
+    _write_sweep(SWEEP_ARGS, GOLDEN / SWEEP_CSV)
+    _write_sweep(_ray_args(), GOLDEN / RAY_CSV)
     sys.exit(0)

@@ -3,11 +3,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import saturnet.shocks
+import saturnet.solver
 from saturnet import (
     InputError,
     Network,
+    NonConvergenceError,
     NotCriticalError,
     ShockRay,
+    SinkKind,
+    SolveOptions,
     extremal_equilibria,
     find_critical_eps,
     loss_jump,
@@ -16,10 +21,12 @@ from saturnet import (
     sweep_to_csv,
     systemic_loss,
 )
+from saturnet._fmt import csv_lines, fmt_float
+from saturnet.shocks import SweepRecord, _loss
 
 from conftest import (
     C_BASE, C_STAR, CONDITION_STAR, PI_TRIANGLE, Q_DIR, TRIANGLE_P, TRIANGLE_W, X_MAX_STAR, X_MIN_STAR,
-    random_network,
+    core_feeding_sets, random_network,
 )
 
 
@@ -37,6 +44,9 @@ class TestShockRay:
             ShockRay([1.0, 2.0], [1.0, 1.0], 2.0, 1.0, 5)  # inverted range
         with pytest.raises(InputError):
             ShockRay([1.0, 2.0], [1.0, 1.0], 0.0, 1.0, 1)  # grid too small
+        for lo, hi in ((0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan), (np.nan, 1.0)):
+            with pytest.raises(InputError, match="eps_lo and eps_hi must be finite"):
+                ShockRay([1.0, 2.0], [1.0, 1.0], lo, hi, 5)
         ray = ShockRay([1.0, 2.0], [0.5, -0.5], 0.0, 1.0, 5, allow_mixed_direction=True)
         assert np.allclose(ray.c_at(2.0), [0.0, 3.0])
 
@@ -120,6 +130,21 @@ class TestMaxJumpNorm:
             assert float(np.linalg.norm(hi.x - lo.x, ord=p)) == pytest.approx(bound, abs=1e-8)
 
 
+def mixed_direction_case():
+    """A feeder that drains with eps into a 2-cycle whose own inflow grows.
+
+    The sink sum, (-1.2 + 0.4 eps) + clamp(2 - eps, 0, 1), dips through
+    zero and back: both range endpoints are negative and only the grid scan
+    exposes the first crossing, at 0.5.
+    """
+    P = np.zeros((3, 3))
+    P[0, 1] = 1.0
+    P[1, 2] = P[2, 1] = 1.0
+    net = Network(P, np.array([1.0, 2.0, 2.0]))
+    ray = ShockRay([2.0, -0.6, -0.6], [1.0, -0.2, -0.2], 0.0, 2.5, 26, allow_mixed_direction=True)
+    return net, ray
+
+
 class TestFindCriticalEps:
     def test_demo_crossing(self, triangle):
         eps = find_critical_eps(triangle, demo_ray(), 0)
@@ -143,20 +168,8 @@ class TestFindCriticalEps:
             find_critical_eps(triangle, demo_ray(), 3)
 
     def test_mixed_direction_needs_scan(self):
-        # feeder 0 drains with eps while the sink's own inflow grows, so the
-        # sink sum dips through zero and back: both range endpoints are
-        # negative and only the grid scan exposes the first crossing
-        P = np.zeros((3, 3))
-        P[0, 1] = 1.0
-        P[1, 2] = P[2, 1] = 1.0
-        net = Network(P, np.array([1.0, 2.0, 2.0]))
-        ray = ShockRay(
-            [2.0, -0.6, -0.6], [1.0, -0.2, -0.2], 0.0, 2.5, 26,
-            allow_mixed_direction=True,
-        )
-        eps = find_critical_eps(net, ray, 0)
-        # sink sum: (-1.2 + 0.4 eps) + clamp(2 - eps, 0, 1); first root at 0.5
-        assert eps == pytest.approx(0.5, abs=1e-9)
+        net, ray = mixed_direction_case()
+        assert find_critical_eps(net, ray, 0) == pytest.approx(0.5, abs=1e-9)
 
     def test_transient_feed_moves_the_root(self):
         # one deficient feeder in front of a stochastic 2-cycle: the feeder
@@ -313,3 +326,128 @@ class TestSweep:
                 assert r.defaults == ()
             elif r.eps > threshold + 1e-6:
                 assert r.defaults == (1,)
+
+
+def core_rays(seed, count):
+    """Core-and-sets networks, each with a shock ray that drains the core and the sets.
+
+    Every base case is followed by a copy with w, c0 and q scaled per node
+    by 10^U(-3, 6).
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        net, c, _ = core_feeding_sets(rng, (1, 2, 3), 4, core=int(rng.integers(1, 6)))
+        q = rng.uniform(0.0, 0.5, net.n) * (rng.random(net.n) < 0.8)
+        q[0] += 0.1
+        ray = ShockRay(c, q, 0.0, 3.0, 31)
+        yield net, ray
+        s = 10.0 ** rng.uniform(-3.0, 6.0, net.n)
+        yield Network(net.P, s * net.w), ShockRay(s * c, s * q, 0.0, 3.0, 31)
+
+
+def assert_each_point_as_alone(net, ray, records, crossings):
+    """Every record and crossing bit for bit as the single-flow calls give it."""
+    assert [r.eps for r in records] == np.linspace(ray.eps_lo, ray.eps_hi, ray.grid).tolist()
+    for r in records:
+        c = ray.c_at(r.eps)
+        lo, hi = extremal_equilibria(net, c)
+        assert r.x_min.tobytes() == lo.x.tobytes() and r.x_max.tobytes() == hi.x.tobytes()
+        assert r.loss_min == _loss(ray.c0, c, net.w, hi.x) and r.loss_max == _loss(ray.c0, c, net.w, lo.x)
+    for cr in crossings:
+        assert cr.eps_star == find_critical_eps(net, ray, cr.sink_index)
+
+
+class TestStackedSweep:
+    """A sweep solves its grid and its bisections as stacks of flows; nothing may move a bit."""
+
+    def test_each_point_as_if_alone(self):
+        crossed = 0
+        for net, ray in core_rays(909, 4):
+            records, crossings = sweep(net, ray)
+            assert_each_point_as_alone(net, ray, records, crossings)
+            crossed += len(crossings)
+        assert crossed >= 8
+
+    def test_mixed_direction_sweep(self):
+        net, ray = mixed_direction_case()
+        records, crossings = sweep(net, ray)
+        assert_each_point_as_alone(net, ray, records, crossings)
+        assert [cr.eps_star for cr in crossings] == [find_critical_eps(net, ray, 0)]
+
+    def test_chunks_of_one_point_give_the_same_sweep(self, monkeypatch):
+        net, ray = next(core_rays(911, 1))
+        records, crossings = sweep(net, ray)
+        monkeypatch.setattr(saturnet.shocks, "STACK_ENTRIES", 1)
+        alone, alone_crossings = sweep(net, ray)
+        assert sweep_to_csv(alone, net.n) == sweep_to_csv(records, net.n)
+        assert [cr.eps_star for cr in alone_crossings] == [cr.eps_star for cr in crossings]
+
+    def test_chunks_hold_the_entry_bound(self, monkeypatch):
+        # 300 one-node sets: each (point, set) row costs 1 + ROW_ENTRIES
+        # entries, so the 200 points go in chunks of 52
+        n = 300
+        net = Network(np.eye(n), np.ones(n))
+        rng = np.random.default_rng(913)
+        ray = ShockRay(rng.uniform(0.5, 2.0, n), rng.uniform(0.1, 1.0, n), 0.0, 1.0, 200)
+        hunt, rows = saturnet.solver.hunt_unique, []
+
+        def recording(Q, w, c, opts, from_top, label):
+            rows.append(len(c))
+            return hunt(Q, w, c, opts, from_top, label)
+
+        monkeypatch.setattr(saturnet.solver, "hunt_unique", recording)
+        records, _ = sweep(net, ray)
+        assert rows[:4] == [52 * n, 52 * n, 52 * n, 44 * n]  # the grid; then one hunt per crossing
+        assert max(rows) * (1 + saturnet.shocks.ROW_ENTRIES) <= saturnet.shocks.STACK_ENTRIES
+        for r in records[::20]:
+            lo, hi = extremal_equilibria(net, ray.c_at(r.eps))
+            assert r.x_min.tobytes() == lo.x.tobytes() and r.x_max.tobytes() == hi.x.tobytes()
+
+    def test_error_names_the_block_and_the_eps(self):
+        # set 0 (nodes 0, 1) saturates at once; set 1 (nodes 2, 3) creeps
+        # where its own flow nears (0.5, -0.2), at eps = 1
+        P = np.zeros((4, 4))
+        P[0, 1] = P[1, 0] = 1.0
+        P[2, 3] = P[3, 2] = 0.999
+        net = Network(P, np.ones(4))
+        ray = ShockRay([2.0, 2.0, 3.0, 3.0], [0.0, 0.0, 2.5, 3.2], 0.0, 1.5, 7)
+        opts = SolveOptions(max_iter=2)
+        fails = []
+        for eps in np.linspace(0.0, 1.5, 7).tolist():
+            try:
+                extremal_equilibria(net, ray.c_at(eps), opts)
+            except NonConvergenceError:
+                fails.append(eps)
+        assert fails and fails[0] > 0.0
+        with pytest.raises(NonConvergenceError) as err:
+            sweep(net, ray, opts)
+        e = err.value
+        assert (e.block, e.kind, e.nodes) == (1, SinkKind.OUT_CONNECTED, (2, 3))
+        assert e.at == f"eps = {fmt_float(fails[0])}" == "eps = 0.75"
+        assert str(e) == (
+            f"trapping set 1 (out_connected; nodes 2, 3) at eps = {fmt_float(fails[0])}: "
+            "no convergence within 2 iterations"
+        )
+
+
+class TestSweepCsv:
+    def test_row_format_equals_the_generic_cells(self):
+        x = np.array([-0.0, 5e-324, 1e16, -1e-300])
+        records = [
+            SweepRecord(-0.0, x, x[::-1].copy(), 1e16, -1e-300, (0, 3), True),
+            SweepRecord(5e-324, x + 1.0, x, 0.1 + 0.2, 2.0 / 3.0, (), False),
+        ]
+        header = ["eps", "unique", "loss_min", "loss_max", "n_defaults"]
+        header += [f"x_{side}_{i + 1}" for side in ("min", "max") for i in range(4)]
+        rows = [
+            [r.eps, r.unique, r.loss_min, r.loss_max, len(r.defaults), *r.x_min, *r.x_max] for r in records
+        ]
+        text = sweep_to_csv(records, 4)
+        assert text == csv_lines(header, rows)
+        assert text.split("\n")[1].startswith("0,true,1e+16,-1e-300,2,0,4.94065645841e-324,1e+16,-1e-300,")
+
+    def test_non_finite_value_is_refused(self):
+        x = np.array([0.5, np.nan])
+        record = SweepRecord(0.0, np.zeros(2), x, 0.0, 0.0, (), False)
+        with pytest.raises(InputError, match="cannot serialize non-finite value nan"):
+            sweep_to_csv([record], 2)

@@ -8,6 +8,7 @@ from saturnet import (
     Network,
     NonConvergenceError,
     PartitionInconsistencyError,
+    ShockRay,
     SinkKind,
     SolveOptions,
     classify,
@@ -21,14 +22,15 @@ from saturnet import (
     node_partition,
     refine,
     stationary_distribution,
+    sweep,
 )
 import saturnet._hunt
 from saturnet._hunt import hunt_unique, solve_patterns
 from saturnet.decomposition import block_structure
 
 from conftest import (
-    C_BASE, C_STAR, TRIANGLE_P, TRIANGLE_W, X_MAX_STAR, X_MIN_STAR, hunt_cases, random_network,
-    shifted_second_set,
+    C_BASE, C_STAR, TRIANGLE_P, TRIANGLE_W, X_MAX_STAR, X_MIN_STAR, core_feeding_sets, hunt_case,
+    hunt_cases, random_network, shifted_second_set,
 )
 from oracles import brute_maximal, brute_minimal
 
@@ -280,6 +282,88 @@ class TestSingularRows:
             assert x[r].tobytes() == alone[0].tobytes()
         exact = [np.linalg.solve(np.eye(2) - q.T, b) for q, b in zip(Q, c)]
         np.testing.assert_allclose(x, exact, rtol=0, atol=1e-11)
+
+
+class TestSharedBlock:
+    """One block hunted at many flows: a one-row Q that every row shares."""
+
+    @pytest.mark.parametrize("kind", ["out_connected", "near_stochastic", "nonzero_sum"])
+    def test_every_flow_as_if_alone(self, kind):
+        rng = np.random.default_rng(83)
+        opts = SolveOptions()
+        for net, c in hunt_cases(kind, 79, 4):
+            flows = c + rng.uniform(-1.0, 1.0, (6, net.n)) * np.abs(c).max()
+            w = np.broadcast_to(net.w, flows.shape)
+            from_top = flows.sum(axis=1) > 0 if kind == "nonzero_sum" else np.zeros(6, dtype=bool)
+            x = hunt_unique(net.P[None], w, flows, opts, from_top, None)
+            for r in range(6):
+                one = slice(r, r + 1)
+                alone = hunt_unique(net.P[None], w[one], flows[one], opts, from_top[one], None)
+                assert x[r].tobytes() == alone[0].tobytes()
+
+    def test_singular_flow_keeps_its_iterate(self, monkeypatch):
+        # flow 0's all-free system is made singular at every solve (its
+        # right-hand side is its own flow, whose first entry marks it); its
+        # map carries on alone while the other flows solve their patterns
+        Q = np.array([[[0.1, 0.8], [0.8, 0.1]]])
+        flows = np.array([[0.05, 0.02], [0.03, 0.01], [0.3, 0.1]])
+        w = np.ones((3, 2))
+        solve, nan_rows = saturnet._hunt.solve_stack, []
+
+        def singular_flow_0(A, b):
+            v = solve(A, b)
+            hit = b[:, 0] == 0.05
+            nan_rows.append(int(np.count_nonzero(hit)))
+            v[hit] = np.nan
+            return v
+
+        monkeypatch.setattr(saturnet._hunt, "solve_stack", singular_flow_0)
+        opts, bottom = SolveOptions(), np.zeros(3, dtype=bool)
+        x = hunt_unique(Q, w, flows, opts, bottom, None)
+        assert sum(nan_rows) > 0
+        for r in range(3):
+            alone = hunt_unique(Q, w[r : r + 1], flows[r : r + 1], opts, bottom[:1], None)
+            assert x[r].tobytes() == alone[0].tobytes()
+        exact = np.clip(np.linalg.solve(np.eye(2) - Q[0].T, flows.T).T, 0.0, 1.0)
+        np.testing.assert_allclose(x, exact, rtol=0, atol=1e-11)
+
+    def test_budget_names_the_first_unsettled_flow(self):
+        # flow 0 saturates in two steps; flows 1 and 2 creep
+        Q = SLOW_PAIR[0].P[None]
+        flows = np.array([[2.0, 2.0], SLOW_PAIR[1], SLOW_PAIR[1] + 0.01])
+        w = np.ones((3, 2))
+
+        def label(i):
+            return {"block": None, "kind": "transient", "nodes": (0, 1), "at": f"flow {i}"}
+
+        with pytest.raises(NonConvergenceError) as err:
+            hunt_unique(Q, w, flows, SolveOptions(max_iter=2), np.zeros(3, dtype=bool), label)
+        assert err.value.at == "flow 1"
+        assert str(err.value) == (
+            "the transient part (nodes 0, 1) at flow 1: no convergence within 2 iterations"
+        )
+        assert err.value.last_iterate.shape == (2,)
+        settled = hunt_unique(Q, w[:1], flows[:1], SolveOptions(max_iter=2), np.zeros(1, dtype=bool), label)
+        np.testing.assert_array_equal(settled, [[1.0, 1.0]])
+
+    def test_shared_block_is_not_copied(self, monkeypatch):
+        # a set that spans the network is hunted at every grid point through
+        # views of P: no stacked copy of it is made
+        net, c = hunt_case(np.random.default_rng(89), "out_connected")
+        shapes = []
+        matvec = saturnet._hunt.transposed_matvec
+
+        def recording(Q, x):
+            shapes.append((Q.shape, np.shares_memory(Q, net.P)))
+            return matvec(Q, x)
+
+        monkeypatch.setattr(saturnet._hunt, "transposed_matvec", recording)
+        ray = ShockRay(c, np.ones(net.n), 0.0, 1.0, 5)
+        records, _ = sweep(net, ray)
+        assert shapes and all(shape == (1, net.n, net.n) and shared for shape, shared in shapes)
+        for r in records:
+            lo, hi = extremal_equilibria(net, ray.c_at(r.eps))
+            assert r.x_min.tobytes() == lo.x.tobytes() and r.x_max.tobytes() == hi.x.tobytes()
 
 
 def slow_second_set():
@@ -539,46 +623,6 @@ class TestRefine:
             assert polished.residual <= 1e-12
             lo = minimal_equilibrium(net, c)
             assert np.allclose(polished.x, lo.x, atol=1e-5)
-
-
-def core_feeding_sets(rng, sizes, count, core=4):
-    """A transient core feeding ``count`` trapping sets of each size in ``sizes``.
-
-    The sets of one size take the four kinds in turn, and all have aperiodic
-    dense blocks. The core feeds the out-connected sets and the nonzero-sum sets
-    of positive own sum; a zero-sum set gets no inflow from the core and an
-    own flow that sums to zero exactly, small for a segment and far outside
-    the box (or, for one node, on a zero-capacity node) for a unique verdict.
-    Returns (net, c, kinds), kinds in decomposition order.
-    """
-    layout = [(k, list(SinkKind)[i % 4], i // 4) for k in sizes for i in range(count)]
-    n = core + sum(k for k, _, _ in layout)
-    P = np.zeros((n, n))
-    w = rng.uniform(0.5, 5.0, n)
-    c = np.zeros(n)
-    P[:core, :core] = rng.uniform(0.0, 0.1, (core, core))
-    c[:core] = rng.uniform(0.5, 3.0, core)
-    start = core
-    for k, kind, i in layout:
-        S = slice(start, start + k)
-        block = rng.uniform(0.1, 1.0, (k, k))
-        P[S, S] = block / block.sum(axis=1, keepdims=True)
-        fed = kind is SinkKind.OUT_CONNECTED or (kind is SinkKind.NONZERO_SUM and i % 2 == 0)
-        if kind is SinkKind.OUT_CONNECTED:
-            P[S, S] *= rng.uniform(0.5, 0.9, (k, 1))
-            c[S] = rng.uniform(-1.0, 1.0, k)
-        elif kind is SinkKind.NONZERO_SUM:
-            c[S] = rng.uniform(-1.0, 1.0, k)
-            c[S] += (1.0 if fed else -1.0) * rng.uniform(0.3, 1.0) / k - c[S].mean()
-        elif k > 1:
-            d = 1.0 / 64 if kind is SinkKind.ZERO_SUM_SEGMENT else 8.0
-            c[start], c[start + 1] = -d, d
-        elif kind is SinkKind.ZERO_SUM_UNIQUE:
-            w[start] = 0.0  # the solution line x = t meets the box [0, 0] in one point
-        if fed:
-            P[rng.integers(core), S] = rng.uniform(0.01, 0.03, k)
-        start += k
-    return Network(P, w), c, [kind for _, kind, _ in layout]
 
 
 class TestStackedLayer:
