@@ -10,10 +10,10 @@ the induced block has spectral radius below one.
 None of this depends on the exogenous flow, so :func:`block_structure`
 computes it once per (immutable) Network and every analysis reads that copy.
 There, the trapping sets are stacked by size (:class:`SizeGroup`), the only
-per-set layout: ``set_of`` maps each node to its set, ``group_of(l)`` gives
-set l as a size group of one, and ``inflows`` gives the effective inflows
-as one vector indexed by node, so any reader gathers a set's share by its
-node ids.
+per-set layout, and every reader walks the size groups: ``set_of`` maps
+each node to its set, and ``inflows`` gives the effective inflows as one
+vector indexed by node, so any reader gathers a group's share by its node
+ids.
 """
 
 from __future__ import annotations
@@ -184,15 +184,15 @@ class SizeGroup(NamedTuple):
 class BlockStructure:
     """Everything the analyses need of a network that does not depend on c.
 
-    Per-set data lives in ``groups``, stacked by set size, so that every set
-    of one size is analysed by array operations at once; set l is row
-    ``place[l][1]`` of group ``place[l][0]``, :meth:`group_of` gives it as a
-    group of one, and ``set_of`` (n,) gives each node's set (-1 on transient
-    nodes). ``sink_nodes`` lists the sets' nodes set after set. ``routed``
-    is P restricted to transient rows and those sink-node columns, so the
-    effective inflows of all trapping sets are one matvec; it is the only
-    part of P kept here (at most n²/4 entries), and diagonal blocks of P are
-    sliced per call.
+    Per-set data lives in ``groups``, stacked by set size, and every reader
+    walks the groups, so that every set of one size is analysed by array
+    operations at once; set l is row
+    ``place[l][1]`` of group ``place[l][0]``, and ``set_of`` (n,) gives each
+    node's set (-1 on transient nodes). ``sink_nodes`` lists the sets' nodes
+    set after set. ``routed`` is P restricted to transient rows and those
+    sink-node columns, so the effective inflows of all trapping sets are one
+    matvec; it is the only part of P kept here (at most n²/4 entries), and
+    diagonal blocks of P are sliced per call.
     """
 
     decomposition: Decomposition
@@ -202,11 +202,6 @@ class BlockStructure:
     routed: np.ndarray
     groups: tuple[SizeGroup, ...]
     place: np.ndarray
-
-    def group_of(self, l: int) -> SizeGroup:
-        """Trapping set l as a size group of one: views of its row of its group."""
-        g, r = self.place[l]
-        return SizeGroup(*(a[r : r + 1] for a in self.groups[g]))
 
     def inflows(self, c: np.ndarray, x_T: np.ndarray) -> np.ndarray:
         """Effective inflow of every node at each of F flows, indexed by node (F, n).

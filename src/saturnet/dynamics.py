@@ -15,7 +15,7 @@ import numpy as np
 from ._fmt import csv_lines
 from .errors import InputError
 from .model import Network, as_flow, require_valid
-from .solver import fixed_point_residual
+from .solver import _residual
 
 
 @dataclass(frozen=True)
@@ -90,5 +90,5 @@ def simulate(
         times=np.asarray(times),
         states=np.asarray(states),
         terminal=terminal,
-        residual=fixed_point_residual(net, c, terminal),
+        residual=_residual(net, c, terminal),
     )

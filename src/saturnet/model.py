@@ -197,6 +197,13 @@ def as_flow(c, n: int) -> np.ndarray:
     return _as_vector(c, "c", n)
 
 
+def as_point(x, n: int) -> np.ndarray:
+    """Coerce an EquilibriumVector or array-like into a validated length-n point."""
+    if isinstance(x, EquilibriumVector):
+        x = x.x
+    return _as_vector(x, "x", n)
+
+
 def saturate(y, w) -> np.ndarray:
     """Clamp a vector entrywise to the box [0, w]."""
     y = _as_vector(y, "y")

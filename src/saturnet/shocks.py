@@ -27,7 +27,7 @@ from ._fmt import fmt_float
 from ._tol import ROUND_REL, flow_tolerance, scale
 from .decomposition import BlockStructure, block_structure
 from .errors import InputError, NotCriticalError
-from .model import EquilibriumVector, Network, as_flow, require_valid
+from .model import Network, as_flow, as_point, require_valid
 from .solver import (
     _SEGMENT,
     DEFAULT_OPTIONS,
@@ -145,12 +145,7 @@ def systemic_loss(net: Network, c0, c, x) -> float:
     c = as_flow(c, net.n)
     if np.any(c > c0 + flow_tolerance(ROUND_REL, scale(net.w), c0)):
         raise InputError("loss requires a shock: c must not exceed c0 entrywise")
-    if isinstance(x, EquilibriumVector):
-        x = x.x
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.n,):
-        raise InputError(f"x has shape {x.shape}, expected ({net.n},)")
-    return _loss(c0, c, net.w, x)
+    return _loss(c0, c, net.w, as_point(x, net.n))
 
 
 def loss_jump(net: Network, c_star, opts: SolveOptions | None = None) -> float:
@@ -181,18 +176,16 @@ def max_jump_norm(net: Network, p: float) -> float:
     if not (p >= 1):
         raise InputError("norm exponent p must be >= 1")
     st = block_structure(net)
-    terms = []
-    for l in range(len(st.decomposition.sinks)):
-        group = st.group_of(l)
-        if group.stochastic[0]:
-            pi = group.stationary[0]
-            terms.append((float(np.min(group.w[0] / pi)), pi))
-    if not terms:
-        return 0.0
+    # per set: min(w_i/pi_i), and max(pi) or sum(pi**p); zero on out-connected sets
+    size, spread = np.zeros((2, len(st.decomposition.sinks)))
+    for g in st.groups:
+        sets, w, pi = g.sets[g.stochastic], g.w[g.stochastic], g.stationary[g.stochastic]
+        size[sets] = np.min(w / pi, axis=1)
+        spread[sets] = np.max(pi, axis=1) if math.isinf(p) else np.sum(pi**p, axis=1)
+    terms = zip(size.tolist(), spread.tolist())
     if math.isinf(p):
-        return max(m * float(np.max(pi)) for m, pi in terms)
-    total = sum(m**p * float(np.sum(pi**p)) for m, pi in terms)
-    return float(total ** (1.0 / p))
+        return max(m * s for m, s in terms)
+    return float(sum(m**p * s for m, s in terms) ** (1.0 / p))
 
 
 def _flow_entries(st: BlockStructure) -> int:

@@ -35,9 +35,10 @@ the one it would get alone; a single flow is a stack of one. ``classify``,
 ``equilibrium_set``, ``refine`` and the shock sweep read the same verdicts
 (``SinkAnalysis`` objects are built from the arrays only for ``classify``
 and ``equilibrium_set``), so a unique verdict always comes with
-x_min == x_max. Where one set is needed (``refine``'s per-set solves and
-projection, the block an error names) it is taken as a size group of one,
-``BlockStructure.group_of``, and judged by the same ``_verdicts``.
+x_min == x_max. Every reader walks the size groups, ``refine`` too: one
+stacked pattern solve per group, and one projection for its wholly exposed
+stochastic sets. Only the block an error names is read as one row of its
+group, by the same ``_verdicts``.
 
 Every tolerance is relative to the box scale s = max w, with no floor (``_tol``).
 """
@@ -55,7 +56,7 @@ from ._linear import pinned_particular, segment_bounds, transposed_matvec
 from ._tol import TOUCH_REL, ZERO_SUM_REL, flow_tolerance, scale
 from .decomposition import BlockStructure, SizeGroup, block_structure, diagonal_blocks
 from .errors import InputError, NonConvergenceError, PartitionInconsistencyError
-from .model import EquilibriumVector, Network, as_flow, require_valid
+from .model import EquilibriumVector, Network, _as_vector, as_flow, as_point, require_valid
 
 
 @dataclass(frozen=True)
@@ -103,12 +104,12 @@ class NodePartition:
 
 def fixed_point_map(net: Network, c, x) -> np.ndarray:
     """One application of x -> clamp(P'x + c, [0, w])."""
-    return _map(net, as_flow(c, net.n), np.asarray(x, dtype=float))
+    return _map(net, as_flow(c, net.n), as_point(x, net.n))
 
 
 def fixed_point_residual(net: Network, c, x) -> float:
     """Sup-norm distance between x and its image under the saturated map."""
-    return _residual(net, as_flow(c, net.n), np.asarray(x, dtype=float))
+    return _residual(net, as_flow(c, net.n), as_point(x, net.n))
 
 
 def _map(net, c, x):
@@ -357,9 +358,7 @@ def iterate(net: Network, c, x0, opts: SolveOptions | None = None) -> Equilibriu
     opts = opts or DEFAULT_OPTIONS
     require_valid(net)
     c = as_flow(c, net.n)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (net.n,):
-        raise InputError(f"x0 has shape {x0.shape}, expected ({net.n},)")
+    x0 = _as_vector(x0, "x0", net.n)
     tol = opts.tol_fp * scale(net.w)
     if np.any(x0 < -tol) or np.any(x0 > net.w + tol):
         raise InputError("x0 must lie in the box [0, w]")
@@ -370,7 +369,7 @@ def iterate(net: Network, c, x0, opts: SolveOptions | None = None) -> Equilibriu
         x = xn
         if step <= tol:
             break
-    res = fixed_point_residual(net, c, x)
+    res = _residual(net, c, x)
     if step > tol and res > tol:
         raise NonConvergenceError(
             f"iteration did not converge within {used} steps (residual {res:.3g})",
@@ -406,9 +405,9 @@ def _checked_equilibrium(net, c, x, tol):
     """``(c, x, tol * s)`` as arrays; x must be an equilibrium to within ``tol`` relative to s."""
     require_valid(net)
     c = as_flow(c, net.n)
-    x = np.asarray(x.x if isinstance(x, EquilibriumVector) else x, dtype=float)
+    x = as_point(x, net.n)
     tol *= scale(net.w)
-    res = fixed_point_residual(net, c, x)
+    res = _residual(net, c, x)
     if res > tol:
         raise InputError(f"x is not an equilibrium (residual {res:.3g} > {tol:.3g})")
     return c, x, tol
@@ -440,23 +439,13 @@ def _block_label(net, st: BlockStructure, inflow, i, at=None) -> dict:
     l = int(st.set_of[i])
     if l < 0:
         return {"block": None, "kind": "transient", "nodes": st.transient, "at": at}
-    group = st.group_of(l)
-    kind = _KINDS[_verdicts(net.P, group, inflow[group.nodes]).kind[0]]
-    return {"block": l, "kind": kind, "nodes": group.nodes[0], "at": at}
+    g, r = st.place[l]
+    row = SizeGroup(*(a[r : r + 1] for a in st.groups[g]))
+    kind = _KINDS[_verdicts(net.P, row, inflow[row.nodes]).kind[0]]
+    return {"block": l, "kind": kind, "nodes": row.nodes[0], "at": at}
 
 
-def _refine_block(net, st: BlockStructure, nodes, inflow, pattern):
-    """``solve_patterns`` on the block ``nodes`` (a stack of one) at node inflows ``inflow``.
-
-    ``refine`` has no fallback if the block is singular.
-    """
-    x, ok = solve_patterns(diagonal_blocks(net.P, nodes), net.w[nodes], inflow[nodes], pattern[nodes])
-    if not ok[0]:
-        raise PartitionInconsistencyError(
-            "exposed block is singular outside the whole-trapping-set case",
-            **_block_label(net, st, inflow, nodes[0, 0]),
-        )
-    return x[0]
+_SINGULAR = "exposed block is singular outside the whole-trapping-set case"
 
 
 def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumVector:
@@ -466,25 +455,22 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     the dead-band ``tol_class * w_i`` of ``node_partition``, except that a
     node already on a bound (x_i <= 0 or x_i >= w_i) whose inflow lies
     beyond that bound is pinned there even inside its dead-band. Saturated nodes
-    are pinned to w or 0 and the exposed nodes are re-solved exactly, one
-    block at a time: the transient part first, then each trapping set at its
-    effective inflow, in decomposition order. If a stochastic trapping set
+    are pinned to w or 0 and the exposed nodes are re-solved exactly: the
+    transient part first, then every trapping set at its effective inflow,
+    one stacked solve per size group. If a stochastic trapping set
     is entirely exposed its linear system is singular (the solution set is a
     line); the input is then projected to the nearest line point inside the
     box, which the analysis of that set gives. Raises
-    PartitionInconsistencyError, naming the block at fault (for the final
-    check, the block of the node with the largest residual), when the result
-    does not reproduce itself under the map, which signals that the input
-    was too far from an equilibrium for the classification tolerance.
+    PartitionInconsistencyError, naming the block at fault (the trapping set
+    of lowest index, if several are; for the final check, the block of the
+    node with the largest residual), when the result does not reproduce
+    itself under the map, which signals that the input was too far from an
+    equilibrium for the classification tolerance.
     """
     opts = opts or DEFAULT_OPTIONS
     require_valid(net)
     c = as_flow(c, net.n)
-    if isinstance(x, EquilibriumVector):
-        x = x.x
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.n,):
-        raise InputError(f"x has shape {x.shape}, expected ({net.n},)")
+    x = as_point(x, net.n)
 
     # a node already on a bound has no dead-band on that side: an inflow
     # beyond the bound pins it there
@@ -494,38 +480,49 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     st = block_structure(net)
     T = st.transient
     known = np.where(pattern > 0, net.w, 0.0)
-    known[T] = _refine_block(net, st, T[None], c, pattern)
-    inflow = st.inflows(c[None], known[T][None])[0]
-    slack = 0.0
-    for l in range(len(st.decomposition.sinks)):
-        group = st.group_of(l)
-        S = group.nodes[0]
-        if pattern[S].all():
-            continue  # every node saturated: already pinned
-        if not group.stochastic[0] or pattern[S].any():
-            known[S] = _refine_block(net, st, group.nodes, inflow, pattern)
-            continue
-        # a wholly exposed stochastic set is singular: project x onto its line
-        v = _verdicts(net.P, group, inflow[group.nodes])
-        total = float(v.total[0])
-        if v.kind[0] == _NONZERO:
-            raise PartitionInconsistencyError(
-                "whole stochastic trapping set classified exposed but its inflow "
-                f"sum {total:.3g} is nonzero; no unsaturated solution exists",
-                **_block_label(net, st, inflow, S[0]),
+    x_T, ok = solve_patterns(diagonal_blocks(net.P, T[None]), net.w[T][None], c[T][None], pattern[T][None])
+    if not ok[0]:
+        raise PartitionInconsistencyError(_SINGULAR, **_block_label(net, st, c, T[0]))
+    known[T] = x_T[0]
+    inflow = st.inflows(c[None], x_T)[0]
+    faults, slack = [], 0.0  # (set, message) of every set at fault
+    for g in st.groups:
+        free = pattern[g.nodes] == 0
+        line = g.stochastic & free.all(axis=1)  # wholly exposed stochastic sets: singular
+        solve = free.any(axis=1) & ~line
+        if np.count_nonzero(solve):
+            nodes = g.nodes[solve]
+            known[nodes], ok = solve_patterns(
+                diagonal_blocks(net.P, nodes), g.w[solve], inflow[nodes], pattern[nodes]
             )
-        if not v.has_line[0]:
-            raise PartitionInconsistencyError(
-                "solution line of an exposed trapping set misses the box",
-                **_block_label(net, st, inflow, S[0]),
-            )
-        pi, base = group.stationary[0], v.base[0]
-        a_hat = float(pi @ (x[S] - base) / (pi @ pi))
-        a_hat = min(max(a_hat, v.line[0][0]), v.line[1][0])
-        known[S] = np.clip(base + a_hat * pi, 0.0, net.w[S])
-        slack = max(slack, abs(total))
+            faults += [(l, _SINGULAR) for l in g.sets[solve][~ok].tolist()]
+        if np.count_nonzero(line):
+            # project x onto each set's solution line
+            sets = SizeGroup(*(a[line] for a in g))
+            v = _verdicts(net.P, sets, inflow[sets.nodes])
+            nonzero = v.kind == _NONZERO
+            faults += [
+                (l, "whole stochastic trapping set classified exposed but its inflow "
+                 f"sum {total:.3g} is nonzero; no unsaturated solution exists")
+                for l, total in zip(sets.sets[nonzero].tolist(), v.total[nonzero].tolist())
+            ]
+            faults += [
+                (l, "solution line of an exposed trapping set misses the box")
+                for l in sets.sets[~nonzero & ~v.has_line].tolist()
+            ]
+            pi, base = sets.stationary, v.base
+            d = x[sets.nodes] - base
+            a_hat = (pi[:, None, :] @ d[:, :, None])[:, 0, 0] / (pi[:, None, :] @ pi[:, :, None])[:, 0, 0]
+            a_hat = np.minimum(np.maximum(a_hat, v.line[0]), v.line[1])
+            known[sets.nodes] = np.clip(base + a_hat[:, None] * pi, 0.0, sets.w)
+            slack = max(slack, float(np.abs(v.total).max()))
+    if faults:
+        l, message = min(faults)
+        raise PartitionInconsistencyError(
+            message, **_block_label(net, st, inflow, st.decomposition.sinks[l].nodes[0])
+        )
 
-    gaps = np.abs(fixed_point_map(net, c, known) - known)
+    gaps = np.abs(_map(net, c, known) - known)
     res = float(np.max(gaps))
     if res > _residual_gate(net, opts, slack):
         raise PartitionInconsistencyError(

@@ -33,8 +33,8 @@ from .solver import (
     _analyze,
     _assemble_extremes,
     _checked_equilibrium,
+    _map,
     _sink_analyses,
-    fixed_point_map,
 )
 
 
@@ -225,6 +225,6 @@ def nash_payments(net: Network, c, x, tol: float = DEFAULT_OPTIONS.tol_class) ->
     """
     c, x, _ = _checked_equilibrium(net, c, x, tol)
     payments = x[:, None] * net.P
-    best = fixed_point_map(net, c, x)
+    best = _map(net, c, x)
     residual = float(np.max(np.abs(x - best)[:, None] * net.P)) if net.n else 0.0
     return payments, residual

@@ -124,12 +124,12 @@ def test_cached_arrays_cannot_be_written():
     with pytest.raises(ValueError):
         analyses[0].stationary[0] = 1.0
     st = block_structure(net)
-    for arr in (st.transient, st.sink_nodes, st.set_of, st.routed, st.place, *st.group_of(0), *st.groups[0]):
+    for arr in (st.transient, st.sink_nodes, st.set_of, st.routed, st.place, *st.groups[0]):
         assert not arr.flags.writeable
 
 
 def test_whole_network_block_is_not_copied(triangle):
-    blocks = diagonal_blocks(triangle.P, block_structure(triangle).group_of(0).nodes)
+    blocks = diagonal_blocks(triangle.P, block_structure(triangle).groups[0].nodes)
     assert blocks.shape == (1, 3, 3) and np.shares_memory(blocks, triangle.P)
 
 

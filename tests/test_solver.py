@@ -19,10 +19,12 @@ from saturnet import (
     maximal_equilibrium,
     max_jump_norm,
     minimal_equilibrium,
+    nash_payments,
     node_partition,
     refine,
     stationary_distribution,
     sweep,
+    systemic_loss,
 )
 import saturnet._hunt
 from saturnet._hunt import hunt_unique, solve_patterns
@@ -49,6 +51,25 @@ class TestSolveOptions:
             SolveOptions(max_iter=0)
         with pytest.raises(InputError):
             SolveOptions(tol_fp=1e-6, tol_class=1e-9)
+
+
+# every function that takes a point x (or x0) of the triangle, called on x
+POINT_TAKERS = {
+    "fixed_point_map": lambda net, x: fixed_point_map(net, C_STAR, x),
+    "fixed_point_residual": lambda net, x: fixed_point_residual(net, C_STAR, x),
+    "node_partition": lambda net, x: node_partition(net, C_STAR, x),
+    "nash_payments": lambda net, x: nash_payments(net, C_STAR, x),
+    "refine": lambda net, x: refine(net, C_STAR, x),
+    "systemic_loss": lambda net, x: systemic_loss(net, C_STAR, C_STAR, x),
+    "iterate": lambda net, x: iterate(net, C_STAR, x),
+}
+
+
+@pytest.mark.parametrize("call", POINT_TAKERS.values(), ids=POINT_TAKERS.keys())
+@pytest.mark.parametrize("point", [[np.nan, 0.0, 0.0], [0.0, 0.0]], ids=["nan", "short"])
+def test_point_must_be_finite_and_of_length_n(triangle, call, point):
+    with pytest.raises(InputError, match="non-finite|length 2, expected 3"):
+        call(triangle, np.array(point))
 
 
 class TestIterate:
@@ -414,6 +435,19 @@ class TestBlockErrors:
         assert str(e).startswith("trapping set 1 (stochastic_nonzero_sum; nodes 2, 3): ")
         assert e.residual > 0.1 and e.candidate.shape == (4,)
 
+    def test_refine_names_the_lowest_faulty_set(self):
+        # set 0 (a 2-cycle) and set 1 (a one-node self-loop) are both wholly
+        # exposed with a nonzero inflow sum; set 1's size group comes first
+        P = np.zeros((3, 3))
+        P[0, 1] = P[1, 0] = P[2, 2] = 1.0
+        net = Network(P, np.ones(3))
+        with pytest.raises(PartitionInconsistencyError) as err:
+            refine(net, [0.1, 0.0, 0.2], [0.5, 0.5, 0.5])
+        e = err.value
+        assert (e.block, e.kind, e.nodes) == (0, SinkKind.NONZERO_SUM, (0, 1))
+        assert str(e).startswith("trapping set 0 (stochastic_nonzero_sum; nodes 0, 1): whole stochastic")
+        assert "sum 0.1 is nonzero" in str(e)
+
     def test_assembled_residual_names_the_worst_set(self, monkeypatch):
         net, c = shifted_second_set(monkeypatch)
         with pytest.raises(NonConvergenceError) as err:
@@ -601,7 +635,8 @@ class TestRefine:
         sizes = []
 
         def recording(A, b):
-            sizes.append(len(b))
+            # one size per system; a batched A holds len(A) systems
+            sizes.extend([A.shape[-1]] * (len(A) if A.ndim == 3 else 1))
             return solve(A, b)
 
         monkeypatch.setattr(np.linalg, "solve", recording)
