@@ -13,7 +13,7 @@ pass and one hunt per size group), and every point keeps, bit for bit, the
 equilibria it would get alone. The crossings of all stochastic sets are
 bisected in lockstep, each step one stacked transient hunt with one row
 per set still bracketing its root, and each set keeps the root it would
-get alone.
+get alone. ``loss_jump`` sums the gap of the same assembled extremes.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ from .model import Network, as_flow, as_point, require_valid
 from .solver import (
     _SEGMENT,
     DEFAULT_OPTIONS,
-    SinkKind,
     SolveOptions,
     _analyze,
     _assemble_extremes,
+    _is_unique,
     _transient_states,
 )
-from .structure import classify
 
 #: Absolute bisection tolerance on the critical shock magnitude.
 EPS_BISECT_TOL = 1e-10
@@ -151,18 +150,17 @@ def systemic_loss(net: Network, c0, c, x) -> float:
 def loss_jump(net: Network, c_star, opts: SolveOptions | None = None) -> float:
     """Size of the loss discontinuity at a flow with non-unique equilibria.
 
-    Equals the aggregate gap between the maximal and minimal equilibria,
-    i.e. the condition values of the segment sinks summed (the stationary
-    directions are normalized to sum 1). Raises NotCriticalError when the
-    equilibrium at c_star is unique.
+    The aggregate gap ``sum(x_max - x_min)``, as in ``CriticalCrossing``, so
+    the two agree bit for bit at a crossing's ``c_star``; up to rounding it is
+    the segment sets' condition values summed. Raises NotCriticalError when
+    the equilibrium at c_star is unique.
     """
     opts = opts or DEFAULT_OPTIONS
-    _, analyses, unique = classify(net, c_star, opts)
-    if unique:
+    found = _analyze(net, as_flow(c_star, net.n)[None], opts)
+    if _is_unique(found):
         raise NotCriticalError("equilibrium at c_star is unique; no jump to measure")
-    return float(
-        sum(a.condition_value for a in analyses if a.kind is SinkKind.ZERO_SUM_SEGMENT)
-    )
+    x, _ = _assemble_extremes(net, found, opts)
+    return float((x[1, 0] - x[0, 0]).sum())
 
 
 def max_jump_norm(net: Network, p: float) -> float:

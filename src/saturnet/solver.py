@@ -32,13 +32,14 @@ stacked pattern solve per step and number of free nodes. Each row keeps its
 own start side, gates, dead-band and solved patterns, and leaves the stack
 at the step where it alone would have settled, so its answer is bit for bit
 the one it would get alone; a single flow is a stack of one. ``classify``,
-``equilibrium_set``, ``refine`` and the shock sweep read the same verdicts
-(``SinkAnalysis`` objects are built from the arrays only for ``classify``
-and ``equilibrium_set``), so a unique verdict always comes with
-x_min == x_max. Every reader walks the size groups, ``refine`` too: one
-stacked pattern solve per group, and one projection for its wholly exposed
-stochastic sets. Only the block an error names is read as one row of its
-group, by the same ``_verdicts``.
+``equilibrium_set``, ``loss_jump``, ``refine`` and the shock sweep read the
+same verdicts (uniqueness by ``_is_unique``; ``SinkAnalysis`` objects only
+for ``classify``), so a unique verdict always comes with x_min == x_max, and
+every reported extreme, set end and jump comes from ``_assemble_extremes``.
+Every reader walks the size groups, ``refine`` too: one stacked pattern
+solve per group, and one projection for its wholly exposed stochastic sets.
+Only the block an error names is read as one row of its group, by the same
+``_verdicts``.
 
 Every tolerance is relative to the box scale s = max w, with no floor (``_tol``).
 """
@@ -340,10 +341,9 @@ def _assemble_extremes(net, found: _Analysis, opts):
     return x, res
 
 
-def _extremes(net, c, opts):
-    """Minimal and maximal equilibria, assembled blockwise: the stack of one flow."""
-    x, res = _assemble_extremes(net, _analyze(net, as_flow(c, net.n)[None], opts), opts)
-    return EquilibriumVector(x[0, 0], res[0, 0]), EquilibriumVector(x[1, 0], res[1, 0])
+def _is_unique(found: _Analysis) -> bool:
+    """Whether the equilibrium of an analysis is unique: no row of any group has kind ``_SEGMENT``."""
+    return not any(np.any(v.kind == _SEGMENT) for v in found.groups)
 
 
 # ----------------------------- public operations -----------------------------
@@ -381,24 +381,21 @@ def iterate(net: Network, c, x0, opts: SolveOptions | None = None) -> Equilibriu
 
 def minimal_equilibrium(net: Network, c, opts: SolveOptions | None = None) -> EquilibriumVector:
     """The entrywise-smallest equilibrium."""
-    opts = opts or DEFAULT_OPTIONS
-    lo, _ = _extremes(net, c, opts)
-    return lo
+    return extremal_equilibria(net, c, opts)[0]
 
 
 def maximal_equilibrium(net: Network, c, opts: SolveOptions | None = None) -> EquilibriumVector:
     """The entrywise-largest equilibrium."""
-    opts = opts or DEFAULT_OPTIONS
-    _, hi = _extremes(net, c, opts)
-    return hi
+    return extremal_equilibria(net, c, opts)[1]
 
 
 def extremal_equilibria(
     net: Network, c, opts: SolveOptions | None = None
 ) -> tuple[EquilibriumVector, EquilibriumVector]:
-    """Minimal and maximal equilibria in one pass."""
+    """Minimal and maximal equilibria in one pass, assembled blockwise: the stack of one flow."""
     opts = opts or DEFAULT_OPTIONS
-    return _extremes(net, c, opts)
+    x, res = _assemble_extremes(net, _analyze(net, as_flow(c, net.n)[None], opts), opts)
+    return EquilibriumVector(x[0, 0], res[0, 0]), EquilibriumVector(x[1, 0], res[1, 0])
 
 
 def _checked_equilibrium(net, c, x, tol):

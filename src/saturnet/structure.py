@@ -24,15 +24,16 @@ from ._linear import pinned_particular, stationary_block
 from ._tol import ROUND_REL, ZERO_SUM_REL, flow_tolerance
 from .decomposition import Decomposition, strongly_connected_components
 from .errors import InputError
-from .model import EPS_FEAS, Network, as_flow
+from .model import EPS_FEAS, Network, as_flow, as_point
 from .solver import (
+    _SEGMENT,
     DEFAULT_OPTIONS,
     SinkAnalysis,
-    SinkKind,
     SolveOptions,
     _analyze,
     _assemble_extremes,
     _checked_equilibrium,
+    _is_unique,
     _map,
     _sink_analyses,
 )
@@ -88,9 +89,7 @@ def classify(
     """Per-sink uniqueness analysis; the boolean is True iff no sink is a segment."""
     opts = opts or DEFAULT_OPTIONS
     found = _analyze(net, as_flow(c, net.n)[None], opts)
-    sinks = _sink_analyses(found)
-    unique = all(a.kind is not SinkKind.ZERO_SUM_SEGMENT for a in sinks)
-    return found.structure.decomposition, sinks, unique
+    return found.structure.decomposition, _sink_analyses(found), _is_unique(found)
 
 
 # ----------------------------- equilibrium set -----------------------------
@@ -109,20 +108,21 @@ class SegmentComponent:
     direction: np.ndarray  # positive, sums to 1
     alpha_min: float
     alpha_max: float
+    w: np.ndarray  # capacities of the nodes
 
     def at(self, alpha: float) -> np.ndarray:
-        """The member at ``alpha``, which may pass the bounds by rounding only."""
+        """The member at ``alpha`` (past a bound by rounding only), clipped to [0, w] as the extremes are."""
         slack = ROUND_REL * max(abs(self.alpha_min), abs(self.alpha_max))
         if not self.alpha_min - slack <= alpha <= self.alpha_max + slack:
             raise InputError(
                 f"alpha {alpha} outside [{self.alpha_min}, {self.alpha_max}]"
             )
-        return self.base + alpha * self.direction
+        return np.clip(self.base + alpha * self.direction, 0.0, self.w)
 
 
 @dataclass(frozen=True)
 class EquilibriumSet:
-    """Every equilibrium, as transient values plus one component per sink."""
+    """Every equilibrium: transient values, one component per sink; its ends are the extremes bit for bit."""
 
     n: int
     transient_nodes: tuple[int, ...]
@@ -148,13 +148,14 @@ class EquilibriumSet:
 
     def sample(self, alphas: dict[int, float]) -> np.ndarray:
         """Assemble the member with the given alpha per segment component index."""
+        for k, comp in enumerate(self.components):
+            if isinstance(comp, SegmentComponent) and k not in alphas:
+                raise InputError(f"alphas has no value for segment component {k}")
         return self._assemble(lambda k, comp: alphas[k])
 
     def distance_sup(self, x) -> float:
-        """Sup-norm distance from x to the nearest member of the set."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise InputError(f"x has shape {x.shape}, expected ({self.n},)")
+        """Sup-norm distance from a finite point x of length n to the nearest member of the set."""
+        x = as_point(x, self.n)
 
         def nearest(k, comp):
             d = comp.direction
@@ -193,25 +194,26 @@ class EquilibriumSet:
 
 
 def equilibrium_set(net: Network, c, opts: SolveOptions | None = None) -> EquilibriumSet:
-    """Explicit representation of all equilibria of (net, c)."""
+    """Explicit representation of all equilibria of (net, c), read off the solver's verdicts and extremes."""
     opts = opts or DEFAULT_OPTIONS
     found = _analyze(net, as_flow(c, net.n)[None], opts)
     x, _ = _assemble_extremes(net, found, opts)
-    sinks = _sink_analyses(found)
-    components = []
-    for a in sinks:
-        if a.kind is SinkKind.ZERO_SUM_SEGMENT:
-            components.append(
-                SegmentComponent(a.nodes, a.base, a.stationary, *a.alpha_range)
-            )
-        else:
-            components.append(FixedComponent(a.nodes, x[0, 0, list(a.nodes)]))
+    sinks = found.structure.decomposition.sinks
+    components = [None] * len(sinks)
+    for g, v in zip(found.structure.groups, found.groups):
+        lo, hi = v.alpha[0].tolist(), v.alpha[1].tolist()
+        for r, (l, code) in enumerate(zip(g.sets.tolist(), v.kind.tolist())):
+            nodes = sinks[l].nodes
+            if code == _SEGMENT:
+                components[l] = SegmentComponent(nodes, v.base[r], g.stationary[r], lo[r], hi[r], g.w[r])
+            else:
+                components[l] = FixedComponent(nodes, x[0, 0][g.nodes[r]])
     return EquilibriumSet(
         n=net.n,
         transient_nodes=found.structure.decomposition.transient,
         transient_values=found.transient[0],
         components=tuple(components),
-        is_unique=all(a.kind is not SinkKind.ZERO_SUM_SEGMENT for a in sinks),
+        is_unique=_is_unique(found),
     )
 
 

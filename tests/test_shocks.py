@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from saturnet import (
     SolveOptions,
     extremal_equilibria,
     find_critical_eps,
+    load_input,
     loss_jump,
     max_jump_norm,
     sweep,
@@ -28,6 +32,9 @@ from conftest import (
     C_BASE, C_STAR, CONDITION_STAR, PI_TRIANGLE, Q_DIR, TRIANGLE_P, TRIANGLE_W, X_MAX_STAR, X_MIN_STAR,
     core_feeding_sets, random_network,
 )
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def demo_ray(eps_hi=14.0, grid=57) -> ShockRay:
@@ -92,7 +99,24 @@ class TestLossJump:
 
     def test_equals_aggregate_gap(self, triangle):
         lo, hi = extremal_equilibria(triangle, C_STAR)
-        assert loss_jump(triangle, C_STAR) == pytest.approx(float((hi.x - lo.x).sum()), abs=1e-10)
+        assert loss_jump(triangle, C_STAR) == float((hi.x - lo.x).sum())
+
+    def test_equals_every_crossing_jump(self):
+        # the README sweep and the golden seeded ray: loss_jump at each
+        # crossing's c_star is the crossing's own loss_jump, bit for bit
+        baseline, _ = load_input(REPO / "demos" / "triangle_baseline.json")
+        ray_file = REPO / "tests" / "golden" / "seeded_ray.json"
+        seeded, flow = load_input(ray_file)
+        q = json.loads(ray_file.read_text(encoding="utf-8"))["q"]
+        rays = [
+            (baseline, ShockRay(C_BASE, Q_DIR, 0.0, 14.0, 1401)),
+            (seeded, ShockRay(flow.c, q, 0.0, 10.0, 101)),
+        ]
+        for net, ray in rays:
+            _, crossings = sweep(net, ray)
+            assert crossings
+            for cr in crossings:
+                assert loss_jump(net, cr.c_star) == cr.loss_jump
 
 
 class TestMaxJumpNorm:

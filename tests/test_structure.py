@@ -26,6 +26,7 @@ from conftest import (
     TRIANGLE_P,
     X_MAX_STAR,
     X_MIN_STAR,
+    core_feeding_sets,
     random_irreducible_stochastic,
     zero_sum_flow,
 )
@@ -183,6 +184,8 @@ class TestEquilibriumSet:
         assert eq_set.distance_sup(np.zeros(3)) > 0.01
 
     def test_endpoints_match_solver_random(self):
+        # the set's ends are the solver's extremes bit for bit, segments too,
+        # and lie in the box [0, w]
         rng = np.random.default_rng(83)
         cases = []
         for _ in range(100):
@@ -194,6 +197,13 @@ class TestEquilibriumSet:
         t = 1.0 - 1e-10
         cases.append((Network([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0]), np.array([t, -t])))
         cases.append((Network(TRIANGLE_P, [5e-10, 3e-10, 2e-10]), np.array([1.0, 0.5, -0.2]) * 1e-10))
+        # a core feeding sets of every kind and of sizes 1 to 4, at unit
+        # scale and scaled far up or down
+        rng = np.random.default_rng(211)
+        for _ in range(10):
+            net, c, _ = core_feeding_sets(rng, rng.permutation(4) + 1, 4)
+            s = 10.0 ** rng.uniform(-3.0, 6.0)
+            cases += [(net, c), (Network(net.P, s * net.w), s * c)]
         for net, c in cases:
             eq_set = equilibrium_set(net, c)
             lo, hi = extremal_equilibria(net, c)
@@ -201,10 +211,28 @@ class TestEquilibriumSet:
             assert eq_set.is_unique == unique
             if unique:
                 assert np.array_equal(lo.x, hi.x)
-                assert np.array_equal(eq_set.x_min(), lo.x)
-                assert np.array_equal(eq_set.x_max(), hi.x)
-            assert np.allclose(eq_set.x_min(), lo.x, atol=1e-9)
-            assert np.allclose(eq_set.x_max(), hi.x, atol=1e-9)
+            for x, end in ((eq_set.x_min(), lo.x), (eq_set.x_max(), hi.x)):
+                assert np.array_equal(x, end)
+                assert np.all((0.0 <= x) & (x <= net.w))
+
+    def test_distance_sup_checks_the_point(self, triangle):
+        for c in (C_STAR, [1.0, 1.0, 0.0]):  # a segment set and a unique one
+            eq_set = equilibrium_set(triangle, c)
+            with pytest.raises(InputError, match="x contains non-finite entries"):
+                eq_set.distance_sup([np.nan, 0.0, 0.0])
+            with pytest.raises(InputError, match="x has length 2, expected 3"):
+                eq_set.distance_sup([0.0, 0.0])
+
+    def test_distance_sup_takes_an_equilibrium_vector(self, triangle):
+        lo, hi = extremal_equilibria(triangle, C_STAR)
+        eq_set = equilibrium_set(triangle, C_STAR)
+        assert eq_set.distance_sup(lo) <= 1e-12
+        assert eq_set.distance_sup(hi) <= 1e-12
+
+    def test_sample_names_a_missing_alpha(self, triangle):
+        eq_set = equilibrium_set(triangle, C_STAR)
+        with pytest.raises(InputError, match="alphas has no value for segment component 0"):
+            eq_set.sample({})
 
     def test_matches_geometric_oracle_random(self):
         rng = np.random.default_rng(89)
