@@ -7,11 +7,16 @@ one. A stack of one matrix (1, k, k) is shared by every row of the
 vectors: it is broadcast, never copied.
 
 Power iteration is deliberately avoided: blocks may be periodic (a plain
-2-cycle oscillates) and the blocks handled here are small enough that dense
-solves are both exact and cheap.
+2-cycle oscillates), and a dense solve is exact. A large block that every
+row of a stack shares may instead be held as its edge list (``EdgeBlock``):
+a product with its transpose then costs one pass over its edges instead of
+k² entries, and its dense form is gathered only when a solve falls back to
+it.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +55,33 @@ def transposed_matvec(Q: np.ndarray, x: np.ndarray) -> np.ndarray:
     round differently.
     """
     return (x[:, None, :] @ Q)[:, 0, :]
+
+
+class EdgeBlock:
+    """One block Q of k nodes that every row of a stack shares, held as its edge list.
+
+    ``edges`` (rows, cols, weights) lists the entries Q[i, j] > 0 in
+    row-major order, in block labels 0..k-1. ``gather()`` returns the dense
+    block (1, k, k); ``dense`` calls it on first use only.
+    """
+
+    def __init__(self, edges, gather):
+        self.rows, self.cols, self.vals = edges
+        self._gather = gather
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        return self._gather()
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Q'x[i] for every row i of x (F, k), one ``np.bincount`` over the edges.
+
+        Row i's products are summed in edge order, in bins offset by i·k, so
+        each row gets bit for bit the answer it gets alone.
+        """
+        F, k = x.shape
+        bins = self.cols if F == 1 else (self.cols + k * np.arange(F)[:, None]).ravel()
+        return np.bincount(bins, weights=(x[:, self.rows] * self.vals).ravel(), minlength=F * k).reshape(F, k)
 
 
 def stationary_block(Q: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Graph structure of the routing matrix: trapping sets and the transient part.
 
 The directed graph of P has an edge i -> j wherever P[i][j] > 0 (exact
-comparison: routing fractions are data, a written zero means no edge). The
-sink components of its strong-component condensation are the irreducible
-trapping sets; every other node is transient. A trapping set is
+comparison: routing fractions are data, a written zero means no edge). Its
+edge list is scanned from P once per Network (``Network._edges``), and
+everything here reads that list. The sink components of its
+strong-component condensation are the irreducible trapping sets; every
+other node is transient. A trapping set is
 "out-connected" when some of its rows lose mass (sum below 1), in which case
 the induced block has spectral radius below one.
 
@@ -13,7 +15,9 @@ There, the trapping sets are stacked by size (:class:`SizeGroup`), the only
 per-set layout, and every reader walks the size groups: ``set_of`` maps
 each node to its set, and ``inflows`` gives the effective inflows as one
 vector indexed by node, so any reader gathers a group's share by its node
-ids.
+ids. The transient part and every trapping set of at least ``SPARSE_MIN``
+nodes also keep their edge lists (``BlockStructure.edges``), on which the
+hunt maps and solves them without their dense blocks.
 """
 
 from __future__ import annotations
@@ -26,6 +30,11 @@ import numpy as np
 from ._linear import stationary_block, transposed_matvec
 from .errors import InputError
 from .model import EPS_FEAS, Network, require_valid
+
+
+#: The transient part and every trapping set of at least this many nodes
+#: keep an edge list, and the hunt works on it; smaller blocks are dense.
+SPARSE_MIN = 512
 
 
 def _successors(n: int, rows: np.ndarray, cols: np.ndarray) -> list[list[int]]:
@@ -126,8 +135,7 @@ def decompose(net: Network) -> Decomposition:
     the induced block).
     """
     require_valid(net)
-    P = net.P
-    rows, cols = np.nonzero(P > 0)
+    rows, cols, _ = net._edges
     comps = _tarjan(_successors(net.n, rows, cols))
 
     label = np.empty(net.n, dtype=np.intp)
@@ -136,7 +144,7 @@ def decompose(net: Network) -> Decomposition:
     leaky = np.zeros(len(comps), dtype=bool)  # some edge leaves the component
     leaky[label[rows][label[rows] != label[cols]]] = True
     deficient = np.zeros(len(comps), dtype=bool)
-    deficient[label[P.sum(axis=1) < 1.0 - EPS_FEAS]] = True
+    deficient[label[net.P.sum(axis=1) < 1.0 - EPS_FEAS]] = True
 
     sinks = []
     transient: list[int] = []
@@ -191,8 +199,12 @@ class BlockStructure:
     node's set (-1 on transient nodes). ``sink_nodes`` lists the sets' nodes
     set after set. ``routed`` is P restricted to transient rows and those
     sink-node columns, so the effective inflows of all trapping sets are one
-    matvec; it is the only part of P kept here (at most n²/4 entries), and
-    diagonal blocks of P are sliced per call.
+    matvec; it is the only dense part of P kept here (at most n²/4
+    entries), and diagonal blocks of P are sliced per call. ``edges`` holds
+    the edge list (rows, cols, weights) of every block of at least
+    ``SPARSE_MIN`` nodes, keyed like ``set_of`` (-1 for the transient
+    part): the edges with both ends in the block, relabelled to it; a
+    block that spans every node shares the Network's own edge list.
     """
 
     decomposition: Decomposition
@@ -202,6 +214,7 @@ class BlockStructure:
     routed: np.ndarray
     groups: tuple[SizeGroup, ...]
     place: np.ndarray
+    edges: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def inflows(self, c: np.ndarray, x_T: np.ndarray) -> np.ndarray:
         """Effective inflow of every node at each of F flows, indexed by node (F, n).
@@ -223,6 +236,18 @@ def _size_group(P: np.ndarray, w: np.ndarray, sets, nodes, stochastic) -> SizeGr
     return SizeGroup(*map(_readonly, (sets, nodes, w[nodes], stochastic, stationary)))
 
 
+def _block_edges(net: Network, nodes: np.ndarray):
+    """The edges of P with both ends in the sorted node set ``nodes``, relabelled to it, row-major."""
+    if nodes.size == net.n:
+        return net._edges
+    rows, cols, vals = net._edges
+    label = np.full(net.n, -1, dtype=np.intp)
+    label[nodes] = np.arange(nodes.size)
+    rows, cols = label[rows], label[cols]
+    inside = (rows >= 0) & (cols >= 0)
+    return tuple(map(_readonly, (rows[inside], cols[inside], vals[inside])))
+
+
 def _build_structure(net: Network) -> BlockStructure:
     dec = decompose(net)
     T = np.asarray(dec.transient, dtype=np.intp)
@@ -239,11 +264,14 @@ def _build_structure(net: Network) -> BlockStructure:
         place[sets, 0], place[sets, 1] = len(groups), np.arange(len(sets))
         nodes = sink_nodes[starts[sets][:, None] + np.arange(k)]
         groups.append(_size_group(net.P, net.w, sets, nodes, stochastic[sets]))
+    large = [(-1, T)] if T.size >= SPARSE_MIN else []
+    large += [(l, np.asarray(s.nodes)) for l, s in enumerate(dec.sinks) if len(s.nodes) >= SPARSE_MIN]
     return BlockStructure(
         dec,
         *map(_readonly, (T, sink_nodes, set_of, net.P[np.ix_(T, sink_nodes)])),
         tuple(groups),
         _readonly(place),
+        {l: _block_edges(net, nodes) for l, nodes in large},
     )
 
 

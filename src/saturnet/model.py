@@ -81,8 +81,9 @@ class Network:
     by :func:`validate`, which reports rather than raises.
 
     Everything derived from (P, w) alone, such as the validation report
-    behind :func:`require_valid` and the trapping-set structure, is computed
-    on first use and kept on the object for every later call.
+    behind :func:`require_valid`, the edge list of P and the trapping-set
+    structure, is computed on first use and kept on the object for every
+    later call.
     """
 
     P: np.ndarray
@@ -103,6 +104,19 @@ class Network:
     @cached_property
     def _validation(self) -> ValidationReport:
         return validate(self)
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges i -> j of P (P[i, j] > 0), row-major: (rows, cols, weights), read-only.
+
+        The one scan of P for its edges; ``decompose`` and the hunt's edge
+        lists read it.
+        """
+        rows, cols = np.nonzero(self.P > 0)
+        edges = rows, cols, self.P[rows, cols]
+        for a in edges:
+            a.setflags(write=False)
+        return edges
 
 
 @dataclass(frozen=True)

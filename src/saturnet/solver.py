@@ -41,6 +41,12 @@ solve per group, and one projection for its wholly exposed stochastic sets.
 Only the block an error names is read as one row of its group, by the same
 ``_verdicts``.
 
+A block with an edge list (``BlockStructure.edges``: the transient part or
+a trapping set of at least ``SPARSE_MIN`` nodes) is hunted on it, as a stack
+of its own rows (``_hunt_stacks``), with Neumann pattern solves and the dense
+solve as fallback; smaller blocks are hunted dense. Either way the assembled
+extremes pass the same dense residual check, ``P'x + c`` against x.
+
 Every tolerance is relative to the box scale s = max w, with no floor (``_tol``).
 """
 
@@ -53,7 +59,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._hunt import hunt_unique, saturation_pattern, solve_patterns
-from ._linear import pinned_particular, segment_bounds, transposed_matvec
+from ._linear import EdgeBlock, pinned_particular, segment_bounds, transposed_matvec
 from ._tol import TOUCH_REL, ZERO_SUM_REL, flow_tolerance, scale
 from .decomposition import BlockStructure, SizeGroup, block_structure, diagonal_blocks
 from .errors import InputError, NonConvergenceError, PartitionInconsistencyError
@@ -123,6 +129,30 @@ def _residual(net, c, x) -> float:
     return float(np.max(np.abs(_map(net, c, x) - x))) if net.n else 0.0
 
 
+def _hunt_block(net, st: BlockStructure, nodes):
+    """The matrix ``hunt_unique`` takes for the blocks on ``nodes`` (m, k), one block per row.
+
+    A block with an edge list in ``st.edges``, which every row then shares
+    (``_hunt_stacks``), is an EdgeBlock on it, gathered dense only if a
+    pattern solve falls back to it; any other stack is gathered dense.
+    """
+    edges = st.edges.get(int(st.set_of[nodes[0, 0]]))
+    if edges is None:
+        return diagonal_blocks(net.P, nodes)
+    return EdgeBlock(edges, lambda: diagonal_blocks(net.P, nodes[:1]))
+
+
+def _hunt_stacks(st: BlockStructure, group: SizeGroup, hunt):
+    """The rows marked ``hunt`` of a size group, split into the stacks that are hunted together.
+
+    Sets without an edge list make one stack; the rows of a set with one
+    (one row per flow) make a stack of their own, which shares it.
+    """
+    if int(group.sets[0]) not in st.edges:
+        return [hunt] if np.count_nonzero(hunt) else []
+    return [hunt & (group.sets == l) for l in sorted(set(group.sets[hunt].tolist()))]
+
+
 def _transient_states(net, st: BlockStructure, c, opts, at=None) -> np.ndarray:
     """Equilibrium values on the transient part (unique) at each flow of ``c`` (F, n); (F, k_T).
 
@@ -133,7 +163,7 @@ def _transient_states(net, st: BlockStructure, c, opts, at=None) -> np.ndarray:
     if T.size == 0:
         return np.zeros((F, 0))
     return hunt_unique(
-        diagonal_blocks(net.P, T[None]), np.broadcast_to(net.w[T], (F, T.size)), c[:, T], opts,
+        _hunt_block(net, st, T[None]), np.broadcast_to(net.w[T], (F, T.size)), c[:, T], opts,
         np.zeros(F, dtype=bool), lambda f: _block_label(net, st, None, T[0], at and at(f)),
     )
 
@@ -318,11 +348,10 @@ def _assemble_extremes(net, found: _Analysis, opts):
             x[0, f, nodes] = np.clip(base + v.line[0][line, None] * pi, 0.0, w)
             x[1, f, nodes] = np.clip(base + v.line[1][line, None] * pi, 0.0, w)
             np.maximum(slack, np.where(line, np.abs(v.total), 0.0).reshape(F, -1).max(axis=1), out=slack)
-        hunt = ~line
-        if np.count_nonzero(hunt):
+        for hunt in _hunt_stacks(st, g, ~line):
             nodes, f, from_top = g.nodes[hunt], flow[hunt], g.stochastic[hunt] & (v.total[hunt] > 0)
             x[:, f[:, None], nodes] = hunt_unique(
-                diagonal_blocks(net.P, nodes), g.w[hunt], v.inflow[hunt], opts, from_top,
+                _hunt_block(net, st, nodes), g.w[hunt], v.inflow[hunt], opts, from_top,
                 lambda i: _block_label(net, st, found.inflow[f[i]], nodes[i, 0], at and at(f[i])),
             )
     gate = _residual_gate(net, opts, slack)

@@ -120,6 +120,28 @@ class SegmentComponent:
         return np.clip(self.base + alpha * self.direction, 0.0, self.w)
 
 
+def _sup_nearest_alpha(comp: SegmentComponent, y: np.ndarray) -> float:
+    """The alpha whose member of ``comp`` is nearest to ``y`` (on its nodes) in the sup norm.
+
+    Each member coordinate rises with alpha, so the largest overshoot
+    max(member - y) rises and the largest shortfall max(y - member) falls;
+    the distance, the larger of the two, is least where they cross, or at a
+    bound. That crossing is bisected to the last bit.
+    """
+    def excess(a):
+        gap = comp.at(a) - y
+        return gap.max() - (-gap).max()
+
+    lo, hi = comp.alpha_min, comp.alpha_max
+    if excess(lo) >= 0.0:
+        return lo
+    if excess(hi) <= 0.0:
+        return hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if excess(mid) < 0.0 else (lo, mid)
+    return min((lo, hi), key=lambda a: np.abs(comp.at(a) - y).max())
+
+
 @dataclass(frozen=True)
 class EquilibriumSet:
     """Every equilibrium: transient values, one component per sink; its ends are the extremes bit for bit."""
@@ -154,15 +176,14 @@ class EquilibriumSet:
         return self._assemble(lambda k, comp: alphas[k])
 
     def distance_sup(self, x) -> float:
-        """Sup-norm distance from a finite point x of length n to the nearest member of the set."""
+        """Sup-norm distance from a finite point x of length n to the nearest member of the set.
+
+        The components are independent, so each segment component takes the
+        alpha nearest to x in the sup norm (``_sup_nearest_alpha``).
+        """
         x = as_point(x, self.n)
-
-        def nearest(k, comp):
-            d = comp.direction
-            a = float(d @ (x[list(comp.nodes)] - comp.base) / (d @ d))
-            return min(max(a, comp.alpha_min), comp.alpha_max)
-
-        return float(np.max(np.abs(x - self._assemble(nearest)))) if self.n else 0.0
+        nearest = self._assemble(lambda k, comp: _sup_nearest_alpha(comp, x[list(comp.nodes)]))
+        return float(np.max(np.abs(x - nearest))) if self.n else 0.0
 
     def to_json_dict(self) -> dict:
         comps = []

@@ -86,6 +86,31 @@ def strongly_connected_routing(rng, n, row_sums) -> np.ndarray:
     return P / P.sum(axis=1)[:, None] * row_sums[:, None]
 
 
+def large_blocks(rng, core, big, small=4, stochastic=False) -> tuple[Network, np.ndarray]:
+    """A transient core feeding one trapping set of ``big`` nodes and ``small`` 2-node sets, labels shuffled.
+
+    The core and the big set are sparse and strongly connected. Core rows
+    keep 0.5-0.9 of their mass inside the core and send part of the rest to
+    one node outside it. The big set is out-connected (row sums 0.8-0.98) or
+    stochastic, the small sets leak or not at random, and the flow is
+    c = w·U(-0.8, 0.6), so some nodes saturate. Returns (net, c).
+    """
+    n = core + big + 2 * small
+    P = np.zeros((n, n))
+    P[:core, :core] = strongly_connected_routing(rng, core, rng.uniform(0.5, 0.9, core))
+    sinks = np.arange(core, n)
+    P[np.arange(core), rng.choice(sinks, core)] = (1.0 - P[:core].sum(axis=1)) * rng.uniform(0.0, 1.0, core)
+    B = slice(core, core + big)
+    P[B, B] = strongly_connected_routing(rng, big, np.ones(big) if stochastic else rng.uniform(0.8, 0.98, big))
+    for start in range(core + big, n, 2):
+        p = rng.uniform(0.1, 0.9)
+        P[start : start + 2, start : start + 2] = np.array([[p, 1 - p], [1 - p, p]]) * rng.choice([1.0, 0.9])
+    w = rng.uniform(1.0, 10.0, n)
+    c = w * rng.uniform(-0.8, 0.6, n)
+    order = rng.permutation(n)
+    return Network(P[np.ix_(order, order)], w[order]), c[order]
+
+
 def hunt_case(rng, kind, sign=1.0) -> tuple[Network, np.ndarray]:
     """One seeded (net, c) pair, n up to 50, whose one trapping set is hunted.
 

@@ -17,7 +17,15 @@ import pytest
 import saturnet as sn
 from saturnet.decomposition import block_structure, diagonal_blocks
 
-from conftest import C_STAR, TRIANGLE_P, TRIANGLE_W, random_network, zero_sum_flow
+from conftest import (
+    C_STAR,
+    TRIANGLE_P,
+    TRIANGLE_W,
+    large_blocks,
+    random_network,
+    strongly_connected_routing,
+    zero_sum_flow,
+)
 
 
 def _same(a, b) -> bool:
@@ -126,6 +134,32 @@ def test_cached_arrays_cannot_be_written():
     st = block_structure(net)
     for arr in (st.transient, st.sink_nodes, st.set_of, st.routed, st.place, *st.groups[0]):
         assert not arr.flags.writeable
+
+
+def test_one_edge_scan_per_network(monkeypatch):
+    # decompose and block_structure read the Network's one cached edge list:
+    # P > 0 is scanned once, every edge array is read-only, and a block that
+    # spans the network keeps the Network's own arrays
+    rng = np.random.default_rng(31)
+    spanning = sn.Network(strongly_connected_routing(rng, 600, rng.uniform(0.8, 0.98, 600)), np.ones(600))
+    transient, _ = large_blocks(rng, 600, 3)
+    nonzero = np.nonzero
+    for net in (spanning, transient):
+        scans = []
+
+        def recording(a):
+            if np.ndim(a) == 2 and np.array_equal(a, net.P > 0):
+                scans.append(a.shape)
+            return nonzero(a)
+
+        monkeypatch.setattr(np, "nonzero", recording)
+        sn.decompose(net)
+        st = block_structure(net)
+        monkeypatch.undo()
+        assert len(scans) == 1
+        (block,) = st.edges.values()
+        assert not any(a.flags.writeable for a in (*net._edges, *block))
+        assert all(a is b for a, b in zip(block, net._edges)) == (net is spanning)
 
 
 def test_whole_network_block_is_not_copied(triangle):

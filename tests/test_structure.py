@@ -215,6 +215,32 @@ class TestEquilibriumSet:
                 assert np.array_equal(x, end)
                 assert np.all((0.0 <= x) & (x <= net.w))
 
+    def test_distance_sup_is_the_sup_norm_distance(self):
+        # stationary vector (0.2, 0.8): the member (0.2, 0.8) at alpha 1 is
+        # 0.8 from (1, 0); the Euclidean projection's member is 0.941 away
+        net = Network([[0.0, 1.0], [0.25, 0.75]], [10.0, 10.0])
+        assert equilibrium_set(net, [0.0, 0.0]).distance_sup([1.0, 0.0]) == pytest.approx(0.8, abs=1e-15)
+
+    def test_distance_sup_matches_an_alpha_scan_random(self):
+        # no member of a dense alpha scan is nearer, and the nearest one is
+        # no farther than one scan step can move a member
+        rng = np.random.default_rng(97)
+        done = 0
+        while done < 40:
+            P = random_irreducible_stochastic(rng, 6)
+            n = P.shape[0]
+            eq_set = equilibrium_set(Network(P, rng.uniform(0.5, 4.0, n)), zero_sum_flow(rng, n))
+            if eq_set.is_unique:
+                continue
+            comp = eq_set.components[0]
+            alphas = np.linspace(comp.alpha_min, comp.alpha_max, 20001)
+            members = np.clip(comp.base + alphas[:, None] * comp.direction, 0.0, comp.w)
+            for x in rng.uniform(-1.0, 5.0, (5, n)):
+                scan = np.abs(members - x).max(axis=1).min()
+                step = (alphas[1] - alphas[0]) * comp.direction.max()
+                assert scan - step - 1e-12 <= eq_set.distance_sup(x) <= scan + 1e-12
+            done += 1
+
     def test_distance_sup_checks_the_point(self, triangle):
         for c in (C_STAR, [1.0, 1.0, 0.0]):  # a segment set and a unique one
             eq_set = equilibrium_set(triangle, c)
