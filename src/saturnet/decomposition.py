@@ -3,9 +3,9 @@
 The directed graph of P has an edge i -> j wherever P[i][j] > 0 (exact
 comparison: routing fractions are data, a written zero means no edge). Its
 edge list is scanned from P once per Network (``Network._edges``), and
-everything here reads that list. The sink components of its
-strong-component condensation are the irreducible trapping sets; every
-other node is transient. A trapping set is
+everything here reads that list until the block structure is built. The
+sink components of its strong-component condensation are the irreducible
+trapping sets; every other node is transient. A trapping set is
 "out-connected" when some of its rows lose mass (sum below 1), in which case
 the induced block has spectral radius below one.
 
@@ -16,8 +16,9 @@ per-set layout, and every reader walks the size groups: ``set_of`` maps
 each node to its set, and ``inflows`` gives the effective inflows as one
 vector indexed by node, so any reader gathers a group's share by its node
 ids. The transient part and every trapping set of at least ``SPARSE_MIN``
-nodes also keep their edge lists (``BlockStructure.edges``), on which the
-hunt maps and solves them without their dense blocks.
+nodes whose edges fill at most ``SPARSE_FILL`` of their block also keep
+their edge lists (``BlockStructure.edges``), on which the hunt maps and
+solves them without their dense blocks.
 """
 
 from __future__ import annotations
@@ -32,9 +33,18 @@ from .errors import InputError
 from .model import EPS_FEAS, Network, require_valid
 
 
-#: The transient part and every trapping set of at least this many nodes
-#: keep an edge list, and the hunt works on it; smaller blocks are dense.
+#: The transient part and every trapping set of at least SPARSE_MIN nodes
+#: whose edges number at most SPARSE_FILL times the square of that keep an
+#: edge list, and the hunt works on it; other blocks are dense. Measured on
+#: ``extremal_equilibria`` for one out-connected block of k nodes (one BLAS
+#: thread, 2-vCPU host, row sums 0.8-0.98, 0.97-0.9999 and 1 - 1e-6): the
+#: edge path took 0.65-0.80 of the dense path's time at k = 512 with 4-8
+#: edges per node, 0.3-0.4 at k = 1024 with 4-16 and 0.1-0.2 at k = 2048
+#: with 4-32; it lost from 16 edges per node at k = 512 (up to 1.33), 64
+#: at k = 1024 and 256 at k = 2048, and a full block of 512 nodes took 16
+#: times as long.
 SPARSE_MIN = 512
+SPARSE_FILL = 1 / 64
 
 
 def _successors(n: int, rows: np.ndarray, cols: np.ndarray) -> list[list[int]]:
@@ -135,7 +145,7 @@ def decompose(net: Network) -> Decomposition:
     the induced block).
     """
     require_valid(net)
-    rows, cols, _ = net._edges
+    rows, cols = net._edges
     comps = _tarjan(_successors(net.n, rows, cols))
 
     label = np.empty(net.n, dtype=np.intp)
@@ -202,9 +212,9 @@ class BlockStructure:
     matvec; it is the only dense part of P kept here (at most n²/4
     entries), and diagonal blocks of P are sliced per call. ``edges`` holds
     the edge list (rows, cols, weights) of every block of at least
-    ``SPARSE_MIN`` nodes, keyed like ``set_of`` (-1 for the transient
-    part): the edges with both ends in the block, relabelled to it; a
-    block that spans every node shares the Network's own edge list.
+    ``SPARSE_MIN`` nodes and at most ``SPARSE_FILL`` filled, keyed like
+    ``set_of`` (-1 for the transient part): the edges with both ends in the
+    block, relabelled to it (``_block_edges``).
     """
 
     decomposition: Decomposition
@@ -237,15 +247,24 @@ def _size_group(P: np.ndarray, w: np.ndarray, sets, nodes, stochastic) -> SizeGr
 
 
 def _block_edges(net: Network, nodes: np.ndarray):
-    """The edges of P with both ends in the sorted node set ``nodes``, relabelled to it, row-major."""
-    if nodes.size == net.n:
-        return net._edges
-    rows, cols, vals = net._edges
-    label = np.full(net.n, -1, dtype=np.intp)
-    label[nodes] = np.arange(nodes.size)
-    rows, cols = label[rows], label[cols]
-    inside = (rows >= 0) & (cols >= 0)
-    return tuple(map(_readonly, (rows[inside], cols[inside], vals[inside])))
+    """The edges of P with both ends in the sorted node set ``nodes``, relabelled to it, row-major.
+
+    (rows, cols, weights), read-only; a set that spans every node keeps the
+    Network's own rows and cols. None when they number more than
+    ``SPARSE_FILL * k**2`` for k nodes.
+    """
+    rows, cols = net._edges
+    if nodes.size < net.n:
+        label = np.full(net.n, -1, dtype=np.intp)
+        label[nodes] = np.arange(nodes.size)
+        inside = (label[rows] >= 0) & (label[cols] >= 0)
+        rows, cols = rows[inside], cols[inside]
+    if rows.size > SPARSE_FILL * nodes.size**2:
+        return None
+    vals = net.P[rows, cols]
+    if nodes.size < net.n:
+        rows, cols = label[rows], label[cols]
+    return tuple(map(_readonly, (rows, cols, vals)))
 
 
 def _build_structure(net: Network) -> BlockStructure:
@@ -271,7 +290,7 @@ def _build_structure(net: Network) -> BlockStructure:
         *map(_readonly, (T, sink_nodes, set_of, net.P[np.ix_(T, sink_nodes)])),
         tuple(groups),
         _readonly(place),
-        {l: _block_edges(net, nodes) for l, nodes in large},
+        {l: e for l, nodes in large if (e := _block_edges(net, nodes)) is not None},
     )
 
 
@@ -279,13 +298,15 @@ def block_structure(net: Network) -> BlockStructure:
     """The flow-independent structure of ``net``, built on first use.
 
     It is kept on the Network object (whose arrays are frozen), so every
-    later call on the same object reuses it. Raises InputError for an
-    invalid network, on every call.
+    later call on the same object reuses it; the Network's edge list is
+    dropped once it is built. Raises InputError for an invalid network, on
+    every call.
     """
     cached = net.__dict__.get("_block_structure")
     if cached is None:
         cached = _build_structure(net)
         object.__setattr__(net, "_block_structure", cached)
+        net.__dict__.pop("_edges", None)
     return cached
 
 

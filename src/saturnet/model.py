@@ -81,9 +81,8 @@ class Network:
     by :func:`validate`, which reports rather than raises.
 
     Everything derived from (P, w) alone, such as the validation report
-    behind :func:`require_valid`, the edge list of P and the trapping-set
-    structure, is computed on first use and kept on the object for every
-    later call.
+    behind :func:`require_valid` and the trapping-set structure, is computed
+    on first use and kept on the object for every later call.
     """
 
     P: np.ndarray
@@ -106,14 +105,14 @@ class Network:
         return validate(self)
 
     @cached_property
-    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The edges i -> j of P (P[i, j] > 0), row-major: (rows, cols, weights), read-only.
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges i -> j of P (P[i, j] > 0), row-major: (rows, cols), read-only.
 
-        The one scan of P for its edges; ``decompose`` and the hunt's edge
-        lists read it.
+        The one scan of P for its edges: ``decompose`` reads it, and
+        ``block_structure`` takes the edge lists of its large sparse blocks
+        from it and then drops it, so it is not kept beside P.
         """
-        rows, cols = np.nonzero(self.P > 0)
-        edges = rows, cols, self.P[rows, cols]
+        edges = np.nonzero(self.P > 0)
         for a in edges:
             a.setflags(write=False)
         return edges

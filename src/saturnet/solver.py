@@ -42,9 +42,10 @@ Only the block an error names is read as one row of its group, by the same
 ``_verdicts``.
 
 A block with an edge list (``BlockStructure.edges``: the transient part or
-a trapping set of at least ``SPARSE_MIN`` nodes) is hunted on it, as a stack
-of its own rows (``_hunt_stacks``), with Neumann pattern solves and the dense
-solve as fallback; smaller blocks are hunted dense. Either way the assembled
+a trapping set of at least ``SPARSE_MIN`` nodes whose edges fill at most
+``SPARSE_FILL`` of it) is hunted on it, as a stack of its own rows
+(``_hunt_stacks``), with Neumann pattern solves and the dense solve as
+fallback; other blocks are hunted dense. Either way the assembled
 extremes pass the same dense residual check, ``P'x + c`` against x.
 
 Every tolerance is relative to the box scale s = max w, with no floor (``_tol``).
@@ -145,12 +146,16 @@ def _hunt_block(net, st: BlockStructure, nodes):
 def _hunt_stacks(st: BlockStructure, group: SizeGroup, hunt):
     """The rows marked ``hunt`` of a size group, split into the stacks that are hunted together.
 
-    Sets without an edge list make one stack; the rows of a set with one
-    (one row per flow) make a stack of their own, which shares it.
+    The rows of a set with an edge list (one row per flow) make a stack of
+    their own, which shares it, in set order; the sets without one make
+    one stack, last.
     """
-    if int(group.sets[0]) not in st.edges:
-        return [hunt] if np.count_nonzero(hunt) else []
-    return [hunt & (group.sets == l) for l in sorted(set(group.sets[hunt].tolist()))]
+    edged = sorted(st.edges.keys() & set(group.sets[hunt].tolist())) if st.edges else []
+    stacks = [hunt & (group.sets == l) for l in edged]
+    rest = hunt.copy()
+    for stack in stacks:
+        rest &= ~stack
+    return stacks + [rest] if np.count_nonzero(rest) else stacks
 
 
 def _transient_states(net, st: BlockStructure, c, opts, at=None) -> np.ndarray:
@@ -331,8 +336,9 @@ def _assemble_extremes(net, found: _Analysis, opts):
     ones ``x[1]``, and their residuals (2, F). Sets with a line take its
     endpoints; every other set has one equilibrium, and each size group
     hunts those of its sets at every flow together, each from the heavy
-    side of its inflow. An error names the first flow at fault, the
-    minimal side first.
+    side of its inflow; a set hunted on its edge list is a stack of its
+    own. An error names the first flow at fault; at that flow a failed
+    hunt names its lowest set, and the residual check the minimal side.
     """
     st, c, at = found.structure, found.c, found.at
     F, n = c.shape
@@ -348,12 +354,23 @@ def _assemble_extremes(net, found: _Analysis, opts):
             x[0, f, nodes] = np.clip(base + v.line[0][line, None] * pi, 0.0, w)
             x[1, f, nodes] = np.clip(base + v.line[1][line, None] * pi, 0.0, w)
             np.maximum(slack, np.where(line, np.abs(v.total), 0.0).reshape(F, -1).max(axis=1), out=slack)
+        failed = []  # (flow, set, error) of every stack whose hunt fails
         for hunt in _hunt_stacks(st, g, ~line):
             nodes, f, from_top = g.nodes[hunt], flow[hunt], g.stochastic[hunt] & (v.total[hunt] > 0)
-            x[:, f[:, None], nodes] = hunt_unique(
-                _hunt_block(net, st, nodes), g.w[hunt], v.inflow[hunt], opts, from_top,
-                lambda i: _block_label(net, st, found.inflow[f[i]], nodes[i, 0], at and at(f[i])),
-            )
+            named = []  # the row the hunt's error names
+
+            def label(i):
+                named.append(i)
+                return _block_label(net, st, found.inflow[f[i]], nodes[i, 0], at and at(f[i]))
+
+            try:
+                x[:, f[:, None], nodes] = hunt_unique(
+                    _hunt_block(net, st, nodes), g.w[hunt], v.inflow[hunt], opts, from_top, label
+                )
+            except NonConvergenceError as err:
+                failed.append((int(f[named[0]]), err.block, err))
+        if failed:  # the row one stack of the whole group would name
+            raise min(failed, key=lambda fault: fault[:2])[2]
     gate = _residual_gate(net, opts, slack)
     y = transposed_matvec(net.P[None], x.reshape(2 * F, n)).reshape(x.shape) + c
     gaps = np.abs(np.minimum(np.maximum(y, 0.0), net.w) - x)

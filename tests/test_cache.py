@@ -138,8 +138,9 @@ def test_cached_arrays_cannot_be_written():
 
 def test_one_edge_scan_per_network(monkeypatch):
     # decompose and block_structure read the Network's one cached edge list:
-    # P > 0 is scanned once, every edge array is read-only, and a block that
-    # spans the network keeps the Network's own arrays
+    # P > 0 is scanned once, every edge array is read-only, a block that
+    # spans the network keeps the Network's own rows and cols, and the
+    # Network's list is dropped once the structure is built
     rng = np.random.default_rng(31)
     spanning = sn.Network(strongly_connected_routing(rng, 600, rng.uniform(0.8, 0.98, 600)), np.ones(600))
     transient, _ = large_blocks(rng, 600, 3)
@@ -154,12 +155,14 @@ def test_one_edge_scan_per_network(monkeypatch):
 
         monkeypatch.setattr(np, "nonzero", recording)
         sn.decompose(net)
+        edges = net._edges
         st = block_structure(net)
         monkeypatch.undo()
-        assert len(scans) == 1
+        assert len(scans) == 1 and "_edges" not in net.__dict__
         (block,) = st.edges.values()
-        assert not any(a.flags.writeable for a in (*net._edges, *block))
-        assert all(a is b for a, b in zip(block, net._edges)) == (net is spanning)
+        assert not any(a.flags.writeable for a in (*edges, *block))
+        assert all(a is b for a, b in zip(block[:2], edges)) == (net is spanning)
+        assert block[2].tolist() == net.P[net.P > 0].tolist() if net is spanning else len(block[2]) < len(edges[0])
 
 
 def test_whole_network_block_is_not_copied(triangle):

@@ -13,10 +13,10 @@ import pytest
 
 import saturnet._hunt
 import saturnet.decomposition
-from saturnet import Network, SolveOptions, extremal_equilibria
+from saturnet import Network, NonConvergenceError, SolveOptions, extremal_equilibria
 from saturnet._hunt import hunt_unique, neumann_patterns, solve_patterns
 from saturnet._linear import EdgeBlock
-from saturnet.decomposition import SPARSE_MIN, block_structure
+from saturnet.decomposition import SPARSE_FILL, SPARSE_MIN, block_structure
 from saturnet.solver import _analyze, _assemble_extremes
 
 from conftest import large_blocks, strongly_connected_routing
@@ -67,7 +67,7 @@ def test_stack_of_flows_as_if_alone():
     rng = np.random.default_rng(1013)
     opts = SolveOptions()
     net, c = sparse_core(rng, 700, rng.uniform(0.8, 0.98, 700))
-    block = EdgeBlock(net._edges, lambda: net.P[None])
+    block = EdgeBlock(block_structure(net).edges[0], lambda: net.P[None])
     flows = c * rng.uniform(0.2, 1.8, (5, net.n))
     w = np.broadcast_to(net.w, flows.shape)
     from_top = np.array([False, True, False, True, True])
@@ -92,7 +92,7 @@ def test_spectral_radius_near_one_falls_back_to_the_dense_solve(monkeypatch):
     k = SPARSE_MIN + 88
     P = strongly_connected_routing(rng, k, np.full(k, 1.0 - 1e-7))
     net = Network(P, rng.uniform(1.0, 10.0, k))
-    block = EdgeBlock(net._edges, lambda: P[None])
+    block = EdgeBlock(block_structure(net).edges[0], lambda: P[None])
     w, c = np.broadcast_to(net.w, (2, k)), rng.uniform(-1.0, 1.0, (2, k))
     pattern = np.zeros((2, k), dtype=np.int8)
     pattern[0, 3], pattern[1] = 1, -1
@@ -120,3 +120,59 @@ def test_small_blocks_stay_dense():
     net, _ = large_blocks(np.random.default_rng(1021), SPARSE_MIN - 1, SPARSE_MIN - 1)
     st = block_structure(net)
     assert st.transient.size == SPARSE_MIN - 1 and not st.edges
+
+
+def two_sets(rng, k, per_node):
+    """Two out-connected trapping sets of k nodes, about ``per_node[s]`` edges per node in set s, and a flow."""
+    P = np.zeros((2 * k, 2 * k))
+    for s, d in enumerate(per_node):
+        B = rng.random((k, k)) * (rng.random((k, k)) < d / k)
+        np.fill_diagonal(B, 0.0)
+        B[np.arange(k), np.roll(np.arange(k), -1)] += 0.5  # a covering cycle
+        P[s * k : (s + 1) * k, s * k : (s + 1) * k] = B / B.sum(axis=1)[:, None] * rng.uniform(0.8, 0.98, (k, 1))
+    w = rng.uniform(1.0, 10.0, 2 * k)
+    return Network(P, w), w * rng.uniform(-0.8, 0.6, 2 * k)
+
+
+def test_dense_large_blocks_stay_dense(monkeypatch):
+    # a set of SPARSE_MIN nodes or more whose edges fill more than SPARSE_FILL
+    # of its block is hunted dense; in one size group with a sparse set, the
+    # sparse set is a stack of its own and the dense one joins the rest, and
+    # every flow is still bit for bit as alone and within tol_fp of the dense path
+    rng = np.random.default_rng(1031)
+    k = SPARSE_MIN + 8
+    net, c = two_sets(rng, k, (4, 4 * SPARSE_FILL * k))
+    st = block_structure(net)
+    assert list(st.edges) == [0] and len(st.edges[0][0]) <= SPARSE_FILL * k**2
+    assert np.count_nonzero(net.P[k:, k:]) > SPARSE_FILL * k**2
+    opts = SolveOptions()
+    flows = c * rng.uniform(0.2, 1.8, (3, net.n))
+    x, _ = _assemble_extremes(net, _analyze(net, flows, opts), opts)
+    monkeypatch.setattr(saturnet.decomposition, "SPARSE_MIN", net.n + 1)
+    dense, _ = _assemble_extremes(Network(net.P, net.w), _analyze(Network(net.P, net.w), flows, opts), opts)
+    assert np.abs(x - dense).max() <= opts.tol_fp * net.w.max()
+    monkeypatch.undo()
+    for f in range(len(flows)):
+        alone, _ = _assemble_extremes(net, _analyze(net, flows[f : f + 1], opts), opts)
+        assert x[:, f].tobytes() == alone[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("per_node", [(4, 4), (4, 40)])
+def test_hunt_error_names_the_first_flow_at_fault(monkeypatch, per_node):
+    # set 0 settles at flow 0 (its inflow is negative throughout) and fails
+    # at flow 1, set 1 fails at both: whether the sets are hunted as stacks
+    # of their own or as one dense stack, the error names flow 0 and set 1
+    rng = np.random.default_rng(1033)
+    k = SPARSE_MIN + 8
+    net, c = two_sets(rng, k, per_node)
+    flows = np.stack([np.concatenate([-net.w[:k], c[k:]]), c])
+    opts = SolveOptions(max_iter=1)
+    named = []
+    for sparse_min in (SPARSE_MIN, net.n + 1):
+        monkeypatch.setattr(saturnet.decomposition, "SPARSE_MIN", sparse_min)
+        fresh = Network(net.P, net.w)
+        assert len(block_structure(fresh).edges) == (sparse_min == SPARSE_MIN) * (1 + (per_node[1] == 4))
+        with pytest.raises(NonConvergenceError) as err:
+            _assemble_extremes(fresh, _analyze(fresh, flows, opts, at=lambda f: f"flow {f}"), opts)
+        named.append((err.value.block, err.value.at))
+    assert named == [(1, "flow 0")] * 2
