@@ -47,24 +47,26 @@ SPARSE_MIN = 512
 SPARSE_FILL = 1 / 64
 
 
-def _successors(n: int, rows: np.ndarray, cols: np.ndarray) -> list[list[int]]:
-    """Per-node successor lists from the row-major edge list of np.nonzero."""
-    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
-    cols = cols.tolist()
-    return [cols[start:end] for start, end in zip([0] + ends[:-1], ends)]
-
-
 def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
     """Tarjan's algorithm on a boolean adjacency matrix, iteratively.
 
     Returns components in reverse topological order (every edge leaving a
     component points to a component that appears *earlier* in the list).
     """
-    return _tarjan(_successors(adj.shape[0], *np.nonzero(adj)))
+    return _tarjan(adj.shape[0], *np.nonzero(adj))
 
 
-def _tarjan(succ: list[list[int]]) -> list[list[int]]:
-    n = len(succ)
+def _tarjan(n: int, rows: np.ndarray, cols: np.ndarray) -> list[list[int]]:
+    """Tarjan's algorithm on the row-major edge list (rows, cols) of n nodes.
+
+    Node v's successors are ``cols[starts[v]:starts[v + 1]]``, read through
+    a memoryview, so no edge becomes a Python object of its own; the DFS
+    stack keeps each node's position in ``cols``.
+    """
+    starts = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=starts[1:])
+    starts = starts.tolist()
+    succ = memoryview(cols)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -75,25 +77,25 @@ def _tarjan(succ: list[list[int]]) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        # explicit DFS stack of (node, iterator position)
-        work = [(root, 0)]
+        # explicit DFS stack of (node, position of its next successor in cols)
+        work = [(root, starts[root])]
         while work:
             v, pos = work.pop()
-            if pos == 0:
+            if index[v] == -1:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            for k in range(pos, len(succ[v])):
-                u = succ[v][k]
+            for k in range(pos, starts[v + 1]):
+                u = succ[k]
                 if index[u] == -1:
                     work.append((v, k + 1))
-                    work.append((u, 0))
+                    work.append((u, starts[u]))
                     advanced = True
                     break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
+                if on_stack[u] and index[u] < low[v]:
+                    low[v] = index[u]
             if advanced:
                 continue
             if low[v] == index[v]:
@@ -108,7 +110,8 @@ def _tarjan(succ: list[list[int]]) -> list[list[int]]:
                 components.append(comp)
             if work:
                 parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
     return components
 
 
@@ -146,15 +149,18 @@ def decompose(net: Network) -> Decomposition:
     """
     require_valid(net)
     rows, cols = net._edges
-    comps = _tarjan(_successors(net.n, rows, cols))
+    comps = _tarjan(net.n, rows, cols)
 
-    label = np.empty(net.n, dtype=np.intp)
+    # int32 labels (a dense P of 2**31 nodes cannot exist) halve the two
+    # per-edge temporaries below
+    label = np.empty(net.n, dtype=np.int32)
     for k, comp in enumerate(comps):
         label[comp] = k
     leaky = np.zeros(len(comps), dtype=bool)  # some edge leaves the component
-    leaky[label[rows][label[rows] != label[cols]]] = True
+    tail = label[rows]
+    leaky[tail[tail != label[cols]]] = True
     deficient = np.zeros(len(comps), dtype=bool)
-    deficient[label[net.P.sum(axis=1) < 1.0 - EPS_FEAS]] = True
+    deficient[label[net._row_sums < 1.0 - EPS_FEAS]] = True
 
     sinks = []
     transient: list[int] = []
@@ -285,9 +291,12 @@ def _build_structure(net: Network) -> BlockStructure:
         groups.append(_size_group(net.P, net.w, sets, nodes, stochastic[sets]))
     large = [(-1, T)] if T.size >= SPARSE_MIN else []
     large += [(l, np.asarray(s.nodes)) for l, s in enumerate(dec.sinks) if len(s.nodes) >= SPARSE_MIN]
+    # routed gathers rows, then columns by take: the C-ordered array that
+    # np.ix_ gives, at about half its cost (P[T][:, sink_nodes] would be
+    # F-ordered, and a matvec on it rounds differently)
     return BlockStructure(
         dec,
-        *map(_readonly, (T, sink_nodes, set_of, net.P[np.ix_(T, sink_nodes)])),
+        *map(_readonly, (T, sink_nodes, set_of, net.P[T].take(sink_nodes, axis=1))),
         tuple(groups),
         _readonly(place),
         {l: e for l, nodes in large if (e := _block_edges(net, nodes)) is not None},
@@ -313,8 +322,7 @@ def block_structure(net: Network) -> BlockStructure:
 def deficiency_set(net: Network) -> tuple[int, ...]:
     """Indices of rows of P that sum to less than 1."""
     require_valid(net)
-    row_sums = net.P.sum(axis=1)
-    return tuple(int(i) for i in np.nonzero(row_sums < 1.0 - EPS_FEAS)[0])
+    return tuple(int(i) for i in np.nonzero(net._row_sums < 1.0 - EPS_FEAS)[0])
 
 
 def is_out_connected(net: Network, nodes) -> bool:

@@ -105,14 +105,27 @@ class Network:
         return validate(self)
 
     @cached_property
+    def _row_sums(self) -> np.ndarray:
+        """The row sums of P, read-only: the one pass over P for them.
+
+        ``validate``, ``decompose`` and ``deficiency_set`` all read it. A row
+        whose sum overflows sums to inf, which exceeds 1 like any other.
+        """
+        with np.errstate(over="ignore"):
+            sums = self.P.sum(axis=1)
+        sums.setflags(write=False)
+        return sums
+
+    @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray]:
         """The edges i -> j of P (P[i, j] > 0), row-major: (rows, cols), read-only.
 
-        The one scan of P for its edges: ``decompose`` reads it, and
-        ``block_structure`` takes the edge lists of its large sparse blocks
-        from it and then drops it, so it is not kept beside P.
+        The one scan of P for its edges, a flat ``P > 0`` split into rows and
+        columns: ``decompose`` reads it, and ``block_structure`` takes the
+        edge lists of its large sparse blocks from it and then drops it, so
+        it is not kept beside P.
         """
-        edges = np.nonzero(self.P > 0)
+        edges = divmod(np.flatnonzero(self.P > 0), self.n)
         for a in edges:
             a.setflags(write=False)
         return edges
@@ -227,15 +240,21 @@ def saturate(y, w) -> np.ndarray:
 
 
 def validate(net: Network) -> ValidationReport:
-    """Check the network invariants, returning a report instead of raising."""
+    """Check the network invariants, returning a report instead of raising.
+
+    Violations are listed by kind (negative entries row-major, then row sums,
+    then capacities). P's entries are scanned one by one only when its
+    minimum is below ``-EPS_FEAS``; the row sums are the Network's own.
+    """
     found: list[Violation] = []
     P, w = net.P, net.w
-    for i, j in zip(*np.nonzero(P < -EPS_FEAS)):
-        found.append(
-            Violation("negative_entry", (int(i), int(j)),
-                      f"P[{i}][{j}] = {P[i, j]} is negative")
-        )
-    row_sums = P.sum(axis=1)
+    if P.min() < -EPS_FEAS:
+        for i, j in zip(*np.nonzero(P < -EPS_FEAS)):
+            found.append(
+                Violation("negative_entry", (int(i), int(j)),
+                          f"P[{i}][{j}] = {P[i, j]} is negative")
+            )
+    row_sums = net._row_sums
     for i in np.nonzero(row_sums > 1.0 + EPS_FEAS)[0]:
         found.append(
             Violation("row_sum", (int(i),),

@@ -45,7 +45,8 @@ EPS_BISECT_TOL = 1e-10
 STACK_ENTRIES = 2**19
 #: Entries a stack holds per (flow, trapping set) row beside its block: the
 #: verdict and hunt arrays of one value per row (about 35 were live at once
-#: on a network of one-node sets).
+#: on a network of one-node sets). A block hunted on its edge list counts as
+#: many per node in place of its dense k².
 ROW_ENTRIES = 32
 
 
@@ -187,8 +188,18 @@ def max_jump_norm(net: Network, p: float) -> float:
 
 
 def _flow_entries(st: BlockStructure) -> int:
-    """The float64 entries one flow holds in a stack: k_T² + Σ m·(k² + ROW_ENTRIES) over size groups."""
-    return st.transient.size**2 + sum(len(g.sets) * (g.nodes.shape[1] ** 2 + ROW_ENTRIES) for g in st.groups)
+    """The float64 entries one flow holds in a stack: its blocks plus ROW_ENTRIES per trapping set.
+
+    A dense block of k nodes counts k²; a block hunted on its edge list
+    (``st.edges``) counts its edges plus ROW_ENTRIES per node, for the hunt
+    arrays of one value per node.
+    """
+    k_T = st.transient.size
+    entries = k_T**2 + sum(len(g.sets) * (g.nodes.shape[1] ** 2 + ROW_ENTRIES) for g in st.groups)
+    for l, (rows, _, _) in st.edges.items():
+        k = k_T if l < 0 else st.groups[st.place[l, 0]].nodes.shape[1]
+        entries += rows.size + ROW_ENTRIES * k - k**2
+    return entries
 
 
 def _chunks(count: int, entries: int):
@@ -301,7 +312,7 @@ def sweep(
 
     The grid is solved in ascending eps order as stacks of flows, in chunks
     that hold at most STACK_ENTRIES entries in blocks and per-row arrays (a
-    network whose one trapping set spans it goes one point at a time); each point
+    network whose one dense trapping set spans it goes one point at a time); each point
     gets, bit for bit, the equilibria it would get alone. An error names
     the block and the eps of the first point at fault in its stage.
     Critical crossings are located by one lockstep bisection over the

@@ -138,27 +138,31 @@ def test_cached_arrays_cannot_be_written():
 
 def test_one_edge_scan_per_network(monkeypatch):
     # decompose and block_structure read the Network's one cached edge list:
-    # P > 0 is scanned once, every edge array is read-only, a block that
-    # spans the network keeps the Network's own rows and cols, and the
-    # Network's list is dropped once the structure is built
+    # P > 0 is scanned once, by np.flatnonzero (which hands np.nonzero its
+    # 1-D ravel) and not by a 2-D np.nonzero, every edge array is read-only,
+    # a block that spans the network keeps the Network's own rows and cols,
+    # and the Network's list is dropped once the structure is built
     rng = np.random.default_rng(31)
     spanning = sn.Network(strongly_connected_routing(rng, 600, rng.uniform(0.8, 0.98, 600)), np.ones(600))
     transient, _ = large_blocks(rng, 600, 3)
-    nonzero = np.nonzero
     for net in (spanning, transient):
         scans = []
 
-        def recording(a):
-            if np.ndim(a) == 2 and np.array_equal(a, net.P > 0):
-                scans.append(a.shape)
-            return nonzero(a)
+        def spy(scan):
+            def recording(a):
+                if np.shape(a) == net.P.shape and np.array_equal(a, net.P > 0):
+                    scans.append(scan.__name__)
+                return scan(a)
 
-        monkeypatch.setattr(np, "nonzero", recording)
+            return recording
+
+        for name in ("nonzero", "flatnonzero"):
+            monkeypatch.setattr(np, name, spy(getattr(np, name)))
         sn.decompose(net)
         edges = net._edges
         st = block_structure(net)
         monkeypatch.undo()
-        assert len(scans) == 1 and "_edges" not in net.__dict__
+        assert scans == ["flatnonzero"] and "_edges" not in net.__dict__
         (block,) = st.edges.values()
         assert not any(a.flags.writeable for a in (*edges, *block))
         assert all(a is b for a, b in zip(block[:2], edges)) == (net is spanning)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from saturnet import (
     deficiency_set,
     is_out_connected,
     strongly_connected_components,
+    validate,
 )
+from saturnet.decomposition import block_structure
 
 from conftest import random_network
 from oracles import power_radius
@@ -192,3 +196,83 @@ class TestIsOutConnected:
                 assert power_radius(net.P[np.ix_(nodes, nodes)]) >= 1.0 - 1e-9
                 checked += 1
         assert checked > 50
+
+
+def _reach(adj: np.ndarray) -> np.ndarray:
+    """The reflexive transitive closure of a boolean adjacency matrix."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    for _ in range(len(adj)):
+        reach = reach | (reach @ reach)
+    return reach
+
+
+def _scanned_network(rng) -> Network:
+    """A seeded network of up to 50 nodes with the entries the cheap scans must judge as before.
+
+    Some zero entries move into (-EPS_FEAS, 0), where they are neither an
+    edge nor a violation; some networks get entries below -EPS_FEAS, and
+    some a row of entries near 1e308, whose sum overflows.
+    """
+    net = random_network(rng, n_max=50)
+    P, n = net.P.copy(), net.n
+    zeros = (P == 0) & (rng.random((n, n)) < 0.3)
+    P[zeros] = -EPS_FEAS * rng.uniform(0.01, 0.99, np.count_nonzero(zeros))
+    if rng.random() < 0.3:
+        P[rng.integers(n, size=2), rng.integers(n, size=2)] = -EPS_FEAS * rng.uniform(1.5, 1e9, 2)
+    if rng.random() < 0.3:
+        P[rng.integers(n), :] = 1e308 * rng.uniform(0.5, 1.0, n)
+    return Network(P, net.w)
+
+
+def test_cheap_scans_match_the_direct_formulas():
+    rng = np.random.default_rng(61)
+    kinds = set()
+    for _ in range(150):
+        net = _scanned_network(rng)
+        P, w = net.P, net.w
+        with np.errstate(over="ignore"):
+            sums = P.sum(axis=1)
+        want = [("negative_entry", (int(i), int(j))) for i, j in np.argwhere(P < -EPS_FEAS)]
+        want += [("row_sum", (int(i),)) for i in np.flatnonzero(sums > 1.0 + EPS_FEAS)]
+        want += [("negative_capacity", (int(i),)) for i in np.flatnonzero(w < 0)]
+        report = validate(net)
+        assert [(v.kind, v.where) for v in report.violations] == want
+        kinds |= {v.kind for v in report.violations}
+        if want:
+            for fn in (decompose, deficiency_set):
+                with pytest.raises(InputError, match="invalid network"):
+                    fn(Network(P, w))
+            continue
+        kinds.add("valid")
+        assert deficiency_set(net) == tuple(np.flatnonzero(sums < 1.0 - EPS_FEAS).tolist())
+        # a trapping set is a class of mutually reaching nodes that reaches nothing else
+        reach = _reach(P > 0)
+        closed = [i for i in range(net.n) if (reach[i] <= reach[:, i]).all()]
+        sinks = sorted({tuple(np.flatnonzero(reach[i] & reach[:, i]).tolist()) for i in closed})
+        dec = decompose(net)
+        assert [s.nodes for s in dec.sinks] == sinks
+        assert [s.out_connected for s in dec.sinks] == [bool((sums[list(s)] < 1.0 - EPS_FEAS).any()) for s in sinks]
+        assert dec.transient == tuple(sorted(set(range(net.n)) - set(closed)))
+        st = block_structure(net)
+        routed = P[np.ix_(st.transient, st.sink_nodes)]
+        assert st.routed.tobytes() == routed.tobytes() and st.routed.flags.c_contiguous
+    assert kinds == {"valid", "negative_entry", "row_sum"}
+
+
+def test_decompose_of_a_dense_network_stays_within_four_times_p():
+    # the strong-component pass walks the int edge arrays, not one Python
+    # int per edge, so a full network's decomposition stays O(nnz) in int64
+    rng = np.random.default_rng(5)
+    n = 600
+    P = rng.random((n, n))
+    np.fill_diagonal(P, 0.0)
+    P *= (rng.uniform(0.8, 0.98, n) / P.sum(axis=1))[:, None]
+    net = Network(P, np.ones(n))
+    tracemalloc.start()
+    try:
+        dec = decompose(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.sinks[0].nodes == tuple(range(n)) and dec.sinks[0].out_connected
+    assert peak < 4 * net.P.nbytes

@@ -26,11 +26,12 @@ from saturnet import (
     systemic_loss,
 )
 from saturnet._fmt import csv_lines, fmt_float
-from saturnet.shocks import SweepRecord, _loss
+from saturnet.decomposition import block_structure
+from saturnet.shocks import SweepRecord, _chunks, _flow_entries, _loss
 
 from conftest import (
     C_BASE, C_STAR, CONDITION_STAR, PI_TRIANGLE, Q_DIR, TRIANGLE_P, TRIANGLE_W, X_MAX_STAR, X_MIN_STAR,
-    core_feeding_sets, random_network,
+    core_feeding_sets, large_blocks, random_network,
 )
 
 
@@ -405,6 +406,22 @@ class TestStackedSweep:
         alone, alone_crossings = sweep(net, ray)
         assert sweep_to_csv(alone, net.n) == sweep_to_csv(records, net.n)
         assert [cr.eps_star for cr in alone_crossings] == [cr.eps_star for cr in crossings]
+
+    def test_edge_list_blocks_stack_many_points(self, monkeypatch):
+        # the 700-node transient part is hunted on its edge list, so a point
+        # counts its edges and ROW_ENTRIES per node, not 700², and the grid
+        # goes in a few chunks, with the bytes it gets one point at a time
+        net, c = large_blocks(np.random.default_rng(3), 700, 3)
+        st = block_structure(net)
+        ray = ShockRay(c, np.abs(c) + 0.5, 0.0, 4.0, 41)
+        assert -1 in st.edges and len(_chunks(41, _flow_entries(st))) < 41
+        records, crossings = sweep(net, ray)
+        monkeypatch.setattr(saturnet.shocks, "STACK_ENTRIES", 1)
+        alone, alone_crossings = sweep(net, ray)
+        assert sweep_to_csv(alone, net.n) == sweep_to_csv(records, net.n)
+        assert crossings and [json.dumps(cr.to_json_dict()) for cr in alone_crossings] == [
+            json.dumps(cr.to_json_dict()) for cr in crossings
+        ]
 
     def test_chunks_hold_the_entry_bound(self, monkeypatch):
         # 300 one-node sets: each (point, set) row costs 1 + ROW_ENTRIES
