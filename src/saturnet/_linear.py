@@ -52,9 +52,11 @@ def transposed_matvec(Q: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Each row is one vector-matrix product, bit for bit ``Q[i].T @ x[i]``,
     whatever the number of rows; a matrix-matrix product ``x @ Q[0]`` can
-    round differently.
+    round differently. The product is taken on a C-ordered Q, so an equal
+    matrix in another memory layout gives the same bits (a C-ordered Q,
+    which every caller passes, is not copied).
     """
-    return (x[:, None, :] @ Q)[:, 0, :]
+    return (x[:, None, :] @ np.ascontiguousarray(Q))[:, 0, :]
 
 
 class EdgeBlock:

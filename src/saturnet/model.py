@@ -65,8 +65,8 @@ def _as_vector(value, name: str, n: int | None = None) -> np.ndarray:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` read-only; a copy unless it is already read-only and owns its memory."""
-    if a.flags.writeable or not a.flags.owndata:
+    """``a`` read-only and C-ordered; a copy unless it is already both and owns its memory."""
+    if a.flags.writeable or not a.flags.owndata or not a.flags.c_contiguous:
         a = a.copy()
         a.setflags(write=False)
     return a

@@ -11,9 +11,14 @@ A sweep solves its grid as stacks of flows: each chunk of grid points is
 one pass of the solver's stacked layer (one transient hunt, one verdict
 pass and one hunt per size group), and every point keeps, bit for bit, the
 equilibria it would get alone. The crossings of all stochastic sets are
-bisected in lockstep, each step one stacked transient hunt with one row
-per set still bracketing its root, and each set keeps the root it would
-get alone. ``loss_jump`` sums the gap of the same assembled extremes.
+bisected in lockstep, and each set keeps the root it would get alone. The
+equilibria are affine in c wherever the transient saturation pattern holds,
+so a set's inflow sum is affine in eps on a bracket whose two ends share
+that pattern: the bisection takes the mean of the ends' sums there, and a
+step hunts the transient part, as one stack with a row per set, only for
+the sets whose bracket spans a pattern change. The roots' flows are then
+solved as stacks too. ``loss_jump`` sums the gap of the same assembled
+extremes.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .solver import (
     _analyze,
     _assemble_extremes,
     _is_unique,
+    _take_flows,
     _transient_states,
 )
 
@@ -216,70 +222,89 @@ def _at_eps(eps):
     return lambda f: f"eps = {fmt_float(eps[f])}"
 
 
-def _inflow_sums(net, st: BlockStructure, ray: ShockRay, eps, sets, opts) -> np.ndarray:
+def _inflow_sums(net, st: BlockStructure, ray: ShockRay, eps, sets, opts):
     """Effective inflow sums of the trapping sets ``sets[i]`` (a row of them) at each shock size ``eps[i]``.
 
-    ``sets`` is (len(eps), j), and so is the result. The transient part is
-    hunted at every shock size, in stacks of flows.
+    ``sets`` is (len(eps), j), and so is the sum. The transient part is
+    hunted at every shock size, in stacks of flows; its saturation pattern
+    there, ``x_T == 0`` beside ``x_T == w_T`` (len(eps), 2·k_T), read off
+    the hunt's clipped values, is returned with the sums.
     """
     out = np.empty(sets.shape)
+    pattern = np.empty((len(eps), 2 * st.transient.size), dtype=bool)
+    w_T = net.w[st.transient]
     group, place = st.place[sets, 0], st.place[sets, 1]
     for part in _chunks(len(eps), _flow_entries(st)):
         c = ray.c0 - eps[part, None] * ray.q
-        inflow = st.inflows(c, _transient_states(net, st, c, opts, _at_eps(eps[part])))
+        x_T = _transient_states(net, st, c, opts, _at_eps(eps[part]))
+        pattern[part] = np.concatenate([x_T == 0.0, x_T == w_T], axis=1)
+        inflow = st.inflows(c, x_T)
         for g, size_group in enumerate(st.groups):
             r, j = np.nonzero(group[part] == g)
             if r.size:
                 nodes = size_group.nodes[place[part][r, j]]
                 out[part][r, j] = inflow[r[:, None], nodes].sum(axis=1)
-    return out
+    return out, pattern
 
 
 def _critical_eps(net, ray: ShockRay, sets, opts) -> list[float | None]:
     """``find_critical_eps`` of every trapping set in ``sets``, bisected in lockstep.
 
     The range ends are one stack of two flows and the grid scan one stack of
-    the grid; each bisection step is one stack with a row per set still
-    bracketing its root, at that set's own midpoint. Every set takes the
-    steps it would take alone, so its root is bit for bit the one it would
-    get alone.
+    the grid. Each set keeps its bracket ``b`` (lo, hi), its inflow sums
+    ``g`` and the transient saturation patterns ``p`` at both ends. Where
+    both ends have one pattern, it holds on the whole bracket (the flows at
+    which one pattern holds form a convex set), so the transient values and
+    the sum are affine there, and the sum at the midpoint is the mean of the
+    ends' sums; no hunt is run. The sets whose bracket spans a pattern
+    change are hunted as one stack, a row per set at its own midpoint. Every
+    set takes the midpoints and decisions it would take alone, so its root
+    is bit for bit the one it would get alone.
     """
     st = block_structure(net)
     sets = np.asarray(sets, dtype=np.intp)
     if not sets.size:
         return []
     atol = flow_tolerance(ROUND_REL, scale(net.w), np.abs(ray.c0) + np.abs(ray.q))
-    lo, hi = np.full(sets.size, ray.eps_lo), np.full(sets.size, ray.eps_hi)
-    ends = np.array([ray.eps_lo, ray.eps_hi])
-    g_lo, g_hi = _inflow_sums(net, st, ray, ends, np.broadcast_to(sets, (2, sets.size)), opts)
+    b = np.array([[ray.eps_lo], [ray.eps_hi]]).repeat(sets.size, axis=1)
+    g, ends = _inflow_sums(net, st, ray, b[:, 0], np.broadcast_to(sets, (2, sets.size)), opts)
+    p = ends[:, None].repeat(sets.size, axis=1)
     out = np.full(sets.size, np.nan)  # NaN: no root in range
-    at_lo = np.abs(g_lo) <= atol
-    at_hi = ~at_lo & (np.abs(g_hi) <= atol)
-    out[at_lo], out[at_hi] = lo[at_lo], hi[at_hi]
+    at_lo = np.abs(g[0]) <= atol
+    at_hi = ~at_lo & (np.abs(g[1]) <= atol)
+    out[at_lo], out[at_hi] = b[0, at_lo], b[1, at_hi]
     bisect = ~(at_lo | at_hi)
-    same = bisect & (np.sign(g_lo) == np.sign(g_hi))
+    same = bisect & (np.sign(g[0]) == np.sign(g[1]))
     bisect &= ~same
     if ray.allow_mixed_direction and np.count_nonzero(same):
         # monotonicity is lost: scan the grid for the first sign change
         scan = np.flatnonzero(same)
         grid = np.linspace(ray.eps_lo, ray.eps_hi, ray.grid)
-        values = _inflow_sums(net, st, ray, grid, np.broadcast_to(sets[scan], (ray.grid, scan.size)), opts)
+        rows = np.broadcast_to(sets[scan], (ray.grid, scan.size))
+        values, patterns = _inflow_sums(net, st, ray, grid, rows, opts)
         change = (np.sign(values[:-1]) != np.sign(values[1:])) | (np.abs(values[1:]) <= atol)
         hit = change.any(axis=0)
         j, scan = change.argmax(axis=0)[hit], scan[hit]
-        lo[scan], hi[scan], g_lo[scan] = grid[j], grid[j + 1], values[j, np.flatnonzero(hit)]
+        ends = np.stack([j, j + 1])
+        b[:, scan], g[:, scan], p[:, scan] = grid[ends], values[ends, np.flatnonzero(hit)], patterns[ends]
         bisect[scan] = True
     live = np.flatnonzero(bisect)
     while True:
-        live = live[hi[live] - lo[live] > EPS_BISECT_TOL]
+        live = live[b[1, live] - b[0, live] > EPS_BISECT_TOL]
         if not live.size:
             break
-        mid = 0.5 * (lo[live] + hi[live])
-        g_mid = _inflow_sums(net, st, ray, mid, sets[live, None], opts)[:, 0]
-        up = (np.sign(g_mid) == np.sign(g_lo[live])) & (np.abs(g_mid) > atol)
-        lo[live[up]], g_lo[live[up]] = mid[up], g_mid[up]
-        hi[live[~up]] = mid[~up]
-    out[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+        mid = 0.5 * (b[0, live] + b[1, live])
+        g_mid = 0.5 * (g[0, live] + g[1, live])  # affine on the bracket, where its pattern holds
+        hunt = np.flatnonzero((p[0, live] != p[1, live]).any(axis=1))
+        if hunt.size:
+            sums, p_mid = _inflow_sums(net, st, ray, mid[hunt], sets[live[hunt], None], opts)
+            g_mid[hunt] = sums[:, 0]
+        up = (np.sign(g_mid) == np.sign(g[0, live])) & (np.abs(g_mid) > atol)
+        side = np.where(up, 0, 1)  # the end that moves to the midpoint
+        b[side, live], g[side, live] = mid, g_mid
+        if hunt.size:
+            p[side[hunt], live[hunt]] = p_mid
+    out[bisect] = 0.5 * (b[0, bisect] + b[1, bisect])
     return [None if np.isnan(e) else float(e) for e in out]
 
 
@@ -291,9 +316,13 @@ def find_critical_eps(
     The sum is nonincreasing in eps for nonnegative shock directions
     (transient values move monotonically with c), so bisection localizes the
     root to within EPS_BISECT_TOL. The sum is taken over the set's nodes of
-    the node-indexed effective inflows. Returns None when the sum keeps one
-    sign over the whole range. This is the lockstep bisection of ``sweep``
-    on one set, so both give the same root bit for bit.
+    the node-indexed effective inflows. It is affine in eps wherever the
+    transient saturation pattern holds, so a step whose bracket ends share
+    that pattern takes the mean of their sums, and the transient part is
+    hunted only where the bracket spans a pattern change. Returns None when
+    the sum keeps one sign over the whole range. This is the lockstep
+    bisection of ``sweep`` on one set, so both give the same root bit for
+    bit.
     """
     opts = opts or DEFAULT_OPTIONS
     st = block_structure(net)
@@ -319,7 +348,9 @@ def sweep(
     stochastic trapping sets (a grid typically straddles the critical eps
     rather than hitting it) and recorded only where the equilibrium set is
     genuinely a segment; both one-sided limit equilibria there are the
-    segment endpoints.
+    segment endpoints. The roots' flows are solved as stacks, chunked like
+    the grid, and only the segment ones are assembled; each crossing is bit
+    for bit what it would be alone.
     """
     opts = opts or DEFAULT_OPTIONS
     require_valid(net)
@@ -353,26 +384,35 @@ def sweep(
 
     crossings = []
     stochastic = [l for l, sink in enumerate(st.decomposition.sinks) if not sink.out_connected]
-    for l, eps_star in zip(stochastic, _critical_eps(net, ray, stochastic, opts)):
-        if eps_star is None:
+    roots = [(l, e) for l, e in zip(stochastic, _critical_eps(net, ray, stochastic, opts)) if e is not None]
+    sets = np.array([l for l, _ in roots], dtype=np.intp)
+    eps_star = np.array([e for _, e in roots])
+    for part in _chunks(len(roots), _flow_entries(st)):
+        c_star = ray.c0 - eps_star[part, None] * ray.q
+        found = _analyze(net, c_star, opts, _at_eps(eps_star[part]))
+        # set r of group g at root f is row f·m + r of the group's verdicts; a
+        # root where the inflow sum crosses zero but the line misses the box
+        # is no crossing, and its flow is not assembled
+        segment = np.flatnonzero([
+            found.groups[g].kind[f * len(st.groups[g].sets) + r] == _SEGMENT
+            for f, (g, r) in enumerate(st.place[sets[part]].tolist())
+        ])
+        if not segment.size:
             continue
-        c_star = ray.c_at(eps_star)
-        found = _analyze(net, c_star[None], opts, _at_eps([eps_star]))
-        g, r = st.place[l]
-        if found.groups[g].kind[r] != _SEGMENT:
-            continue  # inflow sum crosses zero but the line misses the box
-        x, _ = _assemble_extremes(net, found, opts)
-        jump = x[1, 0] - x[0, 0]
-        crossings.append(
-            CriticalCrossing(
-                eps_star=eps_star,
-                c_star=c_star,
-                sink_index=l,
-                sink_nodes=st.decomposition.sinks[l].nodes,
-                jump_vector=jump,
-                loss_jump=float(jump.sum()),
+        x, _ = _assemble_extremes(net, _take_flows(found, segment), opts)
+        jump = x[1] - x[0]
+        for i, f in enumerate(segment.tolist()):
+            l = int(sets[part][f])
+            crossings.append(
+                CriticalCrossing(
+                    eps_star=float(eps_star[part][f]),
+                    c_star=c_star[f],
+                    sink_index=l,
+                    sink_nodes=st.decomposition.sinks[l].nodes,
+                    jump_vector=jump[i],
+                    loss_jump=float(jump[i].sum()),
+                )
             )
-        )
     crossings.sort(key=lambda cr: cr.eps_star)
     return records, crossings
 

@@ -284,6 +284,18 @@ def _repeat(group: SizeGroup, F: int) -> SizeGroup:
     return group if F == 1 else SizeGroup(*(np.tile(a, (F,) + (1,) * (a.ndim - 1)) for a in group))
 
 
+def _take_flows(found: _Analysis, keep: np.ndarray) -> _Analysis:
+    """The analysis at the flows ``keep`` (indices) only, each row as it was."""
+    stacks, groups = [], []
+    for g, v in zip(found.structure.groups, found.groups):
+        rows = (keep[:, None] * len(g.sets) + np.arange(len(g.sets))).ravel()
+        stacks.append(_repeat(g, len(keep)))
+        groups.append(_Verdicts(*(tuple(a[rows] for a in f) if isinstance(f, tuple) else f[rows] for f in v)))
+    at = found.at and (lambda f: found.at(keep[f]))
+    c, transient, inflow = found.c[keep], found.transient[keep], found.inflow[keep]
+    return _Analysis(found.structure, c, transient, inflow, stacks, groups, at)
+
+
 def _analyze(net, c, opts, at=None) -> _Analysis:
     """Transient solve, effective inflows and every set's verdict at each checked flow of ``c`` (F, n).
 

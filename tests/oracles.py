@@ -87,3 +87,42 @@ def power_radius(Q, iters=2000):
         lam = norm / np.linalg.norm(v)
         v = u / norm
     return 2.0 * lam - 1.0
+
+
+def bisect_crossing(net, c0, q, eps_lo, eps_hi, nodes, atol, tol):
+    """Shock size in [eps_lo, eps_hi] where the inflow sum of the trapping set ``nodes`` crosses zero.
+
+    Plain bisection: at every midpoint the whole network is solved by the
+    public ``extremal_equilibria``, and the set's sum is its own flow plus
+    what every node outside it sends in. The rules are the library's: an
+    end whose sum is within ``atol`` of zero is the root, an end pair of one
+    sign has none (None), and a step moves the low end while the sum keeps
+    its sign there and exceeds ``atol``, until the bracket is ``tol`` wide.
+    """
+    from saturnet import extremal_equilibria
+
+    inside = np.zeros(len(c0), dtype=bool)
+    inside[list(nodes)] = True
+    sent = net.P[~inside][:, inside].sum(axis=1)
+
+    def inflow_sum(eps):
+        c = c0 - eps * q
+        x = extremal_equilibria(net, c)[0].x
+        return c[inside].sum() + x[~inside] @ sent
+
+    lo, hi = eps_lo, eps_hi
+    g_lo, g_hi = inflow_sum(lo), inflow_sum(hi)
+    if abs(g_lo) <= atol:
+        return lo
+    if abs(g_hi) <= atol:
+        return hi
+    if np.sign(g_lo) == np.sign(g_hi):
+        return None
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        g_mid = inflow_sum(mid)
+        if np.sign(g_mid) == np.sign(g_lo) and abs(g_mid) > atol:
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

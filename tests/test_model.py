@@ -84,6 +84,14 @@ class TestNetwork:
         view.setflags(write=False)
         assert not np.shares_memory(Network(view, w).P, P)
 
+    def test_read_only_fortran_matrix_is_frozen_in_c_order(self):
+        # every product with P then reads one layout, whatever was passed in
+        P = np.asfortranarray(TRIANGLE_P)
+        P.setflags(write=False)
+        frozen = Network(P, TRIANGLE_W).P
+        assert frozen.flags.c_contiguous and not frozen.flags.writeable
+        assert frozen.tobytes() == np.ascontiguousarray(TRIANGLE_P).tobytes()
+
     def test_validate_accepts_demo(self, triangle):
         assert validate(triangle).ok
 

@@ -26,13 +26,15 @@ from saturnet import (
     systemic_loss,
 )
 from saturnet._fmt import csv_lines, fmt_float
+from saturnet._tol import ROUND_REL, flow_tolerance, scale
 from saturnet.decomposition import block_structure
-from saturnet.shocks import SweepRecord, _chunks, _flow_entries, _loss
+from saturnet.shocks import EPS_BISECT_TOL, SweepRecord, _chunks, _flow_entries, _loss
 
 from conftest import (
     C_BASE, C_STAR, CONDITION_STAR, PI_TRIANGLE, Q_DIR, TRIANGLE_P, TRIANGLE_W, X_MAX_STAR, X_MIN_STAR,
-    core_feeding_sets, large_blocks, random_network,
+    core_feeding_sets, large_blocks, random_irreducible_stochastic, random_network,
 )
+from oracles import bisect_crossing
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -170,6 +172,28 @@ def mixed_direction_case():
     return net, ray
 
 
+def mixed_kink_case():
+    """A feeder that fills with eps into a 2-cycle whose own flow drains.
+
+    The sink sum, -0.05 - 0.1 eps + clamp(eps - 1, 0, 1), is negative at
+    both range ends; the grid scan brackets the crossing at 7/6 in [0, 2],
+    where the feeder leaves 0 at eps = 1 and saturates at eps = 2.
+    """
+    P = np.zeros((3, 3))
+    P[0, 1] = 1.0
+    P[1, 2] = P[2, 1] = 1.0
+    net = Network(P, np.array([1.0, 2.0, 2.0]))
+    ray = ShockRay([-1.0, -0.025, -0.025], [-1.0, 0.05, 0.05], 0.0, 12.0, 7, allow_mixed_direction=True)
+    return net, ray
+
+
+def seeded_ray():
+    """The golden 39-node core-periphery ray: a transient core feeding sets of sizes 1 to 4."""
+    ray_file = REPO / "tests" / "golden" / "seeded_ray.json"
+    net, flow = load_input(ray_file)
+    return net, ShockRay(flow.c, json.loads(ray_file.read_text(encoding="utf-8"))["q"], 0.0, 10.0, 101)
+
+
 class TestFindCriticalEps:
     def test_demo_crossing(self, triangle):
         eps = find_critical_eps(triangle, demo_ray(), 0)
@@ -196,6 +220,14 @@ class TestFindCriticalEps:
         net, ray = mixed_direction_case()
         assert find_critical_eps(net, ray, 0) == pytest.approx(0.5, abs=1e-9)
 
+    def test_mixed_direction_bracket_across_saturation_changes(self):
+        # the scan's ends at eps = 0 and 2 have the feeder at 0 and at w
+        net, ray = mixed_kink_case()
+        eps = find_critical_eps(net, ray, 0)
+        assert eps == 1.1666666666569654  # as before the bisection read the affine pieces
+        assert eps == pytest.approx(7.0 / 6.0, abs=EPS_BISECT_TOL)
+        assert find_critical_eps(*mixed_direction_case(), 0) == 0.49999999995343386
+
     def test_transient_feed_moves_the_root(self):
         # one deficient feeder in front of a stochastic 2-cycle: the feeder
         # passes through min(c_f, w_f) as long as its inflow stays positive
@@ -205,6 +237,112 @@ class TestFindCriticalEps:
         eps = find_critical_eps(net, ray, 0)
         # sink sum: 1 (feeder at capacity) + 2 - eps = 0
         assert eps == pytest.approx(3.0, abs=1e-9)
+
+
+def spy_on_hunts(monkeypatch):
+    """The number of flows of every transient hunt the bisection runs, in call order."""
+    calls, hunt = [], saturnet.shocks._transient_states
+
+    def recording(net, st, c, opts, at=None):
+        calls.append(len(c))
+        return hunt(net, st, c, opts, at)
+
+    monkeypatch.setattr(saturnet.shocks, "_transient_states", recording)
+    return calls
+
+
+def bisection_steps(ray, lo=None, hi=None) -> int:
+    """Steps of a bisection of [lo, hi] (the ray's range by default) down to EPS_BISECT_TOL."""
+    width, steps = (ray.eps_hi if hi is None else hi) - (ray.eps_lo if lo is None else lo), 0
+    while width > EPS_BISECT_TOL:
+        width, steps = 0.5 * width, steps + 1
+    return steps
+
+
+def oracle_root(net, ray, l):
+    atol = flow_tolerance(ROUND_REL, scale(net.w), np.abs(ray.c0) + np.abs(ray.q))
+    nodes = block_structure(net).decomposition.sinks[l].nodes
+    return bisect_crossing(net, ray.c0, ray.q, ray.eps_lo, ray.eps_hi, nodes, atol, EPS_BISECT_TOL)
+
+
+def assert_agree(root, expected):
+    assert (root is None) == (expected is None)
+    if root is not None:
+        assert abs(root - expected) <= EPS_BISECT_TOL
+
+
+def random_ray(rng):
+    """A ``random_network`` that sends part of each node's flow into a random stochastic set, and a ray.
+
+    w, c0 and q are scaled by 10^U(-3, 6); q is nonnegative.
+    """
+    base, block = random_network(rng), random_irreducible_stochastic(rng)
+    n, k = base.n, len(block)
+    P = np.zeros((n + k, n + k))
+    P[:n, :n], P[n:, n:] = base.P, block
+    share = rng.uniform(0.1, 0.6, n) * (rng.random(n) < 0.6)
+    P[:n, n:] = (share * base.P.sum(axis=1))[:, None] * rng.dirichlet(np.ones(k), n)
+    P[:n, :n] *= (1.0 - share)[:, None]
+    lam = 10.0 ** rng.uniform(-3.0, 6.0)
+    w = np.concatenate([base.w, rng.uniform(0.5, 5.0, k)])
+    q = rng.uniform(0.0, 1.0, n + k) * (rng.random(n + k) < 0.7)
+    q[rng.integers(n + k)] += 0.1
+    return Network(P, lam * w), ShockRay(lam * rng.uniform(-1.0, 3.0, n + k), lam * q, 0.0, 5.0, 6)
+
+
+class TestAffineBisection:
+    """The bisection reads the inflow sum off its bracket ends where the transient pattern holds."""
+
+    def test_readme_ray_agrees_with_the_oracle(self, triangle):
+        ray = demo_ray()
+        assert_agree(find_critical_eps(triangle, ray, 0), oracle_root(triangle, ray, 0))
+
+    def test_core_periphery_ray_agrees_with_the_oracle(self):
+        net, ray = seeded_ray()
+        sinks = block_structure(net).decomposition.sinks
+        roots = [(l, find_critical_eps(net, ray, l)) for l, s in enumerate(sinks) if not s.out_connected]
+        assert sum(e is not None and 0.0 < e < ray.eps_hi for _, e in roots) >= 4
+        for l, e in roots:
+            assert_agree(e, oracle_root(net, ray, l))
+
+    def test_most_steps_run_no_hunt(self, monkeypatch):
+        net, ray = seeded_ray()
+        calls = spy_on_hunts(monkeypatch)
+        bisected = 0
+        for l, s in enumerate(block_structure(net).decomposition.sinks):
+            if s.out_connected:
+                continue
+            calls.clear()
+            e = find_critical_eps(net, ray, l)
+            assert calls[0] == 2  # the range ends, one stack
+            if e is not None and 0.0 < e < ray.eps_hi:
+                assert len(calls) - 1 < bisection_steps(ray) / 2
+                bisected += 1
+        assert bisected >= 4
+
+    def test_mixed_direction_scan_bracket_hunts_few_steps(self, monkeypatch):
+        net, ray = mixed_kink_case()
+        calls = spy_on_hunts(monkeypatch)
+        find_critical_eps(net, ray, 0)
+        assert calls[:2] == [2, ray.grid]  # the range ends, then the scan
+        assert 0 < len(calls) - 2 < bisection_steps(ray, 0.0, 2.0) / 2
+
+    def test_random_rays_agree_with_the_oracle_and_the_sweep(self):
+        rng = np.random.default_rng(1414)
+        found = crossed = 0
+        for _ in range(200):
+            net, ray = random_ray(rng)
+            sinks = block_structure(net).decomposition.sinks
+            _, crossings = sweep(net, ray)
+            for cr in crossings:
+                assert cr.eps_star == find_critical_eps(net, ray, cr.sink_index)
+            for l, s in enumerate(sinks):
+                if not s.out_connected:
+                    e = find_critical_eps(net, ray, l)
+                    assert_agree(e, oracle_root(net, ray, l))
+                    found += e is not None
+            crossed += len(crossings)
+        assert found >= 100 and crossed >= 50
 
 
 class TestSweep:
@@ -380,6 +518,10 @@ def assert_each_point_as_alone(net, ray, records, crossings):
         assert r.loss_min == _loss(ray.c0, c, net.w, hi.x) and r.loss_max == _loss(ray.c0, c, net.w, lo.x)
     for cr in crossings:
         assert cr.eps_star == find_critical_eps(net, ray, cr.sink_index)
+        assert cr.c_star.tobytes() == ray.c_at(cr.eps_star).tobytes()
+        lo, hi = extremal_equilibria(net, cr.c_star)
+        assert cr.jump_vector.tobytes() == (hi.x - lo.x).tobytes()
+        assert cr.loss_jump == loss_jump(net, cr.c_star)
 
 
 class TestStackedSweep:
@@ -438,7 +580,7 @@ class TestStackedSweep:
 
         monkeypatch.setattr(saturnet.solver, "hunt_unique", recording)
         records, _ = sweep(net, ray)
-        assert rows[:4] == [52 * n, 52 * n, 52 * n, 44 * n]  # the grid; then one hunt per crossing
+        assert rows[:4] == [52 * n, 52 * n, 52 * n, 44 * n]  # the grid; then the stacked crossings
         assert max(rows) * (1 + saturnet.shocks.ROW_ENTRIES) <= saturnet.shocks.STACK_ENTRIES
         for r in records[::20]:
             lo, hi = extremal_equilibria(net, ray.c_at(r.eps))
