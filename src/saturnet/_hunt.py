@@ -17,7 +17,8 @@ the free nodes (``neumann_patterns``), which fall back to the dense solve
 when they cannot stop within their step budget. Every step of a row reads
 only that row's values, so the bit-for-bit rule holds on this path too; its
 answers differ from the dense path's by rounding only, and the caller's
-dense residual check certifies them alike.
+residual check on the whole network, which reads P and not these lists,
+certifies them alike.
 """
 
 from __future__ import annotations

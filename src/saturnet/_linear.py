@@ -11,7 +11,8 @@ Power iteration is deliberately avoided: blocks may be periodic (a plain
 row of a stack shares may instead be held as its edge list (``EdgeBlock``):
 a product with its transpose then costs one pass over its edges instead of
 k² entries, and its dense form is gathered only when a solve falls back to
-it.
+it. A large sparse network is held so too, for the products that certify
+its results.
 """
 
 from __future__ import annotations
@@ -62,12 +63,12 @@ def transposed_matvec(Q: np.ndarray, x: np.ndarray) -> np.ndarray:
 class EdgeBlock:
     """One block Q of k nodes that every row of a stack shares, held as its edge list.
 
-    ``edges`` (rows, cols, weights) lists the entries Q[i, j] > 0 in
-    row-major order, in block labels 0..k-1. ``gather()`` returns the dense
-    block (1, k, k); ``dense`` calls it on first use only.
+    ``edges`` (rows, cols, weights) lists the nonzero entries Q[i, j] in
+    row-major order, in block labels 0..k-1. ``gather()``, when given,
+    returns the dense block (1, k, k); ``dense`` calls it on first use only.
     """
 
-    def __init__(self, edges, gather):
+    def __init__(self, edges, gather=None):
         self.rows, self.cols, self.vals = edges
         self._gather = gather
 
@@ -76,14 +77,16 @@ class EdgeBlock:
         return self._gather()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Q'x[i] for every row i of x (F, k), one ``np.bincount`` over the edges.
+        """Q'x[i] for every row i of x (F, k), one ``np.bincount`` over the edges per row.
 
-        Row i's products are summed in edge order, in bins offset by i·k, so
-        each row gets bit for bit the answer it gets alone.
+        Each row's products are summed in edge order, so each row gets bit
+        for bit the answer it gets alone, and the temporaries are O(edges)
+        whatever F.
         """
-        F, k = x.shape
-        bins = self.cols if F == 1 else (self.cols + k * np.arange(F)[:, None]).ravel()
-        return np.bincount(bins, weights=(x[:, self.rows] * self.vals).ravel(), minlength=F * k).reshape(F, k)
+        out = np.empty(x.shape)
+        for row, y in zip(x, out):
+            y[:] = np.bincount(self.cols, weights=row[self.rows] * self.vals, minlength=len(y))
+        return out
 
 
 def stationary_block(Q: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Graph structure of the routing matrix: trapping sets and the transient part.
 
 The directed graph of P has an edge i -> j wherever P[i][j] > 0 (exact
-comparison: routing fractions are data, a written zero means no edge). Its
-edge list is scanned from P once per Network (``Network._edges``), and
-everything here reads that list until the block structure is built. The
+comparison: routing fractions are data, a written zero means no edge). The
+nonzero entries of P are scanned once per Network (``Network._nonzeros``),
+and everything here reads that scan until the block structure is built. The
 sink components of its strong-component condensation are the irreducible
 trapping sets; every other node is transient. A trapping set is
 "out-connected" when some of its rows lose mass (sum below 1), in which case
@@ -18,7 +18,10 @@ vector indexed by node, so any reader gathers a group's share by its node
 ids. The transient part and every trapping set of at least ``SPARSE_MIN``
 nodes whose edges fill at most ``SPARSE_FILL`` of their block also keep
 their edge lists (``BlockStructure.edges``), on which the hunt maps and
-solves them without their dense blocks.
+solves them without their dense blocks. A network of at least
+``SPARSE_MIN`` nodes with at most ``SPARSE_FILL`` of its entries nonzero
+keeps the scan itself, with its values, as its list of nonzeros
+(``nonzero_list``), on which every result is certified.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linear import stationary_block, transposed_matvec
+from ._linear import EdgeBlock, stationary_block, transposed_matvec
 from .errors import InputError
 from .model import EPS_FEAS, Network, require_valid
 
@@ -42,9 +45,15 @@ from .model import EPS_FEAS, Network, require_valid
 #: edges per node, 0.3-0.4 at k = 1024 with 4-16 and 0.1-0.2 at k = 2048
 #: with 4-32; it lost from 16 edges per node at k = 512 (up to 1.33), 64
 #: at k = 1024 and 256 at k = 2048, and a full block of 512 nodes took 16
-#: times as long.
+#: times as long. A whole network within both bounds is certified on its
+#: list of nonzeros (``nonzero_list``).
 SPARSE_MIN = 512
 SPARSE_FILL = 1 / 64
+
+
+def _is_sparse(k: int, nnz: int) -> bool:
+    """Whether a block of k nodes and nnz entries is held as its list: the two bounds above."""
+    return k >= SPARSE_MIN and nnz <= SPARSE_FILL * k**2
 
 
 def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
@@ -148,7 +157,10 @@ def decompose(net: Network) -> Decomposition:
     the induced block).
     """
     require_valid(net)
-    rows, cols = net._edges
+    rows, cols = net._nonzeros
+    if net._min_entry < 0:  # a valid P's negative entries, within EPS_FEAS, are no edges
+        positive = net.P[rows, cols] > 0
+        rows, cols = rows[positive], cols[positive]
     comps = _tarjan(net.n, rows, cols)
 
     # int32 labels (a dense P of 2**31 nodes cannot exist) halve the two
@@ -177,6 +189,31 @@ def decompose(net: Network) -> Decomposition:
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def nonzero_list(net: Network) -> EdgeBlock | None:
+    """P as the list of its nonzeros when the network is large and sparse, else None.
+
+    Large and sparse are the hunt's bounds: at least ``SPARSE_MIN`` nodes
+    and at most ``SPARSE_FILL * n**2`` entries P[i, j] != 0. The list is
+    the Network's own scan of them (``Network._nonzeros``), row-major, with
+    their values read from P: diagonal and negative entries and the entries
+    between blocks included, so a product on it is P'x itself and shares no
+    arithmetic with the hunt's relabelled block lists. Decided on first use
+    and kept on the Network. A smaller network decides without a pass over
+    P, and a larger one not yet scanned counts its nonzeros first, so a
+    denser one neither scans nor gathers values for it.
+    """
+    cache = net.__dict__
+    if "_nonzero_list" not in cache:
+        listed = None
+        if net.n >= SPARSE_MIN:
+            scan = cache.get("_nonzeros")
+            if _is_sparse(net.n, np.count_nonzero(net.P) if scan is None else scan[0].size):
+                rows, cols = net._nonzeros
+                listed = EdgeBlock((rows, cols, _readonly(net.P[rows, cols])))
+        cache["_nonzero_list"] = listed
+    return cache["_nonzero_list"]
 
 
 def diagonal_blocks(P: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -219,8 +256,8 @@ class BlockStructure:
     entries), and diagonal blocks of P are sliced per call. ``edges`` holds
     the edge list (rows, cols, weights) of every block of at least
     ``SPARSE_MIN`` nodes and at most ``SPARSE_FILL`` filled, keyed like
-    ``set_of`` (-1 for the transient part): the edges with both ends in the
-    block, relabelled to it (``_block_edges``).
+    ``set_of`` (-1 for the transient part): the entries P != 0 with both
+    ends in the block, relabelled to it (``_block_edges``).
     """
 
     decomposition: Decomposition
@@ -253,19 +290,21 @@ def _size_group(P: np.ndarray, w: np.ndarray, sets, nodes, stochastic) -> SizeGr
 
 
 def _block_edges(net: Network, nodes: np.ndarray):
-    """The edges of P with both ends in the sorted node set ``nodes``, relabelled to it, row-major.
+    """The entries P != 0 with both ends in the sorted node set ``nodes``, relabelled to it, row-major.
 
     (rows, cols, weights), read-only; a set that spans every node keeps the
-    Network's own rows and cols. None when they number more than
-    ``SPARSE_FILL * k**2`` for k nodes.
+    Network's own rows and cols. Negative entries (within ``EPS_FEAS``) are
+    kept with the edges, so the hunt solves the block that the dense path
+    solves. None when they number more than ``SPARSE_FILL * k**2`` for k
+    nodes.
     """
-    rows, cols = net._edges
+    rows, cols = net._nonzeros
     if nodes.size < net.n:
         label = np.full(net.n, -1, dtype=np.intp)
         label[nodes] = np.arange(nodes.size)
         inside = (label[rows] >= 0) & (label[cols] >= 0)
         rows, cols = rows[inside], cols[inside]
-    if rows.size > SPARSE_FILL * nodes.size**2:
+    if not _is_sparse(nodes.size, rows.size):
         return None
     vals = net.P[rows, cols]
     if nodes.size < net.n:
@@ -307,15 +346,17 @@ def block_structure(net: Network) -> BlockStructure:
     """The flow-independent structure of ``net``, built on first use.
 
     It is kept on the Network object (whose arrays are frozen), so every
-    later call on the same object reuses it; the Network's edge list is
-    dropped once it is built. Raises InputError for an invalid network, on
-    every call.
+    later call on the same object reuses it; the Network's scan of its
+    nonzeros is dropped once it is built, unless the network is large and
+    sparse and keeps it as its ``nonzero_list``. Raises InputError for an
+    invalid network, on every call.
     """
     cached = net.__dict__.get("_block_structure")
     if cached is None:
         cached = _build_structure(net)
         object.__setattr__(net, "_block_structure", cached)
-        net.__dict__.pop("_edges", None)
+        nonzero_list(net)  # decided while the scan is at hand
+        net.__dict__.pop("_nonzeros", None)
     return cached
 
 

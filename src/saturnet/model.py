@@ -117,18 +117,30 @@ class Network:
         return sums
 
     @cached_property
-    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """The edges i -> j of P (P[i, j] > 0), row-major: (rows, cols), read-only.
+    def _min_entry(self) -> float:
+        """The smallest entry of P: the one pass over P for it.
 
-        The one scan of P for its edges, a flat ``P > 0`` split into rows and
-        columns: ``decompose`` reads it, and ``block_structure`` takes the
-        edge lists of its large sparse blocks from it and then drops it, so
-        it is not kept beside P.
+        ``validate`` reads it for negative entries beyond ``EPS_FEAS``, and
+        ``decompose`` for any negative entry, which is no edge.
         """
-        edges = divmod(np.flatnonzero(self.P > 0), self.n)
-        for a in edges:
+        return float(self.P.min())
+
+    @cached_property
+    def _nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entries P[i, j] != 0, row-major: (rows, cols), read-only.
+
+        The one scan of P for its entries, a flat ``P != 0`` split into rows
+        and columns. ``decompose`` reads its positive entries (the same
+        arrays when no entry is negative); ``block_structure`` takes the edge
+        lists of its large sparse blocks from them, and the certification
+        list of a large sparse network (``decomposition.nonzero_list``) is
+        this scan with its values. ``block_structure`` drops it once built,
+        so a network keeps it only as that list.
+        """
+        nonzeros = divmod(np.flatnonzero(self.P != 0), self.n)
+        for a in nonzeros:
             a.setflags(write=False)
-        return edges
+        return nonzeros
 
 
 @dataclass(frozen=True)
@@ -244,11 +256,12 @@ def validate(net: Network) -> ValidationReport:
 
     Violations are listed by kind (negative entries row-major, then row sums,
     then capacities). P's entries are scanned one by one only when its
-    minimum is below ``-EPS_FEAS``; the row sums are the Network's own.
+    minimum is below ``-EPS_FEAS``; the minimum and the row sums are the
+    Network's own.
     """
     found: list[Violation] = []
     P, w = net.P, net.w
-    if P.min() < -EPS_FEAS:
+    if net._min_entry < -EPS_FEAS:
         for i, j in zip(*np.nonzero(P < -EPS_FEAS)):
             found.append(
                 Violation("negative_entry", (int(i), int(j)),

@@ -46,7 +46,12 @@ a trapping set of at least ``SPARSE_MIN`` nodes whose edges fill at most
 ``SPARSE_FILL`` of it) is hunted on it, as a stack of its own rows
 (``_hunt_stacks``), with Neumann pattern solves and the dense solve as
 fallback; other blocks are hunted dense. Either way the assembled
-extremes pass the same dense residual check, ``P'x + c`` against x.
+extremes pass the same residual check, ``P'x + c`` against x, on the whole
+network, with every entry of P. Its product ``P'x`` (``_routed_in``), like
+that of ``fixed_point_map``, ``node_partition`` and ``refine``, is taken on
+the network's list of nonzeros when the network is large and sparse
+(``nonzero_list``), and dense otherwise; that list is read from P alone, not
+from the hunt's block lists, so the check stays independent of the hunt.
 
 Every tolerance is relative to the box scale s = max w, with no floor (``_tol``).
 """
@@ -62,7 +67,7 @@ import numpy as np
 from ._hunt import hunt_unique, saturation_pattern, solve_patterns
 from ._linear import EdgeBlock, pinned_particular, segment_bounds, transposed_matvec
 from ._tol import TOUCH_REL, ZERO_SUM_REL, flow_tolerance, scale
-from .decomposition import BlockStructure, SizeGroup, block_structure, diagonal_blocks
+from .decomposition import BlockStructure, SizeGroup, block_structure, diagonal_blocks, nonzero_list
 from .errors import InputError, NonConvergenceError, PartitionInconsistencyError
 from .model import EquilibriumVector, Network, _as_vector, as_flow, as_point, require_valid
 
@@ -120,9 +125,22 @@ def fixed_point_residual(net: Network, c, x) -> float:
     return _residual(net, as_flow(c, net.n), as_point(x, net.n))
 
 
+def _routed_in(net, x) -> np.ndarray:
+    """P'x, what the values x route into every node, for a point x (n,) or every row of a stack (F, n).
+
+    One ``np.bincount`` per row over the network's nonzeros when it is large
+    and sparse (``nonzero_list``); otherwise dense, ``P.T @ x`` on a point
+    and ``transposed_matvec`` on a stack.
+    """
+    listed = nonzero_list(net)
+    if listed is None:
+        return net.P.T @ x if x.ndim == 1 else transposed_matvec(net.P[None], x)
+    return listed.matvec(x.reshape(-1, net.n)).reshape(x.shape)
+
+
 def _map(net, c, x):
     """``fixed_point_map`` on a checked flow and a float array."""
-    return np.minimum(np.maximum(net.P.T @ x + c, 0.0), net.w)
+    return np.minimum(np.maximum(_routed_in(net, x) + c, 0.0), net.w)
 
 
 def _residual(net, c, x) -> float:
@@ -384,7 +402,7 @@ def _assemble_extremes(net, found: _Analysis, opts):
         if failed:  # the row one stack of the whole group would name
             raise min(failed, key=lambda fault: fault[:2])[2]
     gate = _residual_gate(net, opts, slack)
-    y = transposed_matvec(net.P[None], x.reshape(2 * F, n)).reshape(x.shape) + c
+    y = _routed_in(net, x.reshape(2 * F, n)).reshape(x.shape) + c
     gaps = np.abs(np.minimum(np.maximum(y, 0.0), net.w) - x)
     res = gaps.max(axis=2)
     bad = res > gate
@@ -481,7 +499,7 @@ def node_partition(net: Network, c, x, opts: SolveOptions | None = None) -> Node
     opts = opts or DEFAULT_OPTIONS
     c, x, _ = _checked_equilibrium(net, c, x, opts.tol_class)
     band = opts.tol_class * net.w
-    pattern = saturation_pattern(net.P.T @ x - np.diag(net.P) * x + c, net.w + band, -band)
+    pattern = saturation_pattern(_routed_in(net, x) - np.diag(net.P) * x + c, net.w + band, -band)
     masks = (pattern > 0, pattern == 0, pattern < 0)
     return NodePartition(*(tuple(int(i) for i in np.nonzero(m)[0]) for m in masks))
 
@@ -531,7 +549,7 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     # beyond the bound pins it there
     band = opts.tol_class * net.w
     above, below = np.where(x >= net.w, net.w, net.w + band), np.where(x <= 0.0, 0.0, -band)
-    pattern = saturation_pattern(net.P.T @ x + c, above, below)
+    pattern = saturation_pattern(_routed_in(net, x) + c, above, below)
     st = block_structure(net)
     T = st.transient
     known = np.where(pattern > 0, net.w, 0.0)

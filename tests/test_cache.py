@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import saturnet as sn
-from saturnet.decomposition import block_structure, diagonal_blocks
+from saturnet.decomposition import SPARSE_FILL, SPARSE_MIN, block_structure, diagonal_blocks, nonzero_list
+from saturnet.model import EPS_FEAS
 
 from conftest import (
     C_STAR,
@@ -137,21 +138,31 @@ def test_cached_arrays_cannot_be_written():
 
 
 def test_one_edge_scan_per_network(monkeypatch):
-    # decompose and block_structure read the Network's one cached edge list:
-    # P > 0 is scanned once, by np.flatnonzero (which hands np.nonzero its
-    # 1-D ravel) and not by a 2-D np.nonzero, every edge array is read-only,
-    # a block that spans the network keeps the Network's own rows and cols,
-    # and the Network's list is dropped once the structure is built
+    # decompose, block_structure and the certification read the Network's
+    # one scan of its nonzeros, in either call order: P != 0 is scanned once,
+    # by np.flatnonzero (which hands np.nonzero its 1-D ravel) and not by a
+    # 2-D np.nonzero, and P > 0 is not scanned at all; every array is
+    # read-only, a block that spans the network keeps the scan's own rows and
+    # cols, and the scan is kept, as the list of nonzeros with their values,
+    # exactly when the network is large and sparse; a certification of a
+    # fresh network that is not keeps no scan either
     rng = np.random.default_rng(31)
     spanning = sn.Network(strongly_connected_routing(rng, 600, rng.uniform(0.8, 0.98, 600)), np.ones(600))
-    transient, _ = large_blocks(rng, 600, 3)
-    for net in (spanning, transient):
+    P = large_blocks(rng, 600, 3)[0].P.copy()
+    P[0, np.flatnonzero(P[0] == 0)[1]] = -EPS_FEAS / 2  # an entry that is no edge but is nonzero
+    transient = sn.Network(P, np.ones(len(P)))
+    full = rng.random((SPARSE_MIN, SPARSE_MIN))
+    dense = sn.Network(full / full.sum(axis=1)[:, None] * 0.9, np.ones(SPARSE_MIN))
+    small = random_network(rng, n_max=7)
+    for net, sparse in ((spanning, True), (transient, True), (dense, False), (small, False)):
         scans = []
 
         def spy(scan):
             def recording(a):
-                if np.shape(a) == net.P.shape and np.array_equal(a, net.P > 0):
-                    scans.append(scan.__name__)
+                for name, mask in (("P != 0", net.P != 0), ("P > 0", net.P > 0)):
+                    if np.shape(a) == mask.shape and np.array_equal(a, mask):
+                        scans.append((scan.__name__, name))
+                        break
                 return scan(a)
 
             return recording
@@ -159,14 +170,27 @@ def test_one_edge_scan_per_network(monkeypatch):
         for name in ("nonzero", "flatnonzero"):
             monkeypatch.setattr(np, name, spy(getattr(np, name)))
         sn.decompose(net)
-        edges = net._edges
+        rows, cols = net._nonzeros
         st = block_structure(net)
+        listed = nonzero_list(net)
+        residual = sn.fixed_point_residual(net, np.zeros(net.n), net.w)
+        fresh = sn.Network(net.P, net.w)
+        assert sn.fixed_point_residual(fresh, np.zeros(net.n), net.w) == residual
+        assert ("_nonzeros" in fresh.__dict__) == sparse
+        block_structure(fresh)
         monkeypatch.undo()
-        assert scans == ["flatnonzero"] and "_edges" not in net.__dict__
-        (block,) = st.edges.values()
-        assert not any(a.flags.writeable for a in (*edges, *block))
-        assert all(a is b for a, b in zip(block[:2], edges)) == (net is spanning)
-        assert block[2].tolist() == net.P[net.P > 0].tolist() if net is spanning else len(block[2]) < len(edges[0])
+        assert scans == [("flatnonzero", "P != 0")] * 2
+        assert "_nonzeros" not in net.__dict__ and "_nonzeros" not in fresh.__dict__
+        assert (nonzero_list(fresh) is not None) == sparse
+        assert (rows * net.n + cols).tolist() == np.flatnonzero(net.P).tolist()
+        assert (listed is not None) == sparse == (net.n >= SPARSE_MIN and rows.size <= SPARSE_FILL * net.n**2)
+        assert not any(a.flags.writeable for a in (rows, cols, *(a for e in st.edges.values() for a in e)))
+        if sparse:
+            assert listed.rows is rows and listed.cols is cols and not listed.vals.flags.writeable
+            assert listed.vals.tolist() == net.P[rows, cols].tolist()
+            (block,) = st.edges.values()
+            assert block[2].tolist() == listed.vals.tolist() if net is spanning else len(block[2]) < len(rows)
+            assert all(a is b for a, b in zip(block[:2], (rows, cols))) == (net is spanning)
 
 
 def test_whole_network_block_is_not_copied(triangle):

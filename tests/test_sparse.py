@@ -2,22 +2,32 @@
 
 Map steps there are bincounts over the edges and pattern solves Neumann
 iterations with the dense solve as fallback. The answers must agree with the
-dense path within the hunt's tolerance, pass the same dense residual gate,
-and keep every row of a stack bit for bit as it is alone.
+dense path within the hunt's tolerance, pass the same residual gate, and
+keep every row of a stack bit for bit as it is alone. A large sparse network
+is certified on its own list of nonzeros, read from P alone: its products
+P'x must be the dense ones to within rounding, with every entry of P.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import saturnet._hunt
 import saturnet.decomposition
-from saturnet import Network, NonConvergenceError, SolveOptions, extremal_equilibria
+import saturnet.solver
+from saturnet import (
+    Network, NonConvergenceError, ShockRay, SolveOptions, extremal_equilibria, fixed_point_map,
+    fixed_point_residual, sweep,
+)
 from saturnet._hunt import hunt_unique, neumann_patterns, solve_patterns
-from saturnet._linear import EdgeBlock
-from saturnet.decomposition import SPARSE_FILL, SPARSE_MIN, block_structure
-from saturnet.solver import _analyze, _assemble_extremes
+from saturnet._linear import EdgeBlock, transposed_matvec
+from saturnet.decomposition import SPARSE_FILL, SPARSE_MIN, block_structure, nonzero_list
+from saturnet.model import EPS_FEAS
+from saturnet.shocks import _chunks, _flow_entries
+from saturnet.solver import _analyze, _assemble_extremes, _routed_in
 
 from conftest import large_blocks, strongly_connected_routing
 
@@ -176,3 +186,113 @@ def test_hunt_error_names_the_first_flow_at_fault(monkeypatch, per_node):
             _assemble_extremes(fresh, _analyze(fresh, flows, opts, at=lambda f: f"flow {f}"), opts)
         named.append((err.value.block, err.value.at))
     assert named == [(1, "flow 0")] * 2
+
+
+KINDS = ["sparse_core", "near_stochastic_core", "transient", "out_connected_set", "stochastic_set"]
+
+
+def with_entry(net, value):
+    """``net`` with ``value`` written into a zero entry off the diagonal of row 0, and that entry."""
+    P = net.P.copy()
+    j = int(np.flatnonzero(P[0] == 0)[1])
+    P[0, j] = value
+    return Network(P, net.w), j
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_certification_product_is_the_dense_one(kind):
+    # the list holds every nonzero of P, and P'x on it is the dense product
+    # to within 4 ulps of sum_i |P_ij x_i| per entry, row by row of a stack
+    net, _ = large_case(kind, 1039)
+    listed = nonzero_list(net)
+    assert (listed.rows * net.n + listed.cols).tolist() == np.flatnonzero(net.P).tolist()
+    assert listed.vals.tolist() == net.P[net.P != 0].tolist()
+    x = net.w * np.random.default_rng(1039).uniform(0.0, 1.0, (3, net.n))
+    got, dense = _routed_in(net, x), transposed_matvec(net.P[None], x)
+    assert np.all(np.abs(got - dense) <= 4 * np.spacing(x @ np.abs(net.P)))
+    assert _routed_in(net, x[1]).tobytes() == got[1].tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_certification_reads_tiny_negative_entries(kind):
+    # a valid network with an entry of -EPS_FEAS/2 is certified with that
+    # entry: its map carries it, and the reported residuals are the dense ones
+    base, c = large_case(kind, 1049)
+    net, j = with_entry(base, -EPS_FEAS / 2)
+    assert net.P[0, j] in nonzero_list(net).vals
+    x = np.full(net.n, 0.5) * net.w
+    shift = _routed_in(net, x)[j] - _routed_in(Network(base.P, base.w), x)[j]
+    assert shift == pytest.approx(-EPS_FEAS / 2 * x[0], rel=1e-6)
+    for eq in extremal_equilibria(net, c):
+        dense = np.abs(np.clip(net.P.T @ eq.x + c, 0.0, net.w) - eq.x).max()
+        assert eq.residual == pytest.approx(dense, abs=1e-15 * net.w.max())
+        assert eq.residual == fixed_point_residual(net, c, eq.x)
+        assert np.abs(fixed_point_map(net, c, eq.x) - np.clip(net.P.T @ eq.x + c, 0.0, net.w)).max() <= (
+            1e-15 * net.w.max()
+        )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_certification_gate_still_fires(monkeypatch, kind):
+    # the large block's hunted values are shifted 0.3 too low at its first
+    # node: the residual gate on the list of nonzeros must name that block
+    net, c = large_case(kind, 1051)
+    st = block_structure(net)
+    assert nonzero_list(net) is not None
+    (l,) = st.edges
+    hunt = saturnet.solver.hunt_unique
+
+    def shifted(Q, w, c, opts, from_top, label):
+        x = hunt(Q, w, c, opts, from_top, label)
+        if isinstance(Q, EdgeBlock):
+            x[:, 0] -= 0.3
+        return x
+
+    monkeypatch.setattr(saturnet.solver, "hunt_unique", shifted)
+    with pytest.raises(NonConvergenceError, match="assembled equilibrium has residual") as err:
+        extremal_equilibria(net, c)
+    nodes = st.transient if l < 0 else st.decomposition.sinks[l].nodes
+    assert err.value.block == (None if l < 0 else l) and list(err.value.nodes) == list(nodes)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_certification_does_not_depend_on_call_order(kind):
+    # the residual on a fresh Network equals, bit for bit, its value after the
+    # structure and the list were built by extremal_equilibria
+    net, c = large_case(kind, 1061)
+    lo, hi = extremal_equilibria(Network(net.P, net.w), c)
+    fresh = Network(net.P, net.w)
+    before = [fixed_point_residual(fresh, c, eq.x) for eq in (lo, hi)]
+    image = fixed_point_map(Network(net.P, net.w), c, hi.x)
+    again = extremal_equilibria(fresh, c)
+    assert [fixed_point_residual(fresh, c, eq.x) for eq in (lo, hi)] == before == [eq.residual for eq in again]
+    assert fixed_point_map(fresh, c, hi.x).tobytes() == image.tobytes()
+
+
+def test_stacked_certification_stays_within_a_row_of_edges(monkeypatch):
+    # on a sweep chunk of F flows, the certification product's temporaries
+    # are O(F·n + nnz): its result plus one row's products at a time, never
+    # one per edge and flow
+    rng = np.random.default_rng(1063)
+    net, c = large_blocks(rng, 600, 3)
+    nnz = nonzero_list(net).rows.size
+    part = _chunks(24, _flow_entries(block_structure(net)))[0]
+    assert part.stop - part.start >= 8  # a stack of many flows
+    extra, product = [], saturnet.solver._routed_in
+
+    def traced(net, x):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = product(net, x)
+        extra.append((x.shape, tracemalloc.get_traced_memory()[1] - start))
+        return out
+
+    monkeypatch.setattr(saturnet.solver, "_routed_in", traced)
+    tracemalloc.start()
+    try:
+        sweep(net, ShockRay(c, net.w, 0.0, 0.5, part.stop - part.start))
+    finally:
+        tracemalloc.stop()
+    assert extra[0][0] == (2 * (part.stop - part.start), net.n)  # the grid's one chunk, then any crossings
+    for (rows, n), peak in extra:
+        assert peak <= 8 * rows * n + 3 * 8 * nnz + 8 * n + 2**14
