@@ -11,6 +11,14 @@ Files are JSON, UTF-8:
 * network file: ``{"n": int, "P": [[...]], "w": [...], "c": [...]?}``
 * liability file: ``{"W": [[...]], "a": [...], "b": [...], "u": [...]}``
 
+Layout and the way zeros are written do not change what a file reads as.
+A network file that is large and sparse by the hunt's bounds
+(``decomposition.SPARSE_MIN`` and ``SPARSE_FILL``, counting the entries of
+P not written as the literal ``0``) has its P read straight from the
+file's bytes, so only those entries become Python floats; the rest of the
+file, and every other file, goes through ``json.loads``. The two readings
+give P the same bits, and every error comes from the second.
+
 A liability file describes internal obligations W (W[i][j] owed by i to j),
 external assets a, senior external liabilities b, and external financial
 liabilities u; :func:`from_liabilities` converts it to a network with
@@ -21,7 +29,9 @@ Node indices are 0-based everywhere, including serialized output.
 
 from __future__ import annotations
 
+import io
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -39,34 +49,44 @@ EPS_FEAS = 1e-9
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
+    """``value`` as a square float matrix; its entries are not checked."""
     try:
         m = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name} is not a numeric matrix: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"{name} must be a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InputError(f"{name} contains non-finite entries")
     return m
+
+
+def _require_finite(a: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise InputError(f"{name} contains non-finite entries")
 
 
 def _as_vector(value, name: str, n: int | None = None) -> np.ndarray:
     try:
         v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name} is not a numeric vector: {exc}") from None
     if v.ndim != 1:
         raise InputError(f"{name} must be one-dimensional, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise InputError(f"{name} has length {v.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(v)):
-        raise InputError(f"{name} contains non-finite entries")
+    _require_finite(v, name)
     return v
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` read-only and C-ordered; a copy unless it is already both and owns its memory."""
-    if a.flags.writeable or not a.flags.owndata or not a.flags.c_contiguous:
+def _frozen(a: np.ndarray, source) -> np.ndarray:
+    """``a``, converted from ``source``, read-only and C-ordered.
+
+    An array built from a list or tuple is nobody else's, so it is frozen in
+    place. Any other is copied unless it is already read-only, C-ordered and
+    owns its memory.
+    """
+    if isinstance(source, (list, tuple)):
+        a.setflags(write=False)
+    elif a.flags.writeable or not a.flags.owndata or not a.flags.c_contiguous:
         a = a.copy()
         a.setflags(write=False)
     return a
@@ -78,7 +98,10 @@ class Network:
 
     Construction checks shapes and finiteness only. Value-level invariants
     (nonnegativity, sub-stochastic rows, nonnegative capacities) are checked
-    by :func:`validate`, which reports rather than raises.
+    by :func:`validate`, which reports rather than raises. Construction keeps
+    the row sums of P it checks finiteness by as ``_row_sums``, read-only,
+    which ``validate``, ``decompose`` and ``deficiency_set`` read; a row whose
+    sum overflows sums to inf, which exceeds 1 like any other.
 
     Everything derived from (P, w) alone, such as the validation report
     behind :func:`require_valid` and the trapping-set structure, is computed
@@ -89,12 +112,20 @@ class Network:
     w: np.ndarray
 
     def __post_init__(self):
-        P = _as_matrix(self.P, "P")
+        P = _frozen(_as_matrix(self.P, "P"), self.P)
+        # a non-finite entry makes its row sum NaN or infinite, so the entries
+        # are scanned only when some sum is; a sum that overflows is no fault
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = P.sum(axis=1)
+        if not np.all(np.isfinite(sums)):
+            _require_finite(P, "P")
         w = _as_vector(self.w, "w", P.shape[0])
         if P.shape[0] < 1:
             raise InputError("network must have at least one node")
-        object.__setattr__(self, "P", _frozen(P))
-        object.__setattr__(self, "w", _frozen(w))
+        sums.setflags(write=False)
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "w", _frozen(w, self.w))
+        object.__setattr__(self, "_row_sums", sums)
 
     @property
     def n(self) -> int:
@@ -103,18 +134,6 @@ class Network:
     @cached_property
     def _validation(self) -> ValidationReport:
         return validate(self)
-
-    @cached_property
-    def _row_sums(self) -> np.ndarray:
-        """The row sums of P, read-only: the one pass over P for them.
-
-        ``validate``, ``decompose`` and ``deficiency_set`` all read it. A row
-        whose sum overflows sums to inf, which exceeds 1 like any other.
-        """
-        with np.errstate(over="ignore"):
-            sums = self.P.sum(axis=1)
-        sums.setflags(write=False)
-        return sums
 
     @cached_property
     def _min_entry(self) -> float:
@@ -150,7 +169,7 @@ class ExogenousFlow:
     c: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _frozen(_as_vector(self.c, "c")))
+        object.__setattr__(self, "c", _frozen(_as_vector(self.c, "c"), self.c))
 
     @property
     def n(self) -> int:
@@ -172,6 +191,7 @@ class LiabilityData:
 
     def __post_init__(self):
         W = _as_matrix(self.W, "W")
+        _require_finite(W, "W")
         n = W.shape[0]
         a = _as_vector(self.a, "a", n)
         b = _as_vector(self.b, "b", n)
@@ -181,10 +201,10 @@ class LiabilityData:
                 raise InputError(f"{name} has negative entries")
         if np.any(np.diag(W) != 0):
             raise InputError("W must have a zero diagonal (no self-obligations)")
-        object.__setattr__(self, "W", _frozen(W))
-        object.__setattr__(self, "a", _frozen(a))
-        object.__setattr__(self, "b", _frozen(b))
-        object.__setattr__(self, "u", _frozen(u))
+        object.__setattr__(self, "W", _frozen(W, self.W))
+        object.__setattr__(self, "a", _frozen(a, self.a))
+        object.__setattr__(self, "b", _frozen(b, self.b))
+        object.__setattr__(self, "u", _frozen(u, self.u))
 
     @property
     def n(self) -> int:
@@ -199,7 +219,7 @@ class EquilibriumVector:
     residual: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _frozen(_as_vector(self.x, "x")))
+        object.__setattr__(self, "x", _frozen(_as_vector(self.x, "x"), self.x))
         object.__setattr__(self, "residual", float(self.residual))
 
 
@@ -307,18 +327,204 @@ def from_liabilities(data: LiabilityData) -> tuple[Network, ExogenousFlow]:
 # ----------------------------- file handling -----------------------------
 
 
+#: The top-level key of a network's routing matrix, up to the bracket that opens it.
+_P_KEY = re.compile(rb'"P"[ \t\n\r]*:[ \t\n\r]*\[')
+#: Numbers of the JSON grammar (RFC 8259), one space apart.
+_NUMBERS = re.compile(rb"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?(?: |$))*")
+#: Bytes of P classified at once: a dozen masks this long are alive together,
+#: which keeps them well below P itself on a large file.
+_CHUNK = 1 << 18
+_COMMA, _OPEN, _CLOSE, _ZERO = b",[]0"
+#: What stands in the rest of the document for P while it is parsed.
+_SPAN = object()
+
+
 def _load_json(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from None
+    obj = _sparse_network_object(data)
+    if obj is not None:
+        return obj
+    try:  # decoded as read_text decodes, newlines included
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path} is not valid UTF-8: {exc}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: top-level JSON value must be an object")
     return obj
+
+
+def _sparse_network_object(data: bytes) -> dict | None:
+    """The document of a large sparse network file, P read from its bytes; None to decline.
+
+    A network file whose P has n rows and at most the nonzeros of a large
+    sparse network (``decomposition._is_sparse`` of n and the tokens of P
+    that are not the literal ``0``) gets P as a read-only ndarray, bit for
+    bit what ``json.loads`` and ``np.asarray`` would make of it: only those
+    tokens become Python floats. The rest of the document is parsed by
+    ``json.loads`` with ``NaN`` in place of P, and is taken only if that
+    ``NaN`` is the document's one constant and its top-level ``"P"``, which
+    rules out a duplicate, nested or quoted ``"P"``. Any other file, and any
+    deviation from the grammar, is declined, so that every error comes from
+    the ``json.loads`` path.
+    """
+    from . import decomposition  # read at call time; decomposition imports this module
+
+    key = _P_KEY.search(data)
+    if key is None:
+        return None
+    lo = key.end() - 1
+    # P holds no quote or brace, so it ends at the last bracket before the first of them
+    quote = data.find(b'"', lo)
+    end = len(data) if quote < 0 else quote
+    brace = data.find(b"}", lo, end)
+    hi = data.rfind(b"]", lo, end if brace < 0 else brace) + 1
+    if hi <= lo:
+        return None
+    # the first row's length; every row is checked against it, and their number
+    n = data.count(b",", lo, data.find(b"]", lo, hi)) + 1
+    if not decomposition._is_sparse(n, 0):
+        return None
+    constants = []
+
+    def constant(name):
+        constants.append(name)
+        return _SPAN
+
+    try:
+        obj = json.loads((data[:lo] + b"NaN" + data[hi:]).decode("utf-8"), parse_constant=constant)
+    except (ValueError, RecursionError):
+        return None
+    if len(constants) != 1 or not isinstance(obj, dict) or obj.get("P") is not _SPAN:
+        return None
+    P = _sparse_matrix(data, lo, hi, n, decomposition._is_sparse)
+    if P is None:
+        return None
+    obj["P"] = P
+    return obj
+
+
+def _sparse_matrix(data: bytes, lo: int, hi: int, n: int, is_sparse) -> np.ndarray | None:
+    """``data[lo:hi]`` as an n x n matrix of at most ``is_sparse`` nonzero tokens, or None.
+
+    Read a chunk of rows at a time (``_sparse_rows``, whose masks are freed
+    before P is allocated). Each nonzero token
+    must match the JSON number grammar, and becomes the float that
+    ``json.loads`` and ``np.asarray`` make of it: ``float(tok)``, or
+    ``float(int(tok))`` for an integer.
+    """
+    cuts = [lo]  # each chunk after the first starts at a row's bracket
+    while (cut := data.find(b"[", cuts[-1] + _CHUNK, hi)) > 0:
+        cuts.append(cut)
+    cuts.append(hi)
+    flat, texts = [], []
+    rows = 0
+    before = _COMMA  # the byte before the chunk, as if the outer '[' were a row's
+    for a, b in zip(cuts, cuts[1:]):
+        chunk = _sparse_rows(data, a, b, before, n, a == lo, b == hi)
+        if chunk is None:
+            return None
+        count, places, tokens, before = chunk
+        flat.append(rows * n + places)
+        texts += tokens
+        rows += count
+        if not is_sparse(n, len(texts)):
+            return None
+    if rows != n or not _NUMBERS.fullmatch(b" ".join(texts)):
+        return None
+    # float(int(t)) of an integer token t is float(t), both rounded correctly,
+    # unless t is "-0" (0.0, not -0.0) or beyond float range (inf here, an
+    # OverflowError in np.asarray: declined either way)
+    values = np.array(list(map(float, texts)))
+    if not np.all(np.isfinite(values)):
+        return None
+    for i in np.flatnonzero(np.signbit(values) & (values == 0)).tolist():
+        if texts[i] == b"-0":
+            values[i] = 0.0
+    P = np.zeros((n, n))
+    np.put(P, np.concatenate(flat), values)
+    P.setflags(write=False)
+    return P
+
+
+def _sparse_rows(data: bytes, a: int, b: int, before: int, n: int, first: bool, last: bool):
+    """The rows of n tokens in ``data[a:b]``: their number, the places and texts of
+    their nonzero tokens and the chunk's last byte; or None.
+
+    The bytes are classified with the whitespace left out: ',', '[', ']'
+    and token bytes. Each comma and bracket is judged by its neighbours
+    (``before`` is the byte before the chunk; the outer brackets open the
+    ``first`` chunk and close the ``last``), and the span must read
+    ``[[t,...,t],...,[t,...,t]]``, with no whitespace inside a token. As
+    every token but the nonzero ones is the one byte ``0``, a row's length
+    and a nonzero token's column follow from their positions and the
+    lengths of the nonzero tokens before them.
+    """
+    raw = np.frombuffer(data, np.uint8, b - a, a)
+    blank = raw <= 32
+    g = raw
+    if blank.any():
+        if not np.isin(raw[blank], (9, 10, 13, 32)).all():
+            return None
+        g = raw[~blank]
+    ext = np.empty(g.size + 2, np.uint8)  # the chunk between its neighbours
+    ext[0], ext[1:-1], ext[-1] = before, g, _OPEN
+    comma, opn, close = ext == _COMMA, ext == _OPEN, ext == _CLOSE
+    tok = comma | opn
+    tok |= close
+    np.logical_not(tok, out=tok)
+    # a comma between two tokens or two rows; a row's '[' after a comma (or
+    # the outer '[') and before a token; its ']' after a token and before a
+    # comma (or the outer ']'). Then no bracket but the outer ones follows a
+    # bracket of its kind, so rows alternate with the separators between
+    # them, and a row without its '[' or ']' leaves these two counts apart.
+    odd = tok[:-2] & tok[2:]
+    np.logical_not(odd, out=odd)
+    odd &= comma[1:-1]
+    odd = np.flatnonzero(odd)
+    opens = np.flatnonzero(opn[1:-1])[1 if first else 0:]
+    closes = np.flatnonzero(close[1:-1])
+    closes = closes[:-1] if last else closes
+    if not (
+        np.all(close[odd] & opn[odd + 2])
+        and np.all((comma[opens] | opn[opens]) & tok[opens + 2])
+        and np.all(tok[closes] & (comma[closes + 2] | close[closes + 2]))
+        and opens.size == closes.size
+    ):
+        return None
+    if g is not raw:  # whitespace between two tokens would have joined them
+        apart = blank | (raw == _COMMA)
+        apart |= raw == _OPEN
+        apart |= raw == _CLOSE
+        joined = np.count_nonzero(apart[:-1] & ~apart[1:]) - np.count_nonzero(tok[:-2] & ~tok[1:-1])
+        if joined:
+            return None
+    # the bytes of the tokens other than a lone '0'
+    mark = g != _ZERO
+    mark |= tok[:-2]
+    mark |= tok[2:]
+    mark &= tok[1:-1]
+    at = np.flatnonzero(mark)
+    breaks = np.flatnonzero(np.diff(at) != 1)
+    starts = at[np.concatenate(([0], breaks + 1))] if at.size else at
+    ends = at[np.concatenate((breaks, [-1]))] + 1 if at.size else at
+    extra = np.zeros(starts.size + 1, np.intp)  # bytes of nonzero tokens beyond one each
+    np.cumsum(ends - starts - 1, out=extra[1:])
+    in_open = np.searchsorted(starts, opens)
+    lengths = closes - opens - 1 - (extra[np.searchsorted(starts, closes)] - extra[in_open])
+    if np.any(lengths != 2 * n - 1):
+        return None
+    row = np.searchsorted(opens, starts) - 1
+    col = (starts - opens[row] - 1 - (extra[:-1] - extra[in_open[row]])) // 2
+    text = g.tobytes()
+    tokens = [text[i:j] for i, j in zip(starts.tolist(), ends.tolist())]
+    return opens.size, row * n + col, tokens, int(g[-1])
 
 
 def network_from_dict(obj: dict) -> tuple[Network, ExogenousFlow | None]:

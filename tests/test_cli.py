@@ -279,6 +279,17 @@ class TestErrorPaths:
         bad.write_text("{oops")
         assert main(["solve", "--input", str(bad)]) == 3
 
+    def test_unreadable_numbers_and_bytes_exit_three(self, capsys, tmp_path):
+        # an integer beyond float range, one too long to convert, and a file that is not UTF-8
+        huge = tmp_path / "huge.json"
+        for entry in ("1" + "0" * 400, "1" * 5000):
+            huge.write_text('{"n": 2, "P": [[0, %s], [0, 0]], "w": [1, 1]}' % entry)
+            assert main(["validate", "--input", str(huge)]) == 3
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"n": 1, "P": [[0]], "w": [1], "note": "é"}'.encode("latin-1"))
+        assert main(["validate", "--input", str(latin1)]) == 3
+        assert capsys.readouterr().err.count("saturnet: error: file-format: ") == 3
+
     def test_invalid_network_data(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 1, "P": [[1.5]], "w": [1.0]}')

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import saturnet.decomposition
 
 from saturnet import (
     EquilibriumVector,
@@ -17,6 +23,7 @@ from saturnet import (
     saturate,
     validate,
 )
+from saturnet import model
 from saturnet._fmt import dumps
 
 from conftest import TRIANGLE_P, TRIANGLE_W
@@ -91,6 +98,30 @@ class TestNetwork:
         frozen = Network(P, TRIANGLE_W).P
         assert frozen.flags.c_contiguous and not frozen.flags.writeable
         assert frozen.tobytes() == np.ascontiguousarray(TRIANGLE_P).tobytes()
+
+    def test_a_list_is_frozen_in_place(self):
+        # the array built from a list is nobody else's: one P is allocated, not two
+        n = 300
+        P = np.full((n, n), 0.5 / n).tolist()
+        tracemalloc.start()
+        try:
+            net = Network(P, [1.0] * n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * net.P.nbytes
+        assert net.P.flags.owndata and not net.P.flags.writeable
+
+    def test_finiteness_is_judged_from_the_row_sums(self):
+        big = Network([[1e308, 1e308], [0.0, 0.5]], [1.0, 1.0])
+        assert big._row_sums.tolist() == [np.inf, 0.5]
+        assert not big._row_sums.flags.writeable
+        assert [v.where for v in validate(big).violations] == [(0,)]
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InputError, match="^P contains non-finite entries$"):
+                Network([[0.0, bad], [0.0, 0.5]], [1.0, 1.0])
+        with pytest.raises(InputError, match="^P contains non-finite entries$"):
+            Network([[np.inf, -np.inf], [0.0, 0.5]], [1.0, 1.0])
 
     def test_validate_accepts_demo(self, triangle):
         assert validate(triangle).ok
@@ -229,3 +260,192 @@ class TestFiles:
             load_input(bad_n)
         with pytest.raises(FileFormatError):
             load_input(tmp_path / "does_not_exist.json")
+
+
+# --------------------- the byte-level reader of sparse files ---------------------
+
+
+def _outcome(path):
+    """What load_input makes of a file: the bits of P, w and c, or the error."""
+    try:
+        net, flow = load_input(path)
+    except Exception as exc:  # the error is part of the outcome compared
+        return type(exc), str(exc)
+    bits = [net.P.view(np.int64).tolist(), net.w.view(np.int64).tolist()]
+    return bits + [None if flow is None else flow.c.view(np.int64).tolist()]
+
+
+def _same_on_both_paths(path, monkeypatch) -> bool:
+    """Assert load_input agrees with its json.loads path on a file; whether the byte path took it."""
+    taken = model._sparse_network_object(Path(path).read_bytes()) is not None
+    fast = _outcome(path)
+    with monkeypatch.context() as m:
+        m.setattr(model, "_sparse_network_object", lambda data: None)
+        slow = _outcome(path)
+    assert fast == slow
+    return taken
+
+
+def _sparse_tokens(rng, n, per_row=2):
+    """An n x n grid of JSON tokens, all the literal 0 but a few per row."""
+    grid = [["0"] * n for _ in range(n)]
+    for row in grid:
+        for j in rng.choice(n, size=per_row, replace=False):
+            row[j] = repr(float(rng.uniform(0.01, 0.4)))
+    return grid
+
+
+def _compact(grid, w, c=None, sep=",\n") -> str:
+    """A network file as the benchmark's generator writes it: one row per line."""
+    rows = sep.join("[" + ",".join(row) + "]" for row in grid)
+    tail = "" if c is None else ', "c": ' + json.dumps(c)
+    return f'{{"n": {len(grid)}, "P": [{rows}], "w": {json.dumps(w)}{tail}}}\n'
+
+
+def _json_writers(grid, w, c):
+    """The same network through json.dumps, indented, saturnet's writer, tabs and CRLF."""
+    P = [[json.loads(t) for t in row] for row in grid]
+    obj = {"n": len(grid), "P": P, "w": w, "c": c}
+    indented = json.dumps(obj, indent=2)
+    yield json.dumps(obj)
+    yield indented
+    yield dumps(network_to_dict(Network(P, w), c))
+    yield indented.replace("  ", "\t").replace("\n", "\r\n")
+
+
+@pytest.fixture
+def small_is_sparse(monkeypatch):
+    """Let networks of a few nodes, as full as need be, take the byte-level path."""
+    monkeypatch.setattr(saturnet.decomposition, "SPARSE_MIN", 3)
+    monkeypatch.setattr(saturnet.decomposition, "SPARSE_FILL", 1.0)
+
+
+class TestSparseFiles:
+    @pytest.mark.parametrize("chunk", [None, 16])
+    def test_writers_and_tokens_agree_with_json_loads(self, tmp_path, monkeypatch, small_is_sparse, chunk):
+        if chunk is not None:  # many chunks of a few rows each
+            monkeypatch.setattr(model, "_CHUNK", chunk)
+        rng = np.random.default_rng(5)
+        n = 7
+        w = rng.uniform(1.0, 3.0, n).tolist()
+        c = rng.uniform(-1.0, 1.0, n).tolist()
+        tokens = ["0", "0.0", "-0", "-0.0", "1e-3", "1E+2", "1" + "7" * 29, "1e400",
+                  "-5", "0e5", "123456789012345678901", "2.5E-310"]
+        files = []
+        for k, tok in enumerate(tokens):
+            grid = _sparse_tokens(rng, n)
+            grid[k % n][(3 * k) % n] = tok
+            files.append(_compact(grid, w, c))
+            files.append(_compact(grid, w, sep=", "))
+            files.extend(_json_writers(grid, w, c) if tok != "1e400" else ())
+        taken = []
+        for k, text in enumerate(files):
+            path = tmp_path / f"net{k}.json"
+            path.write_text(text, newline="")
+            taken.append(_same_on_both_paths(path, monkeypatch))
+        assert len(files) - sum(taken) == 2  # the two 1e400 files decline
+
+    @pytest.mark.parametrize("mutate", [
+        lambda t: t.replace("[0,", "[", 1),  # a ragged row: the first
+        lambda t: t.replace("]]", ",0]]", 1),  # and the last
+        lambda t: t.replace("[0,0,0,", "[0,,0,,", 1),  # a row of the right length
+        lambda t: t.replace("],\n[", "],0,\n[", 1),  # a number between rows
+        lambda t: t.replace('"P": [[', '"P": [0,[', 1),
+        lambda t: t.replace('"P": [[', '"P": [', 1),  # the first row without its '['
+        lambda t: t.replace("]]", "]", 1),  # the last without its ']'
+        lambda t: t.replace("],\n[", "]\n[", 1),  # no comma between rows
+        lambda t: t.replace("],\n[", "],\n[],\n[", 1),  # an empty row
+        lambda t: t.replace("],\n[", "],\n[[", 1).replace("]]", "]]]", 1),  # a row nested deeper
+        lambda t: t.replace("]]", "],0]", 1),
+        lambda t: t.replace('"P": [[', '"P": [[]], "Q": [[', 1),
+        lambda t: t.replace("[0,", "[1 2,", 1),
+        lambda t: t.replace("[0,", "[1.,", 1),
+        lambda t: t.replace("[0,", "[.5,", 1),
+        lambda t: t.replace("[0,", "[+1,", 1),
+        lambda t: t.replace("[0,", "[01,", 1),
+        lambda t: t.replace("[0,", "[NaN,", 1),
+        lambda t: t.replace("[0,", "[Infinity,", 1),
+        lambda t: t.replace("[0,", '["0.5",', 1),
+        lambda t: t.replace("0]", "0,]", 1),  # a trailing comma in a row
+        lambda t: t.replace("]]", "],]", 1),  # and after the last row
+        lambda t: t[: len(t) // 2],  # truncated
+        lambda t: t.replace('{"n"', '{"meta": {"P": [[0, 0.5], [0, 0]]}, "n"', 1),
+        lambda t: t.replace('{"n"', '{"P": [[0, 0.5], [0, 0]], "n"', 1),
+        lambda t: t.replace("}\n", ', "P": [[0, 0.5], [0, 0]]}\n', 1),  # a duplicate key after
+        lambda t: t.replace('{"n"', '{"x\\"P": [[0, 0.5], [0, 0]], "n"', 1),  # in a key's string
+        lambda t: t.replace('"w": [', '"w": [NaN, ', 1),
+        lambda t: t.replace('"n": 7', '"n": 6', 1),
+        lambda t: t.replace("[0,", "[" + "1" * 400 + ",", 1),
+        lambda t: t.replace("[0,", "[" + "1" * 5000 + ",", 1),
+        lambda t: "\ufeff" + t,
+        lambda t: t.replace("[0,", "[\u00e9,", 1),
+        lambda t: t.replace("[0,", "[0\f,", 1),
+    ])
+    def test_what_json_loads_rejects_or_reads_apart(self, tmp_path, monkeypatch, small_is_sparse, mutate):
+        base = _compact(_sparse_tokens(np.random.default_rng(9), 7), [1.0] * 7, [0.5] * 7)
+        text = mutate(base)
+        assert text != base
+        path = tmp_path / "net.json"
+        path.write_bytes(text.encode("utf-8"))
+        _same_on_both_paths(path, monkeypatch)
+
+    def test_demo_files_agree_with_json_loads(self, monkeypatch, small_is_sparse):
+        demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.json"))
+        assert demos
+        for path in demos:
+            _same_on_both_paths(path, monkeypatch)
+
+    def test_the_sparse_predicate_chooses_the_path(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = saturnet.decomposition.SPARSE_MIN
+        grid = _sparse_tokens(rng, n)
+        w = [1.0] * n
+        assert model._sparse_network_object(_compact(grid, w).encode()) is not None
+        nothing = model._sparse_network_object(_compact([["0"] * n] * n, w).encode())
+        assert nothing["P"].shape == (n, n) and not nothing["P"].any()
+        # zeros written 0.0 are tokens like any other, and too many of them
+        zeros = [[t if t != "0" else "0.0" for t in row] for row in grid]
+        assert model._sparse_network_object(_compact(zeros, w).encode()) is None
+        assert model._sparse_network_object(_compact(grid[1:], w).encode()) is None
+        smaller = [row[1:] for row in grid[1:]]
+        assert model._sparse_network_object(_compact(smaller, w[1:]).encode()) is None
+
+    def test_a_large_sparse_file_peaks_below_json_loads(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        n = 600
+        path = tmp_path / "net.json"
+        path.write_text(_compact(_sparse_tokens(rng, n, per_row=6), rng.uniform(1, 2, n).tolist()))
+        assert _same_on_both_paths(path, monkeypatch)
+        peaks = []
+        for byte_path in (True, False):
+            with monkeypatch.context() as m:
+                if not byte_path:
+                    m.setattr(model, "_sparse_network_object", lambda data: None)
+                tracemalloc.start()
+                try:
+                    load_input(path)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
+
+    def test_integers_beyond_float_range_are_a_file_format_error(self, tmp_path):
+        huge = "1" + "0" * 400
+        for text in (
+            f'{{"n": 2, "P": [[0, {huge}], [0, 0]], "w": [1, 1]}}',
+            f'{{"n": 2, "P": [[0, 0], [0, 0]], "w": [1, {huge}]}}',
+            f'{{"n": 2, "P": [[0, 0], [0, 0]], "w": [1, 1], "c": [-{huge}, 0]}}',
+        ):
+            path = tmp_path / "huge.json"
+            path.write_text(text)
+            with pytest.raises(FileFormatError, match="is not a numeric"):
+                load_input(path)
+        path.write_text(f'{{"n": 1, "P": [[{"1" * 5000}]], "w": [1]}}')
+        with pytest.raises(FileFormatError, match="is not valid JSON"):
+            load_input(path)
+
+    def test_a_file_that_is_not_utf8_is_a_file_format_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"n": 1, "P": [[0]], "w": [1], "note": "\u00e9"}'.encode("latin-1"))
+        with pytest.raises(FileFormatError, match="is not valid UTF-8"):
+            load_input(path)
