@@ -24,6 +24,26 @@ def fmt_float(x: float) -> str:
     return s
 
 
+def fmt_cells(values) -> list[list[str]]:
+    """The rows of a float matrix as ``fmt_float`` writes each cell.
+
+    Each distinct value is formatted once and its text shared by every cell
+    that holds it, so a table of repeated numbers costs its distinct ones.
+    The first non-finite cell in row-major order raises ``fmt_float``'s
+    ``InputError``.
+    """
+    values = np.asarray(values, dtype=float)
+    flat = values.ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        fmt_float(flat[~finite][0])
+    # -0.0 + 0.0 is 0.0, which prints as 0; the inverse is reshaped from a
+    # flat input, so its shape does not depend on the numpy version
+    distinct, inverse = np.unique(flat + 0.0, return_inverse=True)
+    text = np.array(["%.12g" % v for v in distinct.tolist()], dtype=object)
+    return text[inverse.reshape(-1)].reshape(values.shape).tolist()
+
+
 def _render(obj, out: list[str], indent: int, level: int) -> None:
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
@@ -93,7 +113,11 @@ def csv_cell(v) -> str:
 
 
 def csv_lines(header: list[str], rows) -> str:
-    """Render a CSV table (comma-separated, '\\n' line endings, trailing newline)."""
+    """Render a CSV table (comma-separated, '\\n' line endings, trailing newline).
+
+    Each cell goes through ``csv_cell`` on its own; the table writers that
+    use ``fmt_cells`` are tested against this.
+    """
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(csv_cell(v) for v in row))

@@ -9,6 +9,7 @@ non-convergence, 3 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -131,6 +132,16 @@ def build_parser() -> _Parser:
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--sample-every", dest="sample_every", type=int, default=1)
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser; ``parse_args`` reads it without changing it.
+
+    Building it takes about 60 ``add_argument`` calls, a cost each ``main``
+    would otherwise pay again.
+    """
+    return build_parser()
 
 
 def _cmd_validate(args) -> int:
@@ -277,9 +288,8 @@ def _fail(kind: str, message: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         return _fail("usage", str(exc), 3)

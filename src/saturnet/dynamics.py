@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fmt import csv_lines
+from ._fmt import fmt_cells
 from .errors import InputError
 from .model import Network, as_flow, require_valid
 from .solver import _residual
@@ -28,8 +28,8 @@ class Trajectory:
     def to_csv(self) -> str:
         n = self.states.shape[1]
         header = ["t"] + [f"x_{i + 1}" for i in range(n)]
-        rows = [[t] + list(row) for t, row in zip(self.times, self.states)]
-        return csv_lines(header, rows)
+        cells = fmt_cells(np.column_stack([self.times, self.states]))
+        return "\n".join([",".join(header)] + [",".join(row) for row in cells]) + "\n"
 
 
 def simulate(

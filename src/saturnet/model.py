@@ -554,9 +554,15 @@ def liabilities_from_dict(obj: dict) -> LiabilityData:
     for key in ("W", "a", "b", "u"):
         if key not in obj:
             raise FileFormatError(f"liability object is missing key {key!r}")
+    try:
+        W = _as_matrix(obj["W"], "W")
+        _require_finite(W, "W")
+        a, b, u = (_as_vector(obj[key], key, W.shape[0]) for key in ("a", "b", "u"))
+    except InputError as exc:
+        raise FileFormatError(str(exc)) from None
     # InputError from the constructor propagates: a well-formed file whose
     # entries violate the invariants is a validation failure, not a parse one
-    return LiabilityData(obj["W"], obj["a"], obj["b"], obj["u"])
+    return LiabilityData(W, a, b, u)
 
 
 def load_input(path):

@@ -18,7 +18,9 @@ that pattern: the bisection takes the mean of the ends' sums there, and a
 step hunts the transient part, as one stack with a row per set, only for
 the sets whose bracket spans a pattern change. The roots' flows are then
 solved as stacks too. ``loss_jump`` sums the gap of the same assembled
-extremes.
+extremes. ``sweep_to_csv`` formats each distinct number of the table once:
+the x_max half repeats x_min on every unique row, and saturated nodes hold
+0 or their capacity for long runs of the grid.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fmt import fmt_float
+from ._fmt import fmt_cells, fmt_float
 from ._tol import ROUND_REL, flow_tolerance, scale
 from .decomposition import BlockStructure, block_structure
 from .errors import InputError, NotCriticalError
@@ -418,7 +420,11 @@ def sweep(
 
 
 def sweep_to_csv(records: list[SweepRecord], n: int) -> str:
-    """The sweep table as CSV, each number as ``_fmt.csv_cell`` writes it (12 significant digits, no -0)."""
+    """The sweep table as CSV, each number as ``_fmt.csv_cell`` writes it (12 significant digits, no -0).
+
+    The float cells come from ``_fmt.fmt_cells``, which formats each
+    distinct value once and shares its text among the cells that hold it.
+    """
     header = ["eps", "unique", "loss_min", "loss_max", "n_defaults"]
     header += [f"x_min_{i + 1}" for i in range(n)]
     header += [f"x_max_{i + 1}" for i in range(n)]
@@ -429,11 +435,7 @@ def sweep_to_csv(records: list[SweepRecord], n: int) -> str:
             np.array([r.x_min for r in records]),
             np.array([r.x_max for r in records]),
         ])
-        finite = np.isfinite(values)
-        if not finite.all():
-            fmt_float(values[~finite][0])  # raises the InputError of the first such cell
-        values += 0.0  # -0.0 + 0.0 is 0.0, which prints as 0
-        row = "%.12g,%s,%.12g,%.12g,%d," + ",".join(["%.12g"] * (values.shape[1] - 3))
-        for r, v in zip(records, values.tolist()):
-            lines.append(row % (v[0], "true" if r.unique else "false", v[1], v[2], len(r.defaults), *v[3:]))
+        for r, v in zip(records, fmt_cells(values)):
+            flag = "true" if r.unique else "false"
+            lines.append(",".join([v[0], flag, v[1], v[2], str(len(r.defaults)), *v[3:]]))
     return "\n".join(lines) + "\n"

@@ -11,9 +11,10 @@ import jsonschema
 import numpy as np
 import pytest
 
+import saturnet
 import saturnet.cli
 from saturnet import extremal_equilibria, node_partition, refine
-from saturnet.cli import main
+from saturnet.cli import build_parser, main
 
 from conftest import X_MAX_STAR, X_MIN_STAR, hunt_cases, shifted_second_set
 
@@ -244,6 +245,47 @@ class TestSweepCommand:
         assert code == 3
 
 
+class TestOneParser:
+    def test_reused_parser_leaks_no_state(self, capsys, tmp_path, monkeypatch):
+        ray = [
+            "sweep", "--input", str(DEMOS / "triangle_baseline.json"),
+            "--q", "0.07,0.59,0.34", "--eps-hi", "14", "--grid", "29",
+        ]
+        calls = [[*ray, "--c0", "5,2,1"], ray, [*ray, "--tol-fp", "1e-10"], ray]
+
+        def artifacts(argv, name):
+            out = tmp_path / f"{name}.csv"
+            assert main([*argv, "--output", str(out)]) == 0
+            return out.read_bytes(), out.with_suffix(".crossings.json").read_bytes()
+
+        fresh = []
+        for k, argv in enumerate(calls):
+            saturnet.cli._parser.cache_clear()
+            fresh.append(artifacts(argv, f"fresh{k}"))
+        assert fresh[0] != fresh[1]
+
+        built = []
+
+        def counting_build():
+            built.append(1)
+            return build_parser()
+
+        saturnet.cli._parser.cache_clear()
+        monkeypatch.setattr(saturnet.cli, "build_parser", counting_build)
+        reused = []
+        for k, argv in enumerate(calls):
+            reused.append(artifacts(argv, f"reused{k}"))
+            assert vars(saturnet.cli._parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
+            assert main(["sweep", "--input", "x.json", "--q", "1"]) == 3  # no --eps-hi
+        assert reused == fresh
+        assert len(built) == 1
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as done:
+            main(["--version"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out == f"saturnet {saturnet.__version__}\n"
+
+
 class TestSimulateCommand:
     def test_trajectory_csv(self, capsys):
         code, out = run(
@@ -296,10 +338,28 @@ class TestErrorPaths:
         assert main(["solve", "--input", str(bad)]) == 1
 
     def test_invalid_liability_data(self, capsys, tmp_path):
+        # a negative entry or a nonzero diagonal in W is a validation failure
         bad = tmp_path / "bad_liab.json"
-        bad.write_text('{"W": [[0.0, -4.0], [4.0, 0.0]], "a": [1.0, 1.0], '
-                       '"b": [0.0, 0.0], "u": [1.0, 0.0]}')
-        assert main(["solve", "--input", str(bad)]) == 1
+        for W in ("[[0.0, -4.0], [4.0, 0.0]]", "[[0.5, 4.0], [4.0, 0.0]]"):
+            bad.write_text('{"W": %s, "a": [1.0, 1.0], "b": [0.0, 0.0], "u": [1.0, 0.0]}' % W)
+            assert main(["solve", "--input", str(bad)]) == 1
+        assert capsys.readouterr().err.count("saturnet: error: validation: W ") == 2
+
+    def test_unreadable_liability_entries_exit_three(self, capsys, tmp_path):
+        # as in a network file: a non-number, an integer beyond float range,
+        # a non-finite value or a wrong shape is a file-format error
+        bad = tmp_path / "bad_liab.json"
+        for W, u in (
+            ('[[0, "x"], [1, 0]]', "[1, 0]"),
+            ("[[0, 1%s], [1, 0]]" % ("0" * 400), "[1, 0]"),
+            ("[[0, 1], [1, 0]]", "[1, 1%s]" % ("0" * 400)),
+            ("[[0, 1], [1, 0]]", "[1, NaN]"),
+            ("[[0, 1, 2], [1, 0, 3]]", "[1, 0]"),
+            ("[[0, 1], [1, 0]]", "[1, 0, 0]"),
+        ):
+            bad.write_text('{"W": %s, "a": [1, 1], "b": [0, 0], "u": %s}' % (W, u))
+            assert main(["validate", "--input", str(bad)]) == 3
+        assert capsys.readouterr().err.count("saturnet: error: file-format: ") == 6
 
     def test_non_convergence_exit_code(self, capsys, tmp_path):
         # near-stochastic pair whose saturation pattern is misjudged until the

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from saturnet import ExogenousFlow, InputError, minimal_equilibrium, Network
-from saturnet._fmt import csv_lines, dumps, fmt_float
+from saturnet import ExogenousFlow, InputError, minimal_equilibrium, Network, simulate
+from saturnet._fmt import csv_lines, dumps, fmt_cells, fmt_float
 
 
 class TestFloatFormat:
@@ -52,6 +52,31 @@ class TestCsv:
     def test_cells_and_endings(self):
         text = csv_lines(["a", "b"], [[1, True], [0.5, False]])
         assert text == "a,b\n1,true\n0.5,false\n"
+
+    def test_shared_cells_equal_each_cell_alone(self):
+        rng = np.random.default_rng(17)
+        pool = np.array([-0.0, 0.0, 5e-324, -1e-300, 0.1 + 0.2, 0.3, 1e16, 2.0 / 3.0, -7.5])
+        for shape in [(6, 5), (1, 1), (1, 7), (7, 1), (0, 4)]:
+            values = rng.choice(pool, size=shape)
+            values[:, -1:] = values[:, :1]  # equal values in different columns
+            assert fmt_cells(values) == [[fmt_float(v) for v in row] for row in values]
+        assert fmt_cells(np.array([[-0.0, 0.0]])) == [["0", "0"]]
+
+    @pytest.mark.parametrize("first", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_cell_is_named(self, first):
+        values = np.array([[1.0, 2.0, first], [np.nan, -np.inf, np.inf]])
+        with pytest.raises(InputError) as expected:
+            fmt_float(first)
+        with pytest.raises(InputError) as got:
+            fmt_cells(values)
+        assert str(got.value) == str(expected.value)
+
+    def test_trajectory_csv_equals_the_generic_cells(self):
+        net = Network([[0.0, 0.75, 0.25], [0.0, 0.0, 1.0], [0.3, 0.7, 0.0]], [5.0, 3.0, 2.0])
+        traj = simulate(net, [5.0, -1.0, 2.0], np.zeros(3), t_end=0.5, dt=0.01, sample_every=3)
+        rows = [[t, *x] for t, x in zip(traj.times, traj.states)]
+        assert traj.to_csv() == csv_lines(["t", "x_1", "x_2", "x_3"], rows)
+        assert traj.to_csv().split("\n")[1] == "0,0,0,0"
 
 
 def test_solver_accepts_flow_objects():

@@ -613,6 +613,16 @@ class TestStackedSweep:
         )
 
 
+def generic_sweep_csv(records, n):
+    """The sweep table written cell by cell through ``_fmt.csv_lines``."""
+    header = ["eps", "unique", "loss_min", "loss_max", "n_defaults"]
+    header += [f"x_{side}_{i + 1}" for side in ("min", "max") for i in range(n)]
+    rows = [
+        [r.eps, r.unique, r.loss_min, r.loss_max, len(r.defaults), *r.x_min, *r.x_max] for r in records
+    ]
+    return csv_lines(header, rows)
+
+
 class TestSweepCsv:
     def test_row_format_equals_the_generic_cells(self):
         x = np.array([-0.0, 5e-324, 1e16, -1e-300])
@@ -620,17 +630,45 @@ class TestSweepCsv:
             SweepRecord(-0.0, x, x[::-1].copy(), 1e16, -1e-300, (0, 3), True),
             SweepRecord(5e-324, x + 1.0, x, 0.1 + 0.2, 2.0 / 3.0, (), False),
         ]
-        header = ["eps", "unique", "loss_min", "loss_max", "n_defaults"]
-        header += [f"x_{side}_{i + 1}" for side in ("min", "max") for i in range(4)]
-        rows = [
-            [r.eps, r.unique, r.loss_min, r.loss_max, len(r.defaults), *r.x_min, *r.x_max] for r in records
-        ]
         text = sweep_to_csv(records, 4)
-        assert text == csv_lines(header, rows)
+        assert text == generic_sweep_csv(records, 4)
         assert text.split("\n")[1].startswith("0,true,1e+16,-1e-300,2,0,4.94065645841e-324,1e+16,-1e-300,")
+
+    def test_repeated_values_equal_the_generic_cells(self):
+        # each distinct value is formatted once and shared: equal values in
+        # different columns, -0.0 beside 0.0, x_max equal to x_min, a row
+        # repeated, a value that differs from another only in its 17th digit
+        w = np.array([2.0, 0.1 + 0.2, 0.3, 2.0])
+        x = np.array([-0.0, 0.3, 0.1 + 0.2, 2.0])
+        records = [
+            SweepRecord(0.0, x, x.copy(), 0.0, -0.0, (0,), True),
+            SweepRecord(0.3, x, w, 2.0, 0.3, (0,), False),
+            SweepRecord(0.3, x, w, 2.0, 0.3, (0,), False),
+            SweepRecord(2.0, np.zeros(4), -np.zeros(4), 0.1 + 0.2, 0.1 + 0.2, (0, 1, 2, 3), True),
+        ]
+        for chosen in (records, records[1:2], []):
+            assert sweep_to_csv(chosen, 4) == generic_sweep_csv(chosen, 4)
+        assert sweep_to_csv([], 4).count("\n") == 1
+        rows = sweep_to_csv(records, 4).split("\n")
+        assert rows[1] == "0,true,0,0,1,0,0.3,0.3,2,0,0.3,0.3,2"
+        assert rows[2] == rows[3]
 
     def test_non_finite_value_is_refused(self):
         x = np.array([0.5, np.nan])
         record = SweepRecord(0.0, np.zeros(2), x, 0.0, 0.0, (), False)
         with pytest.raises(InputError, match="cannot serialize non-finite value nan"):
             sweep_to_csv([record], 2)
+
+    @pytest.mark.parametrize("first, later", [(np.inf, np.nan), (np.nan, -np.inf), (-np.inf, np.inf)])
+    def test_first_non_finite_cell_in_row_order_is_named(self, first, later):
+        x = np.array([0.5, 1.0])
+        records = [
+            SweepRecord(0.0, x, x, 0.0, 0.0, (), True),
+            SweepRecord(1.0, x, np.array([0.5, first]), 0.0, 0.0, (), False),
+            SweepRecord(later, x, x, later, 0.0, (), True),
+        ]
+        with pytest.raises(InputError) as expected:
+            fmt_float(first)
+        with pytest.raises(InputError) as got:
+            sweep_to_csv(records, 2)
+        assert str(got.value) == str(expected.value)
