@@ -65,10 +65,14 @@ def _render(obj, out: list[str], indent: int, level: int) -> None:
             out.append("[]")
             return
         out.append("[\n")
-        for i, v in enumerate(items):
-            out.append(pad_in)
-            _render(v, out, indent, level + 1)
-            out.append(",\n" if i < len(items) - 1 else "\n")
+        if all(isinstance(v, float) for v in items):  # one pass for a list of numbers
+            out.append(",\n".join(pad_in + text for text in fmt_cells(items)))
+            out.append("\n")
+        else:
+            for i, v in enumerate(items):
+                out.append(pad_in)
+                _render(v, out, indent, level + 1)
+                out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "]")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
         out.append("true" if obj else "false")

@@ -42,6 +42,7 @@ from .solver import (
     _analyze,
     _assemble_extremes,
     _is_unique,
+    _solve,
     _take_flows,
     _transient_states,
 )
@@ -165,10 +166,10 @@ def loss_jump(net: Network, c_star, opts: SolveOptions | None = None) -> float:
     the equilibrium at c_star is unique.
     """
     opts = opts or DEFAULT_OPTIONS
-    found = _analyze(net, as_flow(c_star, net.n)[None], opts)
+    found, _ = _solve(net, c_star, opts, assemble=False)
     if _is_unique(found):
         raise NotCriticalError("equilibrium at c_star is unique; no jump to measure")
-    x, _ = _assemble_extremes(net, found, opts)
+    _, (x, _) = _solve(net, c_star, opts)
     return float((x[1, 0] - x[0, 0]).sum())
 
 

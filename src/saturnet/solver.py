@@ -41,6 +41,13 @@ solve per group, and one projection for its wholly exposed stochastic sets.
 Only the block an error names is read as one row of its group, by the same
 ``_verdicts``.
 
+``_solve`` is the one place a single flow is solved: ``extremal_equilibria``,
+``classify``, ``equilibrium_set`` and ``loss_jump`` all go through it, and it
+keeps the last analysis and extremes on the Network (one slot, keyed by the
+exact flow bytes and the options, every array in it read-only), so that
+analysing one flow with several calls costs one solve. The shock sweep and
+``refine`` solve their own stacks and do not touch the slot.
+
 A block with an edge list (``BlockStructure.edges``: the transient part or
 a trapping set of at least ``SPARSE_MIN`` nodes whose edges fill at most
 ``SPARSE_FILL`` of it) is hunted on it, as a stack of its own rows
@@ -90,6 +97,8 @@ class SolveOptions:
     def __post_init__(self):
         if not self.tol_fp > 0:
             raise InputError("tol_fp must be positive")
+        if not isinstance(self.max_iter, (int, np.integer)):  # a float would fail only once a hunt runs
+            raise InputError("max_iter must be an integer")
         if self.max_iter < 1:
             raise InputError("max_iter must be at least 1")
         if self.tol_class < self.tol_fp:
@@ -138,9 +147,9 @@ def _routed_in(net, x) -> np.ndarray:
     return listed.matvec(x.reshape(-1, net.n)).reshape(x.shape)
 
 
-def _map(net, c, x):
-    """``fixed_point_map`` on a checked flow and a float array."""
-    return np.minimum(np.maximum(_routed_in(net, x) + c, 0.0), net.w)
+def _map(net, c, x, routed=None):
+    """``fixed_point_map`` on a checked flow and a float array, whose ``P'x`` is ``routed`` when given."""
+    return np.minimum(np.maximum((_routed_in(net, x) if routed is None else routed) + c, 0.0), net.w)
 
 
 def _residual(net, c, x) -> float:
@@ -417,6 +426,41 @@ def _assemble_extremes(net, found: _Analysis, opts):
     return x, res
 
 
+def _freeze(*arrays) -> None:
+    """Make every array of ``arrays``, and of the tuples and named tuples among them, read-only."""
+    for a in arrays:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+        elif isinstance(a, (tuple, list)):
+            _freeze(*a)
+
+
+def _solve(net, c, opts, assemble=True):
+    """The analysis of one flow and, with ``assemble``, its extremes ``(x, res)``: the one place a single flow is solved.
+
+    The last solve is kept on the Network as one slot, keyed by the exact
+    bytes of the checked flow and by ``opts``, so that analysing one flow
+    with several calls costs one solve. The slot is replaced as a whole, so
+    concurrent calls with other flows only ever miss it, and every array it
+    holds is read-only, so no view handed out can change a later result. A
+    solve that raises keeps nothing. Without ``assemble`` the extremes are
+    returned only if the slot holds them, else None.
+    """
+    c = as_flow(c, net.n)
+    key = (c.tobytes(), opts)
+    slot = net.__dict__.get("_last_solve")
+    if slot is None or slot[0] != key:
+        found = _analyze(net, c.copy()[None], opts)  # a copy: the caller may change c later
+        _freeze(found)
+        slot = (key, found, None)
+    if assemble and slot[2] is None:
+        extremes = _assemble_extremes(net, slot[1], opts)
+        _freeze(extremes)
+        slot = (key, slot[1], extremes)
+    net.__dict__["_last_solve"] = slot
+    return slot[1:]
+
+
 def _is_unique(found: _Analysis) -> bool:
     """Whether the equilibrium of an analysis is unique: no row of any group has kind ``_SEGMENT``."""
     return not any(np.any(v.kind == _SEGMENT) for v in found.groups)
@@ -470,20 +514,26 @@ def extremal_equilibria(
 ) -> tuple[EquilibriumVector, EquilibriumVector]:
     """Minimal and maximal equilibria in one pass, assembled blockwise: the stack of one flow."""
     opts = opts or DEFAULT_OPTIONS
-    x, res = _assemble_extremes(net, _analyze(net, as_flow(c, net.n)[None], opts), opts)
+    _, (x, res) = _solve(net, c, opts)
     return EquilibriumVector(x[0, 0], res[0, 0]), EquilibriumVector(x[1, 0], res[1, 0])
 
 
 def _checked_equilibrium(net, c, x, tol):
-    """``(c, x, tol * s)`` as arrays; x must be an equilibrium to within ``tol`` relative to s."""
+    """``(c, x, P'x, image)``: c and x as arrays, what x routes into each node and x's image under the map.
+
+    x must be an equilibrium to within ``tol`` relative to s; its residual
+    is read off the same ``P'x`` that is returned.
+    """
     require_valid(net)
     c = as_flow(c, net.n)
     x = as_point(x, net.n)
     tol *= scale(net.w)
-    res = _residual(net, c, x)
+    routed = _routed_in(net, x)
+    image = _map(net, c, x, routed)
+    res = float(np.max(np.abs(image - x)))
     if res > tol:
         raise InputError(f"x is not an equilibrium (residual {res:.3g} > {tol:.3g})")
-    return c, x, tol
+    return c, x, routed, image
 
 
 def node_partition(net: Network, c, x, opts: SolveOptions | None = None) -> NodePartition:
@@ -497,9 +547,9 @@ def node_partition(net: Network, c, x, opts: SolveOptions | None = None) -> Node
     relative to the network's scale.
     """
     opts = opts or DEFAULT_OPTIONS
-    c, x, _ = _checked_equilibrium(net, c, x, opts.tol_class)
+    c, x, routed, _ = _checked_equilibrium(net, c, x, opts.tol_class)
     band = opts.tol_class * net.w
-    pattern = saturation_pattern(_routed_in(net, x) - np.diag(net.P) * x + c, net.w + band, -band)
+    pattern = saturation_pattern(routed - np.diag(net.P) * x + c, net.w + band, -band)
     masks = (pattern > 0, pattern == 0, pattern < 0)
     return NodePartition(*(tuple(int(i) for i in np.nonzero(m)[0]) for m in masks))
 

@@ -24,18 +24,16 @@ from ._linear import pinned_particular, stationary_block
 from ._tol import ROUND_REL, ZERO_SUM_REL, flow_tolerance
 from .decomposition import Decomposition, strongly_connected_components
 from .errors import InputError
-from .model import EPS_FEAS, Network, as_flow, as_point
+from .model import EPS_FEAS, Network, as_point
 from .solver import (
     _SEGMENT,
     DEFAULT_OPTIONS,
     SinkAnalysis,
     SolveOptions,
-    _analyze,
-    _assemble_extremes,
     _checked_equilibrium,
     _is_unique,
-    _map,
     _sink_analyses,
+    _solve,
 )
 
 
@@ -88,7 +86,7 @@ def classify(
 ) -> tuple[Decomposition, list[SinkAnalysis], bool]:
     """Per-sink uniqueness analysis; the boolean is True iff no sink is a segment."""
     opts = opts or DEFAULT_OPTIONS
-    found = _analyze(net, as_flow(c, net.n)[None], opts)
+    found, _ = _solve(net, c, opts, assemble=False)
     return found.structure.decomposition, _sink_analyses(found), _is_unique(found)
 
 
@@ -217,8 +215,7 @@ class EquilibriumSet:
 def equilibrium_set(net: Network, c, opts: SolveOptions | None = None) -> EquilibriumSet:
     """Explicit representation of all equilibria of (net, c), read off the solver's verdicts and extremes."""
     opts = opts or DEFAULT_OPTIONS
-    found = _analyze(net, as_flow(c, net.n)[None], opts)
-    x, _ = _assemble_extremes(net, found, opts)
+    found, (x, _) = _solve(net, c, opts)
     sinks = found.structure.decomposition.sinks
     components = [None] * len(sinks)
     for g, v in zip(found.structure.groups, found.groups):
@@ -228,7 +225,9 @@ def equilibrium_set(net: Network, c, opts: SolveOptions | None = None) -> Equili
             if code == _SEGMENT:
                 components[l] = SegmentComponent(nodes, v.base[r], g.stationary[r], lo[r], hi[r], g.w[r])
             else:
-                components[l] = FixedComponent(nodes, x[0, 0][g.nodes[r]])
+                values = x[0, 0][g.nodes[r]]
+                values.setflags(write=False)
+                components[l] = FixedComponent(nodes, values)
     return EquilibriumSet(
         n=net.n,
         transient_nodes=found.structure.decomposition.transient,
@@ -246,8 +245,7 @@ def nash_payments(net: Network, c, x, tol: float = DEFAULT_OPTIONS.tol_class) ->
     exactly when x is a fixed point. x must be an equilibrium to within
     ``tol`` relative to the network's scale.
     """
-    c, x, _ = _checked_equilibrium(net, c, x, tol)
+    c, x, _, best = _checked_equilibrium(net, c, x, tol)
     payments = x[:, None] * net.P
-    best = _map(net, c, x)
     residual = float(np.max(np.abs(x - best)[:, None] * net.P)) if net.n else 0.0
     return payments, residual

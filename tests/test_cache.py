@@ -9,12 +9,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
 
 import numpy as np
 import pytest
 
 import saturnet as sn
+from saturnet import solver
 from saturnet.decomposition import SPARSE_FILL, SPARSE_MIN, block_structure, diagonal_blocks, nonzero_list
 from saturnet.model import EPS_FEAS
 
@@ -22,6 +26,7 @@ from conftest import (
     C_STAR,
     TRIANGLE_P,
     TRIANGLE_W,
+    hunt_case,
     large_blocks,
     random_network,
     strongly_connected_routing,
@@ -222,3 +227,184 @@ def test_network_fields_and_repr_are_unchanged():
     before = repr(net)
     sn.equilibrium_set(net, [0.5])
     assert repr(net) == before
+
+
+# ------------------- the last single-flow solve, kept on the Network -------------------
+
+
+def _spy(monkeypatch):
+    """Count the analyses and hunts the solver runs from here on."""
+    calls = Counter()
+    for name in ("_analyze", "hunt_unique"):
+        def counted(*args, _name=name, _fn=getattr(solver, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+def _analyses(c):
+    """The public calls that read one flow's analysis, and which of them read its extremes."""
+    return {
+        "extremal_equilibria": lambda net: sn.extremal_equilibria(net, c),
+        "minimal_equilibrium": lambda net: sn.minimal_equilibrium(net, c),
+        "maximal_equilibrium": lambda net: sn.maximal_equilibrium(net, c),
+        "classify": lambda net: sn.classify(net, c),
+        "equilibrium_set": lambda net: sn.equilibrium_set(net, c),
+        "loss_jump": lambda net: sn.loss_jump(net, c),
+    }
+
+
+def _memo_cases():
+    """(P, w, c): a segment flow, a hunted transient core with big and small sets, and one hunted set."""
+    core, c_core = large_blocks(np.random.default_rng(3), 30, 40)
+    one, c_one = hunt_case(np.random.default_rng(4), "nonzero_sum")
+    return [(TRIANGLE_P, TRIANGLE_W, C_STAR), (core.P, core.w, c_core), (one.P, one.w, c_one)]
+
+
+def test_one_solve_serves_every_call_on_its_flow(monkeypatch):
+    # after extremal_equilibria, the other readers of (net, c) neither analyse
+    # nor hunt; after classify alone, an assembly hunts but does not analyse
+    for P, w, c in _memo_cases():
+        want = {name: _outcome(fn, sn.Network(P, w)) for name, fn in _analyses(c).items()}
+        net = sn.Network(P, w)
+        sn.extremal_equilibria(net, c)
+        calls = _spy(monkeypatch)
+        for name, fn in _analyses(c).items():
+            assert _same(_outcome(fn, net), want[name]), name
+        assert calls == Counter()
+        monkeypatch.undo()
+
+        net = sn.Network(P, w)
+        calls = _spy(monkeypatch)
+        assert _same(_outcome(_analyses(c)["classify"], net), want["classify"])
+        assert calls["_analyze"] == 1
+        for name in ("equilibrium_set", "loss_jump", "extremal_equilibria"):
+            assert _same(_outcome(_analyses(c)[name], net), want[name]), name
+        assert calls["_analyze"] == 1
+        monkeypatch.undo()
+
+
+def test_another_flow_or_options_miss_the_slot(monkeypatch):
+    net = sn.Network(TRIANGLE_P, TRIANGLE_W)
+    one_ulp = C_STAR.copy()
+    one_ulp[1] = np.nextafter(one_ulp[1], 0.0)
+    zero, negative_zero = np.array([0.0, 1.0, -1.0]), np.array([-0.0, 1.0, -1.0])
+    solves = [
+        (C_STAR, None),
+        (np.array([1.0, 0.5, -0.2]), None),
+        (C_STAR, None),
+        (one_ulp, None),
+        (one_ulp, sn.SolveOptions(tol_fp=1e-11)),
+        (one_ulp, sn.SolveOptions(tol_class=1e-8)),
+        (one_ulp, sn.SolveOptions(max_iter=999)),
+        (zero, None),
+        (negative_zero, None),
+    ]
+    for c, opts in solves:
+        want = sn.extremal_equilibria(sn.Network(TRIANGLE_P, TRIANGLE_W), c, opts)
+        calls = _spy(monkeypatch)
+        assert _same(sn.extremal_equilibria(net, c, opts), want)
+        assert calls["_analyze"] == 1
+        monkeypatch.undo()
+    # the same bytes and equal options hit, however they are passed
+    calls = _spy(monkeypatch)
+    sn.classify(net, negative_zero.tolist(), sn.SolveOptions())
+    sn.equilibrium_set(net, sn.ExogenousFlow(negative_zero))
+    assert calls == Counter()
+
+
+def _arrays(obj):
+    """Every array a result holds, through dataclasses, tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+
+
+def test_handed_out_arrays_are_read_only():
+    for P, w, c in _memo_cases():
+        net = sn.Network(P, w)
+        calls = _analyses(c)
+        got = [_outcome(fn, net) for fn in calls.values()]
+        handed = [a for a in _arrays(got) if a.size]
+        for a in handed:
+            with pytest.raises(ValueError):
+                a.flat[0] = 7.0
+        _, found, extremes = net.__dict__["_last_solve"]
+        kept = list(_arrays((found[1:-1], extremes)))
+        assert not any(a.flags.writeable for a in kept)
+        assert any(np.shares_memory(a, b) for a in handed for b in kept)  # views of the slot are handed out
+        for name, fn in calls.items():
+            assert _same(_outcome(fn, net), _outcome(fn, sn.Network(P, w))), name
+
+
+def test_a_changed_flow_array_changes_no_kept_solve():
+    # the slot keeps its own copy of the flow, not the caller's array
+    for P, w, c in _memo_cases():
+        net, mine = sn.Network(P, w), c.copy()
+        sn.classify(net, mine)
+        mine[:] = 0.5 * c
+        for name, fn in _analyses(c).items():
+            assert _same(_outcome(fn, net), _outcome(fn, sn.Network(P, w))), name
+
+
+def test_a_failed_solve_keeps_nothing():
+    # a transient hunt that fails, and an assembly that fails after its
+    # analysis succeeded: each raises the same error again, and a good call
+    # after it gets the fresh answer
+    for P, w, c in _memo_cases()[1:]:
+        net = sn.Network(P, w)
+        short = sn.SolveOptions(max_iter=1)
+        first = _outcome(lambda n: sn.equilibrium_set(n, c, short), net)
+        assert first[0] == "raised" and first[1] == "NonConvergenceError"
+        assert _same(_outcome(lambda n: sn.equilibrium_set(n, c, short), net), first)
+        assert _same(_outcome(lambda n: sn.extremal_equilibria(n, c, short), net), first)
+        assert _same(_outcome(lambda n: sn.classify(n, c, short), net), _outcome(lambda n: sn.classify(n, c, short), sn.Network(P, w)))
+        for name, fn in _analyses(c).items():
+            assert _same(_outcome(fn, net), _outcome(fn, sn.Network(P, w))), name
+
+
+def test_threads_on_one_network_get_their_own_flows():
+    net, c = large_blocks(np.random.default_rng(8), 40, 60)
+    flows = [c, 0.5 * c, c[::-1].copy(), c]
+    flows[3][0] = np.nextafter(c[0], np.inf)
+
+    def analysis(net, c):
+        return [_outcome(fn, net) for fn in _analyses(c).values()]
+
+    want = [analysis(sn.Network(net.P, net.w), f) for f in flows]
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(lambda k: analysis(net, flows[k % len(flows)]), range(32)))
+    finally:
+        sys.setswitchinterval(before)
+    for k, result in enumerate(got):
+        assert _same(result, want[k % len(flows)]), k
+
+
+def test_an_equilibrium_check_takes_one_product(monkeypatch):
+    # node_partition and nash_payments read their residual gate and their
+    # pattern or best response off one P'x
+    for P, w, c in _memo_cases():
+        net = sn.Network(P, w)
+        x = sn.minimal_equilibrium(net, c)
+        want = [sn.node_partition(net, c, x), sn.nash_payments(net, c, x)]
+        products = Counter()
+
+        def counted(*args, _fn=solver._routed_in):
+            products["P'x"] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(solver, "_routed_in", counted)
+        for k, fn in enumerate((sn.node_partition, sn.nash_payments)):
+            assert _same(fn(net, c, x), want[k])
+        assert products["P'x"] == 2
+        monkeypatch.undo()

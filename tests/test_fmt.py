@@ -43,6 +43,20 @@ class TestDumps:
     def test_trailing_newline(self):
         assert dumps({}).endswith("\n")
 
+    def test_float_lists_render_as_each_value_alone(self):
+        pool = [-0.0, 0.0, 5e-324, 0.1 + 0.2, 1e16, 2.0 / 3.0, np.float64(-7.5)]
+        obj = {"f": pool, "a": np.array(pool), "mixed": [1.5, 2, True, None], "nested": [[0.5], [[-0.0, 1.0]]]}
+        lines = dumps(obj).split("\n")
+        assert lines[2:9] == ["    " + fmt_float(v) + ("," if i < 6 else "") for i, v in enumerate(pool)]
+        assert lines[11:18] == lines[2:9]  # the array as the list
+        assert json.loads(dumps(obj))["mixed"] == [1.5, 2, True, None]
+        for bad, first in (([1.0, np.nan, np.inf], np.nan), (np.array([-np.inf, np.nan]), -np.inf)):
+            with pytest.raises(InputError) as expected:
+                fmt_float(first)
+            with pytest.raises(InputError) as got:
+                dumps({"x": bad})
+            assert str(got.value) == str(expected.value)
+
     def test_string_escaping(self):
         parsed = json.loads(dumps({"s": 'a"b\n\t'}))
         assert parsed["s"] == 'a"b\n\t'

@@ -49,6 +49,10 @@ class TestSolveOptions:
             SolveOptions(tol_fp=0.0)
         with pytest.raises(InputError):
             SolveOptions(max_iter=0)
+        for not_an_integer in (1e6, np.float64(10.0), 2.5):
+            with pytest.raises(InputError, match="max_iter must be an integer"):
+                SolveOptions(max_iter=not_an_integer)
+        assert SolveOptions(max_iter=np.int64(5)) == SolveOptions(max_iter=5)
         with pytest.raises(InputError):
             SolveOptions(tol_fp=1e-6, tol_class=1e-9)
 
