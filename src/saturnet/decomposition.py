@@ -3,11 +3,15 @@
 The directed graph of P has an edge i -> j wherever P[i][j] > 0 (exact
 comparison: routing fractions are data, a written zero means no edge). The
 nonzero entries of P are scanned once per Network (``Network._nonzeros``),
-and everything here reads that scan until the block structure is built. The
-sink components of its strong-component condensation are the irreducible
-trapping sets; every other node is transient. A trapping set is
-"out-connected" when some of its rows lose mass (sum below 1), in which case
-the induced block has spectral radius below one.
+before the network is validated, so that validation reads P's minimum off
+the scan; everything here reads that scan until the block structure is
+built. The sink components of the graph's strong-component condensation
+are the irreducible trapping sets; every other node is transient. A
+trapping set is "out-connected" when some of its rows lose mass (sum below
+1), in which case the induced block has spectral radius below one. The
+strong components come from Tarjan's algorithm (Tarjan, SIAM J. Comput. 1
+(1972)); past it, the labels, the order of the trapping sets and the
+transient part are whole-array passes, with no numpy call per set.
 
 None of this depends on the exogenous flow, so :func:`block_structure`
 computes it once per (immutable) Network and every analysis reads that copy.
@@ -27,6 +31,8 @@ keeps the scan itself, with its values, as its list of nonzeros
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -69,16 +75,21 @@ def _tarjan(n: int, rows: np.ndarray, cols: np.ndarray) -> list[list[int]]:
     """Tarjan's algorithm on the row-major edge list (rows, cols) of n nodes.
 
     Node v's successors are ``cols[starts[v]:starts[v + 1]]``, read through
-    a memoryview, so no edge becomes a Python object of its own; the DFS
-    stack keeps each node's position in ``cols``.
+    a memoryview, so no edge becomes a Python object of its own. The DFS
+    path is a list of nodes, each node's position of its next successor in
+    ``cols`` lives in one list (``resume``), and the scan of a node's
+    successors keeps its low-link in a local. A node whose component is
+    done gets the index n, above every low-link, so no flag marks the nodes
+    on the stack. Each component's nodes are sorted, and the components come
+    in reverse topological order.
     """
     starts = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n), out=starts[1:])
     starts = starts.tolist()
+    resume = starts[:-1]
     succ = memoryview(cols)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     components: list[list[int]] = []
     counter = 0
@@ -86,41 +97,45 @@ def _tarjan(n: int, rows: np.ndarray, cols: np.ndarray) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        # explicit DFS stack of (node, position of its next successor in cols)
-        work = [(root, starts[root])]
-        while work:
-            v, pos = work.pop()
-            if index[v] == -1:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pos, starts[v + 1]):
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        path = [root]
+        while path:
+            v = path[-1]
+            low_v = low[v]
+            k, end = resume[v], starts[v + 1]
+            while k < end:
                 u = succ[k]
-                if index[u] == -1:
-                    work.append((v, k + 1))
-                    work.append((u, starts[u]))
-                    advanced = True
+                k += 1
+                i = index[u]
+                if i == -1:
                     break
-                if on_stack[u] and index[u] < low[v]:
-                    low[v] = index[u]
-            if advanced:
+                if i < low_v:
+                    low_v = i
+            else:
+                u = -1
+            low[v] = low_v
+            if u != -1:  # descend to u, back to v's successor k afterwards
+                resume[v] = k
+                index[u] = low[u] = counter
+                counter += 1
+                stack.append(u)
+                path.append(u)
                 continue
-            if low[v] == index[v]:
+            path.pop()
+            if low_v == index[v]:
                 comp = []
                 while True:
                     u = stack.pop()
-                    on_stack[u] = False
+                    index[u] = n
                     comp.append(u)
                     if u == v:
                         break
                 comp.sort()
                 components.append(comp)
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
+            if path and low_v < low[path[-1]]:
+                low[path[-1]] = low_v
     return components
 
 
@@ -155,35 +170,41 @@ def decompose(net: Network) -> Decomposition:
     exactly when one of its rows sums below 1 (its row support is internal,
     so deficiency plus internal strong connectivity is out-connectedness of
     the induced block).
+
+    The nonzeros are scanned before the network is validated, so that
+    validation reads P's minimum off the scan (``Network._min_entry``); an
+    invalid network drops the scan again. Past Tarjan's pass, the labels,
+    the leaks, the order of the sets and the transient part are array
+    passes; the only per-set Python is building the ``SinkComponent``s.
     """
-    require_valid(net)
     rows, cols = net._nonzeros
+    try:
+        require_valid(net)
+    except InputError:
+        net.__dict__.pop("_nonzeros", None)
+        raise
     if net._min_entry < 0:  # a valid P's negative entries, within EPS_FEAS, are no edges
         positive = net.P[rows, cols] > 0
         rows, cols = rows[positive], cols[positive]
     comps = _tarjan(net.n, rows, cols)
 
+    sizes = np.fromiter(map(len, comps), dtype=np.intp, count=len(comps))
+    order = np.fromiter(chain.from_iterable(comps), dtype=np.intp, count=net.n)
     # int32 labels (a dense P of 2**31 nodes cannot exist) halve the two
     # per-edge temporaries below
     label = np.empty(net.n, dtype=np.int32)
-    for k, comp in enumerate(comps):
-        label[comp] = k
+    label[order] = np.repeat(np.arange(len(comps), dtype=np.int32), sizes)
     leaky = np.zeros(len(comps), dtype=bool)  # some edge leaves the component
     tail = label[rows]
     leaky[tail[tail != label[cols]]] = True
     deficient = np.zeros(len(comps), dtype=bool)
     deficient[label[net._row_sums < 1.0 - EPS_FEAS]] = True
 
-    sinks = []
-    transient: list[int] = []
-    for k, comp in enumerate(comps):
-        if leaky[k]:
-            transient.extend(comp)
-        else:
-            sinks.append(SinkComponent(tuple(comp), bool(deficient[k])))
-    sinks.sort(key=lambda s: s.nodes[0])
-    transient.sort()
-    return Decomposition(tuple(transient), tuple(sinks))
+    sets = np.flatnonzero(~leaky)
+    smallest = order[(np.cumsum(sizes) - sizes)[sets]]  # each component is sorted
+    sets = sets[np.argsort(smallest)].tolist()
+    sinks = tuple(SinkComponent(tuple(comps[k]), d) for k, d in zip(sets, deficient[sets].tolist()))
+    return Decomposition(tuple(np.flatnonzero(leaky[label]).tolist()), sinks)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -314,13 +335,14 @@ def _block_edges(net: Network, nodes: np.ndarray):
 
 def _build_structure(net: Network) -> BlockStructure:
     dec = decompose(net)
-    T = np.asarray(dec.transient, dtype=np.intp)
-    sink_nodes = np.concatenate([np.asarray(s.nodes, dtype=np.intp) for s in dec.sinks])
-    sizes = np.array([len(s.nodes) for s in dec.sinks])
+    nodes = list(map(attrgetter("nodes"), dec.sinks))
+    T = np.fromiter(dec.transient, dtype=np.intp, count=len(dec.transient))
+    sizes = np.fromiter(map(len, nodes), dtype=np.intp, count=len(nodes))
+    sink_nodes = np.fromiter(chain.from_iterable(nodes), dtype=np.intp, count=sizes.sum())
+    stochastic = ~np.fromiter(map(attrgetter("out_connected"), dec.sinks), dtype=bool, count=len(nodes))
     starts = np.cumsum(sizes) - sizes
     set_of = np.full(net.n, -1, dtype=np.intp)
     set_of[sink_nodes] = np.repeat(np.arange(len(sizes)), sizes)
-    stochastic = np.array([not s.out_connected for s in dec.sinks])
     groups = []
     place = np.empty((len(sizes), 2), dtype=np.intp)
     for k in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
@@ -329,7 +351,7 @@ def _build_structure(net: Network) -> BlockStructure:
         nodes = sink_nodes[starts[sets][:, None] + np.arange(k)]
         groups.append(_size_group(net.P, net.w, sets, nodes, stochastic[sets]))
     large = [(-1, T)] if T.size >= SPARSE_MIN else []
-    large += [(l, np.asarray(s.nodes)) for l, s in enumerate(dec.sinks) if len(s.nodes) >= SPARSE_MIN]
+    large += [(l, sink_nodes[starts[l] : starts[l] + sizes[l]]) for l in np.flatnonzero(sizes >= SPARSE_MIN).tolist()]
     # routed gathers rows, then columns by take: the C-ordered array that
     # np.ix_ gives, at about half its cost (P[T][:, sink_nodes] would be
     # F-ordered, and a matvec on it rounds differently)

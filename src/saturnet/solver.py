@@ -343,16 +343,19 @@ def _sink_analyses(found: _Analysis) -> list[SinkAnalysis]:
     sinks = found.structure.decomposition.sinks
     out = [None] * len(sinks)
     for g, v in zip(found.structure.groups, found.groups):
-        condition, lo, hi = v.condition.tolist(), v.alpha[0].tolist(), v.alpha[1].tolist()
-        for r, (l, code) in enumerate(zip(g.sets.tolist(), v.kind.tolist())):
+        rows = zip(
+            g.sets.tolist(), v.kind.tolist(), v.inflow, g.stationary, v.base,
+            v.condition.tolist(), v.alpha[0].tolist(), v.alpha[1].tolist(),
+        )
+        for l, code, inflow, stationary, base, condition, lo, hi in rows:
             zero = code in (_UNIQUE, _SEGMENT)
             out[l] = SinkAnalysis(
                 l, sinks[l].nodes, _KINDS[code],
-                inflow=v.inflow[r],
-                stationary=g.stationary[r] if code != _OUT else None,
-                base=v.base[r] if zero else None,
-                condition_value=condition[r] if zero else None,
-                alpha_range=(lo[r], hi[r]) if code == _SEGMENT else None,
+                inflow=inflow,
+                stationary=stationary if code != _OUT else None,
+                base=base if zero else None,
+                condition_value=condition if zero else None,
+                alpha_range=(lo, hi) if code == _SEGMENT else None,
             )
     return out
 
@@ -551,7 +554,7 @@ def node_partition(net: Network, c, x, opts: SolveOptions | None = None) -> Node
     band = opts.tol_class * net.w
     pattern = saturation_pattern(routed - np.diag(net.P) * x + c, net.w + band, -band)
     masks = (pattern > 0, pattern == 0, pattern < 0)
-    return NodePartition(*(tuple(int(i) for i in np.nonzero(m)[0]) for m in masks))
+    return NodePartition(*(tuple(np.flatnonzero(m).tolist()) for m in masks))
 
 
 def _block_label(net, st: BlockStructure, inflow, i, at=None) -> dict:

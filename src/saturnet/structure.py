@@ -219,14 +219,17 @@ def equilibrium_set(net: Network, c, opts: SolveOptions | None = None) -> Equili
     sinks = found.structure.decomposition.sinks
     components = [None] * len(sinks)
     for g, v in zip(found.structure.groups, found.groups):
-        lo, hi = v.alpha[0].tolist(), v.alpha[1].tolist()
-        for r, (l, code) in enumerate(zip(g.sets.tolist(), v.kind.tolist())):
+        fixed = x[0, 0][g.nodes]  # each set's values, a read-only row
+        fixed.setflags(write=False)
+        rows = zip(
+            g.sets.tolist(), v.kind.tolist(), fixed, v.base, g.stationary,
+            v.alpha[0].tolist(), v.alpha[1].tolist(), g.w,
+        )
+        for l, code, values, base, direction, lo, hi, w in rows:
             nodes = sinks[l].nodes
             if code == _SEGMENT:
-                components[l] = SegmentComponent(nodes, v.base[r], g.stationary[r], lo[r], hi[r], g.w[r])
+                components[l] = SegmentComponent(nodes, base, direction, lo, hi, w)
             else:
-                values = x[0, 0][g.nodes[r]]
-                values.setflags(write=False)
                 components[l] = FixedComponent(nodes, values)
     return EquilibriumSet(
         n=net.n,

@@ -16,6 +16,7 @@ from saturnet import (
     validate,
 )
 from saturnet.decomposition import block_structure
+from saturnet.model import _MIN_FROM_SCAN
 
 from conftest import random_network
 from oracles import power_radius
@@ -276,3 +277,133 @@ def test_decompose_of_a_dense_network_stays_within_four_times_p():
         tracemalloc.stop()
     assert dec.sinks[0].nodes == tuple(range(n)) and dec.sinks[0].out_connected
     assert peak < 4 * net.P.nbytes
+
+
+def _closure_by_squaring(adj: np.ndarray) -> np.ndarray:
+    """``_reach`` by repeated squaring of 0/1 float matrices, for a few hundred nodes."""
+    reach = (adj | np.eye(len(adj), dtype=bool)).astype(float)
+    while True:
+        wider = (reach @ reach > 0).astype(float)
+        if np.array_equal(wider, reach):
+            return reach > 0
+        reach = wider
+
+
+def _routing(rng, adj: np.ndarray) -> np.ndarray:
+    """Random weights on the edges of ``adj``; each row sums to 1 or to a value in [0.8, 0.99]."""
+    P = adj * rng.uniform(0.1, 1.0, adj.shape)
+    sums = P.sum(axis=1)
+    target = np.where(rng.random(len(adj)) < 0.5, 1.0, rng.uniform(0.8, 0.99, len(adj)))
+    P[sums > 0] *= (target / np.where(sums > 0, sums, 1.0))[sums > 0, None]
+    return P
+
+
+def _large_graphs():
+    """Derandomized adjacency matrices of up to about 300 nodes: a cycle, pairs on a core, random."""
+    rng = np.random.default_rng(71)
+    n = 300
+    order = rng.permutation(n)
+    cycle = np.zeros((n, n), dtype=bool)
+    cycle[order, np.roll(order, -1)] = True
+    yield "hamiltonian_cycle", cycle
+    core, pairs = 100, 100
+    n = core + 2 * pairs
+    adj = np.zeros((n, n), dtype=bool)
+    adj[:core, :core] = rng.random((core, core)) < 0.03
+    a = core + 2 * np.arange(pairs)
+    adj[a, a] = adj[a, a + 1] = adj[a + 1, a] = adj[a + 1, a + 1] = True  # a two-node cycle with self-loops
+    adj[rng.integers(core, size=3 * pairs), rng.integers(core, n, size=3 * pairs)] = True
+    label = rng.permutation(n)
+    yield "pairs_on_a_core", adj[np.ix_(label, label)]
+    for density in (0.002, 0.005, 0.01, 0.03, 0.1, 0.3):
+        n = int(rng.integers(150, 301))
+        yield f"random_{density}", rng.random((n, n)) < density
+
+
+def _assert_components(adj: np.ndarray, comps: list[list[int]], reach: np.ndarray) -> None:
+    mutual = reach & reach.T
+    assert sorted(map(tuple, comps)) == sorted({tuple(np.flatnonzero(row).tolist()) for row in mutual})
+    assert all(comp == sorted(comp) for comp in comps)
+    position = np.empty(len(adj), dtype=int)
+    for k, comp in enumerate(comps):
+        position[comp] = k
+    i, j = np.nonzero(adj)
+    between = position[i] != position[j]
+    assert np.all(position[j][between] < position[i][between])  # edges point to earlier components
+
+
+@pytest.mark.parametrize("name, adj", [pytest.param(name, adj, id=name) for name, adj in _large_graphs()])
+def test_strong_components_and_decomposition_match_the_closure_at_size(name, adj):
+    reach = _closure_by_squaring(adj)
+    _assert_components(adj, strongly_connected_components(adj), reach)
+    rng = np.random.default_rng(len(adj))
+    P = _routing(rng, adj)
+    sums = P.sum(axis=1)
+    dec = decompose(Network(P, np.ones(len(adj))))
+    closed = [i for i in range(len(adj)) if (reach[i] <= reach[:, i]).all()]
+    sinks = sorted({tuple(np.flatnonzero(reach[i] & reach[:, i]).tolist()) for i in closed})
+    assert [s.nodes for s in dec.sinks] == sinks
+    assert [s.out_connected for s in dec.sinks] == [bool((sums[list(s)] < 1.0 - EPS_FEAS).any()) for s in sinks]
+    assert dec.transient == tuple(sorted(set(range(len(adj))) - set(closed)))
+    if name == "pairs_on_a_core":
+        assert sum(len(s.nodes) == 2 for s in dec.sinks) == 100
+
+
+def test_strong_components_of_a_long_path_need_no_recursion():
+    # the DFS from node 0 is 5000 nodes deep, far past Python's recursion limit
+    n = 5000
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.arange(n - 1), np.arange(1, n)] = True
+    assert strongly_connected_components(adj) == [[v] for v in range(n - 1, -1, -1)]
+
+
+MIN_KINDS = ("no_zero", "negative_zero", "negative_within", "negative_beyond")
+
+
+def _entries_of_kind(rng, kind: str) -> np.ndarray:
+    """A seeded P of up to 60 nodes: no zero entry, ``-0.0`` entries, or negative entries within or beyond EPS_FEAS.
+
+    Apart from the first kind, about half of them hold few enough nonzeros
+    for their minimum to be read off the scan.
+    """
+    n = int(rng.integers(1, 61))
+    if kind == "no_zero":
+        P = rng.uniform(0.01, 1.0, (n, n))
+    else:
+        P = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.005, 0.06))
+    P *= (rng.uniform(0.8, 1.0, n) / np.maximum(P.sum(axis=1), 1e-300))[:, None]
+    zeros = np.flatnonzero(P == 0)
+    if kind == "negative_zero":
+        P.flat[zeros] = -0.0
+    elif kind == "negative_within":
+        P.flat[zeros[rng.random(zeros.size) < 0.01]] = -EPS_FEAS * rng.uniform(0.01, 0.99)
+    elif kind == "negative_beyond":
+        P.flat[rng.integers(n * n, size=2)] = -EPS_FEAS * rng.uniform(1.5, 1e6)
+    return P
+
+
+@pytest.mark.parametrize("kind", MIN_KINDS)
+def test_minimum_read_off_the_scan_judges_like_p_min(kind):
+    rng = np.random.default_rng([73, MIN_KINDS.index(kind)])
+    off_the_scan = 0
+    for _ in range(60):
+        P = _entries_of_kind(rng, kind)
+        w = np.ones(len(P))
+        scanned = Network(P, w)
+        off_the_scan += scanned._nonzeros[0].size <= _MIN_FROM_SCAN * P.size
+        least = scanned._min_entry
+        assert least == float(P.min())
+        assert (least < -EPS_FEAS, least < 0) == (P.min() < -EPS_FEAS, P.min() < 0)
+        first = Network(P, w)
+        report = validate(first)
+        late = Network(P, w)
+        try:
+            decompose(late)
+        except InputError as exc:
+            assert not report.ok and str(exc) == f"invalid network: {'; '.join(v.message for v in report.violations)}"
+            assert "_nonzeros" not in late.__dict__
+        else:
+            assert report.ok and decompose(first) == decompose(late)
+        assert validate(late) == report
+        assert report.ok == (kind != "negative_beyond")
+    assert (off_the_scan == 0) if kind == "no_zero" else off_the_scan >= 15
