@@ -1,4 +1,4 @@
-"""Direct linear solves on stacks of blocks.
+"""Direct linear solves on stacks of blocks, and the block operator the hunt calls.
 
 Every function here takes a stack: matrices of shape (m, k, k) and vectors
 of shape (m, k), one block per row, and treats all of them at once, with
@@ -7,17 +7,16 @@ one. A stack of one matrix (1, k, k) is shared by every row of the
 vectors: it is broadcast, never copied.
 
 Power iteration is deliberately avoided: blocks may be periodic (a plain
-2-cycle oscillates), and a dense solve is exact. A large block that every
-row of a stack shares may instead be held as its edge list (``EdgeBlock``):
-a product with its transpose then costs one pass over its edges instead of
-k² entries, and its dense form is gathered only when a solve falls back to
-it. A large sparse network is held so too, for the products that certify
-its results.
+2-cycle oscillates), and a dense solve is exact. The hunt's blocks are
+operators with one interface (``matvec``, ``take``, ``solve_patterns``) in
+two storage forms: ``DenseBlock``, and ``EdgeBlock``, a large shared block
+held as its edge list, whose products cost one pass over its edges and
+whose pattern solves are Neumann steps (Saad, Iterative Methods for Sparse
+Linear Systems, 2nd ed., SIAM 2003, ch. 3). A large sparse network is an
+EdgeBlock too, for the products that certify its results.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -48,33 +47,95 @@ def _solve_or_nan(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.full(b.shape, np.nan)
 
 
-def transposed_matvec(Q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Q[i]' x[i] for every row i of a stack; a single Q (1, k, l) serves every row.
+def diagonal_blocks(P: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The diagonal blocks of P on the node sets ``nodes`` (m, k), stacked (m, k, k).
 
-    Each row is one vector-matrix product, bit for bit ``Q[i].T @ x[i]``,
-    whatever the number of rows; a matrix-matrix product ``x @ Q[0]`` can
-    round differently. The product is taken on a C-ordered Q, so an equal
-    matrix in another memory layout gives the same bits (a C-ordered Q,
-    which every caller passes, is not copied).
+    A set that spans every node gets ``P[None]``, a view of P.
     """
-    return (x[:, None, :] @ np.ascontiguousarray(Q))[:, 0, :]
+    return P[None] if nodes.shape[1] == P.shape[0] else P[nodes[:, :, None], nodes[:, None, :]]
+
+
+class DenseBlock:
+    """A stack of dense blocks Q (m, k, k), untransposed, one per row; or one block (1, k, k) that every row shares."""
+
+    def __init__(self, Q: np.ndarray):
+        self.Q = Q
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Q[i]' x[i] for every row i of x (F, k); a shared Q serves every row.
+
+        Each row is one vector-matrix product, bit for bit ``Q[i].T @ x[i]``,
+        whatever the number of rows; a matrix-matrix product ``x @ Q[0]`` can
+        round differently. The product is taken on a C-ordered Q, so an equal
+        matrix in another memory layout gives the same bits (a C-ordered Q,
+        which every caller passes, is not copied).
+        """
+        return (x[:, None, :] @ np.ascontiguousarray(self.Q))[:, 0, :]
+
+    def take(self, rows) -> DenseBlock:
+        """The blocks of the rows ``rows``: this one when it is shared."""
+        return self if len(self.Q) == 1 else DenseBlock(self.Q[rows])
+
+    def solve_patterns(self, w, c, pattern, gate=None):
+        """Each row's candidate equilibrium for its saturation pattern, stacked.
+
+        Nodes marked +1 are pinned to w and nodes marked -1 to 0; the rest
+        solve x = Q'x + c exactly among themselves, with one stacked solve
+        per number of free nodes; ``gate`` is unused. A row with no free node
+        poses no system. The result is clipped to [0, w]; ``ok`` is False on
+        the rows whose linear system is singular, and their free nodes are NaN.
+        """
+        Q = self.Q
+        x = np.where(pattern > 0, w, 0.0)
+        free = pattern == 0
+        counts = free.sum(axis=1)
+        ok = np.ones(len(x), dtype=bool)
+        sizes = sorted(set(counts.tolist()) - {0})
+        if sizes:
+            rhs = self.matvec(x) + c
+        k = Q.shape[-1]
+        for f in sizes:
+            rows = np.flatnonzero(counts == f)[:, None]
+            idx = np.nonzero(free[rows[:, 0]])[1].reshape(-1, f)
+            # I - Q[idx, idx]' per row, gathered from the rows of Q (from its one
+            # row when shared); two index arrays into the stacked rows gather as
+            # fast as np.ix_, three do not
+            first = rows * k if len(Q) > 1 else 0
+            sub = Q.reshape(-1, k)[(first + idx)[:, :, None], idx[:, None, :]]
+            A = np.subtract(np.eye(f), sub, out=sub).transpose(0, 2, 1)
+            v = solve_stack(A, rhs[rows, idx])
+            x[rows, idx] = v
+            ok[rows[:, 0]] = np.isfinite(v).all(axis=1)
+        return np.clip(x, 0.0, w, out=x), ok
+
+
+#: Step budget of a Neumann pattern solve; a row that cannot stop within
+#: it falls back to the dense solve.
+NEUMANN_STEPS = 256
+#: A Neumann pattern solve stops once its step is at most this fraction of
+#: the hunt's gate.
+NEUMANN_REL = 2.0**-8
 
 
 class EdgeBlock:
-    """One block Q of k nodes that every row of a stack shares, held as its edge list.
+    """One block Q of P on the sorted node ids ``nodes`` (k,), shared by every row, held as its edge list.
 
-    ``edges`` (rows, cols, weights) lists the nonzero entries Q[i, j] in
-    row-major order, in block labels 0..k-1. ``gather()``, when given,
-    returns the dense block (1, k, k); ``dense`` calls it on first use only.
+    ``rows``, ``cols`` and ``vals`` list the nonzero entries Q[i, j] in
+    row-major order, in block labels 0..k-1. The block keeps P and its node
+    ids, not a dense copy: ``dense()`` gathers the dense block anew on each
+    call, which only a fallback of ``solve_patterns`` makes.
     """
 
-    def __init__(self, edges, gather=None):
-        self.rows, self.cols, self.vals = edges
-        self._gather = gather
+    def __init__(self, rows, cols, vals, P, nodes):
+        self.rows, self.cols, self.vals = rows, cols, vals
+        self.P, self.nodes = P, nodes
 
-    @cached_property
-    def dense(self) -> np.ndarray:
-        return self._gather()
+    def dense(self) -> DenseBlock:
+        return DenseBlock(diagonal_blocks(self.P, self.nodes[None]))
+
+    def take(self, rows) -> EdgeBlock:
+        """Every row shares the block."""
+        return self
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Q'x[i] for every row i of x (F, k), one ``np.bincount`` over the edges per row.
@@ -87,6 +148,52 @@ class EdgeBlock:
         for row, y in zip(x, out):
             y[:] = np.bincount(self.cols, weights=row[self.rows] * self.vals, minlength=len(y))
         return out
+
+    def solve_patterns(self, w, c, pattern, gate):
+        """``DenseBlock.solve_patterns``, by Neumann steps on the free nodes.
+
+        Each row with free nodes f iterates y <- Q_ff'y + b from y = b, where b
+        is what its pinned nodes and c send to f, over the edges with both ends
+        in f, and stops at the first step no larger than ``NEUMANN_REL * gate``
+        (gate (m,), the hunt's): the step is the linear residual of the iterate
+        before it, and the iterate after it is the row's answer. A row that
+        cannot stop within ``NEUMANN_STEPS`` steps takes the dense solve
+        instead, so a singular system still gives ``ok`` False; that is the
+        case when the spectral radius of Q_ff is 1 or close to it. At steps
+        32, 64 and 128 a row whose step, shrinking at its rate since the
+        half-way step, would still exceed the stop at the budget's end gives
+        up at once. A row's steps and decisions read only its own edges and
+        values, so it ends where it would end alone.
+        """
+        x = np.where(pattern > 0, w, 0.0)
+        ok = np.ones(len(x), dtype=bool)
+        rows = np.flatnonzero((pattern == 0).any(axis=1))
+        if rows.size:
+            free, tol = pattern[rows] == 0, NEUMANN_REL * gate[rows]
+            b = np.where(free, self.matvec(x[rows]) + c[rows], 0.0)
+            # the free-to-free edges of every row, as offsets into the flattened stack
+            r, e = np.nonzero(free[:, self.rows] & free[:, self.cols])
+            src, bins, vals = r * free.shape[1] + self.rows[e], r * free.shape[1] + self.cols[e], self.vals[e]
+            y, live, solved = b, np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
+            for t in range(1, NEUMANN_STEPS + 1):
+                yn = np.bincount(bins, weights=y.ravel()[src] * vals, minlength=y.size).reshape(y.shape) + b
+                step = np.abs(yn - y).max(axis=1)
+                done = live & (step <= tol)
+                x[rows[done]] = np.where(free[done], yn[done], x[rows[done]])
+                solved |= done
+                live &= ~done
+                if t in (16, 32, 64, 128):
+                    if t > 16:  # a live row's step at t/2 was above its stop, so positive
+                        rate = np.minimum(np.divide(step, half, out=np.ones_like(step), where=live), 1.0)
+                        live &= step * rate ** ((NEUMANN_STEPS - t) / (t // 2)) <= tol
+                    half = step
+                if not live.any():
+                    break
+                y = yn
+            rows = rows[~solved]
+            if rows.size:
+                x[rows], ok[rows] = self.dense().solve_patterns(w[rows], c[rows], pattern[rows])
+        return np.clip(x, 0.0, w, out=x), ok
 
 
 def stationary_block(Q: np.ndarray) -> np.ndarray:

@@ -21,11 +21,11 @@ each node to its set, and ``inflows`` gives the effective inflows as one
 vector indexed by node, so any reader gathers a group's share by its node
 ids. The transient part and every trapping set of at least ``SPARSE_MIN``
 nodes whose edges fill at most ``SPARSE_FILL`` of their block also keep
-their edge lists (``BlockStructure.edges``), on which the hunt maps and
-solves them without their dense blocks. A network of at least
-``SPARSE_MIN`` nodes with at most ``SPARSE_FILL`` of its entries nonzero
-keeps the scan itself, with its values, as its list of nonzeros
-(``nonzero_list``), on which every result is certified.
+their edge lists as ``_linear.EdgeBlock`` operators (``BlockStructure.edges``),
+which the hunt maps and solves without their dense blocks. Every result is
+certified on the whole network's operator (``network_block``): the scan
+itself, with its values, when the network is that large and sparse, and
+its dense P otherwise.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linear import EdgeBlock, stationary_block, transposed_matvec
+from ._linear import DenseBlock, EdgeBlock, diagonal_blocks, stationary_block
 from .errors import InputError
 from .model import EPS_FEAS, Network, require_valid
 
@@ -52,7 +52,7 @@ from .model import EPS_FEAS, Network, require_valid
 #: with 4-32; it lost from 16 edges per node at k = 512 (up to 1.33), 64
 #: at k = 1024 and 256 at k = 2048, and a full block of 512 nodes took 16
 #: times as long. A whole network within both bounds is certified on its
-#: list of nonzeros (``nonzero_list``).
+#: list of nonzeros (``network_block``).
 SPARSE_MIN = 512
 SPARSE_FILL = 1 / 64
 
@@ -212,8 +212,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def nonzero_list(net: Network) -> EdgeBlock | None:
-    """P as the list of its nonzeros when the network is large and sparse, else None.
+def network_block(net: Network) -> DenseBlock | EdgeBlock:
+    """P as one block operator: its list of nonzeros when the network is large and sparse, else dense.
 
     Large and sparse are the hunt's bounds: at least ``SPARSE_MIN`` nodes
     and at most ``SPARSE_FILL * n**2`` entries P[i, j] != 0. The list is
@@ -226,23 +226,12 @@ def nonzero_list(net: Network) -> EdgeBlock | None:
     denser one neither scans nor gathers values for it.
     """
     cache = net.__dict__
-    if "_nonzero_list" not in cache:
+    if "_network_block" not in cache:
         listed = None
-        if net.n >= SPARSE_MIN:
-            scan = cache.get("_nonzeros")
-            if _is_sparse(net.n, np.count_nonzero(net.P) if scan is None else scan[0].size):
-                rows, cols = net._nonzeros
-                listed = EdgeBlock((rows, cols, _readonly(net.P[rows, cols])))
-        cache["_nonzero_list"] = listed
-    return cache["_nonzero_list"]
-
-
-def diagonal_blocks(P: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """The diagonal blocks of P on the node sets ``nodes`` (m, k), stacked (m, k, k).
-
-    A set that spans every node gets ``P[None]``, a view of P.
-    """
-    return P[None] if nodes.shape[1] == P.shape[0] else P[nodes[:, :, None], nodes[:, None, :]]
+        if net.n >= SPARSE_MIN and ("_nonzeros" in cache or _is_sparse(net.n, np.count_nonzero(net.P))):
+            listed = _block_edges(net, np.arange(net.n))
+        cache["_network_block"] = listed or DenseBlock(net.P[None])
+    return cache["_network_block"]
 
 
 class SizeGroup(NamedTuple):
@@ -252,7 +241,7 @@ class SizeGroup(NamedTuple):
     ``w`` (m, k) are their capacities, ``stochastic`` (m,) marks the
     stochastic sets and ``stationary`` (m, k) holds their invariant
     probability vectors (zero rows for out-connected sets). Their diagonal
-    blocks of P are gathered per call by :func:`diagonal_blocks`.
+    blocks of P are gathered per call by ``_linear.diagonal_blocks``.
     """
 
     sets: np.ndarray
@@ -275,10 +264,10 @@ class BlockStructure:
     sink-node columns, so the effective inflows of all trapping sets are one
     matvec; it is the only dense part of P kept here (at most n²/4
     entries), and diagonal blocks of P are sliced per call. ``edges`` holds
-    the edge list (rows, cols, weights) of every block of at least
-    ``SPARSE_MIN`` nodes and at most ``SPARSE_FILL`` filled, keyed like
-    ``set_of`` (-1 for the transient part): the entries P != 0 with both
-    ends in the block, relabelled to it (``_block_edges``).
+    the ``EdgeBlock`` of every block of at least ``SPARSE_MIN`` nodes and at
+    most ``SPARSE_FILL`` filled, keyed like ``set_of`` (-1 for the transient
+    part): the entries P != 0 with both ends in the block, relabelled to it
+    (``_block_edges``).
     """
 
     decomposition: Decomposition
@@ -288,7 +277,7 @@ class BlockStructure:
     routed: np.ndarray
     groups: tuple[SizeGroup, ...]
     place: np.ndarray
-    edges: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    edges: dict[int, EdgeBlock]
 
     def inflows(self, c: np.ndarray, x_T: np.ndarray) -> np.ndarray:
         """Effective inflow of every node at each of F flows, indexed by node (F, n).
@@ -298,7 +287,7 @@ class BlockStructure:
         flow f is ``inflows(c, x_T)[f, nodes]`` for its node ids.
         """
         inflow = c.copy()
-        inflow[:, self.sink_nodes] += transposed_matvec(self.routed[None], x_T)
+        inflow[:, self.sink_nodes] += DenseBlock(self.routed[None]).matvec(x_T)
         return inflow
 
 
@@ -310,10 +299,10 @@ def _size_group(P: np.ndarray, w: np.ndarray, sets, nodes, stochastic) -> SizeGr
     return SizeGroup(*map(_readonly, (sets, nodes, w[nodes], stochastic, stationary)))
 
 
-def _block_edges(net: Network, nodes: np.ndarray):
-    """The entries P != 0 with both ends in the sorted node set ``nodes``, relabelled to it, row-major.
+def _block_edges(net: Network, nodes: np.ndarray) -> EdgeBlock | None:
+    """The block of P on the sorted node set ``nodes`` as an EdgeBlock: its entries P != 0, relabelled, row-major.
 
-    (rows, cols, weights), read-only; a set that spans every node keeps the
+    Its arrays are read-only; a set that spans every node keeps the
     Network's own rows and cols. Negative entries (within ``EPS_FEAS``) are
     kept with the edges, so the hunt solves the block that the dense path
     solves. None when they number more than ``SPARSE_FILL * k**2`` for k
@@ -330,7 +319,7 @@ def _block_edges(net: Network, nodes: np.ndarray):
     vals = net.P[rows, cols]
     if nodes.size < net.n:
         rows, cols = label[rows], label[cols]
-    return tuple(map(_readonly, (rows, cols, vals)))
+    return EdgeBlock(*map(_readonly, (rows, cols, vals)), net.P, _readonly(nodes))
 
 
 def _build_structure(net: Network) -> BlockStructure:
@@ -370,14 +359,14 @@ def block_structure(net: Network) -> BlockStructure:
     It is kept on the Network object (whose arrays are frozen), so every
     later call on the same object reuses it; the Network's scan of its
     nonzeros is dropped once it is built, unless the network is large and
-    sparse and keeps it as its ``nonzero_list``. Raises InputError for an
+    sparse and keeps it as its ``network_block``. Raises InputError for an
     invalid network, on every call.
     """
     cached = net.__dict__.get("_block_structure")
     if cached is None:
         cached = _build_structure(net)
         object.__setattr__(net, "_block_structure", cached)
-        nonzero_list(net)  # decided while the scan is at hand
+        network_block(net)  # decided while the scan is at hand
         net.__dict__.pop("_nonzeros", None)
     return cached
 

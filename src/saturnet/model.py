@@ -171,11 +171,11 @@ class Network:
         ``block_structure``, as ``_min_entry`` reads P's minimum off it.
         ``decompose`` reads its positive entries (the same arrays when no
         entry is negative); ``block_structure`` takes the edge lists of its
-        large sparse blocks from them, and the certification list of a large
-        sparse network (``decomposition.nonzero_list``) is this scan with
-        its values. ``block_structure`` drops it once built, so a network
-        keeps it only as that list, and an invalid network keeps it not at
-        all.
+        large sparse blocks from them, and the operator that certifies a
+        large sparse network (``decomposition.network_block``) is this scan
+        with its values. ``block_structure`` drops it once built, so a
+        network keeps it only in that operator, and an invalid network keeps
+        it not at all.
         """
         nonzeros = divmod(np.flatnonzero(self.P != 0), self.n)
         for a in nonzeros:

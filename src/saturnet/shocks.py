@@ -203,11 +203,10 @@ def _flow_entries(st: BlockStructure) -> int:
     (``st.edges``) counts its edges plus ROW_ENTRIES per node, for the hunt
     arrays of one value per node.
     """
-    k_T = st.transient.size
-    entries = k_T**2 + sum(len(g.sets) * (g.nodes.shape[1] ** 2 + ROW_ENTRIES) for g in st.groups)
-    for l, (rows, _, _) in st.edges.items():
-        k = k_T if l < 0 else st.groups[st.place[l, 0]].nodes.shape[1]
-        entries += rows.size + ROW_ENTRIES * k - k**2
+    entries = st.transient.size**2 + sum(len(g.sets) * (g.nodes.shape[1] ** 2 + ROW_ENTRIES) for g in st.groups)
+    for block in st.edges.values():
+        k = block.nodes.size
+        entries += block.rows.size + ROW_ENTRIES * k - k**2
     return entries
 
 

@@ -48,17 +48,17 @@ exact flow bytes and the options, every array in it read-only), so that
 analysing one flow with several calls costs one solve. The shock sweep and
 ``refine`` solve their own stacks and do not touch the slot.
 
-A block with an edge list (``BlockStructure.edges``: the transient part or
-a trapping set of at least ``SPARSE_MIN`` nodes whose edges fill at most
-``SPARSE_FILL`` of it) is hunted on it, as a stack of its own rows
-(``_hunt_stacks``), with Neumann pattern solves and the dense solve as
-fallback; other blocks are hunted dense. Either way the assembled
-extremes pass the same residual check, ``P'x + c`` against x, on the whole
-network, with every entry of P. Its product ``P'x`` (``_routed_in``), like
-that of ``fixed_point_map``, ``node_partition`` and ``refine``, is taken on
-the network's list of nonzeros when the network is large and sparse
-(``nonzero_list``), and dense otherwise; that list is read from P alone, not
-from the hunt's block lists, so the check stays independent of the hunt.
+Every hunt takes a block operator of ``_linear`` without asking how it is
+stored. A block with an edge list (``BlockStructure.edges``: the transient
+part or a trapping set of at least ``SPARSE_MIN`` nodes whose edges fill at
+most ``SPARSE_FILL`` of it) is its ``EdgeBlock``, hunted as a stack of its
+own rows (``_hunt_stacks``); other blocks are ``DenseBlock`` stacks. Either
+way the assembled extremes pass the same residual check, ``P'x + c``
+against x, on the whole network, with every entry of P. Its product
+``P'x`` (``_routed_in``), like that of ``fixed_point_map``,
+``node_partition`` and ``refine``, is the network's own operator
+(``network_block``), read from P alone, not from the hunt's block lists, so
+the check stays independent of the hunt.
 
 Every tolerance is relative to the box scale s = max w, with no floor (``_tol``).
 """
@@ -71,10 +71,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._hunt import hunt_unique, saturation_pattern, solve_patterns
-from ._linear import EdgeBlock, pinned_particular, segment_bounds, transposed_matvec
+from ._hunt import hunt_unique, saturation_pattern
+from ._linear import DenseBlock, diagonal_blocks, pinned_particular, segment_bounds
 from ._tol import TOUCH_REL, ZERO_SUM_REL, flow_tolerance, scale
-from .decomposition import BlockStructure, SizeGroup, block_structure, diagonal_blocks, nonzero_list
+from .decomposition import BlockStructure, SizeGroup, block_structure, network_block
 from .errors import InputError, NonConvergenceError, PartitionInconsistencyError
 from .model import EquilibriumVector, Network, _as_vector, as_flow, as_point, require_valid
 
@@ -137,14 +137,10 @@ def fixed_point_residual(net: Network, c, x) -> float:
 def _routed_in(net, x) -> np.ndarray:
     """P'x, what the values x route into every node, for a point x (n,) or every row of a stack (F, n).
 
-    One ``np.bincount`` per row over the network's nonzeros when it is large
-    and sparse (``nonzero_list``); otherwise dense, ``P.T @ x`` on a point
-    and ``transposed_matvec`` on a stack.
+    The network's operator (``network_block``) on the stack; a point is a
+    stack of one.
     """
-    listed = nonzero_list(net)
-    if listed is None:
-        return net.P.T @ x if x.ndim == 1 else transposed_matvec(net.P[None], x)
-    return listed.matvec(x.reshape(-1, net.n)).reshape(x.shape)
+    return network_block(net).matvec(np.atleast_2d(x)).reshape(x.shape)
 
 
 def _map(net, c, x, routed=None):
@@ -154,35 +150,23 @@ def _map(net, c, x, routed=None):
 
 def _residual(net, c, x) -> float:
     """``fixed_point_residual`` on a checked flow and a float array."""
-    return float(np.max(np.abs(_map(net, c, x) - x))) if net.n else 0.0
+    return float(np.max(np.abs(_map(net, c, x) - x)))
 
 
-def _hunt_block(net, st: BlockStructure, nodes):
-    """The matrix ``hunt_unique`` takes for the blocks on ``nodes`` (m, k), one block per row.
-
-    A block with an edge list in ``st.edges``, which every row then shares
-    (``_hunt_stacks``), is an EdgeBlock on it, gathered dense only if a
-    pattern solve falls back to it; any other stack is gathered dense.
-    """
-    edges = st.edges.get(int(st.set_of[nodes[0, 0]]))
-    if edges is None:
-        return diagonal_blocks(net.P, nodes)
-    return EdgeBlock(edges, lambda: diagonal_blocks(net.P, nodes[:1]))
-
-
-def _hunt_stacks(st: BlockStructure, group: SizeGroup, hunt):
+def _hunt_stacks(net, st: BlockStructure, group: SizeGroup, hunt):
     """The rows marked ``hunt`` of a size group, split into the stacks that are hunted together.
 
-    The rows of a set with an edge list (one row per flow) make a stack of
-    their own, which shares it, in set order; the sets without one make
-    one stack, last.
+    Yields (rows, operator) pairs: the rows of a set with an EdgeBlock (one
+    row per flow), which they share, in set order; then, gathered only when
+    reached, one DenseBlock stack of the sets without one.
     """
-    edged = sorted(st.edges.keys() & set(group.sets[hunt].tolist())) if st.edges else []
-    stacks = [hunt & (group.sets == l) for l in edged]
     rest = hunt.copy()
-    for stack in stacks:
-        rest &= ~stack
-    return stacks + [rest] if np.count_nonzero(rest) else stacks
+    for l in sorted(st.edges.keys() & set(group.sets[hunt].tolist())) if st.edges else ():
+        rows = hunt & (group.sets == l)
+        rest &= ~rows
+        yield rows, st.edges[l]
+    if np.count_nonzero(rest):
+        yield rest, DenseBlock(diagonal_blocks(net.P, group.nodes[rest]))
 
 
 def _transient_states(net, st: BlockStructure, c, opts, at=None) -> np.ndarray:
@@ -195,8 +179,9 @@ def _transient_states(net, st: BlockStructure, c, opts, at=None) -> np.ndarray:
     if T.size == 0:
         return np.zeros((F, 0))
     return hunt_unique(
-        _hunt_block(net, st, T[None]), np.broadcast_to(net.w[T], (F, T.size)), c[:, T], opts,
-        np.zeros(F, dtype=bool), lambda f: _block_label(net, st, None, T[0], at and at(f)),
+        st.edges.get(-1) or DenseBlock(diagonal_blocks(net.P, T[None])),
+        np.broadcast_to(net.w[T], (F, T.size)), c[:, T], opts, np.zeros(F, dtype=bool),
+        lambda f: _block_label(net, st, None, T[0], at and at(f)),
     )
 
 
@@ -397,7 +382,7 @@ def _assemble_extremes(net, found: _Analysis, opts):
             x[1, f, nodes] = np.clip(base + v.line[1][line, None] * pi, 0.0, w)
             np.maximum(slack, np.where(line, np.abs(v.total), 0.0).reshape(F, -1).max(axis=1), out=slack)
         failed = []  # (flow, set, error) of every stack whose hunt fails
-        for hunt in _hunt_stacks(st, g, ~line):
+        for hunt, Q in _hunt_stacks(net, st, g, ~line):
             nodes, f, from_top = g.nodes[hunt], flow[hunt], g.stochastic[hunt] & (v.total[hunt] > 0)
             named = []  # the row the hunt's error names
 
@@ -406,9 +391,7 @@ def _assemble_extremes(net, found: _Analysis, opts):
                 return _block_label(net, st, found.inflow[f[i]], nodes[i, 0], at and at(f[i]))
 
             try:
-                x[:, f[:, None], nodes] = hunt_unique(
-                    _hunt_block(net, st, nodes), g.w[hunt], v.inflow[hunt], opts, from_top, label
-                )
+                x[:, f[:, None], nodes] = hunt_unique(Q, g.w[hunt], v.inflow[hunt], opts, from_top, label)
             except NonConvergenceError as err:
                 failed.append((int(f[named[0]]), err.block, err))
         if failed:  # the row one stack of the whole group would name
@@ -488,7 +471,7 @@ def iterate(net: Network, c, x0, opts: SolveOptions | None = None) -> Equilibriu
     x, QT = x0, net.P.T
     for used in range(1, opts.max_iter + 1):
         xn = np.minimum(np.maximum(QT @ x + c, 0.0), net.w)
-        step = float(np.max(np.abs(xn - x))) if net.n else 0.0
+        step = float(np.max(np.abs(xn - x)))
         x = xn
         if step <= tol:
             break
@@ -606,7 +589,9 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     st = block_structure(net)
     T = st.transient
     known = np.where(pattern > 0, net.w, 0.0)
-    x_T, ok = solve_patterns(diagonal_blocks(net.P, T[None]), net.w[T][None], c[T][None], pattern[T][None])
+    x_T, ok = DenseBlock(diagonal_blocks(net.P, T[None])).solve_patterns(
+        net.w[T][None], c[T][None], pattern[T][None]
+    )
     if not ok[0]:
         raise PartitionInconsistencyError(_SINGULAR, **_block_label(net, st, c, T[0]))
     known[T] = x_T[0]
@@ -618,8 +603,8 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
         solve = free.any(axis=1) & ~line
         if np.count_nonzero(solve):
             nodes = g.nodes[solve]
-            known[nodes], ok = solve_patterns(
-                diagonal_blocks(net.P, nodes), g.w[solve], inflow[nodes], pattern[nodes]
+            known[nodes], ok = DenseBlock(diagonal_blocks(net.P, nodes)).solve_patterns(
+                g.w[solve], inflow[nodes], pattern[nodes]
             )
             faults += [(l, _SINGULAR) for l in g.sets[solve][~ok].tolist()]
         if np.count_nonzero(line):

@@ -250,5 +250,5 @@ def nash_payments(net: Network, c, x, tol: float = DEFAULT_OPTIONS.tol_class) ->
     """
     c, x, _, best = _checked_equilibrium(net, c, x, tol)
     payments = x[:, None] * net.P
-    residual = float(np.max(np.abs(x - best)[:, None] * net.P)) if net.n else 0.0
+    residual = float(np.max(np.abs(x - best)[:, None] * net.P))
     return payments, residual

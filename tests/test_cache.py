@@ -19,7 +19,8 @@ import pytest
 
 import saturnet as sn
 from saturnet import solver
-from saturnet.decomposition import SPARSE_FILL, SPARSE_MIN, block_structure, diagonal_blocks, nonzero_list
+from saturnet._linear import EdgeBlock, diagonal_blocks
+from saturnet.decomposition import SPARSE_FILL, SPARSE_MIN, block_structure, network_block
 from saturnet.model import EPS_FEAS
 
 from conftest import (
@@ -177,7 +178,7 @@ def test_one_edge_scan_per_network(monkeypatch):
         sn.decompose(net)
         rows, cols = net._nonzeros
         st = block_structure(net)
-        listed = nonzero_list(net)
+        listed = network_block(net)
         residual = sn.fixed_point_residual(net, np.zeros(net.n), net.w)
         fresh = sn.Network(net.P, net.w)
         assert sn.fixed_point_residual(fresh, np.zeros(net.n), net.w) == residual
@@ -186,16 +187,19 @@ def test_one_edge_scan_per_network(monkeypatch):
         monkeypatch.undo()
         assert scans == [("flatnonzero", "P != 0")] * 2
         assert "_nonzeros" not in net.__dict__ and "_nonzeros" not in fresh.__dict__
-        assert (nonzero_list(fresh) is not None) == sparse
+        assert isinstance(network_block(fresh), EdgeBlock) == sparse
         assert (rows * net.n + cols).tolist() == np.flatnonzero(net.P).tolist()
-        assert (listed is not None) == sparse == (net.n >= SPARSE_MIN and rows.size <= SPARSE_FILL * net.n**2)
-        assert not any(a.flags.writeable for a in (rows, cols, *(a for e in st.edges.values() for a in e)))
+        assert isinstance(listed, EdgeBlock) == sparse == (net.n >= SPARSE_MIN and rows.size <= SPARSE_FILL * net.n**2)
+        edges = (a for e in st.edges.values() for a in (e.rows, e.cols, e.vals))
+        assert not any(a.flags.writeable for a in (rows, cols, *edges))
         if sparse:
             assert listed.rows is rows and listed.cols is cols and not listed.vals.flags.writeable
             assert listed.vals.tolist() == net.P[rows, cols].tolist()
             (block,) = st.edges.values()
-            assert block[2].tolist() == listed.vals.tolist() if net is spanning else len(block[2]) < len(rows)
-            assert all(a is b for a, b in zip(block[:2], (rows, cols))) == (net is spanning)
+            assert block.vals.tolist() == listed.vals.tolist() if net is spanning else len(block.vals) < len(rows)
+            assert (block.rows is rows and block.cols is cols) == (net is spanning)
+        else:
+            assert listed.Q.shape == (1, net.n, net.n) and np.shares_memory(listed.Q, net.P)
 
 
 def test_whole_network_block_is_not_copied(triangle):

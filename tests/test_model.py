@@ -70,6 +70,9 @@ class TestNetwork:
             Network([[0.0]], [1.0, 2.0])
         with pytest.raises(InputError):
             Network([[np.nan]], [1.0])
+        # every reduction over the nodes (residuals, iterate's steps) relies on n >= 1
+        with pytest.raises(InputError, match="at least one node"):
+            Network(np.zeros((0, 0)), np.zeros(0))
 
     def test_immutability(self, triangle):
         with pytest.raises(ValueError):

@@ -26,8 +26,10 @@ from saturnet import (
     sweep,
     systemic_loss,
 )
-import saturnet._hunt
-from saturnet._hunt import hunt_unique, solve_patterns
+import saturnet._linear
+import saturnet.solver
+from saturnet._hunt import hunt_unique
+from saturnet._linear import DenseBlock
 from saturnet.decomposition import block_structure
 
 from conftest import (
@@ -277,9 +279,9 @@ class TestSingularRows:
         w = np.ones((2, 2))
         c = np.array([[0.1, -0.1], [0.3, 0.1]])
         pattern = np.zeros((2, 2), dtype=np.int8)
-        x, ok = solve_patterns(Q, w, c, pattern)
+        x, ok = DenseBlock(Q).solve_patterns(w, c, pattern)
         assert ok.tolist() == [False, True]
-        alone, alone_ok = solve_patterns(Q[1:], w[1:], c[1:], pattern[1:])
+        alone, alone_ok = DenseBlock(Q[1:]).solve_patterns(w[1:], c[1:], pattern[1:])
         assert alone_ok.tolist() == [True]
         assert x[1].tobytes() == alone[0].tobytes()
 
@@ -289,7 +291,7 @@ class TestSingularRows:
         Q = np.array([[[0.1, 0.8], [0.8, 0.1]], [[0.0, 0.5], [0.5, 0.0]]])
         w = np.ones((2, 2))
         c = np.array([[0.05, 0.02], [0.3, 0.1]])
-        solve, nan_rows = saturnet._hunt.solve_stack, []
+        solve, nan_rows = saturnet._linear.solve_stack, []
 
         def singular_row_0(A, b):
             v = solve(A, b)
@@ -298,12 +300,12 @@ class TestSingularRows:
             v[hit] = np.nan
             return v
 
-        monkeypatch.setattr(saturnet._hunt, "solve_stack", singular_row_0)
+        monkeypatch.setattr(saturnet._linear, "solve_stack", singular_row_0)
         opts, bottom = SolveOptions(), np.zeros(2, dtype=bool)
-        x = hunt_unique(Q, w, c, opts, bottom, None)
+        x = hunt_unique(DenseBlock(Q), w, c, opts, bottom, None)
         assert sum(nan_rows) > 0
         for r in range(2):
-            alone = hunt_unique(Q[r : r + 1], w[r : r + 1], c[r : r + 1], opts, bottom[:1], None)
+            alone = hunt_unique(DenseBlock(Q[r : r + 1]), w[r : r + 1], c[r : r + 1], opts, bottom[:1], None)
             assert x[r].tobytes() == alone[0].tobytes()
         exact = [np.linalg.solve(np.eye(2) - q.T, b) for q, b in zip(Q, c)]
         np.testing.assert_allclose(x, exact, rtol=0, atol=1e-11)
@@ -320,10 +322,10 @@ class TestSharedBlock:
             flows = c + rng.uniform(-1.0, 1.0, (6, net.n)) * np.abs(c).max()
             w = np.broadcast_to(net.w, flows.shape)
             from_top = flows.sum(axis=1) > 0 if kind == "nonzero_sum" else np.zeros(6, dtype=bool)
-            x = hunt_unique(net.P[None], w, flows, opts, from_top, None)
+            x = hunt_unique(DenseBlock(net.P[None]), w, flows, opts, from_top, None)
             for r in range(6):
                 one = slice(r, r + 1)
-                alone = hunt_unique(net.P[None], w[one], flows[one], opts, from_top[one], None)
+                alone = hunt_unique(DenseBlock(net.P[None]), w[one], flows[one], opts, from_top[one], None)
                 assert x[r].tobytes() == alone[0].tobytes()
 
     def test_singular_flow_keeps_its_iterate(self, monkeypatch):
@@ -333,7 +335,7 @@ class TestSharedBlock:
         Q = np.array([[[0.1, 0.8], [0.8, 0.1]]])
         flows = np.array([[0.05, 0.02], [0.03, 0.01], [0.3, 0.1]])
         w = np.ones((3, 2))
-        solve, nan_rows = saturnet._hunt.solve_stack, []
+        solve, nan_rows = saturnet._linear.solve_stack, []
 
         def singular_flow_0(A, b):
             v = solve(A, b)
@@ -342,19 +344,19 @@ class TestSharedBlock:
             v[hit] = np.nan
             return v
 
-        monkeypatch.setattr(saturnet._hunt, "solve_stack", singular_flow_0)
+        monkeypatch.setattr(saturnet._linear, "solve_stack", singular_flow_0)
         opts, bottom = SolveOptions(), np.zeros(3, dtype=bool)
-        x = hunt_unique(Q, w, flows, opts, bottom, None)
+        x = hunt_unique(DenseBlock(Q), w, flows, opts, bottom, None)
         assert sum(nan_rows) > 0
         for r in range(3):
-            alone = hunt_unique(Q, w[r : r + 1], flows[r : r + 1], opts, bottom[:1], None)
+            alone = hunt_unique(DenseBlock(Q), w[r : r + 1], flows[r : r + 1], opts, bottom[:1], None)
             assert x[r].tobytes() == alone[0].tobytes()
         exact = np.clip(np.linalg.solve(np.eye(2) - Q[0].T, flows.T).T, 0.0, 1.0)
         np.testing.assert_allclose(x, exact, rtol=0, atol=1e-11)
 
     def test_budget_names_the_first_unsettled_flow(self):
         # flow 0 saturates in two steps; flows 1 and 2 creep
-        Q = SLOW_PAIR[0].P[None]
+        Q = DenseBlock(SLOW_PAIR[0].P[None])
         flows = np.array([[2.0, 2.0], SLOW_PAIR[1], SLOW_PAIR[1] + 0.01])
         w = np.ones((3, 2))
 
@@ -373,16 +375,17 @@ class TestSharedBlock:
 
     def test_shared_block_is_not_copied(self, monkeypatch):
         # a set that spans the network is hunted at every grid point through
-        # views of P: no stacked copy of it is made
+        # views of P: no stacked copy of it is made, by the hunt or its take
         net, c = hunt_case(np.random.default_rng(89), "out_connected")
         shapes = []
-        matvec = saturnet._hunt.transposed_matvec
+        hunt, take = saturnet.solver.hunt_unique, DenseBlock.take
 
-        def recording(Q, x):
-            shapes.append((Q.shape, np.shares_memory(Q, net.P)))
-            return matvec(Q, x)
+        def recording(Q):
+            shapes.append((Q.Q.shape, np.shares_memory(Q.Q, net.P)))
+            return Q
 
-        monkeypatch.setattr(saturnet._hunt, "transposed_matvec", recording)
+        monkeypatch.setattr(saturnet.solver, "hunt_unique", lambda Q, *args: hunt(recording(Q), *args))
+        monkeypatch.setattr(DenseBlock, "take", lambda self, rows: recording(take(self, rows)))
         ray = ShockRay(c, np.ones(net.n), 0.0, 1.0, 5)
         records, _ = sweep(net, ray)
         assert shapes and all(shape == (1, net.n, net.n) and shared for shape, shared in shapes)

@@ -15,16 +15,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import saturnet._hunt
+import saturnet._linear
 import saturnet.decomposition
 import saturnet.solver
 from saturnet import (
-    Network, NonConvergenceError, ShockRay, SolveOptions, extremal_equilibria, fixed_point_map,
-    fixed_point_residual, sweep,
+    Network, NonConvergenceError, ShockRay, SolveOptions, classify, extremal_equilibria, fixed_point_map,
+    fixed_point_residual, node_partition, sweep,
 )
-from saturnet._hunt import hunt_unique, neumann_patterns, solve_patterns
-from saturnet._linear import EdgeBlock, transposed_matvec
-from saturnet.decomposition import SPARSE_FILL, SPARSE_MIN, block_structure, nonzero_list
+from saturnet._hunt import hunt_unique
+from saturnet._linear import DenseBlock, EdgeBlock, diagonal_blocks
+from saturnet.decomposition import SPARSE_FILL, SPARSE_MIN, block_structure, network_block
 from saturnet.model import EPS_FEAS
 from saturnet.shocks import _chunks, _flow_entries
 from saturnet.solver import _analyze, _assemble_extremes, _routed_in
@@ -77,7 +77,7 @@ def test_stack_of_flows_as_if_alone():
     rng = np.random.default_rng(1013)
     opts = SolveOptions()
     net, c = sparse_core(rng, 700, rng.uniform(0.8, 0.98, 700))
-    block = EdgeBlock(block_structure(net).edges[0], lambda: net.P[None])
+    block = block_structure(net).edges[0]
     flows = c * rng.uniform(0.2, 1.8, (5, net.n))
     w = np.broadcast_to(net.w, flows.shape)
     from_top = np.array([False, True, False, True, True])
@@ -97,31 +97,33 @@ def test_stack_of_flows_as_if_alone():
 def test_spectral_radius_near_one_falls_back_to_the_dense_solve(monkeypatch):
     # row sums 1 - 1e-7 and one pinned node: the Neumann steps cannot stop
     # within their budget, and the row gets the dense solve's answer bit for
-    # bit; the other row is all pinned and poses no system
+    # bit; the other row is all pinned and poses no system. The block keeps
+    # no dense array after the fallback.
     rng = np.random.default_rng(1019)
     k = SPARSE_MIN + 88
     P = strongly_connected_routing(rng, k, np.full(k, 1.0 - 1e-7))
     net = Network(P, rng.uniform(1.0, 10.0, k))
-    block = EdgeBlock(block_structure(net).edges[0], lambda: P[None])
+    block = block_structure(net).edges[0]
     w, c = np.broadcast_to(net.w, (2, k)), rng.uniform(-1.0, 1.0, (2, k))
     pattern = np.zeros((2, k), dtype=np.int8)
     pattern[0, 3], pattern[1] = 1, -1
     gate = 0.5 * SolveOptions().tol_fp * w.max(axis=1)
-    fallbacks = []
+    fallbacks, dense_solve = [], DenseBlock.solve_patterns
 
-    def recording(Q, w, c, pattern):
+    def recording(self, w, c, pattern, gate=None):
         fallbacks.append(len(pattern))
-        return solve_patterns(Q, w, c, pattern)
+        return dense_solve(self, w, c, pattern, gate)
 
-    monkeypatch.setattr(saturnet._hunt, "solve_patterns", recording)
-    x, ok = neumann_patterns(block, w, c, pattern, gate)
+    monkeypatch.setattr(DenseBlock, "solve_patterns", recording)
+    x, ok = block.solve_patterns(w, c, pattern, gate)
     assert fallbacks == [1] and ok.all()
-    dense, _ = solve_patterns(P[None], w, c, pattern)
+    dense, _ = dense_solve(DenseBlock(P[None]), w, c, pattern)
     assert x.tobytes() == dense.tobytes()
+    assert vars(block).keys() == {"rows", "cols", "vals", "P", "nodes"} and block.P is net.P
 
     # a singular fallback system still marks its row
-    monkeypatch.setattr(saturnet._hunt, "solve_stack", lambda A, b: np.full(b.shape, np.nan))
-    _, ok = neumann_patterns(block, w, c, pattern, gate)
+    monkeypatch.setattr(saturnet._linear, "solve_stack", lambda A, b: np.full(b.shape, np.nan))
+    _, ok = block.solve_patterns(w, c, pattern, gate)
     assert ok.tolist() == [False, True]
 
 
@@ -153,7 +155,7 @@ def test_dense_large_blocks_stay_dense(monkeypatch):
     k = SPARSE_MIN + 8
     net, c = two_sets(rng, k, (4, 4 * SPARSE_FILL * k))
     st = block_structure(net)
-    assert list(st.edges) == [0] and len(st.edges[0][0]) <= SPARSE_FILL * k**2
+    assert list(st.edges) == [0] and len(st.edges[0].rows) <= SPARSE_FILL * k**2
     assert np.count_nonzero(net.P[k:, k:]) > SPARSE_FILL * k**2
     opts = SolveOptions()
     flows = c * rng.uniform(0.2, 1.8, (3, net.n))
@@ -204,11 +206,11 @@ def test_certification_product_is_the_dense_one(kind):
     # the list holds every nonzero of P, and P'x on it is the dense product
     # to within 4 ulps of sum_i |P_ij x_i| per entry, row by row of a stack
     net, _ = large_case(kind, 1039)
-    listed = nonzero_list(net)
+    listed = network_block(net)
     assert (listed.rows * net.n + listed.cols).tolist() == np.flatnonzero(net.P).tolist()
     assert listed.vals.tolist() == net.P[net.P != 0].tolist()
     x = net.w * np.random.default_rng(1039).uniform(0.0, 1.0, (3, net.n))
-    got, dense = _routed_in(net, x), transposed_matvec(net.P[None], x)
+    got, dense = _routed_in(net, x), DenseBlock(net.P[None]).matvec(x)
     assert np.all(np.abs(got - dense) <= 4 * np.spacing(x @ np.abs(net.P)))
     assert _routed_in(net, x[1]).tobytes() == got[1].tobytes()
 
@@ -219,7 +221,7 @@ def test_certification_reads_tiny_negative_entries(kind):
     # entry: its map carries it, and the reported residuals are the dense ones
     base, c = large_case(kind, 1049)
     net, j = with_entry(base, -EPS_FEAS / 2)
-    assert net.P[0, j] in nonzero_list(net).vals
+    assert net.P[0, j] in network_block(net).vals
     x = np.full(net.n, 0.5) * net.w
     shift = _routed_in(net, x)[j] - _routed_in(Network(base.P, base.w), x)[j]
     assert shift == pytest.approx(-EPS_FEAS / 2 * x[0], rel=1e-6)
@@ -238,7 +240,7 @@ def test_certification_gate_still_fires(monkeypatch, kind):
     # node: the residual gate on the list of nonzeros must name that block
     net, c = large_case(kind, 1051)
     st = block_structure(net)
-    assert nonzero_list(net) is not None
+    assert isinstance(network_block(net), EdgeBlock)
     (l,) = st.edges
     hunt = saturnet.solver.hunt_unique
 
@@ -275,7 +277,7 @@ def test_stacked_certification_stays_within_a_row_of_edges(monkeypatch):
     # one per edge and flow
     rng = np.random.default_rng(1063)
     net, c = large_blocks(rng, 600, 3)
-    nnz = nonzero_list(net).rows.size
+    nnz = network_block(net).rows.size
     part = _chunks(24, _flow_entries(block_structure(net)))[0]
     assert part.stop - part.start >= 8  # a stack of many flows
     extra, product = [], saturnet.solver._routed_in
@@ -296,3 +298,88 @@ def test_stacked_certification_stays_within_a_row_of_edges(monkeypatch):
     assert extra[0][0] == (2 * (part.stop - part.start), net.n)  # the grid's one chunk, then any crossings
     for (rows, n), peak in extra:
         assert peak <= 8 * rows * n + 3 * 8 * nnz + 8 * n + 2**14
+
+
+@pytest.mark.parametrize("seed", [1009, 1010])
+@pytest.mark.parametrize("kind", KINDS)
+def test_large_blocks_scale_with_the_units(kind, seed):
+    # w and c scaled by 10**k: the extremes scale within 1e-12·λ·max w, and
+    # every set keeps its kind and every node its class
+    net, c = large_case(kind, seed)
+    base, kinds = extremal_equilibria(net, c), [a.kind for a in classify(net, c)[1]]
+    part = node_partition(net, c, base[0].x)
+    for k in (-9, -3, 3, 9):
+        lam = 10.0**k
+        scaled = Network(net.P, lam * net.w)
+        lo, hi = extremal_equilibria(scaled, lam * c)
+        for eq, ref in zip((lo, hi), base):
+            assert np.abs(eq.x - lam * ref.x).max() <= 1e-12 * lam * net.w.max()
+        assert [a.kind for a in classify(scaled, lam * c)[1]] == kinds
+        assert node_partition(scaled, lam * c, lo.x) == part
+
+
+@pytest.mark.parametrize("seed", [1009, 1010])
+@pytest.mark.parametrize("kind", KINDS)
+def test_large_blocks_follow_a_relabelling(kind, seed):
+    # node i of the relabelled network is node perm[i]: the extremes move
+    # with it within 1e-12·max w, and the transient part, every set's kind
+    # and the node partition move with it exactly
+    net, c = large_case(kind, seed)
+    perm = np.random.default_rng(seed).permutation(net.n)
+    moved, c_moved = Network(net.P[np.ix_(perm, perm)], net.w[perm]), c[perm]
+    results = []
+    for network, flow, label in ((net, c, np.arange(net.n)), (moved, c_moved, perm)):
+        lo, hi = extremal_equilibria(network, flow)
+        x = np.empty((2, net.n))
+        x[:, label] = lo.x, hi.x
+        dec, sinks, _ = classify(network, flow)
+        part = node_partition(network, flow, lo.x)
+        results.append((
+            x,
+            sorted(label[list(dec.transient)].tolist()),
+            {frozenset(label[list(a.nodes)].tolist()): a.kind for a in sinks},
+            [sorted(label[list(nodes)].tolist()) for nodes in (part.surplus, part.exposed, part.deficit)],
+        ))
+    (x, *exact), (x_moved, *exact_moved) = results
+    assert np.abs(x_moved - x).max() <= 1e-12 * net.w.max()
+    assert exact_moved == exact
+
+
+@pytest.mark.parametrize("n", [50, 600])
+def test_dense_point_product_is_a_row_of_the_stack(n):
+    # a dense network's operator is P itself, shared and not copied, and
+    # fixed_point_map at a point is bit for bit its row of a stacked product
+    rng = np.random.default_rng(1069 + n)
+    P = rng.random((n, n))
+    net = Network(P * 0.9 / P.sum(axis=1)[:, None], rng.uniform(1.0, 10.0, n))
+    block = network_block(net)
+    assert isinstance(block, DenseBlock) and block.Q.shape == (1, n, n) and np.shares_memory(block.Q, net.P)
+    x, c = net.w * rng.uniform(0.0, 1.0, (3, n)), rng.uniform(-1.0, 1.0, n)
+    stack = np.minimum(np.maximum(block.matvec(x) + c, 0.0), net.w)
+    for r in range(len(x)):
+        assert fixed_point_map(net, c, x[r]).tobytes() == stack[r].tobytes()
+
+
+def test_operators_take_and_gather():
+    # a shared block, dense or listed, is its own take, with no copy; a dense
+    # stack takes its rows; an EdgeBlock's dense form is its block of P,
+    # which its edge list holds entry for entry
+    rng = np.random.default_rng(1087)
+    net, _ = large_blocks(rng, 8, 600)
+    st = block_structure(net)
+    (block,) = st.edges.values()
+    live = np.array([True, False, True])
+    assert block.take(live) is block
+    k = block.nodes.size
+    listed = np.zeros((k, k))
+    listed[block.rows, block.cols] = block.vals
+    dense = block.dense()
+    assert dense.Q.shape == (1, k, k) and np.array_equal(dense.Q[0], listed)
+    assert dense.Q.tobytes() == diagonal_blocks(net.P, block.nodes[None]).tobytes()
+    assert np.array_equal(dense.Q[0], net.P[np.ix_(block.nodes, block.nodes)])
+    shared = DenseBlock(net.P[None])
+    assert shared.take(live) is shared and np.shares_memory(shared.take(live).Q, net.P)
+    nodes = st.groups[0].nodes  # the 2-node sets
+    stack = DenseBlock(diagonal_blocks(net.P, nodes))
+    rows = np.arange(len(nodes)) % 2 == 0
+    assert stack.take(rows).Q.tobytes() == diagonal_blocks(net.P, nodes[rows]).tobytes()
