@@ -52,7 +52,8 @@ def hunt_unique(Q, w, c, opts, from_top, label):
     shares the arithmetic. Each step applies the map.
     When a block's saturation pattern of Q'x + c (+1 above w, -1 below 0, 0
     within ``tol_class`` of the box) repeats from its previous step and it
-    has not solved that pattern yet, the pattern is solved once; a solution
+    has not solved that pattern yet, the pattern is solved once (a listed
+    block's Neumann steps start from its current iterate); a solution
     that reproduces itself under the map is the block's answer, and its map
     carries on from it otherwise. A block whose pattern system is singular
     keeps its iterate. Every step maps, pattern-checks and solves the whole
@@ -84,7 +85,7 @@ def hunt_unique(Q, w, c, opts, from_top, label):
             if np.count_nonzero(exact):
                 solved.append((exact, pattern))
                 pinned = np.where(exact[:, None], pattern, _NO_PATTERN)
-                cand, ok = Q.solve_patterns(w, c, pinned, gate)
+                cand, ok = Q.solve_patterns(w, c, pinned, gate, x)
                 exact = exact & ok  # not in place: ``solved`` keeps the rows that tried
                 x = np.where(exact[:, None], cand, x)
                 y = Q.matvec(x) + c

@@ -76,14 +76,15 @@ class DenseBlock:
         """The blocks of the rows ``rows``: this one when it is shared."""
         return self if len(self.Q) == 1 else DenseBlock(self.Q[rows])
 
-    def solve_patterns(self, w, c, pattern, gate=None):
+    def solve_patterns(self, w, c, pattern, gate=None, start=None):
         """Each row's candidate equilibrium for its saturation pattern, stacked.
 
         Nodes marked +1 are pinned to w and nodes marked -1 to 0; the rest
         solve x = Q'x + c exactly among themselves, with one stacked solve
-        per number of free nodes; ``gate`` is unused. A row with no free node
-        poses no system. The result is clipped to [0, w]; ``ok`` is False on
-        the rows whose linear system is singular, and their free nodes are NaN.
+        per number of free nodes; ``gate`` and ``start`` are unused. A row
+        with no free node poses no system. The result is clipped to [0, w];
+        ``ok`` is False on the rows whose linear system is singular, and their
+        free nodes are NaN.
         """
         Q = self.Q
         x = np.where(pattern > 0, w, 0.0)
@@ -149,13 +150,14 @@ class EdgeBlock:
             y[:] = np.bincount(self.cols, weights=row[self.rows] * self.vals, minlength=len(y))
         return out
 
-    def solve_patterns(self, w, c, pattern, gate):
+    def solve_patterns(self, w, c, pattern, gate, start):
         """``DenseBlock.solve_patterns``, by Neumann steps on the free nodes.
 
-        Each row with free nodes f iterates y <- Q_ff'y + b from y = b, where b
-        is what its pinned nodes and c send to f, over the edges with both ends
-        in f, and stops at the first step no larger than ``NEUMANN_REL * gate``
-        (gate (m,), the hunt's): the step is the linear residual of the iterate
+        Each row with free nodes f iterates y <- Q_ff'y + b from its own start
+        y = start[f] (start (m, k), the hunt's iterate), where b is what its
+        pinned nodes and c send to f, over the edges with both ends in f, and
+        stops at the first step no larger than ``NEUMANN_REL * gate`` (gate
+        (m,), the hunt's): the step is the linear residual of the iterate
         before it, and the iterate after it is the row's answer. A row that
         cannot stop within ``NEUMANN_STEPS`` steps takes the dense solve
         instead, so a singular system still gives ``ok`` False; that is the
@@ -174,21 +176,24 @@ class EdgeBlock:
             # the free-to-free edges of every row, as offsets into the flattened stack
             r, e = np.nonzero(free[:, self.rows] & free[:, self.cols])
             src, bins, vals = r * free.shape[1] + self.rows[e], r * free.shape[1] + self.cols[e], self.vals[e]
-            y, live, solved = b, np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
+            y = np.where(free, start[rows], 0.0)
+            live, solved = np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
             for t in range(1, NEUMANN_STEPS + 1):
                 yn = np.bincount(bins, weights=y.ravel()[src] * vals, minlength=y.size).reshape(y.shape) + b
                 step = np.abs(yn - y).max(axis=1)
                 done = live & (step <= tol)
-                x[rows[done]] = np.where(free[done], yn[done], x[rows[done]])
-                solved |= done
-                live &= ~done
-                if t in (16, 32, 64, 128):
-                    if t > 16:  # a live row's step at t/2 was above its stop, so positive
-                        rate = np.minimum(np.divide(step, half, out=np.ones_like(step), where=live), 1.0)
-                        live &= step * rate ** ((NEUMANN_STEPS - t) / (t // 2)) <= tol
-                    half = step
-                if not live.any():
-                    break
+                checkpoint = t in (16, 32, 64, 128)
+                if checkpoint or np.count_nonzero(done):  # the stack changes only where a row stops or gives up
+                    x[rows[done]] = np.where(free[done], yn[done], x[rows[done]])
+                    solved |= done
+                    live &= ~done
+                    if checkpoint:
+                        if t > 16:  # a live row's step at t/2 was above its stop, so positive
+                            rate = np.minimum(np.divide(step, half, out=np.ones_like(step), where=live), 1.0)
+                            live &= step * rate ** ((NEUMANN_STEPS - t) / (t // 2)) <= tol
+                        half = step
+                    if not live.any():
+                        break
                 y = yn
             rows = rows[~solved]
             if rows.size:

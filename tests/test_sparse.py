@@ -52,23 +52,46 @@ def large_case(kind, seed):
     return large_blocks(rng, 8, int(rng.integers(SPARSE_MIN, 800)), stochastic=kind == "stochastic_set")
 
 
-@pytest.mark.parametrize("seed", [1009, 1010])
+KINDS = ["sparse_core", "near_stochastic_core", "transient", "out_connected_set", "stochastic_set"]
+
+
+def chain(n, damped):
+    """A chain i -> i+1 of n nodes and its flow; its n-1 transient nodes form one listed block.
+
+    Damped: ``P[i, i+1] = 0.99``, ``w = 1``, ``c = 0.02``, whose pattern
+    solve falls back to the dense one. Otherwise ``P[i, i+1] = 1``,
+    ``c[0] = 10`` and every other ``c = 1e-6``: a saturation cascade.
+    """
+    P = np.zeros((n, n))
+    P[np.arange(n - 1), np.arange(1, n)] = 0.99 if damped else 1.0
+    c = np.full(n, 0.02) if damped else np.concatenate([[10.0], np.full(n - 1, 1e-6)])
+    return Network(P, np.ones(n)), c
+
+
 @pytest.mark.parametrize(
-    "kind", ["sparse_core", "near_stochastic_core", "transient", "out_connected_set", "stochastic_set"]
+    "kind, seed",
+    [(kind, seed) for kind in KINDS for seed in (1009, 1010, *range(2000, 2025))]
+    + [pytest.param("damped_chain", None, id="damped_chain"), pytest.param("cascade_chain", None, id="cascade_chain")],
 )
 def test_extremes_match_the_dense_path(monkeypatch, kind, seed):
-    net, c = large_case(kind, seed)
+    # forced through the dense operator, every large case keeps its extremes
+    # within tol_fp·max w, every set its kind and every node its class
+    net, c = chain(600, kind == "damped_chain") if seed is None else large_case(kind, seed)
     opts = SolveOptions()
-    sparse = extremal_equilibria(net, c, opts)
-    assert block_structure(net).edges  # the case has a large block, hunted on its edges
-    monkeypatch.setattr(saturnet.decomposition, "SPARSE_MIN", net.n + 1)
-    fresh = Network(net.P, net.w)
-    dense = extremal_equilibria(fresh, c, opts)
-    assert not block_structure(fresh).edges
+    results = []
+    for sparse_min in (SPARSE_MIN, net.n + 1):
+        monkeypatch.setattr(saturnet.decomposition, "SPARSE_MIN", sparse_min)
+        fresh = Network(net.P, net.w)
+        lo, hi = extremal_equilibria(fresh, c, opts)
+        assert bool(block_structure(fresh).edges) == (sparse_min == SPARSE_MIN)  # listed, then dense
+        kinds = [a.kind for a in classify(fresh, c, opts)[1]]
+        results.append(((lo, hi), kinds, node_partition(fresh, c, lo.x)))
+    (sparse, *exact), (dense, *exact_dense) = results
     s = net.w.max()
     for a, b in zip(sparse, dense):
         assert np.abs(a.x - b.x).max() <= opts.tol_fp * s
         assert a.residual <= opts.tol_fp * s
+    assert exact == exact_dense
 
 
 def test_stack_of_flows_as_if_alone():
@@ -94,6 +117,46 @@ def test_stack_of_flows_as_if_alone():
             assert res[:, f].tobytes() == alone_res[:, 0].tobytes()
 
 
+def test_listed_pattern_solve_starts_from_the_given_iterate(monkeypatch):
+    # a pattern whose solution is known: a fifth of the nodes pinned, the rest
+    # inside the box. Started at the dense solve's answer, the listed solve
+    # stops at its first Neumann step. Stacked with rows started at zero and
+    # near the answer, which stop later, the steps run until the last row
+    # stops, and every row is bit for bit as alone.
+    rng = np.random.default_rng(1091)
+    k = 700
+    net, _ = sparse_core(rng, k, rng.uniform(0.8, 0.98, k))
+    block = block_structure(net).edges[0]
+    pattern = np.where(rng.random(k) < 0.2, rng.choice(np.array([-1, 1], dtype=np.int8), k), np.int8(0))
+    target = np.where(pattern > 0, net.w, np.where(pattern < 0, 0.0, net.w * rng.uniform(0.1, 0.9, k)))
+    c = np.broadcast_to(target - net.P.T @ target, (3, k))
+    w, patterns = np.broadcast_to(net.w, (3, k)), np.broadcast_to(pattern, (3, k))
+    gate = 0.5 * SolveOptions().tol_fp * w.max(axis=1)
+    dense, _ = block.dense().solve_patterns(w, c, patterns)
+    start = np.stack([dense[0], np.zeros(k), target * (1.0 + 1e-9)])
+    calls, bincount = [], np.bincount
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(saturnet._linear.np, "bincount", counting)
+
+    def solve(rows):
+        calls.clear()
+        x, ok = block.solve_patterns(w[rows], c[rows], patterns[rows], gate[rows], start[rows])
+        assert ok.all()
+        return x, len(calls) - len(x)  # one bincount per row for what the pinned nodes send, then one per step
+
+    x, steps = solve([0, 1, 2])
+    alone = [solve([r]) for r in range(3)]
+    assert alone[0][1] == 1
+    assert len({n for _, n in alone}) == 3 and steps == max(n for _, n in alone)
+    for r, (one, _) in enumerate(alone):
+        assert x[r].tobytes() == one[0].tobytes()
+        assert np.abs(x[r] - target).max() <= SolveOptions().tol_fp * net.w.max()
+
+
 def test_spectral_radius_near_one_falls_back_to_the_dense_solve(monkeypatch):
     # row sums 1 - 1e-7 and one pinned node: the Neumann steps cannot stop
     # within their budget, and the row gets the dense solve's answer bit for
@@ -115,7 +178,7 @@ def test_spectral_radius_near_one_falls_back_to_the_dense_solve(monkeypatch):
         return dense_solve(self, w, c, pattern, gate)
 
     monkeypatch.setattr(DenseBlock, "solve_patterns", recording)
-    x, ok = block.solve_patterns(w, c, pattern, gate)
+    x, ok = block.solve_patterns(w, c, pattern, gate, np.zeros((2, k)))
     assert fallbacks == [1] and ok.all()
     dense, _ = dense_solve(DenseBlock(P[None]), w, c, pattern)
     assert x.tobytes() == dense.tobytes()
@@ -123,7 +186,7 @@ def test_spectral_radius_near_one_falls_back_to_the_dense_solve(monkeypatch):
 
     # a singular fallback system still marks its row
     monkeypatch.setattr(saturnet._linear, "solve_stack", lambda A, b: np.full(b.shape, np.nan))
-    _, ok = block.solve_patterns(w, c, pattern, gate)
+    _, ok = block.solve_patterns(w, c, pattern, gate, np.zeros((2, k)))
     assert ok.tolist() == [False, True]
 
 
@@ -188,9 +251,6 @@ def test_hunt_error_names_the_first_flow_at_fault(monkeypatch, per_node):
             _assemble_extremes(fresh, _analyze(fresh, flows, opts, at=lambda f: f"flow {f}"), opts)
         named.append((err.value.block, err.value.at))
     assert named == [(1, "flow 0")] * 2
-
-
-KINDS = ["sparse_core", "near_stochastic_core", "transient", "out_connected_set", "stochastic_set"]
 
 
 def with_entry(net, value):
