@@ -2,16 +2,18 @@
 
 The directed graph of P has an edge i -> j wherever P[i][j] > 0 (exact
 comparison: routing fractions are data, a written zero means no edge). The
-nonzero entries of P are scanned once per Network (``Network._nonzeros``),
-before the network is validated, so that validation reads P's minimum off
-the scan; everything here reads that scan until the block structure is
-built. The sink components of the graph's strong-component condensation
-are the irreducible trapping sets; every other node is transient. A
-trapping set is "out-connected" when some of its rows lose mass (sum below
-1), in which case the induced block has spectral radius below one. The
-strong components come from Tarjan's algorithm (Tarjan, SIAM J. Comput. 1
-(1972)); past it, the labels, the order of the trapping sets and the
-transient part are whole-array passes, with no numpy call per set.
+nonzero entries of P are scanned once per Network (``Network._nonzeros``):
+at construction when they are few, which reads P's row sums, finiteness and
+minimum off the same scan, so that a fresh sparse Network reads its dense P
+once. Everything here reads that scan until the block structure is built,
+the routed part of P included. The sink components of the graph's
+strong-component condensation are the irreducible trapping sets; every
+other node is transient. A trapping set is "out-connected" when some of its
+rows lose mass (sum below 1), in which case the induced block has spectral
+radius below one. The strong components come from Tarjan's algorithm
+(Tarjan, SIAM J. Comput. 1 (1972)); past it, the labels, the order of the
+trapping sets and the transient part are whole-array passes, with no numpy
+call per set.
 
 None of this depends on the exogenous flow, so :func:`block_structure`
 computes it once per (immutable) Network and every analysis reads that copy.
@@ -39,7 +41,7 @@ import numpy as np
 
 from ._linear import DenseBlock, EdgeBlock, diagonal_blocks, stationary_block
 from .errors import InputError
-from .model import EPS_FEAS, Network, require_valid
+from .model import _MIN_FROM_SCAN, EPS_FEAS, Network, require_valid
 
 
 #: The transient part and every trapping set of at least SPARSE_MIN nodes
@@ -171,18 +173,14 @@ def decompose(net: Network) -> Decomposition:
     so deficiency plus internal strong connectivity is out-connectedness of
     the induced block).
 
-    The nonzeros are scanned before the network is validated, so that
-    validation reads P's minimum off the scan (``Network._min_entry``); an
-    invalid network drops the scan again. Past Tarjan's pass, the labels,
-    the leaks, the order of the sets and the transient part are array
-    passes; the only per-set Python is building the ``SinkComponent``s.
+    The network is validated before its nonzeros are read
+    (``Network._nonzeros``), so an invalid network is scanned only if
+    construction scanned it. Past Tarjan's pass, the labels, the leaks, the
+    order of the sets and the transient part are array passes; the only
+    per-set Python is building the ``SinkComponent``s.
     """
+    require_valid(net)
     rows, cols = net._nonzeros
-    try:
-        require_valid(net)
-    except InputError:
-        net.__dict__.pop("_nonzeros", None)
-        raise
     if net._min_entry < 0:  # a valid P's negative entries, within EPS_FEAS, are no edges
         positive = net.P[rows, cols] > 0
         rows, cols = rows[positive], cols[positive]
@@ -221,14 +219,14 @@ def network_block(net: Network) -> DenseBlock | EdgeBlock:
     their values read from P: diagonal and negative entries and the entries
     between blocks included, so a product on it is P'x itself and shares no
     arithmetic with the hunt's relabelled block lists. Decided on first use
-    and kept on the Network. A smaller network decides without a pass over
-    P, and a larger one not yet scanned counts its nonzeros first, so a
-    denser one neither scans nor gathers values for it.
+    and kept on the Network, without a pass over P: a network within both
+    bounds was scanned at construction (``SPARSE_FILL`` is below
+    ``model._MIN_FROM_SCAN``), and one whose scan is not at hand is denser.
     """
     cache = net.__dict__
     if "_network_block" not in cache:
         listed = None
-        if net.n >= SPARSE_MIN and ("_nonzeros" in cache or _is_sparse(net.n, np.count_nonzero(net.P))):
+        if net.n >= SPARSE_MIN and "_nonzeros" in cache:
             listed = _block_edges(net, np.arange(net.n))
         cache["_network_block"] = listed or DenseBlock(net.P[None])
     return cache["_network_block"]
@@ -322,6 +320,30 @@ def _block_edges(net: Network, nodes: np.ndarray) -> EdgeBlock | None:
     return EdgeBlock(*map(_readonly, (rows, cols, vals)), net.P, _readonly(nodes))
 
 
+def _routed(net: Network, T: np.ndarray, sink_nodes: np.ndarray, set_of: np.ndarray) -> np.ndarray:
+    """P on the transient rows ``T`` and the sink-node columns ``sink_nodes``, C-ordered.
+
+    A network scanned at construction scatters the scanned entries with
+    their row in T and their column among the sink nodes into zeros, so P
+    is not read again (a ``-0.0`` of P, which is no nonzero, reads ``0.0``
+    there). A denser one gathers rows, then columns by take: the C-ordered
+    array that ``np.ix_`` gives, at about half its cost
+    (``P[T][:, sink_nodes]`` would be F-ordered, and a matvec on it rounds
+    differently).
+    """
+    rows, cols = net._nonzeros
+    if rows.size > _MIN_FROM_SCAN * net.P.size:
+        return net.P[T].take(sink_nodes, axis=1)
+    at = np.empty(net.n, dtype=np.intp)  # each node's place in T or among the sink nodes
+    at[T], at[sink_nodes] = np.arange(T.size), np.arange(sink_nodes.size)
+    inward = set_of[cols] >= 0
+    inward &= set_of[rows] < 0
+    rows, cols = rows[inward], cols[inward]
+    routed = np.zeros((T.size, sink_nodes.size))
+    routed[at[rows], at[cols]] = net.P[rows, cols]
+    return routed
+
+
 def _build_structure(net: Network) -> BlockStructure:
     dec = decompose(net)
     nodes = list(map(attrgetter("nodes"), dec.sinks))
@@ -341,12 +363,9 @@ def _build_structure(net: Network) -> BlockStructure:
         groups.append(_size_group(net.P, net.w, sets, nodes, stochastic[sets]))
     large = [(-1, T)] if T.size >= SPARSE_MIN else []
     large += [(l, sink_nodes[starts[l] : starts[l] + sizes[l]]) for l in np.flatnonzero(sizes >= SPARSE_MIN).tolist()]
-    # routed gathers rows, then columns by take: the C-ordered array that
-    # np.ix_ gives, at about half its cost (P[T][:, sink_nodes] would be
-    # F-ordered, and a matvec on it rounds differently)
     return BlockStructure(
         dec,
-        *map(_readonly, (T, sink_nodes, set_of, net.P[T].take(sink_nodes, axis=1))),
+        *map(_readonly, (T, sink_nodes, set_of, _routed(net, T, sink_nodes, set_of))),
         tuple(groups),
         _readonly(place),
         {l: e for l, nodes in large if (e := _block_edges(net, nodes)) is not None},

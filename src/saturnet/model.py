@@ -47,11 +47,13 @@ from .errors import FileFormatError, InputError
 #: in, so their signs are judged exactly.
 EPS_FEAS = 1e-9
 
-#: ``Network._min_entry`` reads P's minimum off the scan of its nonzeros
-#: only when they are at most this share of its entries. Gathering their
-#: values costs 14-21 times as much per entry as ``P.min()`` (n = 1200 and
-#: 2200, one thread), so at a share of 1/16 the gather already took 1.3
-#: times as long as the pass of ``P.min()``.
+#: A Network scans P's nonzeros at construction, and reads its row sums,
+#: finiteness and minimum off their values, only when they are at most this
+#: share of its entries. Gathering their values costs 14-21 times as much
+#: per entry as ``P.min()`` (n = 1200 and 2200, one thread), so at a share
+#: of 1/16 the gather already took 1.3 times as long as the pass of
+#: ``P.min()``. ``decomposition.SPARSE_FILL`` is below it, so every network
+#: held as its list of nonzeros was scanned at construction.
 _MIN_FROM_SCAN = 1 / 32
 
 
@@ -99,6 +101,14 @@ def _frozen(a: np.ndarray, source) -> np.ndarray:
     return a
 
 
+def _scan(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The True entries of a square mask, row-major: (rows, cols), read-only."""
+    nonzeros = divmod(np.flatnonzero(mask), mask.shape[0])
+    for a in nonzeros:
+        a.setflags(write=False)
+    return nonzeros
+
+
 @dataclass(frozen=True)
 class Network:
     """Routing matrix and capacity vector; immutable after construction.
@@ -110,6 +120,15 @@ class Network:
     which ``validate``, ``decompose`` and ``deficiency_set`` read; a row whose
     sum overflows sums to inf, which exceeds 1 like any other.
 
+    Construction reads P once through its mask ``P != 0``. When the nonzeros
+    are at most ``_MIN_FROM_SCAN`` of P's entries, it scans them then
+    (``_nonzeros``) and gathers their values: a non-finite entry is nonzero,
+    so the values alone are checked for finiteness, each row is summed over
+    its nonzeros in column order, and P's minimum is read off them
+    (``_min_entry``). A denser P is summed row by row (``P.sum(axis=1)``),
+    checked entry by entry only when a sum is not finite, and keeps the mask
+    (an eighth of P's bytes) for its scan.
+
     Everything derived from (P, w) alone, such as the validation report
     behind :func:`require_valid` and the trapping-set structure, is computed
     on first use and kept on the object for every later call.
@@ -120,12 +139,22 @@ class Network:
 
     def __post_init__(self):
         P = _frozen(_as_matrix(self.P, "P"), self.P)
-        # a non-finite entry makes its row sum NaN or infinite, so the entries
-        # are scanned only when some sum is; a sum that overflows is no fault
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = P.sum(axis=1)
-        if not np.all(np.isfinite(sums)):
-            _require_finite(P, "P")
+        mask = P != 0
+        if np.count_nonzero(mask) <= _MIN_FROM_SCAN * P.size:
+            rows, cols = _scan(mask)
+            vals = P[rows, cols]
+            _require_finite(vals, "P")
+            # bincount of no weights counts in int64
+            sums = np.bincount(rows, vals, P.shape[0]).astype(float, copy=False)
+            derived = {"_nonzeros": (rows, cols), "_min_entry": float(vals.min(initial=0.0))}
+        else:
+            # a non-finite entry makes its row sum NaN or infinite, so the entries
+            # are scanned only when some sum is; a sum that overflows is no fault
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = P.sum(axis=1)
+            if not np.all(np.isfinite(sums)):
+                _require_finite(P, "P")
+            derived = {"_nonzero_mask": mask}
         w = _as_vector(self.w, "w", P.shape[0])
         if P.shape[0] < 1:
             raise InputError("network must have at least one node")
@@ -133,6 +162,7 @@ class Network:
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "w", _frozen(w, self.w))
         object.__setattr__(self, "_row_sums", sums)
+        self.__dict__.update(derived)
 
     @property
     def n(self) -> int:
@@ -149,38 +179,32 @@ class Network:
         ``validate`` reads it for negative entries beyond ``EPS_FEAS``, and
         ``decompose`` for any negative entry, which is no edge; both compare
         it with a negative number or zero, where ``-0.0`` and ``0.0`` agree.
-        When the scan of the nonzeros is at hand (``decompose`` takes it
-        before it validates) and holds at most ``_MIN_FROM_SCAN`` of P's
-        entries, the minimum is read off the scanned values, and 0 stands
-        for the zero entries the scan left out; otherwise it is one pass of
-        ``P.min()`` over P.
+        A P scanned at construction has it read off the values of its
+        nonzeros there, with 0 standing for the zero entries the scan left
+        out; a denser one takes one pass of ``P.min()`` here.
         """
-        scan = self.__dict__.get("_nonzeros")
-        if scan is None or scan[0].size > _MIN_FROM_SCAN * self.P.size:
-            return float(self.P.min())
-        rows, cols = scan
-        return float(self.P[rows, cols].min(initial=0.0))
+        return float(self.P.min())
 
     @cached_property
     def _nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
         """The entries P[i, j] != 0, row-major: (rows, cols), read-only.
 
         The one scan of P for its entries, a flat ``P != 0`` split into rows
-        and columns; with the row sums taken at construction it is one of
-        the two dense passes a fresh Network makes on its way to
-        ``block_structure``, as ``_min_entry`` reads P's minimum off it.
+        and columns. A P whose nonzeros are at most ``_MIN_FROM_SCAN`` of its
+        entries is scanned at construction, which reads its row sums,
+        finiteness and minimum off the scan, so a fresh sparse Network reads
+        P once on its way to ``block_structure``; a denser one is scanned
+        here, on first use, from the mask construction kept.
         ``decompose`` reads its positive entries (the same arrays when no
         entry is negative); ``block_structure`` takes the edge lists of its
-        large sparse blocks from them, and the operator that certifies a
-        large sparse network (``decomposition.network_block``) is this scan
-        with its values. ``block_structure`` drops it once built, so a
-        network keeps it only in that operator, and an invalid network keeps
-        it not at all.
+        large sparse blocks and the routed part of P (``BlockStructure.routed``)
+        from them, and the operator that certifies a large sparse network
+        (``decomposition.network_block``) is this scan with its values.
+        ``block_structure`` drops it once built, so a network keeps it only
+        in that operator.
         """
-        nonzeros = divmod(np.flatnonzero(self.P != 0), self.n)
-        for a in nonzeros:
-            a.setflags(write=False)
-        return nonzeros
+        mask = self.__dict__.pop("_nonzero_mask", None)
+        return _scan(self.P != 0 if mask is None else mask)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import saturnet as sn
 from saturnet import solver
 from saturnet._linear import EdgeBlock, diagonal_blocks
 from saturnet.decomposition import SPARSE_FILL, SPARSE_MIN, block_structure, network_block
-from saturnet.model import EPS_FEAS
+from saturnet.model import _MIN_FROM_SCAN, EPS_FEAS
 
 from conftest import (
     C_STAR,
@@ -143,29 +143,48 @@ def test_cached_arrays_cannot_be_written():
         assert not arr.flags.writeable
 
 
+def _methods_on_all_of(P, fn) -> set[str]:
+    """The names of the array methods that ``fn()`` calls on the whole of ``P`` (on P or a view of all of it)."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        owner = getattr(arg, "__self__", None) if event == "c_call" else None
+        if isinstance(owner, np.ndarray) and owner.size == P.size and np.may_share_memory(owner, P):
+            seen.add(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
 def test_one_edge_scan_per_network(monkeypatch):
-    # decompose, block_structure and the certification read the Network's
-    # one scan of its nonzeros, in either call order: P != 0 is scanned once,
-    # by np.flatnonzero (which hands np.nonzero its 1-D ravel) and not by a
-    # 2-D np.nonzero, and P > 0 is not scanned at all; every array is
-    # read-only, a block that spans the network keeps the scan's own rows and
-    # cols, and the scan is kept, as the list of nonzeros with their values,
-    # exactly when the network is large and sparse; a certification of a
-    # fresh network that is not keeps no scan either
+    # construction, decompose, block_structure and the certification read the
+    # Network's one scan of its nonzeros, in either call order: P != 0 is
+    # scanned once, by np.flatnonzero (which hands np.nonzero its 1-D ravel)
+    # and not by a 2-D np.nonzero, and P > 0 is not scanned at all; every
+    # array is read-only, a block that spans the network keeps the scan's own
+    # rows and cols, and the scan is kept, as the list of nonzeros with their
+    # values, exactly when the network is large and sparse; a certification
+    # of a fresh network that is not keeps no scan either
+    assert SPARSE_FILL <= _MIN_FROM_SCAN  # so every listed network was scanned at construction
     rng = np.random.default_rng(31)
-    spanning = sn.Network(strongly_connected_routing(rng, 600, rng.uniform(0.8, 0.98, 600)), np.ones(600))
-    P = large_blocks(rng, 600, 3)[0].P.copy()
-    P[0, np.flatnonzero(P[0] == 0)[1]] = -EPS_FEAS / 2  # an entry that is no edge but is nonzero
-    transient = sn.Network(P, np.ones(len(P)))
+    spanning = strongly_connected_routing(rng, 600, rng.uniform(0.8, 0.98, 600))
+    transient = large_blocks(rng, 600, 3)[0].P.copy()
+    transient[0, np.flatnonzero(transient[0] == 0)[1]] = -EPS_FEAS / 2  # an entry that is no edge but is nonzero
     full = rng.random((SPARSE_MIN, SPARSE_MIN))
-    dense = sn.Network(full / full.sum(axis=1)[:, None] * 0.9, np.ones(SPARSE_MIN))
-    small = random_network(rng, n_max=7)
-    for net, sparse in ((spanning, True), (transient, True), (dense, False), (small, False)):
+    dense = full / full.sum(axis=1)[:, None] * 0.9
+    small = random_network(rng, n_max=7).P
+    for P, sparse in ((spanning, True), (transient, True), (dense, False), (small, False)):
+        w = np.ones(len(P))
+        masks = (("P != 0", P != 0), ("P > 0", P > 0))
         scans = []
 
         def spy(scan):
             def recording(a):
-                for name, mask in (("P != 0", net.P != 0), ("P > 0", net.P > 0)):
+                for name, mask in masks:
                     if np.shape(a) == mask.shape and np.array_equal(a, mask):
                         scans.append((scan.__name__, name))
                         break
@@ -175,6 +194,7 @@ def test_one_edge_scan_per_network(monkeypatch):
 
         for name in ("nonzero", "flatnonzero"):
             monkeypatch.setattr(np, name, spy(getattr(np, name)))
+        net = sn.Network(P, w)
         sn.decompose(net)
         rows, cols = net._nonzeros
         st = block_structure(net)
@@ -196,10 +216,17 @@ def test_one_edge_scan_per_network(monkeypatch):
             assert listed.rows is rows and listed.cols is cols and not listed.vals.flags.writeable
             assert listed.vals.tolist() == net.P[rows, cols].tolist()
             (block,) = st.edges.values()
-            assert block.vals.tolist() == listed.vals.tolist() if net is spanning else len(block.vals) < len(rows)
-            assert (block.rows is rows and block.cols is cols) == (net is spanning)
+            assert block.vals.tolist() == listed.vals.tolist() if P is spanning else len(block.vals) < len(rows)
+            assert (block.rows is rows and block.cols is cols) == (P is spanning)
         else:
             assert listed.Q.shape == (1, net.n, net.n) and np.shares_memory(listed.Q, net.P)
+        # a listed network's construction, a standalone validate and its
+        # block_structure sum and minimise P only over its scan; a dense one
+        # takes P.sum at construction and P.min to validate
+        frozen = net.P  # read-only and C-ordered: every Network below holds it as it is
+        methods = _methods_on_all_of(frozen, lambda: sn.validate(sn.Network(frozen, w)))
+        methods |= _methods_on_all_of(frozen, lambda: block_structure(sn.Network(frozen, w)))
+        assert not methods & {"sum", "min"} if sparse else {"sum", "min"} <= methods
 
 
 def test_whole_network_block_is_not_copied(triangle):

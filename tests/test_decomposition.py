@@ -401,7 +401,8 @@ def test_minimum_read_off_the_scan_judges_like_p_min(kind):
             decompose(late)
         except InputError as exc:
             assert not report.ok and str(exc) == f"invalid network: {'; '.join(v.message for v in report.violations)}"
-            assert "_nonzeros" not in late.__dict__
+            # validated before it is scanned: it keeps the scan of its construction, and takes none
+            assert ("_nonzeros" in late.__dict__) == (np.count_nonzero(P) <= _MIN_FROM_SCAN * P.size)
         else:
             assert report.ok and decompose(first) == decompose(late)
         assert validate(late) == report

@@ -126,6 +126,30 @@ class TestNetwork:
         with pytest.raises(InputError, match="^P contains non-finite entries$"):
             Network([[np.inf, -np.inf], [0.0, 0.5]], [1.0, 1.0])
 
+    def test_finiteness_is_judged_from_the_scan_of_a_sparse_p(self):
+        # one or two entries a row take the scan path (at most 1/32 of P
+        # nonzero): the scanned values are checked and summed, not P's rows
+        n = 64
+        P = np.zeros((n, n))
+        P[np.arange(n), (np.arange(n) + 1) % n] = 0.5
+        P[np.arange(0, n, 2), (np.arange(0, n, 2) + 3) % n] = 0.25
+        assert "_nonzeros" in Network(P, np.ones(n)).__dict__
+        for bad in (np.nan, np.inf, -np.inf):
+            Q = P.copy()
+            Q[5, 9] = bad
+            with pytest.raises(InputError, match="^P contains non-finite entries$"):
+                Network(Q, np.ones(n))
+        P[0, 1] = P[0, 2] = 1e308
+        big = Network(P, np.ones(n))
+        assert "_nonzeros" in big.__dict__
+        assert big._row_sums[0] == np.inf and np.isfinite(big._row_sums[1:]).all()
+        assert [(v.kind, v.where) for v in validate(big).violations] == [("row_sum", (0,))]
+        for m in (1, n):
+            zero = Network(np.zeros((m, m)), np.ones(m))
+            assert "_nonzeros" in zero.__dict__
+            assert zero._row_sums.dtype == np.float64 and zero._row_sums.tolist() == [0.0] * m
+            assert not zero._row_sums.flags.writeable
+
     def test_validate_accepts_demo(self, triangle):
         assert validate(triangle).ok
 

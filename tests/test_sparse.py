@@ -11,6 +11,7 @@ P'x must be the dense ones to within rounding, with every entry of P.
 from __future__ import annotations
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ import saturnet._linear
 import saturnet.decomposition
 import saturnet.solver
 from saturnet import (
-    Network, NonConvergenceError, ShockRay, SolveOptions, classify, extremal_equilibria, fixed_point_map,
-    fixed_point_residual, node_partition, sweep,
+    LiabilityData, Network, NonConvergenceError, ShockRay, SolveOptions, classify, decompose, deficiency_set,
+    extremal_equilibria, fixed_point_map, fixed_point_residual, from_liabilities, load_input, node_partition, sweep,
+    validate,
 )
 from saturnet._hunt import hunt_unique
 from saturnet._linear import DenseBlock, EdgeBlock, diagonal_blocks
@@ -29,7 +31,7 @@ from saturnet.model import EPS_FEAS
 from saturnet.shocks import _chunks, _flow_entries
 from saturnet.solver import _analyze, _assemble_extremes, _routed_in
 
-from conftest import large_blocks, strongly_connected_routing
+from conftest import large_blocks, random_network, strongly_connected_routing
 
 
 def sparse_core(rng, n, row_sums):
@@ -443,3 +445,66 @@ def test_operators_take_and_gather():
     stack = DenseBlock(diagonal_blocks(net.P, nodes))
     rows = np.arange(len(nodes)) % 2 == 0
     assert stack.take(rows).Q.tobytes() == diagonal_blocks(net.P, nodes[rows]).tobytes()
+
+
+@pytest.fixture(scope="module")
+def large_matrices():
+    """P and w of the 125 seeded large cases (5 kinds x seeds 2000-2024), for fresh Networks."""
+    return [(net.P, net.w) for kind in KINDS for seed in range(2000, 2025) for net in [large_case(kind, seed)[0]]]
+
+
+def _scanned_at_construction(net) -> bool:
+    return "_nonzeros" in net.__dict__
+
+
+def test_row_sums_off_the_scan_judge_like_p_sum(large_matrices):
+    # a P scanned at construction has its rows summed over their nonzeros in
+    # column order, not by P.sum(axis=1): the sums differ by rounding only,
+    # not at all on a row of at most two nonzeros, and every judgement made
+    # on them (validate, deficiency_set, out_connected) is P.sum's
+    rng = np.random.default_rng(2026)
+    small = [random_network(rng, n_max) for n_max in (8, 50) for _ in range(320)]
+    nets = [Network(P, w) for P, w in large_matrices] + [net for net in small if _scanned_at_construction(net)]
+    assert all(map(_scanned_at_construction, nets)) and len(nets) > 125
+    inexact = 0
+    for net in nets:
+        P, got = net.P, net._row_sums
+        want = P.sum(axis=1)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(P).sum(axis=1))
+        few = np.count_nonzero(P, axis=1) <= 2
+        assert got[few].tobytes() == want[few].tobytes()
+        inexact += np.count_nonzero(got != want)
+        report = validate(net)
+        assert [v.where for v in report.violations if v.kind == "row_sum"] == [
+            (int(i),) for i in np.flatnonzero(want > 1.0 + EPS_FEAS)
+        ]
+        assert deficiency_set(net) == tuple(np.flatnonzero(want < 1.0 - EPS_FEAS).tolist())
+        sinks = decompose(net).sinks
+        assert [s.out_connected for s in sinks] == [bool((want[list(s.nodes)] < 1.0 - EPS_FEAS).any()) for s in sinks]
+    assert inexact > 0  # the two summation orders do differ somewhere
+
+
+def _demo_networks():
+    for path in sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.json")):
+        loaded = load_input(path)
+        yield from_liabilities(loaded)[0] if isinstance(loaded, LiabilityData) else loaded[0]
+
+
+def test_routed_is_p_on_transient_rows_and_sink_columns(large_matrices):
+    # scattered from the scan on a sparse P, gathered from P's rows on a
+    # denser one: either way the bytes of P[T].take(sink_nodes, axis=1)
+    rng = np.random.default_rng(2027)
+    nets = [Network(P, w) for P, w in large_matrices] + list(_demo_networks())
+    nets += [random_network(rng, 50) for _ in range(60)]
+    paths = set()
+    for net in nets:
+        scanned = _scanned_at_construction(net)
+        st = block_structure(net)
+        want = net.P[st.transient].take(st.sink_nodes, axis=1)
+        assert st.routed.shape == want.shape and st.routed.dtype == want.dtype
+        assert st.routed.tobytes() == want.tobytes()
+        assert st.routed.flags.c_contiguous and not st.routed.flags.writeable
+        if np.count_nonzero(want):
+            paths.add(scanned)
+    assert paths == {True, False}  # both paths routed some mass
