@@ -13,7 +13,9 @@ two storage forms: ``DenseBlock``, and ``EdgeBlock``, a large shared block
 held as its edge list, whose products cost one pass over its edges and
 whose pattern solves are Neumann steps (Saad, Iterative Methods for Sparse
 Linear Systems, 2nd ed., SIAM 2003, ch. 3). A large sparse network is an
-EdgeBlock too, for the products that certify its results.
+EdgeBlock too, from its construction on, for the products that certify
+its results. Whether a block is listed is one predicate of its size and
+its number of nonzeros (``_is_sparse``).
 """
 
 from __future__ import annotations
@@ -108,6 +110,29 @@ class DenseBlock:
             x[rows, idx] = v
             ok[rows[:, 0]] = np.isfinite(v).all(axis=1)
         return np.clip(x, 0.0, w, out=x), ok
+
+
+#: A block of at least SPARSE_MIN nodes whose entries P != 0 number at most
+#: SPARSE_FILL times the square of that is held as its edge list, and the
+#: hunt works on it; other blocks are dense. Measured on
+#: ``extremal_equilibria`` for one out-connected block of k nodes (one BLAS
+#: thread, 2-vCPU host, row sums 0.8-0.98, 0.97-0.9999 and 1 - 1e-6): the
+#: edge path took 0.65-0.80 of the dense path's time at k = 512 with 4-8
+#: edges per node, 0.3-0.4 at k = 1024 with 4-16 and 0.1-0.2 at k = 2048
+#: with 4-32; it lost from 16 edges per node at k = 512 (up to 1.33), 64
+#: at k = 1024 and 256 at k = 2048, and a full block of 512 nodes took 16
+#: times as long. A whole network within both bounds is listed too, from
+#: its construction on (``model.Network``).
+SPARSE_MIN = 512
+SPARSE_FILL = 1 / 64
+
+
+def _is_sparse(k, nnz):
+    """Whether a block of k nodes and nnz entries P != 0 is held as its edge list: the two bounds above.
+
+    Elementwise on arrays of k and nnz.
+    """
+    return (k >= SPARSE_MIN) & (nnz <= SPARSE_FILL * k**2)
 
 
 #: Step budget of a Neumann pattern solve; a row that cannot stop within

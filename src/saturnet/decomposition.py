@@ -3,14 +3,13 @@
 The directed graph of P has an edge i -> j wherever P[i][j] > 0 (exact
 comparison: routing fractions are data, a written zero means no edge). The
 nonzero entries of P are scanned once per Network (``Network._nonzeros``):
-at construction when they are few, which reads P's row sums, finiteness and
-minimum off the same scan, so that a fresh sparse Network reads its dense P
-once. Everything here reads that scan until the block structure is built,
-the routed part of P included. The sink components of the graph's
-strong-component condensation are the irreducible trapping sets; every
-other node is transient. A trapping set is "out-connected" when some of its
-rows lose mass (sum below 1), in which case the induced block has spectral
-radius below one. The strong components come from Tarjan's algorithm
+a network listed at construction holds them in its operator, and a dense
+one scans them on first use. Everything here reads that scan until the
+block structure is built, the routed part of P included. The sink
+components of the graph's strong-component condensation are the
+irreducible trapping sets; every other node is transient. A trapping set
+is "out-connected" when some of its rows lose mass (sum below 1), in which
+case the induced block has spectral radius below one. The strong components come from Tarjan's algorithm
 (Tarjan, SIAM J. Comput. 1 (1972)); past it, the labels, the order of the
 trapping sets and the transient part are whole-array passes, with no numpy
 call per set.
@@ -21,13 +20,12 @@ There, the trapping sets are stacked by size (:class:`SizeGroup`), the only
 per-set layout, and every reader walks the size groups: ``set_of`` maps
 each node to its set, and ``inflows`` gives the effective inflows as one
 vector indexed by node, so any reader gathers a group's share by its node
-ids. The transient part and every trapping set of at least ``SPARSE_MIN``
-nodes whose edges fill at most ``SPARSE_FILL`` of their block also keep
-their edge lists as ``_linear.EdgeBlock`` operators (``BlockStructure.edges``),
-which the hunt maps and solves without their dense blocks. Every result is
-certified on the whole network's operator (``network_block``): the scan
-itself, with its values, when the network is that large and sparse, and
-its dense P otherwise.
+ids. The transient part and every trapping set that is large and sparse
+by the hunt's bounds (``_linear._is_sparse``) also keep their edge lists as
+``_linear.EdgeBlock`` operators (``BlockStructure.edges``), which the hunt
+maps and solves without their dense blocks. Every result is certified on
+the whole network's operator (``network_block``), which the Network chose
+at construction by the same bounds.
 """
 
 from __future__ import annotations
@@ -39,29 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linear import DenseBlock, EdgeBlock, diagonal_blocks, stationary_block
+from ._linear import DenseBlock, EdgeBlock, _is_sparse, diagonal_blocks, stationary_block
 from .errors import InputError
-from .model import _MIN_FROM_SCAN, EPS_FEAS, Network, require_valid
-
-
-#: The transient part and every trapping set of at least SPARSE_MIN nodes
-#: whose edges number at most SPARSE_FILL times the square of that keep an
-#: edge list, and the hunt works on it; other blocks are dense. Measured on
-#: ``extremal_equilibria`` for one out-connected block of k nodes (one BLAS
-#: thread, 2-vCPU host, row sums 0.8-0.98, 0.97-0.9999 and 1 - 1e-6): the
-#: edge path took 0.65-0.80 of the dense path's time at k = 512 with 4-8
-#: edges per node, 0.3-0.4 at k = 1024 with 4-16 and 0.1-0.2 at k = 2048
-#: with 4-32; it lost from 16 edges per node at k = 512 (up to 1.33), 64
-#: at k = 1024 and 256 at k = 2048, and a full block of 512 nodes took 16
-#: times as long. A whole network within both bounds is certified on its
-#: list of nonzeros (``network_block``).
-SPARSE_MIN = 512
-SPARSE_FILL = 1 / 64
-
-
-def _is_sparse(k: int, nnz: int) -> bool:
-    """Whether a block of k nodes and nnz entries is held as its list: the two bounds above."""
-    return k >= SPARSE_MIN and nnz <= SPARSE_FILL * k**2
+from .model import EPS_FEAS, Network, _readonly, require_valid
 
 
 def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
@@ -205,31 +183,16 @@ def decompose(net: Network) -> Decomposition:
     return Decomposition(tuple(np.flatnonzero(leaky[label]).tolist()), sinks)
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def network_block(net: Network) -> DenseBlock | EdgeBlock:
-    """P as one block operator: its list of nonzeros when the network is large and sparse, else dense.
+    """P as one block operator, as the Network chose it at construction.
 
-    Large and sparse are the hunt's bounds: at least ``SPARSE_MIN`` nodes
-    and at most ``SPARSE_FILL * n**2`` entries P[i, j] != 0. The list is
-    the Network's own scan of them (``Network._nonzeros``), row-major, with
-    their values read from P: diagonal and negative entries and the entries
-    between blocks included, so a product on it is P'x itself and shares no
-    arithmetic with the hunt's relabelled block lists. Decided on first use
-    and kept on the Network, without a pass over P: a network within both
-    bounds was scanned at construction (``SPARSE_FILL`` is below
-    ``model._MIN_FROM_SCAN``), and one whose scan is not at hand is denser.
+    A network that is large and sparse by the hunt's bounds
+    (``_linear._is_sparse``) is its list of nonzeros, row-major, with their
+    values: diagonal and negative entries and the entries between blocks
+    included, so a product on it is P'x itself and shares no arithmetic
+    with the hunt's relabelled block lists. Any other is its dense P.
     """
-    cache = net.__dict__
-    if "_network_block" not in cache:
-        listed = None
-        if net.n >= SPARSE_MIN and "_nonzeros" in cache:
-            listed = _block_edges(net, np.arange(net.n))
-        cache["_network_block"] = listed or DenseBlock(net.P[None])
-    return cache["_network_block"]
+    return net._network_block
 
 
 class SizeGroup(NamedTuple):
@@ -262,10 +225,10 @@ class BlockStructure:
     sink-node columns, so the effective inflows of all trapping sets are one
     matvec; it is the only dense part of P kept here (at most n²/4
     entries), and diagonal blocks of P are sliced per call. ``edges`` holds
-    the ``EdgeBlock`` of every block of at least ``SPARSE_MIN`` nodes and at
-    most ``SPARSE_FILL`` filled, keyed like ``set_of`` (-1 for the transient
-    part): the entries P != 0 with both ends in the block, relabelled to it
-    (``_block_edges``).
+    the ``EdgeBlock`` of every block that is large and sparse by the hunt's
+    bounds (``_linear._is_sparse``), keyed like ``set_of`` (-1 for the
+    transient part): the entries P != 0 with both ends in the block,
+    relabelled to it (``_block_edges``).
     """
 
     decomposition: Decomposition
@@ -300,47 +263,45 @@ def _size_group(P: np.ndarray, w: np.ndarray, sets, nodes, stochastic) -> SizeGr
 def _block_edges(net: Network, nodes: np.ndarray) -> EdgeBlock | None:
     """The block of P on the sorted node set ``nodes`` as an EdgeBlock: its entries P != 0, relabelled, row-major.
 
-    Its arrays are read-only; a set that spans every node keeps the
-    Network's own rows and cols. Negative entries (within ``EPS_FEAS``) are
-    kept with the edges, so the hunt solves the block that the dense path
-    solves. None when they number more than ``SPARSE_FILL * k**2`` for k
-    nodes.
+    Its arrays are read-only; a set that spans every node is the network's
+    own operator. Negative entries (within ``EPS_FEAS``) are kept with the
+    edges, so the hunt solves the block that the dense path solves. None
+    when the block is not large and sparse (``_is_sparse``). The values
+    come from a listed network's operator, and from P on a dense one.
     """
+    block = network_block(net)
+    if nodes.size == net.n:
+        return block if isinstance(block, EdgeBlock) else None
     rows, cols = net._nonzeros
-    if nodes.size < net.n:
-        label = np.full(net.n, -1, dtype=np.intp)
-        label[nodes] = np.arange(nodes.size)
-        inside = (label[rows] >= 0) & (label[cols] >= 0)
-        rows, cols = rows[inside], cols[inside]
+    label = np.full(net.n, -1, dtype=np.intp)
+    label[nodes] = np.arange(nodes.size)
+    inside = (label[rows] >= 0) & (label[cols] >= 0)
+    rows, cols = rows[inside], cols[inside]
     if not _is_sparse(nodes.size, rows.size):
         return None
-    vals = net.P[rows, cols]
-    if nodes.size < net.n:
-        rows, cols = label[rows], label[cols]
-    return EdgeBlock(*map(_readonly, (rows, cols, vals)), net.P, _readonly(nodes))
+    vals = block.vals[inside] if isinstance(block, EdgeBlock) else net.P[rows, cols]
+    return EdgeBlock(*map(_readonly, (label[rows], label[cols], vals)), net.P, _readonly(nodes))
 
 
 def _routed(net: Network, T: np.ndarray, sink_nodes: np.ndarray, set_of: np.ndarray) -> np.ndarray:
     """P on the transient rows ``T`` and the sink-node columns ``sink_nodes``, C-ordered.
 
-    A network scanned at construction scatters the scanned entries with
-    their row in T and their column among the sink nodes into zeros, so P
-    is not read again (a ``-0.0`` of P, which is no nonzero, reads ``0.0``
-    there). A denser one gathers rows, then columns by take: the C-ordered
-    array that ``np.ix_`` gives, at about half its cost
-    (``P[T][:, sink_nodes]`` would be F-ordered, and a matvec on it rounds
-    differently).
+    A listed network scatters the entries of its operator with their row
+    in T and their column among the sink nodes into zeros, so P is not read
+    again (a ``-0.0`` of P, which is no nonzero, reads ``0.0`` there). A
+    dense one gathers rows, then columns by take: the C-ordered array that
+    ``np.ix_`` gives, at about half its cost (``P[T][:, sink_nodes]`` would
+    be F-ordered, and a matvec on it rounds differently).
     """
-    rows, cols = net._nonzeros
-    if rows.size > _MIN_FROM_SCAN * net.P.size:
+    block = network_block(net)
+    if not isinstance(block, EdgeBlock):
         return net.P[T].take(sink_nodes, axis=1)
     at = np.empty(net.n, dtype=np.intp)  # each node's place in T or among the sink nodes
     at[T], at[sink_nodes] = np.arange(T.size), np.arange(sink_nodes.size)
-    inward = set_of[cols] >= 0
-    inward &= set_of[rows] < 0
-    rows, cols = rows[inward], cols[inward]
+    inward = set_of[block.cols] >= 0
+    inward &= set_of[block.rows] < 0
     routed = np.zeros((T.size, sink_nodes.size))
-    routed[at[rows], at[cols]] = net.P[rows, cols]
+    routed[at[block.rows[inward]], at[block.cols[inward]]] = block.vals[inward]
     return routed
 
 
@@ -361,8 +322,9 @@ def _build_structure(net: Network) -> BlockStructure:
         place[sets, 0], place[sets, 1] = len(groups), np.arange(len(sets))
         nodes = sink_nodes[starts[sets][:, None] + np.arange(k)]
         groups.append(_size_group(net.P, net.w, sets, nodes, stochastic[sets]))
-    large = [(-1, T)] if T.size >= SPARSE_MIN else []
-    large += [(l, sink_nodes[starts[l] : starts[l] + sizes[l]]) for l in np.flatnonzero(sizes >= SPARSE_MIN).tolist()]
+    # the blocks large enough to be listed, if sparse enough
+    large = [(-1, T)] if _is_sparse(T.size, 0) else []
+    large += [(l, sink_nodes[starts[l] : starts[l] + sizes[l]]) for l in np.flatnonzero(_is_sparse(sizes, 0)).tolist()]
     return BlockStructure(
         dec,
         *map(_readonly, (T, sink_nodes, set_of, _routed(net, T, sink_nodes, set_of))),
@@ -377,15 +339,14 @@ def block_structure(net: Network) -> BlockStructure:
 
     It is kept on the Network object (whose arrays are frozen), so every
     later call on the same object reuses it; the Network's scan of its
-    nonzeros is dropped once it is built, unless the network is large and
-    sparse and keeps it as its ``network_block``. Raises InputError for an
-    invalid network, on every call.
+    nonzeros is dropped once it is built, unless the network is listed and
+    keeps it in its ``network_block``. Raises InputError for an invalid
+    network, on every call.
     """
     cached = net.__dict__.get("_block_structure")
     if cached is None:
         cached = _build_structure(net)
         object.__setattr__(net, "_block_structure", cached)
-        network_block(net)  # decided while the scan is at hand
         net.__dict__.pop("_nonzeros", None)
     return cached
 

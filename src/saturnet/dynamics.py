@@ -8,6 +8,7 @@ saturated map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,14 @@ def simulate(
         raise InputError(f"x0 has shape {x.shape}, expected ({net.n},)")
     if not np.all(np.isfinite(x)):
         raise InputError("x0 must be finite")
+    if not (math.isfinite(t_end) and math.isfinite(dt)):
+        raise InputError("t_end and dt must be finite")
     if not dt > 0:
         raise InputError("dt must be positive")
     if t_end < dt:
         raise InputError("t_end must be at least dt")
+    if not math.isfinite(float(t_end) / float(dt)):  # the number of steps
+        raise InputError("t_end / dt must be finite")
     if sample_every < 1:
         raise InputError("sample_every must be at least 1")
 

@@ -13,10 +13,10 @@ Files are JSON, UTF-8:
 
 Layout and the way zeros are written do not change what a file reads as.
 A network file that is large and sparse by the hunt's bounds
-(``decomposition.SPARSE_MIN`` and ``SPARSE_FILL``, counting the entries of
-P not written as the literal ``0``) has its P read straight from the
-file's bytes, so only those entries become Python floats; the rest of the
-file, and every other file, goes through ``json.loads``. The two readings
+(``_linear._is_sparse``, counting the entries of P not written as the
+literal ``0``) has its P read straight from the file's bytes, so only those
+entries become Python floats; the rest of the file, and every other file,
+goes through ``json.loads``. The two readings
 give P the same bits, and every error comes from the second.
 
 A liability file describes internal obligations W (W[i][j] owed by i to j),
@@ -38,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._linear import DenseBlock, EdgeBlock, _is_sparse
 from .errors import FileFormatError, InputError
 
 #: Absolute tolerance for the feasibility checks of routing fractions
@@ -46,15 +47,6 @@ from .errors import FileFormatError, InputError
 #: units (capacities, liabilities, assets) have no scale to be absolute
 #: in, so their signs are judged exactly.
 EPS_FEAS = 1e-9
-
-#: A Network scans P's nonzeros at construction, and reads its row sums,
-#: finiteness and minimum off their values, only when they are at most this
-#: share of its entries. Gathering their values costs 14-21 times as much
-#: per entry as ``P.min()`` (n = 1200 and 2200, one thread), so at a share
-#: of 1/16 the gather already took 1.3 times as long as the pass of
-#: ``P.min()``. ``decomposition.SPARSE_FILL`` is below it, so every network
-#: held as its list of nonzeros was scanned at construction.
-_MIN_FROM_SCAN = 1 / 32
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -101,12 +93,14 @@ def _frozen(a: np.ndarray, source) -> np.ndarray:
     return a
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _scan(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The True entries of a square mask, row-major: (rows, cols), read-only."""
-    nonzeros = divmod(np.flatnonzero(mask), mask.shape[0])
-    for a in nonzeros:
-        a.setflags(write=False)
-    return nonzeros
+    return tuple(map(_readonly, divmod(np.flatnonzero(mask), mask.shape[0])))
 
 
 @dataclass(frozen=True)
@@ -120,14 +114,16 @@ class Network:
     which ``validate``, ``decompose`` and ``deficiency_set`` read; a row whose
     sum overflows sums to inf, which exceeds 1 like any other.
 
-    Construction reads P once through its mask ``P != 0``. When the nonzeros
-    are at most ``_MIN_FROM_SCAN`` of P's entries, it scans them then
-    (``_nonzeros``) and gathers their values: a non-finite entry is nonzero,
-    so the values alone are checked for finiteness, each row is summed over
-    its nonzeros in column order, and P's minimum is read off them
-    (``_min_entry``). A denser P is summed row by row (``P.sum(axis=1)``),
-    checked entry by entry only when a sum is not finite, and keeps the mask
-    (an eighth of P's bytes) for its scan.
+    Construction also decides, once, how P is held as the operator that
+    certifies every result (``_network_block``), by the hunt's bounds
+    (``_linear._is_sparse``). A network of at least ``SPARSE_MIN`` nodes
+    counts its mask ``P != 0``. If it is listed, it scans the mask and
+    gathers the values of its nonzeros: a non-finite entry is nonzero, so
+    the values alone are checked for finiteness, each row is summed over its
+    nonzeros in column order, and its operator is the ``EdgeBlock`` of the
+    whole network, kept for life. Any other network drops the mask, sums P
+    row by row (``P.sum(axis=1)``), checks it entry by entry only when a sum
+    is not finite, and its operator is the ``DenseBlock`` ``P[None]``.
 
     Everything derived from (P, w) alone, such as the validation report
     behind :func:`require_valid` and the trapping-set structure, is computed
@@ -139,30 +135,31 @@ class Network:
 
     def __post_init__(self):
         P = _frozen(_as_matrix(self.P, "P"), self.P)
-        mask = P != 0
-        if np.count_nonzero(mask) <= _MIN_FROM_SCAN * P.size:
+        n = P.shape[0]
+        mask = P != 0 if _is_sparse(n, 0) else None  # a network too small to list is not scanned
+        if mask is not None and _is_sparse(n, np.count_nonzero(mask)):
             rows, cols = _scan(mask)
-            vals = P[rows, cols]
+            vals = _readonly(P[rows, cols])
             _require_finite(vals, "P")
             # bincount of no weights counts in int64
-            sums = np.bincount(rows, vals, P.shape[0]).astype(float, copy=False)
-            derived = {"_nonzeros": (rows, cols), "_min_entry": float(vals.min(initial=0.0))}
+            sums = np.bincount(rows, vals, n).astype(float, copy=False)
+            block = EdgeBlock(rows, cols, vals, P, _readonly(np.arange(n)))
         else:
+            del mask
             # a non-finite entry makes its row sum NaN or infinite, so the entries
             # are scanned only when some sum is; a sum that overflows is no fault
             with np.errstate(over="ignore", invalid="ignore"):
                 sums = P.sum(axis=1)
             if not np.all(np.isfinite(sums)):
                 _require_finite(P, "P")
-            derived = {"_nonzero_mask": mask}
-        w = _as_vector(self.w, "w", P.shape[0])
-        if P.shape[0] < 1:
+            block = DenseBlock(P[None])
+        w = _as_vector(self.w, "w", n)
+        if n < 1:
             raise InputError("network must have at least one node")
-        sums.setflags(write=False)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "w", _frozen(w, self.w))
-        object.__setattr__(self, "_row_sums", sums)
-        self.__dict__.update(derived)
+        object.__setattr__(self, "_row_sums", _readonly(sums))
+        object.__setattr__(self, "_network_block", block)
 
     @property
     def n(self) -> int:
@@ -179,32 +176,27 @@ class Network:
         ``validate`` reads it for negative entries beyond ``EPS_FEAS``, and
         ``decompose`` for any negative entry, which is no edge; both compare
         it with a negative number or zero, where ``-0.0`` and ``0.0`` agree.
-        A P scanned at construction has it read off the values of its
-        nonzeros there, with 0 standing for the zero entries the scan left
-        out; a denser one takes one pass of ``P.min()`` here.
+        A listed network reads it off the values of its nonzeros, with 0
+        standing for the zero entries its list leaves out; a dense one takes
+        one pass of ``P.min()``.
         """
-        return float(self.P.min())
+        block = self._network_block
+        return float(block.vals.min(initial=0.0) if isinstance(block, EdgeBlock) else self.P.min())
 
     @cached_property
     def _nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
         """The entries P[i, j] != 0, row-major: (rows, cols), read-only.
 
-        The one scan of P for its entries, a flat ``P != 0`` split into rows
-        and columns. A P whose nonzeros are at most ``_MIN_FROM_SCAN`` of its
-        entries is scanned at construction, which reads its row sums,
-        finiteness and minimum off the scan, so a fresh sparse Network reads
-        P once on its way to ``block_structure``; a denser one is scanned
-        here, on first use, from the mask construction kept.
-        ``decompose`` reads its positive entries (the same arrays when no
-        entry is negative); ``block_structure`` takes the edge lists of its
-        large sparse blocks and the routed part of P (``BlockStructure.routed``)
-        from them, and the operator that certifies a large sparse network
-        (``decomposition.network_block``) is this scan with its values.
-        ``block_structure`` drops it once built, so a network keeps it only
-        in that operator.
+        A listed network's are those of its operator, scanned at
+        construction, so a fresh sparse Network reads P once on its way to
+        ``block_structure``; a dense one scans ``P != 0`` here, on first
+        use. ``decompose`` reads its positive entries (the same arrays when
+        no entry is negative); ``block_structure`` takes the edge lists of
+        its large sparse blocks and the routed part of P
+        (``BlockStructure.routed``) from them, and drops them once built.
         """
-        mask = self.__dict__.pop("_nonzero_mask", None)
-        return _scan(self.P != 0 if mask is None else mask)
+        block = self._network_block
+        return (block.rows, block.cols) if isinstance(block, EdgeBlock) else _scan(self.P != 0)
 
 
 @dataclass(frozen=True)
@@ -409,8 +401,8 @@ def _sparse_network_object(data: bytes) -> dict | None:
     """The document of a large sparse network file, P read from its bytes; None to decline.
 
     A network file whose P has n rows and at most the nonzeros of a large
-    sparse network (``decomposition._is_sparse`` of n and the tokens of P
-    that are not the literal ``0``) gets P as a read-only ndarray, bit for
+    sparse network (``_is_sparse`` of n and the tokens of P that are not
+    the literal ``0``) gets P as a read-only ndarray, bit for
     bit what ``json.loads`` and ``np.asarray`` would make of it: only those
     tokens become Python floats. The rest of the document is parsed by
     ``json.loads`` with ``NaN`` in place of P, and is taken only if that
@@ -419,8 +411,6 @@ def _sparse_network_object(data: bytes) -> dict | None:
     deviation from the grammar, is declined, so that every error comes from
     the ``json.loads`` path.
     """
-    from . import decomposition  # read at call time; decomposition imports this module
-
     key = _P_KEY.search(data)
     if key is None:
         return None
@@ -434,7 +424,7 @@ def _sparse_network_object(data: bytes) -> dict | None:
         return None
     # the first row's length; every row is checked against it, and their number
     n = data.count(b",", lo, data.find(b"]", lo, hi)) + 1
-    if not decomposition._is_sparse(n, 0):
+    if not _is_sparse(n, 0):
         return None
     constants = []
 
@@ -448,15 +438,15 @@ def _sparse_network_object(data: bytes) -> dict | None:
         return None
     if len(constants) != 1 or not isinstance(obj, dict) or obj.get("P") is not _SPAN:
         return None
-    P = _sparse_matrix(data, lo, hi, n, decomposition._is_sparse)
+    P = _sparse_matrix(data, lo, hi, n)
     if P is None:
         return None
     obj["P"] = P
     return obj
 
 
-def _sparse_matrix(data: bytes, lo: int, hi: int, n: int, is_sparse) -> np.ndarray | None:
-    """``data[lo:hi]`` as an n x n matrix of at most ``is_sparse`` nonzero tokens, or None.
+def _sparse_matrix(data: bytes, lo: int, hi: int, n: int) -> np.ndarray | None:
+    """``data[lo:hi]`` as an n x n matrix of at most ``_is_sparse`` nonzero tokens, or None.
 
     Read a chunk of rows at a time (``_sparse_rows``, whose masks are freed
     before P is allocated). Each nonzero token
@@ -479,7 +469,7 @@ def _sparse_matrix(data: bytes, lo: int, hi: int, n: int, is_sparse) -> np.ndarr
         flat.append(rows * n + places)
         texts += tokens
         rows += count
-        if not is_sparse(n, len(texts)):
+        if not _is_sparse(n, len(texts)):
             return None
     if rows != n or not _NUMBERS.fullmatch(b" ".join(texts)):
         return None

@@ -93,6 +93,8 @@ class ShockRay:
             raise InputError("eps_lo and eps_hi must be finite")
         if not self.eps_lo <= self.eps_hi:
             raise InputError("eps_lo must not exceed eps_hi")
+        if isinstance(self.grid, bool) or not isinstance(self.grid, (int, np.integer)):
+            raise InputError("grid must be an integer")
         if self.grid < 2:
             raise InputError("grid must be at least 2")
         c0 = c0.copy(); c0.setflags(write=False)

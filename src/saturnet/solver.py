@@ -50,21 +50,22 @@ analysing one flow with several calls costs one solve. The shock sweep and
 
 Every hunt takes a block operator of ``_linear`` without asking how it is
 stored. A block with an edge list (``BlockStructure.edges``: the transient
-part or a trapping set of at least ``SPARSE_MIN`` nodes whose edges fill at
-most ``SPARSE_FILL`` of it) is its ``EdgeBlock``, hunted as a stack of its
-own rows (``_hunt_stacks``); other blocks are ``DenseBlock`` stacks. Either
-way the assembled extremes pass the same residual check, ``P'x + c``
-against x, on the whole network, with every entry of P. Its product
-``P'x`` (``_routed_in``), like that of ``fixed_point_map``,
-``node_partition`` and ``refine``, is the network's own operator
-(``network_block``), read from P alone, not from the hunt's block lists, so
-the check stays independent of the hunt.
+part or a trapping set that is large and sparse by ``_linear._is_sparse``)
+is its ``EdgeBlock``, hunted as a stack of its own rows (``_hunt_stacks``);
+other blocks are ``DenseBlock`` stacks. Either way the assembled extremes
+pass the same residual check, ``P'x + c`` against x, on the whole network,
+with every entry of P. Its product ``P'x`` (``_routed_in``), like that of
+``fixed_point_map``, ``node_partition`` and ``refine``, is the network's
+own operator (``network_block``), chosen at construction by the same
+predicate and read from P alone, not from the hunt's relabelled block
+lists, so the check stays independent of the hunt.
 
 Every tolerance is relative to the box scale s = max w, with no floor (``_tol``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -87,7 +88,7 @@ class SolveOptions:
     the dead-band used when classifying nodes against the saturation
     boundaries (ties go to the interior class, whose exact linear solve then
     settles the value). Both are relative to s = max w of the block or
-    network checked, with no floor.
+    network checked, with no floor, and ``0 < tol_fp <= tol_class < inf``.
     """
 
     tol_fp: float = 1e-12
@@ -97,12 +98,15 @@ class SolveOptions:
     def __post_init__(self):
         if not self.tol_fp > 0:
             raise InputError("tol_fp must be positive")
-        if not isinstance(self.max_iter, (int, np.integer)):  # a float would fail only once a hunt runs
+        # a float would fail only once a hunt runs; a bool is an int, but no count
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise InputError("max_iter must be an integer")
         if self.max_iter < 1:
             raise InputError("max_iter must be at least 1")
-        if self.tol_class < self.tol_fp:
+        if not self.tol_class >= self.tol_fp:  # NaN included
             raise InputError("tol_class must be >= tol_fp")
+        if not math.isfinite(self.tol_class):  # an infinite gate passes any residual
+            raise InputError("tol_class must be finite")
 
 
 DEFAULT_OPTIONS = SolveOptions()

@@ -19,9 +19,9 @@ import pytest
 
 import saturnet as sn
 from saturnet import solver
-from saturnet._linear import EdgeBlock, diagonal_blocks
-from saturnet.decomposition import SPARSE_FILL, SPARSE_MIN, block_structure, network_block
-from saturnet.model import _MIN_FROM_SCAN, EPS_FEAS
+from saturnet._linear import SPARSE_FILL, SPARSE_MIN, EdgeBlock, diagonal_blocks
+from saturnet.decomposition import block_structure, network_block
+from saturnet.model import EPS_FEAS
 
 from conftest import (
     C_STAR,
@@ -165,11 +165,10 @@ def test_one_edge_scan_per_network(monkeypatch):
     # Network's one scan of its nonzeros, in either call order: P != 0 is
     # scanned once, by np.flatnonzero (which hands np.nonzero its 1-D ravel)
     # and not by a 2-D np.nonzero, and P > 0 is not scanned at all; every
-    # array is read-only, a block that spans the network keeps the scan's own
-    # rows and cols, and the scan is kept, as the list of nonzeros with their
-    # values, exactly when the network is large and sparse; a certification
-    # of a fresh network that is not keeps no scan either
-    assert SPARSE_FILL <= _MIN_FROM_SCAN  # so every listed network was scanned at construction
+    # array is read-only, a block that spans the network is the network's own
+    # list, and the scan is kept, as the list of nonzeros with their values,
+    # exactly when the network is large and sparse; a certification of a
+    # fresh network keeps no scan apart from that list
     rng = np.random.default_rng(31)
     spanning = strongly_connected_routing(rng, 600, rng.uniform(0.8, 0.98, 600))
     transient = large_blocks(rng, 600, 3)[0].P.copy()
@@ -202,7 +201,7 @@ def test_one_edge_scan_per_network(monkeypatch):
         residual = sn.fixed_point_residual(net, np.zeros(net.n), net.w)
         fresh = sn.Network(net.P, net.w)
         assert sn.fixed_point_residual(fresh, np.zeros(net.n), net.w) == residual
-        assert ("_nonzeros" in fresh.__dict__) == sparse
+        assert "_nonzeros" not in fresh.__dict__
         block_structure(fresh)
         monkeypatch.undo()
         assert scans == [("flatnonzero", "P != 0")] * 2

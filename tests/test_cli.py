@@ -313,6 +313,20 @@ class TestErrorPaths:
         for command in ("solve", "classify", "set"):
             assert main([command, "--input", path, "--tol-fp", "1e-9", "--max-iter", "50"]) == 0
 
+    def test_non_finite_tolerances_are_usage_errors(self, capsys):
+        # a NaN dead-band would call every node exposed, an infinite pair pass any residual
+        path = str(DEMOS / "triangle_baseline.json")
+        for flags in (["--tol-class", "nan"], ["--tol-fp", "nan"], ["--tol-fp", "inf", "--tol-class", "inf"]):
+            assert main(["solve", "--input", path, *flags]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("saturnet: error: usage: tol_") and err.count("\n") == 1
+
+    def test_non_finite_simulation_horizon_is_a_validation_error(self, capsys):
+        path = str(DEMOS / "triangle.json")
+        for flags in (["--t-end", "nan"], ["--t-end", "inf"], ["--dt", "nan"], ["--dt", "inf", "--t-end", "inf"]):
+            assert main(["simulate", "--input", path, *flags]) == 1
+            assert capsys.readouterr().err == "saturnet: error: validation: t_end and dt must be finite\n"
+
     def test_missing_file(self, capsys):
         assert main(["solve", "--input", "/nonexistent/x.json"]) == 3
 

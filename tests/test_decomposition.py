@@ -15,8 +15,8 @@ from saturnet import (
     strongly_connected_components,
     validate,
 )
-from saturnet.decomposition import block_structure
-from saturnet.model import _MIN_FROM_SCAN
+from saturnet._linear import SPARSE_MIN, EdgeBlock
+from saturnet.decomposition import block_structure, network_block
 
 from conftest import random_network
 from oracles import power_radius
@@ -361,22 +361,24 @@ MIN_KINDS = ("no_zero", "negative_zero", "negative_within", "negative_beyond")
 
 
 def _entries_of_kind(rng, kind: str) -> np.ndarray:
-    """A seeded P of up to 60 nodes: no zero entry, ``-0.0`` entries, or negative entries within or beyond EPS_FEAS.
+    """A seeded P: no zero entry, ``-0.0`` entries, or negative entries within or beyond EPS_FEAS.
 
-    Apart from the first kind, about half of them hold few enough nonzeros
-    for their minimum to be read off the scan.
+    The first kind has up to 60 nodes. The others have SPARSE_MIN nodes or
+    up to 59 more, and about half of them hold few enough nonzeros to be
+    listed, which reads their minimum off the list.
     """
-    n = int(rng.integers(1, 61))
     if kind == "no_zero":
+        n = int(rng.integers(1, 61))
         P = rng.uniform(0.01, 1.0, (n, n))
     else:
-        P = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.005, 0.06))
+        n = SPARSE_MIN + int(rng.integers(0, 60))
+        P = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.002, 0.03))
     P *= (rng.uniform(0.8, 1.0, n) / np.maximum(P.sum(axis=1), 1e-300))[:, None]
     zeros = np.flatnonzero(P == 0)
     if kind == "negative_zero":
         P.flat[zeros] = -0.0
     elif kind == "negative_within":
-        P.flat[zeros[rng.random(zeros.size) < 0.01]] = -EPS_FEAS * rng.uniform(0.01, 0.99)
+        P.flat[zeros[rng.random(zeros.size) < 0.002]] = -EPS_FEAS * rng.uniform(0.01, 0.99)
     elif kind == "negative_beyond":
         P.flat[rng.integers(n * n, size=2)] = -EPS_FEAS * rng.uniform(1.5, 1e6)
     return P
@@ -390,7 +392,7 @@ def test_minimum_read_off_the_scan_judges_like_p_min(kind):
         P = _entries_of_kind(rng, kind)
         w = np.ones(len(P))
         scanned = Network(P, w)
-        off_the_scan += scanned._nonzeros[0].size <= _MIN_FROM_SCAN * P.size
+        off_the_scan += isinstance(network_block(scanned), EdgeBlock)
         least = scanned._min_entry
         assert least == float(P.min())
         assert (least < -EPS_FEAS, least < 0) == (P.min() < -EPS_FEAS, P.min() < 0)
@@ -401,8 +403,9 @@ def test_minimum_read_off_the_scan_judges_like_p_min(kind):
             decompose(late)
         except InputError as exc:
             assert not report.ok and str(exc) == f"invalid network: {'; '.join(v.message for v in report.violations)}"
-            # validated before it is scanned: it keeps the scan of its construction, and takes none
-            assert ("_nonzeros" in late.__dict__) == (np.count_nonzero(P) <= _MIN_FROM_SCAN * P.size)
+            # validated before it is scanned: it keeps the list of its construction, and takes no scan
+            assert "_nonzeros" not in late.__dict__
+            assert isinstance(network_block(late), EdgeBlock) == isinstance(network_block(scanned), EdgeBlock)
         else:
             assert report.ok and decompose(first) == decompose(late)
         assert validate(late) == report

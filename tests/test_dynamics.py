@@ -91,3 +91,8 @@ class TestSimulate:
             simulate(triangle, C_STAR, np.zeros(2))
         with pytest.raises(InputError):
             simulate(triangle, C_STAR, [np.nan, 0.0, 0.0])
+        for t_end, dt in ((np.nan, 0.01), (np.inf, 0.01), (1.0, np.nan), (np.inf, np.inf), (1.0, -np.inf)):
+            with pytest.raises(InputError, match="^t_end and dt must be finite$"):
+                simulate(triangle, C_STAR, np.zeros(3), t_end=t_end, dt=dt)
+        with pytest.raises(InputError, match="^t_end / dt must be finite$"):
+            simulate(triangle, C_STAR, np.zeros(3), t_end=np.float64(1e308), dt=np.float64(1e-10))

@@ -7,8 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import saturnet.decomposition
-
 from saturnet import (
     EquilibriumVector,
     ExogenousFlow,
@@ -23,8 +21,10 @@ from saturnet import (
     saturate,
     validate,
 )
-from saturnet import model
+from saturnet import _linear, model
 from saturnet._fmt import dumps
+from saturnet._linear import SPARSE_MIN, DenseBlock, EdgeBlock
+from saturnet.decomposition import block_structure, network_block
 
 from conftest import TRIANGLE_P, TRIANGLE_W
 
@@ -127,13 +127,13 @@ class TestNetwork:
             Network([[np.inf, -np.inf], [0.0, 0.5]], [1.0, 1.0])
 
     def test_finiteness_is_judged_from_the_scan_of_a_sparse_p(self):
-        # one or two entries a row take the scan path (at most 1/32 of P
-        # nonzero): the scanned values are checked and summed, not P's rows
-        n = 64
+        # one or two entries a row of at least SPARSE_MIN are listed: the
+        # scanned values are checked and summed, not P's rows
+        n = 600
         P = np.zeros((n, n))
         P[np.arange(n), (np.arange(n) + 1) % n] = 0.5
         P[np.arange(0, n, 2), (np.arange(0, n, 2) + 3) % n] = 0.25
-        assert "_nonzeros" in Network(P, np.ones(n)).__dict__
+        assert isinstance(Network(P, np.ones(n))._network_block, EdgeBlock)
         for bad in (np.nan, np.inf, -np.inf):
             Q = P.copy()
             Q[5, 9] = bad
@@ -141,14 +141,56 @@ class TestNetwork:
                 Network(Q, np.ones(n))
         P[0, 1] = P[0, 2] = 1e308
         big = Network(P, np.ones(n))
-        assert "_nonzeros" in big.__dict__
+        assert isinstance(big._network_block, EdgeBlock)
         assert big._row_sums[0] == np.inf and np.isfinite(big._row_sums[1:]).all()
         assert [(v.kind, v.where) for v in validate(big).violations] == [("row_sum", (0,))]
-        for m in (1, n):
+        for m in (SPARSE_MIN, n):
             zero = Network(np.zeros((m, m)), np.ones(m))
-            assert "_nonzeros" in zero.__dict__
+            assert isinstance(zero._network_block, EdgeBlock)
             assert zero._row_sums.dtype == np.float64 and zero._row_sums.tolist() == [0.0] * m
             assert not zero._row_sums.flags.writeable
+
+    def test_a_dense_network_holds_no_mask(self):
+        # a network of SPARSE_MIN nodes or more counts its mask P != 0 to
+        # decide how it holds P; a dense one keeps nothing of the mask (n²
+        # bytes), neither after construction nor after block_structure
+        rng = np.random.default_rng(41)
+        n = 2 * SPARSE_MIN
+        P = rng.random((n, n)) * (rng.random((n, n)) < 1 / 16)
+        P[np.arange(n), (np.arange(n) + 1) % n] += 0.5  # a covering cycle: one out-connected set
+        P *= 0.9 / P.sum(axis=1)[:, None]
+        P.setflags(write=False)  # held as it is, not copied
+        tracemalloc.start()
+        try:
+            net = Network(P, np.ones(n))
+            built = tracemalloc.get_traced_memory()[0]
+            st = block_structure(net)
+            structured = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert net.P is P and len(st.decomposition.sinks) == 1 and not st.edges
+        assert built < P.nbytes / 16 and structured < P.nbytes / 16  # the mask alone is P.nbytes / 8
+        assert isinstance(network_block(net), DenseBlock)
+
+    def test_a_network_between_the_old_bounds_is_dense_throughout(self, tmp_path):
+        # 12 nonzeros a row of 600 nodes fill 1/50 of P, above SPARSE_FILL: the
+        # network is dense at construction (its rows summed by P.sum), in
+        # network_block and in block_structure, and the byte reader declines
+        # its file written with literal 0s
+        rng = np.random.default_rng(43)
+        n = 600
+        P = np.zeros((n, n))
+        for row in P:
+            row[rng.choice(n, 12, replace=False)] = rng.uniform(0.01, 0.07, 12)
+        text = _compact([[repr(v) if v else "0" for v in row] for row in P.tolist()], [1.0] * n)
+        assert model._sparse_network_object(text.encode()) is None
+        path = tmp_path / "net.json"
+        path.write_text(text)
+        net, _ = load_input(path)
+        assert np.array_equal(net.P, P) and np.count_nonzero(P) == n * n / 50
+        assert isinstance(net._network_block, DenseBlock)
+        assert net._row_sums.tobytes() == P.sum(axis=1).tobytes()
+        assert not block_structure(net).edges and isinstance(network_block(net), DenseBlock)
 
     def test_validate_accepts_demo(self, triangle):
         assert validate(triangle).ok
@@ -343,8 +385,8 @@ def _json_writers(grid, w, c):
 @pytest.fixture
 def small_is_sparse(monkeypatch):
     """Let networks of a few nodes, as full as need be, take the byte-level path."""
-    monkeypatch.setattr(saturnet.decomposition, "SPARSE_MIN", 3)
-    monkeypatch.setattr(saturnet.decomposition, "SPARSE_FILL", 1.0)
+    monkeypatch.setattr(_linear, "SPARSE_MIN", 3)
+    monkeypatch.setattr(_linear, "SPARSE_FILL", 1.0)
 
 
 class TestSparseFiles:
@@ -424,7 +466,7 @@ class TestSparseFiles:
 
     def test_the_sparse_predicate_chooses_the_path(self, tmp_path):
         rng = np.random.default_rng(3)
-        n = saturnet.decomposition.SPARSE_MIN
+        n = SPARSE_MIN
         grid = _sparse_tokens(rng, n)
         w = [1.0] * n
         assert model._sparse_network_object(_compact(grid, w).encode()) is not None

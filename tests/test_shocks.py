@@ -54,6 +54,10 @@ class TestShockRay:
             ShockRay([1.0, 2.0], [1.0, 1.0], 2.0, 1.0, 5)  # inverted range
         with pytest.raises(InputError):
             ShockRay([1.0, 2.0], [1.0, 1.0], 0.0, 1.0, 1)  # grid too small
+        for not_an_integer in (2.5, 5.0, np.float64(5.0), np.nan, True):
+            with pytest.raises(InputError, match="^grid must be an integer$"):
+                ShockRay([1.0, 2.0], [1.0, 1.0], 0.0, 1.0, not_an_integer)
+        assert ShockRay([1.0, 2.0], [1.0, 1.0], 0.0, 1.0, np.int64(5)).grid == 5
         for lo, hi in ((0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan), (np.nan, 1.0)):
             with pytest.raises(InputError, match="eps_lo and eps_hi must be finite"):
                 ShockRay([1.0, 2.0], [1.0, 1.0], lo, hi, 5)

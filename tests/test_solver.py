@@ -55,8 +55,26 @@ class TestSolveOptions:
             with pytest.raises(InputError, match="max_iter must be an integer"):
                 SolveOptions(max_iter=not_an_integer)
         assert SolveOptions(max_iter=np.int64(5)) == SolveOptions(max_iter=5)
+        for not_a_count in (True, False, np.True_):
+            with pytest.raises(InputError, match="max_iter must be an integer"):
+                SolveOptions(max_iter=not_a_count)
         with pytest.raises(InputError):
             SolveOptions(tol_fp=1e-6, tol_class=1e-9)
+
+    @pytest.mark.parametrize("tols, message", [
+        ({"tol_fp": np.nan}, "tol_fp must be positive"),
+        ({"tol_fp": -np.inf}, "tol_fp must be positive"),
+        ({"tol_class": np.nan}, "tol_class must be >= tol_fp"),
+        ({"tol_fp": np.inf}, "tol_class must be >= tol_fp"),
+        ({"tol_class": np.inf}, "tol_class must be finite"),
+        ({"tol_fp": np.inf, "tol_class": np.inf}, "tol_class must be finite"),
+    ])
+    def test_tolerances_are_finite(self, tols, message):
+        # 0 < tol_fp <= tol_class < inf: a NaN dead-band classifies every node
+        # exposed, and an infinite gate passes any residual
+        with pytest.raises(InputError, match=f"^{message}$"):
+            SolveOptions(**tols)
+        assert SolveOptions(tol_fp=1e-3, tol_class=1e-3).tol_class == 1e-3
 
 
 # every function that takes a point x (or x0) of the triangle, called on x

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import saturnet._linear
-import saturnet.decomposition
 import saturnet.solver
 from saturnet import (
     LiabilityData, Network, NonConvergenceError, ShockRay, SolveOptions, classify, decompose, deficiency_set,
@@ -25,8 +24,8 @@ from saturnet import (
     validate,
 )
 from saturnet._hunt import hunt_unique
-from saturnet._linear import DenseBlock, EdgeBlock, diagonal_blocks
-from saturnet.decomposition import SPARSE_FILL, SPARSE_MIN, block_structure, network_block
+from saturnet._linear import SPARSE_FILL, SPARSE_MIN, DenseBlock, EdgeBlock, diagonal_blocks
+from saturnet.decomposition import block_structure, network_block
 from saturnet.model import EPS_FEAS
 from saturnet.shocks import _chunks, _flow_entries
 from saturnet.solver import _analyze, _assemble_extremes, _routed_in
@@ -82,7 +81,7 @@ def test_extremes_match_the_dense_path(monkeypatch, kind, seed):
     opts = SolveOptions()
     results = []
     for sparse_min in (SPARSE_MIN, net.n + 1):
-        monkeypatch.setattr(saturnet.decomposition, "SPARSE_MIN", sparse_min)
+        monkeypatch.setattr(saturnet._linear, "SPARSE_MIN", sparse_min)
         fresh = Network(net.P, net.w)
         lo, hi = extremal_equilibria(fresh, c, opts)
         assert bool(block_structure(fresh).edges) == (sparse_min == SPARSE_MIN)  # listed, then dense
@@ -225,7 +224,7 @@ def test_dense_large_blocks_stay_dense(monkeypatch):
     opts = SolveOptions()
     flows = c * rng.uniform(0.2, 1.8, (3, net.n))
     x, _ = _assemble_extremes(net, _analyze(net, flows, opts), opts)
-    monkeypatch.setattr(saturnet.decomposition, "SPARSE_MIN", net.n + 1)
+    monkeypatch.setattr(saturnet._linear, "SPARSE_MIN", net.n + 1)
     dense, _ = _assemble_extremes(Network(net.P, net.w), _analyze(Network(net.P, net.w), flows, opts), opts)
     assert np.abs(x - dense).max() <= opts.tol_fp * net.w.max()
     monkeypatch.undo()
@@ -246,7 +245,7 @@ def test_hunt_error_names_the_first_flow_at_fault(monkeypatch, per_node):
     opts = SolveOptions(max_iter=1)
     named = []
     for sparse_min in (SPARSE_MIN, net.n + 1):
-        monkeypatch.setattr(saturnet.decomposition, "SPARSE_MIN", sparse_min)
+        monkeypatch.setattr(saturnet._linear, "SPARSE_MIN", sparse_min)
         fresh = Network(net.P, net.w)
         assert len(block_structure(fresh).edges) == (sparse_min == SPARSE_MIN) * (1 + (per_node[1] == 4))
         with pytest.raises(NonConvergenceError) as err:
@@ -453,19 +452,26 @@ def large_matrices():
     return [(net.P, net.w) for kind in KINDS for seed in range(2000, 2025) for net in [large_case(kind, seed)[0]]]
 
 
-def _scanned_at_construction(net) -> bool:
-    return "_nonzeros" in net.__dict__
+def _listed(net) -> bool:
+    return isinstance(network_block(net), EdgeBlock)
+
+
+def _padded(net) -> Network:
+    """``net`` with isolated nodes of capacity 1 appended up to SPARSE_MIN nodes, so listed whatever its fill."""
+    P = np.zeros((SPARSE_MIN, SPARSE_MIN))
+    P[: net.n, : net.n] = net.P
+    return Network(P, np.concatenate([net.w, np.ones(SPARSE_MIN - net.n)]))
 
 
 def test_row_sums_off_the_scan_judge_like_p_sum(large_matrices):
-    # a P scanned at construction has its rows summed over their nonzeros in
-    # column order, not by P.sum(axis=1): the sums differ by rounding only,
-    # not at all on a row of at most two nonzeros, and every judgement made
-    # on them (validate, deficiency_set, out_connected) is P.sum's
+    # a listed P has its rows summed over their nonzeros in column order, not
+    # by P.sum(axis=1): the sums differ by rounding only, not at all on a row
+    # of at most two nonzeros, and every judgement made on them (validate,
+    # deficiency_set, out_connected) is P.sum's
     rng = np.random.default_rng(2026)
     small = [random_network(rng, n_max) for n_max in (8, 50) for _ in range(320)]
-    nets = [Network(P, w) for P, w in large_matrices] + [net for net in small if _scanned_at_construction(net)]
-    assert all(map(_scanned_at_construction, nets)) and len(nets) > 125
+    nets = [Network(P, w) for P, w in large_matrices] + [_padded(net) for net in small[::8]]
+    assert all(map(_listed, nets)) and len(nets) > 125
     inexact = 0
     for net in nets:
         P, got = net.P, net._row_sums
@@ -492,14 +498,14 @@ def _demo_networks():
 
 
 def test_routed_is_p_on_transient_rows_and_sink_columns(large_matrices):
-    # scattered from the scan on a sparse P, gathered from P's rows on a
-    # denser one: either way the bytes of P[T].take(sink_nodes, axis=1)
+    # scattered from the list of a listed P, gathered from P's rows on a
+    # dense one: either way the bytes of P[T].take(sink_nodes, axis=1)
     rng = np.random.default_rng(2027)
     nets = [Network(P, w) for P, w in large_matrices] + list(_demo_networks())
     nets += [random_network(rng, 50) for _ in range(60)]
     paths = set()
     for net in nets:
-        scanned = _scanned_at_construction(net)
+        scanned = _listed(net)
         st = block_structure(net)
         want = net.P[st.transient].take(st.sink_nodes, axis=1)
         assert st.routed.shape == want.shape and st.routed.dtype == want.dtype
