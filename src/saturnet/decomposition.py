@@ -5,7 +5,7 @@ comparison: routing fractions are data, a written zero means no edge). The
 nonzero entries of P are scanned once per Network (``Network._nonzeros``):
 a network listed at construction holds them in its operator, and a dense
 one scans them on first use. Everything here reads that scan until the
-block structure is built, the routed part of P included. The sink
+block structure is built. The sink
 components of the graph's strong-component condensation are the
 irreducible trapping sets; every other node is transient. A trapping set
 is "out-connected" when some of its rows lose mass (sum below 1), in which
@@ -18,10 +18,12 @@ None of this depends on the exogenous flow, so :func:`block_structure`
 computes it once per (immutable) Network and every analysis reads that copy.
 There, the trapping sets are stacked by size (:class:`SizeGroup`), the only
 per-set layout, and every reader walks the size groups: ``set_of`` maps
-each node to its set, and ``inflows`` gives the effective inflows as one
-vector indexed by node, so any reader gathers a group's share by its node
-ids. The transient part and every trapping set that is large and sparse
-by the hunt's bounds (``_linear._is_sparse``) also keep their edge lists as
+each node to its set, and the solver's effective inflows are one vector
+indexed by node, so any reader gathers a group's share by its node ids.
+The structure keeps no part of P: those inflows are the network's own
+product (``network_block``) at the transient values. The transient part
+and every trapping set that is large and sparse by the hunt's bounds
+(``_linear._is_sparse``) also keep their edge lists as
 ``_linear.EdgeBlock`` operators (``BlockStructure.edges``), which the hunt
 maps and solves without their dense blocks. Every result is certified on
 the whole network's operator (``network_block``), which the Network chose
@@ -39,7 +41,7 @@ import numpy as np
 
 from ._linear import DenseBlock, EdgeBlock, _is_sparse, diagonal_blocks, stationary_block
 from .errors import InputError
-from .model import EPS_FEAS, Network, _readonly, require_valid
+from .model import EPS_FEAS, Network, _as_int, _readonly, require_valid
 
 
 def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
@@ -220,11 +222,9 @@ class BlockStructure:
     walks the groups, so that every set of one size is analysed by array
     operations at once; set l is row
     ``place[l][1]`` of group ``place[l][0]``, and ``set_of`` (n,) gives each
-    node's set (-1 on transient nodes). ``sink_nodes`` lists the sets' nodes
-    set after set. ``routed`` is P restricted to transient rows and those
-    sink-node columns, so the effective inflows of all trapping sets are one
-    matvec; it is the only dense part of P kept here (at most n²/4
-    entries), and diagonal blocks of P are sliced per call. ``edges`` holds
+    node's set (-1 on transient nodes). No part of P is kept here: diagonal
+    blocks of P are sliced per call, and the effective inflows of the sets
+    are the network's own product (``network_block``). ``edges`` holds
     the ``EdgeBlock`` of every block that is large and sparse by the hunt's
     bounds (``_linear._is_sparse``), keyed like ``set_of`` (-1 for the
     transient part): the entries P != 0 with both ends in the block,
@@ -233,23 +233,10 @@ class BlockStructure:
 
     decomposition: Decomposition
     transient: np.ndarray
-    sink_nodes: np.ndarray
     set_of: np.ndarray
-    routed: np.ndarray
     groups: tuple[SizeGroup, ...]
     place: np.ndarray
     edges: dict[int, EdgeBlock]
-
-    def inflows(self, c: np.ndarray, x_T: np.ndarray) -> np.ndarray:
-        """Effective inflow of every node at each of F flows, indexed by node (F, n).
-
-        Exogenous flows ``c`` (F, n) plus, on the sink nodes, what the
-        transient part at values ``x_T`` (F, k_T) routes in; a set's share at
-        flow f is ``inflows(c, x_T)[f, nodes]`` for its node ids.
-        """
-        inflow = c.copy()
-        inflow[:, self.sink_nodes] += DenseBlock(self.routed[None]).matvec(x_T)
-        return inflow
 
 
 def _size_group(P: np.ndarray, w: np.ndarray, sets, nodes, stochastic) -> SizeGroup:
@@ -283,28 +270,6 @@ def _block_edges(net: Network, nodes: np.ndarray) -> EdgeBlock | None:
     return EdgeBlock(*map(_readonly, (label[rows], label[cols], vals)), net.P, _readonly(nodes))
 
 
-def _routed(net: Network, T: np.ndarray, sink_nodes: np.ndarray, set_of: np.ndarray) -> np.ndarray:
-    """P on the transient rows ``T`` and the sink-node columns ``sink_nodes``, C-ordered.
-
-    A listed network scatters the entries of its operator with their row
-    in T and their column among the sink nodes into zeros, so P is not read
-    again (a ``-0.0`` of P, which is no nonzero, reads ``0.0`` there). A
-    dense one gathers rows, then columns by take: the C-ordered array that
-    ``np.ix_`` gives, at about half its cost (``P[T][:, sink_nodes]`` would
-    be F-ordered, and a matvec on it rounds differently).
-    """
-    block = network_block(net)
-    if not isinstance(block, EdgeBlock):
-        return net.P[T].take(sink_nodes, axis=1)
-    at = np.empty(net.n, dtype=np.intp)  # each node's place in T or among the sink nodes
-    at[T], at[sink_nodes] = np.arange(T.size), np.arange(sink_nodes.size)
-    inward = set_of[block.cols] >= 0
-    inward &= set_of[block.rows] < 0
-    routed = np.zeros((T.size, sink_nodes.size))
-    routed[at[block.rows[inward]], at[block.cols[inward]]] = block.vals[inward]
-    return routed
-
-
 def _build_structure(net: Network) -> BlockStructure:
     dec = decompose(net)
     nodes = list(map(attrgetter("nodes"), dec.sinks))
@@ -327,7 +292,7 @@ def _build_structure(net: Network) -> BlockStructure:
     large += [(l, sink_nodes[starts[l] : starts[l] + sizes[l]]) for l in np.flatnonzero(_is_sparse(sizes, 0)).tolist()]
     return BlockStructure(
         dec,
-        *map(_readonly, (T, sink_nodes, set_of, _routed(net, T, sink_nodes, set_of))),
+        *map(_readonly, (T, set_of)),
         tuple(groups),
         _readonly(place),
         {l: e for l, nodes in large if (e := _block_edges(net, nodes)) is not None},
@@ -367,7 +332,7 @@ def is_out_connected(net: Network, nodes) -> bool:
     sub-network, so that holds iff each of its trapping sets has such a row.
     """
     require_valid(net)
-    idx = sorted({int(i) for i in nodes})
+    idx = sorted({_as_int(i, "node index") for i in nodes})
     if not idx:
         raise InputError("node set must be nonempty")
     if idx[0] < 0 or idx[-1] >= net.n:

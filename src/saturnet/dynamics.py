@@ -15,7 +15,7 @@ import numpy as np
 
 from ._fmt import fmt_cells
 from .errors import InputError
-from .model import Network, as_flow, require_valid
+from .model import Network, _as_int, as_flow, require_valid
 from .solver import _residual
 
 
@@ -63,7 +63,7 @@ def simulate(
         raise InputError("t_end must be at least dt")
     if not math.isfinite(float(t_end) / float(dt)):  # the number of steps
         raise InputError("t_end / dt must be finite")
-    if sample_every < 1:
+    if _as_int(sample_every, "sample_every") < 1:
         raise InputError("sample_every must be at least 1")
 
     QT = net.P.T

@@ -78,6 +78,13 @@ def _as_vector(value, name: str, n: int | None = None) -> np.ndarray:
     return v
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as an int; anything else, a bool or an integral float included, raises InputError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer")
+    return int(value)
+
+
 def _frozen(a: np.ndarray, source) -> np.ndarray:
     """``a``, converted from ``source``, read-only and C-ordered.
 
@@ -192,8 +199,7 @@ class Network:
         ``block_structure``; a dense one scans ``P != 0`` here, on first
         use. ``decompose`` reads its positive entries (the same arrays when
         no entry is negative); ``block_structure`` takes the edge lists of
-        its large sparse blocks and the routed part of P
-        (``BlockStructure.routed``) from them, and drops them once built.
+        its large sparse blocks from them, and drops them once built.
         """
         block = self._network_block
         return (block.rows, block.cols) if isinstance(block, EdgeBlock) else _scan(self.P != 0)
@@ -570,10 +576,11 @@ def network_from_dict(obj: dict) -> tuple[Network, ExogenousFlow | None]:
         net = Network(obj["P"], obj["w"])
     except InputError as exc:
         raise FileFormatError(str(exc)) from None
-    try:
-        declared = int(obj["n"])
-    except (TypeError, ValueError):
-        raise FileFormatError(f"key 'n' must be an integer, got {obj['n']!r}") from None
+    declared = obj["n"]  # an int, or a float with an integral value such as 3.0
+    if isinstance(declared, float) and declared.is_integer():
+        declared = int(declared)
+    if isinstance(declared, bool) or not isinstance(declared, int):
+        raise FileFormatError(f"key 'n' must be an integer, got {obj['n']!r}")
     if declared != net.n:
         raise FileFormatError(f"declared n = {declared} but P is {net.n}x{net.n}")
     flow = None

@@ -34,13 +34,14 @@ from ._fmt import fmt_cells, fmt_float
 from ._tol import ROUND_REL, flow_tolerance, scale
 from .decomposition import BlockStructure, block_structure
 from .errors import InputError, NotCriticalError
-from .model import Network, as_flow, as_point, require_valid
+from .model import Network, _as_int, as_flow, as_point, require_valid
 from .solver import (
     _SEGMENT,
     DEFAULT_OPTIONS,
     SolveOptions,
     _analyze,
     _assemble_extremes,
+    _inflows,
     _is_unique,
     _solve,
     _take_flows,
@@ -93,9 +94,8 @@ class ShockRay:
             raise InputError("eps_lo and eps_hi must be finite")
         if not self.eps_lo <= self.eps_hi:
             raise InputError("eps_lo must not exceed eps_hi")
-        if isinstance(self.grid, bool) or not isinstance(self.grid, (int, np.integer)):
-            raise InputError("grid must be an integer")
-        if self.grid < 2:
+        grid = _as_int(self.grid, "grid")
+        if grid < 2:
             raise InputError("grid must be at least 2")
         c0 = c0.copy(); c0.setflags(write=False)
         q = q.copy(); q.setflags(write=False)
@@ -103,7 +103,7 @@ class ShockRay:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "eps_lo", float(self.eps_lo))
         object.__setattr__(self, "eps_hi", float(self.eps_hi))
-        object.__setattr__(self, "grid", int(self.grid))
+        object.__setattr__(self, "grid", grid)
 
     def c_at(self, eps: float) -> np.ndarray:
         return self.c0 - eps * self.q
@@ -242,7 +242,7 @@ def _inflow_sums(net, st: BlockStructure, ray: ShockRay, eps, sets, opts):
         c = ray.c0 - eps[part, None] * ray.q
         x_T = _transient_states(net, st, c, opts, _at_eps(eps[part]))
         pattern[part] = np.concatenate([x_T == 0.0, x_T == w_T], axis=1)
-        inflow = st.inflows(c, x_T)
+        inflow = _inflows(net, st, c, x_T)
         for g, size_group in enumerate(st.groups):
             r, j = np.nonzero(group[part] == g)
             if r.size:
@@ -331,6 +331,7 @@ def find_critical_eps(
     opts = opts or DEFAULT_OPTIONS
     st = block_structure(net)
     found = len(st.decomposition.sinks)
+    sink_index = _as_int(sink_index, "sink_index")
     if not 0 <= sink_index < found:
         raise InputError(f"sink_index {sink_index} out of range (found {found} sinks)")
     if ray.c0.shape != (net.n,):

@@ -55,10 +55,11 @@ is its ``EdgeBlock``, hunted as a stack of its own rows (``_hunt_stacks``);
 other blocks are ``DenseBlock`` stacks. Either way the assembled extremes
 pass the same residual check, ``P'x + c`` against x, on the whole network,
 with every entry of P. Its product ``P'x`` (``_routed_in``), like that of
-``fixed_point_map``, ``node_partition`` and ``refine``, is the network's
-own operator (``network_block``), chosen at construction by the same
-predicate and read from P alone, not from the hunt's relabelled block
-lists, so the check stays independent of the hunt.
+the effective inflows (``_inflows``), ``fixed_point_map``,
+``node_partition`` and ``refine``, is the network's own operator
+(``network_block``), chosen at construction by the same predicate and read
+from P alone, not from the hunt's relabelled block lists, so the check
+stays independent of the hunt.
 
 Every tolerance is relative to the box scale s = max w, with no floor (``_tol``).
 """
@@ -77,7 +78,7 @@ from ._linear import DenseBlock, diagonal_blocks, pinned_particular, segment_bou
 from ._tol import TOUCH_REL, ZERO_SUM_REL, flow_tolerance, scale
 from .decomposition import BlockStructure, SizeGroup, block_structure, network_block
 from .errors import InputError, NonConvergenceError, PartitionInconsistencyError
-from .model import EquilibriumVector, Network, _as_vector, as_flow, as_point, require_valid
+from .model import EquilibriumVector, Network, _as_int, _as_vector, as_flow, as_point, require_valid
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,7 @@ class SolveOptions:
     def __post_init__(self):
         if not self.tol_fp > 0:
             raise InputError("tol_fp must be positive")
-        # a float would fail only once a hunt runs; a bool is an int, but no count
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
-            raise InputError("max_iter must be an integer")
+        _as_int(self.max_iter, "max_iter")  # a float would fail only once a hunt runs
         if self.max_iter < 1:
             raise InputError("max_iter must be at least 1")
         if not self.tol_class >= self.tol_fp:  # NaN included
@@ -145,6 +144,24 @@ def _routed_in(net, x) -> np.ndarray:
     stack of one.
     """
     return network_block(net).matvec(np.atleast_2d(x)).reshape(x.shape)
+
+
+def _inflows(net, st: BlockStructure, c, x_T) -> np.ndarray:
+    """Effective inflow of every node at each of F flows, indexed by node (F, n).
+
+    ``c + P'x``, where x holds the transient values ``x_T`` (F, k_T) on the
+    transient nodes and 0 on every set node: each set node's exogenous flow
+    plus what the transient part routes into it. The product is taken on
+    the network's own operator (``network_block``), as in ``_routed_in``,
+    so no part of P is kept for it; a network with no transient node takes
+    none and gets ``c`` itself. A set's share at flow f is
+    ``_inflows(...)[f, nodes]`` for its node ids.
+    """
+    if st.transient.size == 0:
+        return c
+    x = np.zeros(c.shape)
+    x[:, st.transient] = x_T
+    return network_block(net).matvec(x) + c
 
 
 def _map(net, c, x, routed=None):
@@ -226,11 +243,11 @@ class SinkAnalysis:
 class _Verdicts(NamedTuple):
     """The verdicts on a stack of trapping sets of one size, one row per set.
 
-    ``kind`` holds codes into ``_KINDS``. ``base``, ``condition`` and
-    ``alpha`` (lo, hi) hold on zero-sum rows only. ``line`` (lo, hi) is the
-    line-parameter interval on which a set's equilibria lie, on the rows
-    marked ``has_line``; every other set has one equilibrium, which is
-    hunted.
+    ``kind`` holds codes into ``_KINDS``. ``base`` and ``condition`` hold on
+    zero-sum rows only. ``line`` (lo, hi) is the line-parameter interval on
+    which a set's equilibria lie, on the rows marked ``has_line`` (on a
+    segment row, the segment's own bounds); every other set has one
+    equilibrium, which is hunted.
     """
 
     inflow: np.ndarray
@@ -238,7 +255,6 @@ class _Verdicts(NamedTuple):
     kind: np.ndarray
     base: np.ndarray
     condition: np.ndarray
-    alpha: tuple[np.ndarray, np.ndarray]
     line: tuple[np.ndarray, np.ndarray]
     has_line: np.ndarray
 
@@ -275,7 +291,7 @@ def _verdicts(P, group: SizeGroup, inflow) -> _Verdicts:
         slack = np.maximum(np.abs(total[unique]), TOUCH_REL * s[unique])
         has_line[segment] = True
         has_line[unique] = condition[unique] >= -slack
-    return _Verdicts(inflow, total, kind, base, condition, (lo, hi), (line_lo, line_hi), has_line)
+    return _Verdicts(inflow, total, kind, base, condition, (line_lo, line_hi), has_line)
 
 
 class _Analysis(NamedTuple):
@@ -289,7 +305,7 @@ class _Analysis(NamedTuple):
     structure: BlockStructure
     c: np.ndarray  # (F, n)
     transient: np.ndarray  # (F, k_T)
-    inflow: np.ndarray  # (F, n), node-indexed, BlockStructure.inflows
+    inflow: np.ndarray  # (F, n), node-indexed, _inflows
     stacks: list[SizeGroup]  # one per structure.groups entry
     groups: list[_Verdicts]
     at: Callable[[int], str] | None  # names flow f in an error
@@ -319,7 +335,7 @@ def _analyze(net, c, opts, at=None) -> _Analysis:
     """
     st = block_structure(net)
     x_T = _transient_states(net, st, c, opts, at)
-    inflow = st.inflows(c, x_T)
+    inflow = _inflows(net, st, c, x_T)
     stacks = [_repeat(g, len(c)) for g in st.groups]
     groups = [
         _verdicts(net.P, s, inflow[:, g.nodes].reshape(s.nodes.shape)) for g, s in zip(st.groups, stacks)
@@ -334,7 +350,7 @@ def _sink_analyses(found: _Analysis) -> list[SinkAnalysis]:
     for g, v in zip(found.structure.groups, found.groups):
         rows = zip(
             g.sets.tolist(), v.kind.tolist(), v.inflow, g.stationary, v.base,
-            v.condition.tolist(), v.alpha[0].tolist(), v.alpha[1].tolist(),
+            v.condition.tolist(), v.line[0].tolist(), v.line[1].tolist(),
         )
         for l, code, inflow, stationary, base, condition, lo, hi in rows:
             zero = code in (_UNIQUE, _SEGMENT)
@@ -599,7 +615,7 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     if not ok[0]:
         raise PartitionInconsistencyError(_SINGULAR, **_block_label(net, st, c, T[0]))
     known[T] = x_T[0]
-    inflow = st.inflows(c[None], x_T)[0]
+    inflow = _inflows(net, st, c[None], x_T)[0]
     faults, slack = [], 0.0  # (set, message) of every set at fault
     for g in st.groups:
         free = pattern[g.nodes] == 0

@@ -223,7 +223,7 @@ def equilibrium_set(net: Network, c, opts: SolveOptions | None = None) -> Equili
         fixed.setflags(write=False)
         rows = zip(
             g.sets.tolist(), v.kind.tolist(), fixed, v.base, g.stationary,
-            v.alpha[0].tolist(), v.alpha[1].tolist(), g.w,
+            v.line[0].tolist(), v.line[1].tolist(), g.w,
         )
         for l, code, values, base, direction, lo, hi, w in rows:
             nodes = sinks[l].nodes

@@ -139,7 +139,7 @@ def test_cached_arrays_cannot_be_written():
     with pytest.raises(ValueError):
         analyses[0].stationary[0] = 1.0
     st = block_structure(net)
-    for arr in (st.transient, st.sink_nodes, st.set_of, st.routed, st.place, *st.groups[0]):
+    for arr in (st.transient, st.set_of, st.place, *st.groups[0]):
         assert not arr.flags.writeable
 
 

@@ -346,6 +346,15 @@ class TestErrorPaths:
         assert main(["validate", "--input", str(latin1)]) == 3
         assert capsys.readouterr().err.count("saturnet: error: file-format: ") == 3
 
+    def test_non_integer_node_count_exits_three(self, capsys, tmp_path):
+        bad = tmp_path / "bad_n.json"
+        for n in ("3.9", '"3"', "true"):
+            bad.write_text('{"n": %s, "P": [[0, 1, 0], [0, 0, 1], [1, 0, 0]], "w": [1, 1, 1]}' % n)
+            assert main(["validate", "--input", str(bad)]) == 3
+        assert capsys.readouterr().err.count("saturnet: error: file-format: key 'n' must be an integer, got ") == 3
+        bad.write_text('{"n": 3.0, "P": [[0, 1, 0], [0, 0, 1], [1, 0, 0]], "w": [1, 1, 1]}')
+        assert main(["validate", "--input", str(bad), "--output", str(tmp_path / "ok.json")]) == 0
+
     def test_invalid_network_data(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 1, "P": [[1.5]], "w": [1.0]}')

@@ -16,7 +16,7 @@ from saturnet import (
     validate,
 )
 from saturnet._linear import SPARSE_MIN, EdgeBlock
-from saturnet.decomposition import block_structure, network_block
+from saturnet.decomposition import network_block
 
 from conftest import random_network
 from oracles import power_radius
@@ -163,6 +163,12 @@ class TestIsOutConnected:
         with pytest.raises(InputError):
             is_out_connected(triangle, [5])
 
+    def test_node_indices_must_be_integers(self, triangle):
+        for nodes in ([0.5, 1.7], [0, 1.0], np.array([0.0, 1.0]), [True]):
+            with pytest.raises(InputError, match="^node index must be an integer$"):
+                is_out_connected(triangle, nodes)
+        assert is_out_connected(triangle, np.array([0, 1])) is True
+
     def test_unreachable_deficiency(self):
         # node 1 cannot reach the deficient node 0 inside {0, 1}
         net = Network([[0.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], np.ones(3))
@@ -254,9 +260,6 @@ def test_cheap_scans_match_the_direct_formulas():
         assert [s.nodes for s in dec.sinks] == sinks
         assert [s.out_connected for s in dec.sinks] == [bool((sums[list(s)] < 1.0 - EPS_FEAS).any()) for s in sinks]
         assert dec.transient == tuple(sorted(set(range(net.n)) - set(closed)))
-        st = block_structure(net)
-        routed = P[np.ix_(st.transient, st.sink_nodes)]
-        assert st.routed.tobytes() == routed.tobytes() and st.routed.flags.c_contiguous
     assert kinds == {"valid", "negative_entry", "row_sum"}
 
 

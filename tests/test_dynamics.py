@@ -96,3 +96,9 @@ class TestSimulate:
                 simulate(triangle, C_STAR, np.zeros(3), t_end=t_end, dt=dt)
         with pytest.raises(InputError, match="^t_end / dt must be finite$"):
             simulate(triangle, C_STAR, np.zeros(3), t_end=np.float64(1e308), dt=np.float64(1e-10))
+        for not_an_integer in (2.5, 2.0, True):
+            with pytest.raises(InputError, match="^sample_every must be an integer$"):
+                simulate(triangle, C_STAR, np.zeros(3), t_end=0.05, dt=0.01, sample_every=not_an_integer)
+        with pytest.raises(InputError, match="^sample_every must be at least 1$"):
+            simulate(triangle, C_STAR, np.zeros(3), t_end=0.05, dt=0.01, sample_every=0)
+        assert len(simulate(triangle, C_STAR, np.zeros(3), t_end=0.05, dt=0.01, sample_every=np.int64(2)).times) == 4

@@ -330,6 +330,18 @@ class TestFiles:
         with pytest.raises(FileFormatError):
             load_input(tmp_path / "does_not_exist.json")
 
+    def test_declared_n_must_be_an_integer(self, tmp_path):
+        # a number with an integral value reads as that integer; a bool, a
+        # string or any other number is no node count, not even truncated
+        path = tmp_path / "n.json"
+        for n in ("3", "3.0", "3e0"):
+            path.write_text('{"n": %s, "P": %s, "w": [1, 1, 1]}' % (n, TRIANGLE_P.tolist()))
+            assert load_input(path)[0].n == 3
+        for n in ("3.9", "2.5", '"3"', "true", "null", "NaN", "Infinity", "[3]"):
+            path.write_text('{"n": %s, "P": %s, "w": [1, 1, 1]}' % (n, TRIANGLE_P.tolist()))
+            with pytest.raises(FileFormatError, match="^key 'n' must be an integer, got "):
+                load_input(path)
+
 
 # --------------------- the byte-level reader of sparse files ---------------------
 

@@ -220,6 +220,12 @@ class TestFindCriticalEps:
         with pytest.raises(InputError):
             find_critical_eps(triangle, demo_ray(), 3)
 
+    def test_sink_index_must_be_an_integer(self, triangle):
+        for not_an_integer in (0.5, 0.0, np.float64(0.0), True):
+            with pytest.raises(InputError, match="^sink_index must be an integer$"):
+                find_critical_eps(triangle, demo_ray(), not_an_integer)
+        assert find_critical_eps(triangle, demo_ray(), np.int64(0)) == find_critical_eps(triangle, demo_ray(), 0)
+
     def test_mixed_direction_needs_scan(self):
         net, ray = mixed_direction_case()
         assert find_critical_eps(net, ray, 0) == pytest.approx(0.5, abs=1e-9)

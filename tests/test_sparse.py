@@ -28,7 +28,7 @@ from saturnet._linear import SPARSE_FILL, SPARSE_MIN, DenseBlock, EdgeBlock, dia
 from saturnet.decomposition import block_structure, network_block
 from saturnet.model import EPS_FEAS
 from saturnet.shocks import _chunks, _flow_entries
-from saturnet.solver import _analyze, _assemble_extremes, _routed_in
+from saturnet.solver import _analyze, _assemble_extremes, _inflows, _routed_in
 
 from conftest import large_blocks, random_network, strongly_connected_routing
 
@@ -497,20 +497,54 @@ def _demo_networks():
         yield from_liabilities(loaded)[0] if isinstance(loaded, LiabilityData) else loaded[0]
 
 
-def test_routed_is_p_on_transient_rows_and_sink_columns(large_matrices):
-    # scattered from the list of a listed P, gathered from P's rows on a
-    # dense one: either way the bytes of P[T].take(sink_nodes, axis=1)
+def test_inflows_are_c_plus_what_the_transient_part_routes(large_matrices):
+    # the network's own product at the transient values, listed or dense: on
+    # the set nodes c + P[T]'x_T up to the rounding of its sums, and bit for
+    # bit where a set node takes mass from one transient node at most; a
+    # network with no transient node gets c itself
     rng = np.random.default_rng(2027)
     nets = [Network(P, w) for P, w in large_matrices] + list(_demo_networks())
     nets += [random_network(rng, 50) for _ in range(60)]
-    paths = set()
+    single, shared = set(), set()  # the storage kinds with set nodes fed by one, and by several, transient nodes
+    eps = np.finfo(float).eps
     for net in nets:
-        scanned = _listed(net)
         st = block_structure(net)
-        want = net.P[st.transient].take(st.sink_nodes, axis=1)
-        assert st.routed.shape == want.shape and st.routed.dtype == want.dtype
-        assert st.routed.tobytes() == want.tobytes()
-        assert st.routed.flags.c_contiguous and not st.routed.flags.writeable
-        if np.count_nonzero(want):
-            paths.add(scanned)
-    assert paths == {True, False}  # both paths routed some mass
+        T, S = st.transient, np.flatnonzero(st.set_of >= 0)
+        c = rng.uniform(-1.0, 1.0, (2, net.n))
+        x_T = rng.uniform(0.0, 1.0, (2, T.size)) * net.w[T]
+        got = _inflows(net, st, c, x_T)
+        if not T.size:
+            assert got is c
+            continue
+        P_TS = net.P[np.ix_(T, S)]
+        want = x_T @ P_TS + c[:, S]
+        got = got[:, S]
+        assert np.all(np.abs(got - want) <= T.size * eps * (np.abs(x_T) @ np.abs(P_TS)) + eps * np.abs(want))
+        feeders = np.count_nonzero(P_TS, axis=0)
+        one = feeders <= 1
+        assert got[:, one].tobytes() == want[:, one].tobytes()
+        if np.any(feeders == 1):
+            single.add(_listed(net))
+        if np.any(feeders > 1):
+            shared.add(_listed(net))
+    assert single == shared == {True, False}
+
+
+def test_block_structure_keeps_no_transient_by_set_part_of_p():
+    # a listed network of 1024 transient nodes in a leaking cycle, each feeding
+    # its own one-node set: a dense copy of P on the transient rows and the
+    # set columns would hold 8 MB; the structure holds O(n)
+    k = 1024
+    P = np.zeros((2 * k, 2 * k))
+    P[np.arange(k), (np.arange(k) + 1) % k] = 0.5
+    P[np.arange(k), k + np.arange(k)] = 0.4
+    net = Network(P, np.ones(2 * k))
+    assert _listed(net)
+    tracemalloc.start()
+    try:
+        st = block_structure(net)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert st.transient.size == k and len(st.decomposition.sinks) == k
+    assert held < 2**20

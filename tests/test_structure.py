@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -32,7 +30,6 @@ from conftest import (
     random_irreducible_stochastic,
     zero_sum_flow,
 )
-from saturnet.decomposition import block_structure
 from oracles import line_lattice_intersection
 
 
@@ -141,38 +138,6 @@ class TestClassify:
             cv = np.min(a.base / pi_s) + np.min((w - a.base) / pi_s)
             assert cv == pytest.approx(a.condition_value / s, rel=1e-9)
             assert np.sign(cv) == np.sign(a.condition_value)
-
-
-def fed_pairs(rng, core, pairs):
-    """A transient core that routes into every node of ``pairs`` stochastic 2-cycles, and a flow."""
-    n = core + 2 * pairs
-    P = np.zeros((n, n))
-    P[:core] = rng.uniform(0.1, 1.0, (core, n))
-    np.fill_diagonal(P, 0.0)
-    P[:core] *= rng.uniform(0.5, 0.9, (core, 1)) / P[:core].sum(axis=1, keepdims=True)
-    for s in range(core, n, 2):
-        P[s, s + 1] = P[s + 1, s] = 1.0
-    return Network(P, rng.uniform(1.0, 5.0, n)), rng.uniform(-2.0, 3.0, n)
-
-
-def test_routed_layout_moves_no_bit():
-    # the inflow matvec reads routed in C order, so an F-ordered copy of it
-    # (as P[T][:, sink_nodes] would gather) gives the same verdicts, bit for bit
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        net, c = fed_pairs(rng, int(rng.integers(3, 10)), int(rng.integers(1, 5)))
-        expected = classify(net, c)
-        again = Network(net.P, net.w)
-        st = block_structure(again)
-        routed = np.asfortranarray(st.routed)
-        routed.setflags(write=False)
-        assert not routed.flags.c_contiguous
-        object.__setattr__(again, "_block_structure", dataclasses.replace(st, routed=routed))
-        got = classify(again, c)
-        assert got[2] == expected[2]
-        for a, b in zip(got[1], expected[1]):
-            assert a.kind is b.kind and a.inflow.tobytes() == b.inflow.tobytes()
-            assert repr(a.condition_value) == repr(b.condition_value)
 
 
 class TestEquilibriumSet:
