@@ -49,7 +49,11 @@ def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
 
     Returns components in reverse topological order (every edge leaving a
     component points to a component that appears *earlier* in the list).
+    Raises InputError unless ``adj`` is a square 2-D array.
     """
+    adj = np.asarray(adj)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise InputError(f"adjacency must be a square matrix, got shape {adj.shape}")
     return _tarjan(adj.shape[0], *np.nonzero(adj))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._fmt import fmt_cells
 from .errors import InputError
-from .model import Network, _as_int, as_flow, require_valid
+from .model import Network, _as_int, _as_number, _as_vector, as_flow, require_valid
 from .solver import _residual
 
 
@@ -50,12 +50,8 @@ def simulate(
     """
     require_valid(net)
     c = as_flow(c, net.n)
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (net.n,):
-        raise InputError(f"x0 has shape {x.shape}, expected ({net.n},)")
-    if not np.all(np.isfinite(x)):
-        raise InputError("x0 must be finite")
-    if not (math.isfinite(t_end) and math.isfinite(dt)):
+    x = _as_vector(x0, "x0", net.n)
+    if not (math.isfinite(_as_number(t_end, "t_end")) and math.isfinite(_as_number(dt, "dt"))):
         raise InputError("t_end and dt must be finite")
     if not dt > 0:
         raise InputError("dt must be positive")

@@ -85,6 +85,13 @@ def _as_int(value, name: str) -> int:
     return int(value)
 
 
+def _as_number(value, name: str):
+    """``value`` itself if it is a real number; anything else, a bool or a numeric string included, raises InputError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InputError(f"{name} must be a number")
+    return value
+
+
 def _frozen(a: np.ndarray, source) -> np.ndarray:
     """``a``, converted from ``source``, read-only and C-ordered.
 

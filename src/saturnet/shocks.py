@@ -34,7 +34,7 @@ from ._fmt import fmt_cells, fmt_float
 from ._tol import ROUND_REL, flow_tolerance, scale
 from .decomposition import BlockStructure, block_structure
 from .errors import InputError, NotCriticalError
-from .model import Network, _as_int, as_flow, as_point, require_valid
+from .model import Network, _as_int, _as_number, _as_vector, _frozen, as_flow, as_point, require_valid
 from .solver import (
     _SEGMENT,
     DEFAULT_OPTIONS,
@@ -78,31 +78,26 @@ class ShockRay:
     allow_mixed_direction: bool = False
 
     def __post_init__(self):
-        c0 = np.asarray(self.c0, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        if c0.ndim != 1 or q.shape != c0.shape:
-            raise InputError("c0 and q must be vectors of the same length")
-        if not (np.all(np.isfinite(c0)) and np.all(np.isfinite(q))):
-            raise InputError("c0 and q must be finite")
+        c0 = _frozen(_as_vector(self.c0, "c0"), self.c0)
+        q = _frozen(_as_vector(self.q, "q", len(c0)), self.q)
         if not np.any(q != 0):
             raise InputError("shock direction q must be nonzero")
         if np.any(q < 0) and not self.allow_mixed_direction:
             raise InputError(
                 "shock direction q has negative entries; pass allow_mixed_direction=True to accept"
             )
-        if not (math.isfinite(self.eps_lo) and math.isfinite(self.eps_hi)):
+        eps_lo, eps_hi = _as_number(self.eps_lo, "eps_lo"), _as_number(self.eps_hi, "eps_hi")
+        if not (math.isfinite(eps_lo) and math.isfinite(eps_hi)):
             raise InputError("eps_lo and eps_hi must be finite")
-        if not self.eps_lo <= self.eps_hi:
+        if not eps_lo <= eps_hi:
             raise InputError("eps_lo must not exceed eps_hi")
         grid = _as_int(self.grid, "grid")
         if grid < 2:
             raise InputError("grid must be at least 2")
-        c0 = c0.copy(); c0.setflags(write=False)
-        q = q.copy(); q.setflags(write=False)
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "eps_lo", float(self.eps_lo))
-        object.__setattr__(self, "eps_hi", float(self.eps_hi))
+        object.__setattr__(self, "eps_lo", float(eps_lo))
+        object.__setattr__(self, "eps_hi", float(eps_hi))
         object.__setattr__(self, "grid", grid)
 
     def c_at(self, eps: float) -> np.ndarray:
@@ -183,7 +178,7 @@ def max_jump_norm(net: Network, p: float) -> float:
     part never jump. The terms are added in decomposition order.
     """
     require_valid(net)
-    if not (p >= 1):
+    if not (_as_number(p, "norm exponent p") >= 1):
         raise InputError("norm exponent p must be >= 1")
     st = block_structure(net)
     # per set: min(w_i/pi_i), and max(pi) or sum(pi**p); zero on out-connected sets

@@ -36,10 +36,10 @@ the one it would get alone; a single flow is a stack of one. ``classify``,
 same verdicts (uniqueness by ``_is_unique``; ``SinkAnalysis`` objects only
 for ``classify``), so a unique verdict always comes with x_min == x_max, and
 every reported extreme, set end and jump comes from ``_assemble_extremes``.
-Every reader walks the size groups, ``refine`` too: one stacked pattern
-solve per group, and one projection for its wholly exposed stochastic sets.
-Only the block an error names is read as one row of its group, by the same
-``_verdicts``.
+Every reader walks the size groups, ``refine`` too: the hunt's stacks per
+group (``_hunt_stacks``), and one projection for its wholly exposed
+stochastic sets. Only the block an error names is read as one row of its
+group, by the same ``_verdicts``.
 
 ``_solve`` is the one place a single flow is solved: ``extremal_equilibria``,
 ``classify``, ``equilibrium_set`` and ``loss_jump`` all go through it, and it
@@ -48,18 +48,19 @@ exact flow bytes and the options, every array in it read-only), so that
 analysing one flow with several calls costs one solve. The shock sweep and
 ``refine`` solve their own stacks and do not touch the slot.
 
-Every hunt takes a block operator of ``_linear`` without asking how it is
-stored. A block with an edge list (``BlockStructure.edges``: the transient
-part or a trapping set that is large and sparse by ``_linear._is_sparse``)
-is its ``EdgeBlock``, hunted as a stack of its own rows (``_hunt_stacks``);
-other blocks are ``DenseBlock`` stacks. Either way the assembled extremes
-pass the same residual check, ``P'x + c`` against x, on the whole network,
-with every entry of P. Its product ``P'x`` (``_routed_in``), like that of
-the effective inflows (``_inflows``), ``fixed_point_map``,
-``node_partition`` and ``refine``, is the network's own operator
-(``network_block``), chosen at construction by the same predicate and read
-from P alone, not from the hunt's relabelled block lists, so the check
-stays independent of the hunt.
+Every hunt, and every pattern solve of ``refine``, takes a block operator of
+``_linear`` without asking how it is stored, and only ``_hunt_stacks`` and
+``_transient_block`` choose it. A block with an edge list
+(``BlockStructure.edges``: the transient part or a trapping set that is
+large and sparse by ``_linear._is_sparse``) is its ``EdgeBlock``, solved as
+a stack of its own rows; other blocks are ``DenseBlock`` stacks. Either way
+the assembled extremes pass the same residual check, ``P'x + c`` against x,
+on the whole network, with every entry of P. Its product ``P'x``
+(``_routed_in``), like that of the effective inflows (``_inflows``),
+``fixed_point_map``, ``node_partition`` and ``refine``, is the network's own
+operator (``network_block``), chosen at construction by the same predicate
+and read from P alone, not from the hunt's relabelled block lists, so the
+check stays independent of the hunt.
 
 Every tolerance is relative to the box scale s = max w, with no floor (``_tol``).
 """
@@ -78,7 +79,7 @@ from ._linear import DenseBlock, diagonal_blocks, pinned_particular, segment_bou
 from ._tol import TOUCH_REL, ZERO_SUM_REL, flow_tolerance, scale
 from .decomposition import BlockStructure, SizeGroup, block_structure, network_block
 from .errors import InputError, NonConvergenceError, PartitionInconsistencyError
-from .model import EquilibriumVector, Network, _as_int, _as_vector, as_flow, as_point, require_valid
+from .model import EquilibriumVector, Network, _as_int, _as_number, _as_vector, as_flow, as_point, require_valid
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,7 @@ class SolveOptions:
     tol_class: float = 1e-9
 
     def __post_init__(self):
+        _as_number(self.tol_fp, "tol_fp"), _as_number(self.tol_class, "tol_class")
         if not self.tol_fp > 0:
             raise InputError("tol_fp must be positive")
         _as_int(self.max_iter, "max_iter")  # a float would fail only once a hunt runs
@@ -175,7 +177,7 @@ def _residual(net, c, x) -> float:
 
 
 def _hunt_stacks(net, st: BlockStructure, group: SizeGroup, hunt):
-    """The rows marked ``hunt`` of a size group, split into the stacks that are hunted together.
+    """The rows marked ``hunt`` of a size group, split into the stacks that are solved together (hunt or ``refine``).
 
     Yields (rows, operator) pairs: the rows of a set with an EdgeBlock (one
     row per flow), which they share, in set order; then, gathered only when
@@ -190,6 +192,11 @@ def _hunt_stacks(net, st: BlockStructure, group: SizeGroup, hunt):
         yield rest, DenseBlock(diagonal_blocks(net.P, group.nodes[rest]))
 
 
+def _transient_block(net, st: BlockStructure):
+    """The transient part's operator: its EdgeBlock when it has one, else its DenseBlock."""
+    return st.edges.get(-1) or DenseBlock(diagonal_blocks(net.P, st.transient[None]))
+
+
 def _transient_states(net, st: BlockStructure, c, opts, at=None) -> np.ndarray:
     """Equilibrium values on the transient part (unique) at each flow of ``c`` (F, n); (F, k_T).
 
@@ -200,7 +207,7 @@ def _transient_states(net, st: BlockStructure, c, opts, at=None) -> np.ndarray:
     if T.size == 0:
         return np.zeros((F, 0))
     return hunt_unique(
-        st.edges.get(-1) or DenseBlock(diagonal_blocks(net.P, T[None])),
+        _transient_block(net, st),
         np.broadcast_to(net.w[T], (F, T.size)), c[:, T], opts, np.zeros(F, dtype=bool),
         lambda f: _block_label(net, st, None, T[0], at and at(f)),
     )
@@ -578,23 +585,23 @@ _SINGULAR = "exposed block is singular outside the whole-trapping-set case"
 
 
 def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumVector:
-    """Polish an approximate equilibrium by exact solves on the exposed block.
+    """Polish an approximate equilibrium by pattern solves on the exposed block.
 
     Nodes are judged on their whole inflow P'x + c, as in the hunt, each with
     the dead-band ``tol_class * w_i`` of ``node_partition``, except that a
-    node already on a bound (x_i <= 0 or x_i >= w_i) whose inflow lies
-    beyond that bound is pinned there even inside its dead-band. Saturated nodes
-    are pinned to w or 0 and the exposed nodes are re-solved exactly: the
-    transient part first, then every trapping set at its effective inflow,
-    one stacked solve per size group. If a stochastic trapping set
-    is entirely exposed its linear system is singular (the solution set is a
-    line); the input is then projected to the nearest line point inside the
-    box, which the analysis of that set gives. Raises
-    PartitionInconsistencyError, naming the block at fault (the trapping set
-    of lowest index, if several are; for the final check, the block of the
-    node with the largest residual), when the result does not reproduce
-    itself under the map, which signals that the input was too far from an
-    equilibrium for the classification tolerance.
+    node already on a bound (x_i <= 0 or x_i >= w_i) whose inflow lies beyond
+    that bound is pinned there even inside its dead-band. Saturated nodes are
+    pinned to w or 0 and the exposed nodes re-solved on the hunt's operators
+    (a listed block by Neumann steps from x, to the hunt's gate): the
+    transient part first, then every trapping set at its effective inflow. If
+    a stochastic trapping set is entirely exposed its linear system is
+    singular (the solution set is a line); the input is then projected to the
+    nearest line point inside the box, which the analysis of that set gives.
+    Raises PartitionInconsistencyError, naming the block at fault (the
+    trapping set of lowest index, if several are; for the final check, the
+    block of the node with the largest residual), when the result does not
+    reproduce itself under the map, which signals that the input was too far
+    from an equilibrium for the classification tolerance.
     """
     opts = opts or DEFAULT_OPTIONS
     require_valid(net)
@@ -609,8 +616,8 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     st = block_structure(net)
     T = st.transient
     known = np.where(pattern > 0, net.w, 0.0)
-    x_T, ok = DenseBlock(diagonal_blocks(net.P, T[None])).solve_patterns(
-        net.w[T][None], c[T][None], pattern[T][None]
+    x_T, ok = _transient_block(net, st).solve_patterns(
+        net.w[T][None], c[T][None], pattern[T][None], 0.5 * opts.tol_fp * scale(net.w[T][None]), x[T][None]
     )
     if not ok[0]:
         raise PartitionInconsistencyError(_SINGULAR, **_block_label(net, st, c, T[0]))
@@ -620,13 +627,10 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     for g in st.groups:
         free = pattern[g.nodes] == 0
         line = g.stochastic & free.all(axis=1)  # wholly exposed stochastic sets: singular
-        solve = free.any(axis=1) & ~line
-        if np.count_nonzero(solve):
-            nodes = g.nodes[solve]
-            known[nodes], ok = DenseBlock(diagonal_blocks(net.P, nodes)).solve_patterns(
-                g.w[solve], inflow[nodes], pattern[nodes]
-            )
-            faults += [(l, _SINGULAR) for l in g.sets[solve][~ok].tolist()]
+        for rows, Q in _hunt_stacks(net, st, g, free.any(axis=1) & ~line):
+            nodes, w = g.nodes[rows], g.w[rows]
+            known[nodes], ok = Q.solve_patterns(w, inflow[nodes], pattern[nodes], 0.5 * opts.tol_fp * scale(w), x[nodes])
+            faults += [(l, _SINGULAR) for l in g.sets[rows][~ok].tolist()]
         if np.count_nonzero(line):
             # project x onto each set's solution line
             sets = SizeGroup(*(a[line] for a in g))

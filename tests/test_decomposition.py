@@ -115,6 +115,16 @@ class TestDecompose:
                         # edges point to components listed earlier
                         assert position[j] < position[i]
 
+    def test_components_need_a_square_adjacency(self):
+        # rows and columns must name the same nodes: a 2x3 matrix is no graph,
+        # with or without an edge into its third column
+        into_column_2 = np.zeros((2, 3), dtype=bool)
+        into_column_2[0, 2] = True
+        for adj in (np.zeros((2, 3), dtype=bool), into_column_2, np.zeros(3, dtype=bool), np.ones((2, 2, 2), dtype=bool)):
+            with pytest.raises(InputError, match=rf"^adjacency must be a square matrix, got shape \({adj.shape[0]},"):
+                strongly_connected_components(adj)
+        assert strongly_connected_components([[False, True], [True, False]]) == [[0, 1]]
+
     def test_label_equivariance(self):
         rng = np.random.default_rng(5)
         for _ in range(50):

@@ -91,6 +91,13 @@ class TestSimulate:
             simulate(triangle, C_STAR, np.zeros(2))
         with pytest.raises(InputError):
             simulate(triangle, C_STAR, [np.nan, 0.0, 0.0])
+        with pytest.raises(InputError, match="^x0 is not a numeric vector"):
+            simulate(triangle, C_STAR, ["a", "b", "c"])
+        with pytest.raises(InputError, match="^x0 must be one-dimensional"):
+            simulate(triangle, C_STAR, np.zeros((1, 3)))
+        for t_end, dt in (("5", 0.01), (1.0, None), (1.0, "0.01")):
+            with pytest.raises(InputError, match="^(t_end|dt) must be a number$"):
+                simulate(triangle, C_STAR, np.zeros(3), t_end=t_end, dt=dt)
         for t_end, dt in ((np.nan, 0.01), (np.inf, 0.01), (1.0, np.nan), (np.inf, np.inf), (1.0, -np.inf)):
             with pytest.raises(InputError, match="^t_end and dt must be finite$"):
                 simulate(triangle, C_STAR, np.zeros(3), t_end=t_end, dt=dt)

@@ -58,6 +58,19 @@ class TestShockRay:
             with pytest.raises(InputError, match="^grid must be an integer$"):
                 ShockRay([1.0, 2.0], [1.0, 1.0], 0.0, 1.0, not_an_integer)
         assert ShockRay([1.0, 2.0], [1.0, 1.0], 0.0, 1.0, np.int64(5)).grid == 5
+        for c0, q, message in (
+            (["a"] * 3, [1.0] * 3, "^c0 is not a numeric vector"),
+            ([1.0, 2.0], ["a", "b"], "^q is not a numeric vector"),
+            ([[1.0, 2.0]], [1.0, 1.0], "^c0 must be one-dimensional"),
+            ([1.0, 2.0], [1.0, 1.0, 1.0], "^q has length 3, expected 2$"),
+            ([1.0, np.nan], [1.0, 1.0], "^c0 contains non-finite entries$"),
+            ([1.0, 2.0], [1.0, np.inf], "^q contains non-finite entries$"),
+        ):
+            with pytest.raises(InputError, match=message):
+                ShockRay(c0, q, 0.0, 1.0, 5)
+        for lo, hi in (("0", 1.0), (0.0, None), (False, 1.0)):
+            with pytest.raises(InputError, match="^eps_(lo|hi) must be a number$"):
+                ShockRay([1.0, 2.0], [1.0, 1.0], lo, hi, 5)
         for lo, hi in ((0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan), (np.nan, 1.0)):
             with pytest.raises(InputError, match="eps_lo and eps_hi must be finite"):
                 ShockRay([1.0, 2.0], [1.0, 1.0], lo, hi, 5)
@@ -144,6 +157,9 @@ class TestMaxJumpNorm:
     def test_rejects_bad_exponent(self, triangle):
         with pytest.raises(InputError):
             max_jump_norm(triangle, 0.5)
+        for not_a_number in ("2", None, True):
+            with pytest.raises(InputError, match="^norm exponent p must be a number$"):
+                max_jump_norm(triangle, not_a_number)
 
     def test_bounds_realized_jumps(self, triangle):
         rng = np.random.default_rng(103)

@@ -60,6 +60,10 @@ class TestSolveOptions:
                 SolveOptions(max_iter=not_a_count)
         with pytest.raises(InputError):
             SolveOptions(tol_fp=1e-6, tol_class=1e-9)
+        for name in ("tol_fp", "tol_class"):
+            for not_a_number in ("1", None, True):
+                with pytest.raises(InputError, match=f"^{name} must be a number$"):
+                    SolveOptions(**{name: not_a_number})
 
     @pytest.mark.parametrize("tols, message", [
         ({"tol_fp": np.nan}, "tol_fp must be positive"),

@@ -20,8 +20,8 @@ import saturnet._linear
 import saturnet.solver
 from saturnet import (
     LiabilityData, Network, NonConvergenceError, ShockRay, SolveOptions, classify, decompose, deficiency_set,
-    extremal_equilibria, fixed_point_map, fixed_point_residual, from_liabilities, load_input, node_partition, sweep,
-    validate,
+    extremal_equilibria, fixed_point_map, fixed_point_residual, from_liabilities, load_input, minimal_equilibrium,
+    node_partition, refine, sweep, validate,
 )
 from saturnet._hunt import hunt_unique
 from saturnet._linear import SPARSE_FILL, SPARSE_MIN, DenseBlock, EdgeBlock, diagonal_blocks
@@ -86,7 +86,9 @@ def test_extremes_match_the_dense_path(monkeypatch, kind, seed):
         lo, hi = extremal_equilibria(fresh, c, opts)
         assert bool(block_structure(fresh).edges) == (sparse_min == SPARSE_MIN)  # listed, then dense
         kinds = [a.kind for a in classify(fresh, c, opts)[1]]
-        results.append(((lo, hi), kinds, node_partition(fresh, c, lo.x)))
+        # refine's pattern solves run on the same operators as the hunt's
+        near = np.clip(lo.x * (1.0 + 1e-12 * np.cos(np.arange(net.n))), 0.0, net.w)
+        results.append(((lo, hi, refine(fresh, c, near, opts)), kinds, node_partition(fresh, c, lo.x)))
     (sparse, *exact), (dense, *exact_dense) = results
     s = net.w.max()
     for a, b in zip(sparse, dense):
@@ -548,3 +550,27 @@ def test_block_structure_keeps_no_transient_by_set_part_of_p():
         tracemalloc.stop()
     assert st.transient.size == k and len(st.decomposition.sinks) == k
     assert held < 2**20
+
+
+def test_refine_gathers_no_dense_block_of_a_listed_network():
+    # a listed network of 1024 transient nodes, each with 3 transient out-edges
+    # and one edge to its own one-node set (every other one stochastic):
+    # refine at x_min solves on the hunt's edge lists, where a dense transient
+    # block would hold 8 MB
+    rng, k = np.random.default_rng(1024), 1024
+    P = np.zeros((2 * k, 2 * k))
+    for i in range(k):
+        P[i, rng.choice(k, 3, replace=False)] = rng.uniform(0.05, 0.2, 3)
+        P[i, k + i] = rng.uniform(0.1, 0.3)
+    P[np.arange(k, 2 * k, 2), np.arange(k, 2 * k, 2)] = 1.0
+    net, c = Network(P, rng.uniform(1.0, 2.0, 2 * k)), rng.uniform(-1.0, 1.0, 2 * k)
+    lo = minimal_equilibrium(net, c)
+    assert _listed(net) and list(block_structure(net).edges) == [-1]
+    tracemalloc.start()
+    try:
+        refined = refine(net, c, lo.x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(refined.x - lo.x).max() <= SolveOptions().tol_fp * net.w.max()
+    assert peak < 2**20
