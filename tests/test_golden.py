@@ -5,7 +5,12 @@
 plus crossings JSON), and the 101-point sweep of a fixed 39-node ray
 (``seeded_ray.json``: a transient core feeding trapping sets of sizes 1 to
 4 in all four kinds, with shuffled node labels and four crossings; its
-shock direction is the file's ``q``). A change to any of these files needs
+shock direction is the file's ``q``), and the ``classify``, ``set`` and
+``decompose`` stdout of ``many_sets.json``, whose 16 trapping sets (four of
+each size 1 to 4, in all four kinds, segments included, at the file's own
+flow ``c``) pin the JSON of many sets. That file was written once from
+``conftest.core_feeding_sets(np.random.default_rng(26), (1, 2, 3, 4), 4)``,
+with P row by row. A change to any of these files needs
 a stated reason. To rewrite them from the current code, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -36,6 +41,8 @@ SWEEP_CROSSINGS = "readme_sweep.crossings.json"
 RAY_INPUT = GOLDEN / "seeded_ray.json"
 RAY_CSV = "seeded_ray.csv"
 RAY_CROSSINGS = "seeded_ray.crossings.json"
+MANY_SETS = GOLDEN / "many_sets.json"
+MANY_SETS_COMMANDS = ("classify", "set", "decompose")
 
 
 def _ray_args() -> tuple[str, ...]:
@@ -46,9 +53,8 @@ def _ray_args() -> tuple[str, ...]:
     )
 
 
-def _write_command(command: str, demo: str, target: Path) -> None:
-    code = main([command, "--input", str(DEMOS / f"{demo}.json"), "--output", str(target)])
-    assert code == 0
+def _write_command(command: str, source: Path, target: Path) -> None:
+    assert main([command, "--input", str(source), "--output", str(target)]) == 0
 
 
 def _write_sweep(args, target: Path) -> None:
@@ -59,8 +65,15 @@ def _write_sweep(args, target: Path) -> None:
 @pytest.mark.parametrize("command", COMMANDS)
 def test_command_output(command, demo, tmp_path):
     out = tmp_path / "out.json"
-    _write_command(command, demo, out)
+    _write_command(command, DEMOS / f"{demo}.json", out)
     assert out.read_bytes() == (GOLDEN / f"{demo}.{command}.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", MANY_SETS_COMMANDS)
+def test_many_sets_output(command, tmp_path):
+    out = tmp_path / "out.json"
+    _write_command(command, MANY_SETS, out)
+    assert out.read_bytes() == (GOLDEN / f"many_sets.{command}.json").read_bytes()
 
 
 def _check_sweep(args, csv_name, crossings_name, tmp_path) -> None:
@@ -83,7 +96,9 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for command in COMMANDS:
         for demo in DEMO_NAMES:
-            _write_command(command, demo, GOLDEN / f"{demo}.{command}.json")
+            _write_command(command, DEMOS / f"{demo}.json", GOLDEN / f"{demo}.{command}.json")
+    for command in MANY_SETS_COMMANDS:
+        _write_command(command, MANY_SETS, GOLDEN / f"many_sets.{command}.json")
     _write_sweep(SWEEP_ARGS, GOLDEN / SWEEP_CSV)
     _write_sweep(_ray_args(), GOLDEN / RAY_CSV)
     sys.exit(0)
