@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._tol import scale
+from ._tol import hunt_gate, scale
 from .errors import NonConvergenceError
 
 
@@ -63,13 +63,12 @@ def hunt_unique(Q, w, c, opts, from_top, label):
     converges from any point of the box on a block with a unique
     equilibrium, so the hunt ends; ``max_iter`` bounds its steps, and the
     NonConvergenceError then names the first unsettled row i by the
-    keywords ``label(i)``. Both checks use ``0.5 * tol_fp`` relative to the
-    block's scale: at large scale the map from an exact solve can cycle at
-    one ulp. ``c`` is left out of the scale, since a node with |c| far
-    above w is clamped exactly.
+    keywords ``label(i)``. Both checks use ``_tol.hunt_gate``, ``0.5 *
+    tol_fp`` relative to the block's scale: at large scale the map from an
+    exact solve can cycle at one ulp. ``c`` is left out of the scale, since
+    a node with |c| far above w is clamped exactly.
     """
-    s = scale(w)
-    gate, band = 0.5 * opts.tol_fp * s, (opts.tol_class * s)[:, None]
+    gate, band = hunt_gate(opts.tol_fp, w), (opts.tol_class * scale(w))[:, None]
     above, below = w + band, -band  # the dead-band's edges
     x = np.where(from_top[:, None], w, 0.0)
     out, rows = np.empty_like(x), np.arange(len(x))  # the answers, and the live rows' places in them

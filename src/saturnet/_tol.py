@@ -25,3 +25,8 @@ def scale(w: np.ndarray):
 def flow_tolerance(rel: float, s, c: np.ndarray):
     """``rel * (s + |c|_1)`` for a sum of the flows ``c`` next to a box of scale s."""
     return rel * (s + np.abs(c).sum(axis=-1))
+
+
+def hunt_gate(tol_fp: float, w: np.ndarray):
+    """``0.5 * tol_fp * s``: the hunt's settling gate, which ``refine`` and the listed pattern solves share."""
+    return 0.5 * tol_fp * scale(w)

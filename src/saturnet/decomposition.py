@@ -5,21 +5,21 @@ comparison: routing fractions are data, a written zero means no edge). The
 nonzero entries of P are scanned once per Network (``Network._nonzeros``):
 a network listed at construction holds them in its operator, and a dense
 one scans them on first use. Everything here reads that scan until the
-block structure is built. The sink
-components of the graph's strong-component condensation are the
-irreducible trapping sets; every other node is transient. A trapping set
-is "out-connected" when some of its rows lose mass (sum below 1), in which
-case the induced block has spectral radius below one. The strong components come from Tarjan's algorithm
+block structure is built. The sink components of the graph's
+strong-component condensation are the irreducible trapping sets; every
+other node is transient. A trapping set is "out-connected" when some of its
+rows lose mass (sum below 1), in which case the induced block has spectral
+radius below one. The strong components come from Tarjan's algorithm
 (Tarjan, SIAM J. Comput. 1 (1972)); past it, the labels, the order of the
 trapping sets and the transient part are whole-array passes, with no numpy
-call per set.
+call per set, and :class:`Decomposition` keeps the sets as columns.
 
 None of this depends on the exogenous flow, so :func:`block_structure`
 computes it once per (immutable) Network and every analysis reads that copy.
-There, the trapping sets are stacked by size (:class:`SizeGroup`), the only
-per-set layout, and every reader walks the size groups: ``set_of`` maps
-each node to its set, and the solver's effective inflows are one vector
-indexed by node, so any reader gathers a group's share by its node ids.
+There, the trapping sets are stacked by size (:class:`SizeGroup`), and
+every reader walks the size groups: ``set_of`` maps each node to its set,
+and the solver's effective inflows are one vector indexed by node, so any
+reader gathers a group's share by its node ids.
 The structure keeps no part of P: those inflows are the network's own
 product (``network_block``) at the transient values. The transient part
 and every trapping set that is large and sparse by the hunt's bounds
@@ -32,16 +32,15 @@ at construction by the same bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from ._linear import DenseBlock, EdgeBlock, _is_sparse, diagonal_blocks, stationary_block
 from .errors import InputError
-from .model import EPS_FEAS, Network, _as_int, _readonly, require_valid
+from .model import EPS_FEAS, Network, Rows, _as_int, _readonly, require_valid
 
 
 def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
@@ -133,18 +132,27 @@ class SinkComponent:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Partition of the node set into transient nodes and trapping sets."""
+    """Partition of the node set into transient nodes and trapping sets, each SinkComponent built when it is read."""
 
     transient: tuple[int, ...]
-    sinks: tuple[SinkComponent, ...]
+    _nodes: np.ndarray = field(repr=False, compare=False)  # set l is _nodes[_starts[l] : _starts[l + 1]]
+    _starts: np.ndarray = field(repr=False, compare=False)
+    _out_connected: np.ndarray = field(repr=False, compare=False)
+    sinks: Rows = field(init=False, hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sinks", Rows(self._out_connected.size, self._sink))
+
+    def _sink(self, l: int) -> SinkComponent:
+        a, b = self._starts[l : l + 2].tolist()
+        return SinkComponent(tuple(self._nodes[a:b].tolist()), self._out_connected.item(l))
 
     def to_json_dict(self) -> dict:
+        nodes, starts = self._nodes.tolist(), self._starts.tolist()
+        sets = zip(starts, starts[1:], self._out_connected.tolist())
         return {
             "transient": list(self.transient),
-            "sinks": [
-                {"nodes": list(s.nodes), "out_connected": s.out_connected}
-                for s in self.sinks
-            ],
+            "sinks": [{"nodes": nodes[a:b], "out_connected": leak} for a, b, leak in sets],
         }
 
 
@@ -160,8 +168,8 @@ def decompose(net: Network) -> Decomposition:
     The network is validated before its nonzeros are read
     (``Network._nonzeros``), so an invalid network is scanned only if
     construction scanned it. Past Tarjan's pass, the labels, the leaks, the
-    order of the sets and the transient part are array passes; the only
-    per-set Python is building the ``SinkComponent``s.
+    order of the sets and the transient part are array passes, and the sets
+    are kept as columns: no per-set Python runs until a set is read.
     """
     require_valid(net)
     rows, cols = net._nonzeros
@@ -182,11 +190,14 @@ def decompose(net: Network) -> Decomposition:
     deficient = np.zeros(len(comps), dtype=bool)
     deficient[label[net._row_sums < 1.0 - EPS_FEAS]] = True
 
+    smallest = order[np.cumsum(sizes) - sizes]  # of each component, which is sorted
     sets = np.flatnonzero(~leaky)
-    smallest = order[(np.cumsum(sizes) - sizes)[sets]]  # each component is sorted
-    sets = sets[np.argsort(smallest)].tolist()
-    sinks = tuple(SinkComponent(tuple(comps[k]), d) for k, d in zip(sets, deficient[sets].tolist()))
-    return Decomposition(tuple(np.flatnonzero(leaky[label]).tolist()), sinks)
+    sets = sets[np.argsort(smallest[sets])]
+    member = np.flatnonzero(~leaky[label])
+    nodes = member[np.argsort(smallest[label[member]], kind="stable")]  # set by set, each ascending
+    starts = np.concatenate([[0], np.cumsum(sizes[sets])])
+    columns = map(_readonly, (nodes, starts, deficient[sets]))
+    return Decomposition(tuple(np.flatnonzero(leaky[label]).tolist()), *columns)
 
 
 def network_block(net: Network) -> DenseBlock | EdgeBlock:
@@ -276,12 +287,9 @@ def _block_edges(net: Network, nodes: np.ndarray) -> EdgeBlock | None:
 
 def _build_structure(net: Network) -> BlockStructure:
     dec = decompose(net)
-    nodes = list(map(attrgetter("nodes"), dec.sinks))
     T = np.fromiter(dec.transient, dtype=np.intp, count=len(dec.transient))
-    sizes = np.fromiter(map(len, nodes), dtype=np.intp, count=len(nodes))
-    sink_nodes = np.fromiter(chain.from_iterable(nodes), dtype=np.intp, count=sizes.sum())
-    stochastic = ~np.fromiter(map(attrgetter("out_connected"), dec.sinks), dtype=bool, count=len(nodes))
-    starts = np.cumsum(sizes) - sizes
+    sink_nodes, starts, stochastic = dec._nodes, dec._starts[:-1], ~dec._out_connected
+    sizes = np.diff(dec._starts)
     set_of = np.full(net.n, -1, dtype=np.intp)
     set_of[sink_nodes] = np.repeat(np.arange(len(sizes)), sizes)
     groups = []
@@ -342,4 +350,4 @@ def is_out_connected(net: Network, nodes) -> bool:
     if idx[0] < 0 or idx[-1] >= net.n:
         raise InputError(f"node indices must lie in [0, {net.n - 1}]")
     sub = decompose(Network(net.P[np.ix_(idx, idx)], net.w[idx]))
-    return all(sink.out_connected for sink in sub.sinks)
+    return bool(sub._out_connected.all())

@@ -44,9 +44,9 @@ def simulate(
 ) -> Trajectory:
     """Integrate the flow dynamics from x0 and report the terminal residual.
 
-    ``stop_tol`` ends the run early once the drift's sup norm falls below it;
-    the stopping state is then the last sample, whatever ``sample_every``.
-    By default the full horizon is integrated.
+    ``stop_tol`` (a number, not NaN or negative) ends the run early once the
+    drift's sup norm falls below it; the stopping state is then the last
+    sample, whatever ``sample_every``. By default the full horizon is integrated.
     """
     require_valid(net)
     c = as_flow(c, net.n)
@@ -61,6 +61,8 @@ def simulate(
         raise InputError("t_end / dt must be finite")
     if _as_int(sample_every, "sample_every") < 1:
         raise InputError("sample_every must be at least 1")
+    if stop_tol is not None and not _as_number(stop_tol, "stop_tol") >= 0:  # NaN included
+        raise InputError("stop_tol must be nonnegative")
 
     QT = net.P.T
     w = net.w

@@ -32,6 +32,7 @@ from __future__ import annotations
 import io
 import json
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -110,6 +111,33 @@ def _frozen(a: np.ndarray, source) -> np.ndarray:
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+class Rows(Sequence):
+    """A read-only sequence of ``n`` items whose item i is ``build(i)``, built each time it is read and not kept.
+
+    A slice is the tuple of its items; two Rows are equal when their items are, and
+    like lists they are not hashable.
+    """
+
+    def __init__(self, n: int, build):
+        self._n, self._build = n, build
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        rows = range(self._n)[i]  # an index checked and made nonnegative, or a range
+        return tuple(map(self._build, rows)) if isinstance(i, slice) else self._build(rows)
+
+    def __iter__(self):
+        return map(self._build, range(self._n))
+
+    def __eq__(self, other):
+        return isinstance(other, Rows) and tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return f"Rows{tuple(self)!r}"
 
 
 def _scan(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

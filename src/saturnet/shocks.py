@@ -383,7 +383,7 @@ def sweep(
             )
 
     crossings = []
-    stochastic = [l for l, sink in enumerate(st.decomposition.sinks) if not sink.out_connected]
+    stochastic = sorted(l for g in st.groups for l in g.sets[g.stochastic].tolist())
     roots = [(l, e) for l, e in zip(stochastic, _critical_eps(net, ray, stochastic, opts)) if e is not None]
     sets = np.array([l for l, _ in roots], dtype=np.intp)
     eps_star = np.array([e for _, e in roots])

@@ -33,9 +33,10 @@ own start side, gates, dead-band and solved patterns, and leaves the stack
 at the step where it alone would have settled, so its answer is bit for bit
 the one it would get alone; a single flow is a stack of one. ``classify``,
 ``equilibrium_set``, ``loss_jump``, ``refine`` and the shock sweep read the
-same verdicts (uniqueness by ``_is_unique``; ``SinkAnalysis`` objects only
-for ``classify``), so a unique verdict always comes with x_min == x_max, and
-every reported extreme, set end and jump comes from ``_assemble_extremes``.
+same verdicts (uniqueness by ``_is_unique``; a set's ``SinkAnalysis`` is
+built only when it is read), so a unique verdict always comes with x_min ==
+x_max, and every reported extreme, set end and jump comes from
+``_assemble_extremes``.
 Every reader walks the size groups, ``refine`` too: the hunt's stacks per
 group (``_hunt_stacks``), and one projection for its wholly exposed
 stochastic sets. Only the block an error names is read as one row of its
@@ -70,16 +71,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._hunt import hunt_unique, saturation_pattern
 from ._linear import DenseBlock, diagonal_blocks, pinned_particular, segment_bounds
-from ._tol import TOUCH_REL, ZERO_SUM_REL, flow_tolerance, scale
+from ._tol import TOUCH_REL, ZERO_SUM_REL, flow_tolerance, hunt_gate, scale
 from .decomposition import BlockStructure, SizeGroup, block_structure, network_block
 from .errors import InputError, NonConvergenceError, PartitionInconsistencyError
-from .model import EquilibriumVector, Network, _as_int, _as_number, _as_vector, as_flow, as_point, require_valid
+from .model import EquilibriumVector, Network, Rows, _as_int, _as_number, _as_vector, as_flow, as_point, require_valid
 
 
 @dataclass(frozen=True)
@@ -350,26 +352,40 @@ def _analyze(net, c, opts, at=None) -> _Analysis:
     return _Analysis(st, c, x_T, inflow, stacks, groups, at)
 
 
-def _sink_analyses(found: _Analysis) -> list[SinkAnalysis]:
-    """Every set's SinkAnalysis, in decomposition order, read off the verdict arrays."""
-    sinks = found.structure.decomposition.sinks
-    out = [None] * len(sinks)
+def _sink_analyses(found: _Analysis) -> Rows:
+    """Every set's SinkAnalysis, in decomposition order, each built off the verdict arrays when it is read."""
+    return Rows(len(found.structure.place), partial(_sink_analysis, found))
+
+
+def _sink_analysis(found: _Analysis, l: int) -> SinkAnalysis:
+    """Set l's SinkAnalysis, read off its row of the verdict arrays."""
+    g, r = found.structure.place[l].tolist()
+    group, v = found.structure.groups[g], found.groups[g]
+    code = v.kind.item(r)
+    zero = code in (_UNIQUE, _SEGMENT)
+    return SinkAnalysis(  # by position: keywords cost a third more
+        l, tuple(group.nodes[r].tolist()), _KINDS[code], v.inflow[r],
+        group.stationary[r] if code != _OUT else None,
+        v.base[r] if zero else None,
+        v.condition.item(r) if zero else None,
+        (v.line[0].item(r), v.line[1].item(r)) if code == _SEGMENT else None,
+    )
+
+
+def _classify_json(net, c, opts: SolveOptions) -> dict:
+    """``classify`` as the CLI writes it, read off the verdict arrays one size group at a time."""
+    found, _ = _solve(net, c, opts, assemble=False)
+    sinks = [None] * len(found.structure.place)
     for g, v in zip(found.structure.groups, found.groups):
-        rows = zip(
-            g.sets.tolist(), v.kind.tolist(), v.inflow, g.stationary, v.base,
-            v.condition.tolist(), v.line[0].tolist(), v.line[1].tolist(),
-        )
-        for l, code, inflow, stationary, base, condition, lo, hi in rows:
+        columns = (g.sets, g.nodes, v.kind, v.total, g.stationary, v.base, v.condition, *v.line)
+        for l, nodes, code, total, pi, base, condition, lo, hi in zip(*(a.tolist() for a in columns)):
             zero = code in (_UNIQUE, _SEGMENT)
-            out[l] = SinkAnalysis(
-                l, sinks[l].nodes, _KINDS[code],
-                inflow=inflow,
-                stationary=stationary if code != _OUT else None,
-                base=base if zero else None,
-                condition_value=condition if zero else None,
-                alpha_range=(lo, hi) if code == _SEGMENT else None,
-            )
-    return out
+            sinks[l] = {
+                "index": l, "nodes": nodes, "kind": _KINDS[code].value, "inflow_sum": total,
+                "stationary": pi if code != _OUT else None, "base": base if zero else None,
+                "condition_value": condition if zero else None, "alpha_range": [lo, hi] if code == _SEGMENT else None,
+            }
+    return {"is_unique": _is_unique(found), "transient": list(found.structure.decomposition.transient), "sinks": sinks}
 
 
 def _residual_gate(net, opts, slack):
@@ -617,7 +633,7 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     T = st.transient
     known = np.where(pattern > 0, net.w, 0.0)
     x_T, ok = _transient_block(net, st).solve_patterns(
-        net.w[T][None], c[T][None], pattern[T][None], 0.5 * opts.tol_fp * scale(net.w[T][None]), x[T][None]
+        net.w[T][None], c[T][None], pattern[T][None], hunt_gate(opts.tol_fp, net.w[T][None]), x[T][None]
     )
     if not ok[0]:
         raise PartitionInconsistencyError(_SINGULAR, **_block_label(net, st, c, T[0]))
@@ -629,7 +645,7 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
         line = g.stochastic & free.all(axis=1)  # wholly exposed stochastic sets: singular
         for rows, Q in _hunt_stacks(net, st, g, free.any(axis=1) & ~line):
             nodes, w = g.nodes[rows], g.w[rows]
-            known[nodes], ok = Q.solve_patterns(w, inflow[nodes], pattern[nodes], 0.5 * opts.tol_fp * scale(w), x[nodes])
+            known[nodes], ok = Q.solve_patterns(w, inflow[nodes], pattern[nodes], hunt_gate(opts.tol_fp, w), x[nodes])
             faults += [(l, _SINGULAR) for l in g.sets[rows][~ok].tolist()]
         if np.count_nonzero(line):
             # project x onto each set's solution line

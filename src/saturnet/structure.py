@@ -16,7 +16,8 @@ uniqueness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from ._linear import pinned_particular, stationary_block
 from ._tol import ROUND_REL, ZERO_SUM_REL, flow_tolerance
 from .decomposition import Decomposition, strongly_connected_components
 from .errors import InputError
-from .model import EPS_FEAS, Network, as_point
+from .model import EPS_FEAS, Network, Rows, _readonly, as_point
 from .solver import (
     _SEGMENT,
     DEFAULT_OPTIONS,
@@ -83,8 +84,8 @@ def particular_solution(block, inflow) -> np.ndarray:
 
 def classify(
     net: Network, c, opts: SolveOptions | None = None
-) -> tuple[Decomposition, list[SinkAnalysis], bool]:
-    """Per-sink uniqueness analysis; the boolean is True iff no sink is a segment."""
+) -> tuple[Decomposition, Sequence[SinkAnalysis], bool]:
+    """Per-sink uniqueness analyses, each built when it is read; the boolean is True iff no sink is a segment."""
     opts = opts or DEFAULT_OPTIONS
     found, _ = _solve(net, c, opts, assemble=False)
     return found.structure.decomposition, _sink_analyses(found), _is_unique(found)
@@ -142,36 +143,53 @@ def _sup_nearest_alpha(comp: SegmentComponent, y: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class EquilibriumSet:
-    """Every equilibrium: transient values, one component per sink; its ends are the extremes bit for bit."""
+    """Every equilibrium: transient values, one component per sink; its ends are the extremes bit for bit.
+
+    The sets stay the solver's columns: a component is built when it is read, and each end is
+    written one size group at a time, as the solver's assembly writes it.
+    """
 
     n: int
     transient_nodes: tuple[int, ...]
     transient_values: np.ndarray
-    components: tuple  # FixedComponent | SegmentComponent, in sink order
     is_unique: bool
+    _groups: tuple = field(repr=False, compare=False)  # (SizeGroup, _Verdicts, values) per size group
+    _place: np.ndarray = field(repr=False, compare=False)  # set l is row _place[l][1] of group _place[l][0]
+    components: Rows = field(init=False)  # FixedComponent | SegmentComponent, in sink order
 
-    def _assemble(self, alpha) -> np.ndarray:
-        """The member placed at ``alpha(k, comp)`` on each segment component k."""
+    def __post_init__(self):
+        object.__setattr__(self, "components", Rows(len(self._place), self._component))
+
+    def _component(self, l: int):
+        g, r = self._place[l].tolist()
+        group, v, values = self._groups[g]
+        nodes = tuple(group.nodes[r].tolist())
+        if v.kind.item(r) != _SEGMENT:
+            return FixedComponent(nodes, values[r])
+        return SegmentComponent(nodes, v.base[r], group.stationary[r], v.line[0].item(r), v.line[1].item(r), group.w[r])
+
+    def _assemble(self, segments) -> np.ndarray:
+        """The member with each size group's segment rows ``s`` at ``segments(g, v, s)``, the rest at their values."""
         x = np.zeros(self.n)
         x[list(self.transient_nodes)] = self.transient_values
-        for k, comp in enumerate(self.components):
-            x[list(comp.nodes)] = (
-                comp.values if isinstance(comp, FixedComponent) else comp.at(alpha(k, comp))
-            )
+        for g, v, values in self._groups:
+            x[g.nodes] = values
+            if np.count_nonzero(s := v.kind == _SEGMENT):
+                x[g.nodes[s]] = segments(g, v, s)
         return x
 
     def x_min(self) -> np.ndarray:
-        return self._assemble(lambda k, comp: comp.alpha_min)
+        return self._assemble(lambda g, v, s: np.clip(v.base[s] + v.line[0][s, None] * g.stationary[s], 0.0, g.w[s]))
 
     def x_max(self) -> np.ndarray:
-        return self._assemble(lambda k, comp: comp.alpha_max)
+        return self._assemble(lambda g, v, s: np.clip(v.base[s] + v.line[1][s, None] * g.stationary[s], 0.0, g.w[s]))
 
     def sample(self, alphas: dict[int, float]) -> np.ndarray:
         """Assemble the member with the given alpha per segment component index."""
-        for k, comp in enumerate(self.components):
-            if isinstance(comp, SegmentComponent) and k not in alphas:
-                raise InputError(f"alphas has no value for segment component {k}")
-        return self._assemble(lambda k, comp: alphas[k])
+        missing = [l for g, v, _ in self._groups for l in g.sets[v.kind == _SEGMENT].tolist() if l not in alphas]
+        if missing:
+            raise InputError(f"alphas has no value for segment component {min(missing)}")
+        return self._assemble(lambda g, v, s: [self.components[l].at(alphas[l]) for l in g.sets[s].tolist()])
 
     def distance_sup(self, x) -> float:
         """Sup-norm distance from a finite point x of length n to the nearest member of the set.
@@ -180,63 +198,42 @@ class EquilibriumSet:
         alpha nearest to x in the sup norm (``_sup_nearest_alpha``).
         """
         x = as_point(x, self.n)
-        nearest = self._assemble(lambda k, comp: _sup_nearest_alpha(comp, x[list(comp.nodes)]))
+        nearest = self._assemble(lambda g, v, s: [
+            (c := self.components[l]).at(_sup_nearest_alpha(c, x[list(c.nodes)])) for l in g.sets[s].tolist()
+        ])
         return float(np.max(np.abs(x - nearest))) if self.n else 0.0
 
     def to_json_dict(self) -> dict:
-        comps = []
-        for comp in self.components:
-            if isinstance(comp, FixedComponent):
-                comps.append(
-                    {"nodes": list(comp.nodes), "type": "unique",
-                     "values": comp.values.tolist()}
-                )
-            else:
-                comps.append(
-                    {
-                        "nodes": list(comp.nodes),
-                        "type": "segment",
-                        "base": comp.base.tolist(),
-                        "direction": comp.direction.tolist(),
-                        "alpha_min": comp.alpha_min,
-                        "alpha_max": comp.alpha_max,
-                    }
-                )
+        sinks = [None] * len(self._place)
+        for g, v, values in self._groups:
+            s, u = v.kind == _SEGMENT, v.kind != _SEGMENT
+            for l, nodes, x in zip(g.sets[u].tolist(), g.nodes[u].tolist(), values[u].tolist()):
+                sinks[l] = {"nodes": nodes, "type": "unique", "values": x}
+            columns = (g.sets, g.nodes, v.base, g.stationary, *v.line)
+            for l, nodes, base, pi, lo, hi in zip(*(a[s].tolist() for a in columns)):
+                sinks[l] = {
+                    "nodes": nodes, "type": "segment", "base": base, "direction": pi, "alpha_min": lo, "alpha_max": hi
+                }
         return {
             "is_unique": self.is_unique,
-            "transient": {
-                "nodes": list(self.transient_nodes),
-                "values": self.transient_values.tolist(),
-            },
-            "sinks": comps,
+            "transient": {"nodes": list(self.transient_nodes), "values": self.transient_values.tolist()},
+            "sinks": sinks,
         }
 
 
 def equilibrium_set(net: Network, c, opts: SolveOptions | None = None) -> EquilibriumSet:
-    """Explicit representation of all equilibria of (net, c), read off the solver's verdicts and extremes."""
+    """Explicit representation of all equilibria of (net, c): the solver's verdicts and extremes, kept as columns."""
     opts = opts or DEFAULT_OPTIONS
     found, (x, _) = _solve(net, c, opts)
-    sinks = found.structure.decomposition.sinks
-    components = [None] * len(sinks)
-    for g, v in zip(found.structure.groups, found.groups):
-        fixed = x[0, 0][g.nodes]  # each set's values, a read-only row
-        fixed.setflags(write=False)
-        rows = zip(
-            g.sets.tolist(), v.kind.tolist(), fixed, v.base, g.stationary,
-            v.line[0].tolist(), v.line[1].tolist(), g.w,
-        )
-        for l, code, values, base, direction, lo, hi, w in rows:
-            nodes = sinks[l].nodes
-            if code == _SEGMENT:
-                components[l] = SegmentComponent(nodes, base, direction, lo, hi, w)
-            else:
-                components[l] = FixedComponent(nodes, values)
+    st = found.structure
+    values = [_readonly(x[0, 0][g.nodes]) for g in st.groups]  # each set's values at the minimal equilibrium
     return EquilibriumSet(
         n=net.n,
-        transient_nodes=found.structure.decomposition.transient,
+        transient_nodes=st.decomposition.transient,
         transient_values=found.transient[0],
-        components=tuple(components),
         is_unique=_is_unique(found),
+        _groups=tuple(zip(st.groups, found.groups, values)),
+        _place=st.place,
     )
 
 

@@ -21,7 +21,7 @@ import saturnet as sn
 from saturnet import solver
 from saturnet._linear import SPARSE_FILL, SPARSE_MIN, EdgeBlock, diagonal_blocks
 from saturnet.decomposition import block_structure, network_block
-from saturnet.model import EPS_FEAS
+from saturnet.model import EPS_FEAS, Rows
 
 from conftest import (
     C_STAR,
@@ -44,7 +44,7 @@ def _same(a, b) -> bool:
         return type(a) is type(b) and all(
             _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
         )
-    if isinstance(a, (tuple, list)):
+    if isinstance(a, (tuple, list, Rows)):  # a Rows item by item, each built on reading
         return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
     if isinstance(a, Enum):
         return a is b
@@ -346,13 +346,13 @@ def test_another_flow_or_options_miss_the_slot(monkeypatch):
 
 
 def _arrays(obj):
-    """Every array a result holds, through dataclasses, tuples and lists."""
+    """Every array a result holds, through dataclasses, tuples, lists and the items of Rows."""
     if isinstance(obj, np.ndarray):
         yield obj
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         for f in dataclasses.fields(obj):
             yield from _arrays(getattr(obj, f.name))
-    elif isinstance(obj, (tuple, list)):
+    elif isinstance(obj, (tuple, list, Rows)):
         for item in obj:
             yield from _arrays(item)
 

@@ -109,3 +109,16 @@ class TestSimulate:
         with pytest.raises(InputError, match="^sample_every must be at least 1$"):
             simulate(triangle, C_STAR, np.zeros(3), t_end=0.05, dt=0.01, sample_every=0)
         assert len(simulate(triangle, C_STAR, np.zeros(3), t_end=0.05, dt=0.01, sample_every=np.int64(2)).times) == 4
+
+    def test_stop_tol_is_checked_before_the_run(self, triangle):
+        # a non-number raised a bare TypeError at the first step, and a NaN or
+        # negative tolerance could never end the run early
+        for not_a_number in ("x", "1e-9", True, [1e-9]):
+            with pytest.raises(InputError, match="^stop_tol must be a number$"):
+                simulate(triangle, C_STAR, np.zeros(3), t_end=0.05, dt=0.01, stop_tol=not_a_number)
+        for below_zero in (np.nan, np.float64(np.nan), -1e-9, -np.inf, np.int64(-1)):
+            with pytest.raises(InputError, match="^stop_tol must be nonnegative$"):
+                simulate(triangle, C_STAR, np.zeros(3), t_end=0.05, dt=0.01, stop_tol=below_zero)
+        # zero runs the whole horizon from a point that is not at rest; infinity stops at once
+        assert len(simulate(triangle, C_STAR, np.zeros(3), t_end=0.05, dt=0.01, stop_tol=np.int64(0)).times) == 6
+        assert simulate(triangle, C_STAR, np.zeros(3), t_end=0.05, dt=0.01, stop_tol=np.inf).times.tolist() == [0.0]

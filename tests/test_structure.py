@@ -1,23 +1,39 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from saturnet import (
+    FixedComponent,
     InputError,
     LiabilityData,
     Network,
     SegmentComponent,
+    ShockRay,
+    SinkAnalysis,
+    SinkComponent,
     SinkKind,
     classify,
+    cli,
+    decompose,
+    decomposition,
     equilibrium_set,
     extremal_equilibria,
     fixed_point_residual,
     from_liabilities,
     nash_payments,
+    network_to_dict,
     particular_solution,
+    solver,
     stationary_distribution,
+    structure,
+    sweep,
 )
+from saturnet._fmt import dumps
 
 from conftest import (
     C_STAR,
@@ -283,6 +299,123 @@ class TestEquilibriumSet:
                 assert np.allclose(eq_set.x_min(), oracle[0], atol=1e-8)
                 assert np.allclose(eq_set.x_max(), oracle[1], atol=1e-8)
             done += 1
+
+
+def _same_fields(got, want) -> None:
+    """``got`` is a ``type(want)``, or a subclass, whose fields equal want's (arrays bit for bit)."""
+    assert isinstance(got, type(want))
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
+
+
+class TestPerSetRows:
+    """classify, equilibrium_set and decompose keep the sets as columns and build a set's object only when it is read."""
+
+    @staticmethod
+    def _reference(net, c):
+        """Each set's SinkAnalysis, component and SinkComponent, built row by row from the solver's verdict arrays."""
+        found, (x, _) = solver._solve(net, c, solver.DEFAULT_OPTIONS)
+        st = found.structure
+        analyses, components, sinks = ([None] * len(st.place) for _ in range(3))
+        for g, v in zip(st.groups, found.groups):
+            for r, l in enumerate(g.sets.tolist()):
+                nodes, kind = tuple(g.nodes[r].tolist()), list(SinkKind)[v.kind[r]]
+                zero = kind in (SinkKind.ZERO_SUM_UNIQUE, SinkKind.ZERO_SUM_SEGMENT)
+                line = (float(v.line[0][r]), float(v.line[1][r])) if kind is SinkKind.ZERO_SUM_SEGMENT else None
+                analyses[l] = SinkAnalysis(
+                    l, nodes, kind, v.inflow[r], None if kind is SinkKind.OUT_CONNECTED else g.stationary[r],
+                    v.base[r] if zero else None, float(v.condition[r]) if zero else None, line,
+                )
+                if line:
+                    components[l] = SegmentComponent(nodes, v.base[r], g.stationary[r], *line, g.w[r])
+                else:
+                    components[l] = FixedComponent(nodes, x[0, 0][g.nodes[r]])
+                sinks[l] = SinkComponent(nodes, not bool(g.stochastic[r]))
+        return analyses, components, sinks
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> Counter:
+        """Count every SinkAnalysis, FixedComponent, SegmentComponent and SinkComponent the package builds."""
+        built = Counter()
+        for module, cls in (
+            (solver, SinkAnalysis), (structure, FixedComponent),
+            (structure, SegmentComponent), (decomposition, SinkComponent),
+        ):
+            class Counted(cls):
+                def __init__(self, *args, _name=cls.__name__, **kwargs):
+                    built[_name] += 1
+                    super().__init__(*args, **kwargs)
+
+            monkeypatch.setattr(module, cls.__name__, Counted)
+        return built
+
+    def test_items_are_built_only_when_read(self, monkeypatch, tmp_path):
+        net, c, kinds = core_feeding_sets(np.random.default_rng(11), (1, 2, 3, 4), 4)
+        want = self._reference(net, c)
+        lo, hi = extremal_equilibria(net, c)
+        path = tmp_path / "net.json"
+        path.write_text(dumps(network_to_dict(net, c)))
+        built = self._count_builds(monkeypatch)
+
+        # verdicts, extremes, lengths and JSON read the columns only
+        dec, analyses, unique = classify(net, c)
+        eq_set = equilibrium_set(net, c)
+        fresh = decompose(Network(net.P, net.w))
+        assert not unique and not eq_set.is_unique
+        assert len(analyses) == len(eq_set.components) == len(dec.sinks) == len(fresh.sinks) == len(kinds)
+        assert np.array_equal(eq_set.x_min(), lo.x) and np.array_equal(eq_set.x_max(), hi.x)
+        assert fresh.to_json_dict() == dec.to_json_dict()
+        assert [s["type"] == "segment" for s in eq_set.to_json_dict()["sinks"]] == [
+            k is SinkKind.ZERO_SUM_SEGMENT for k in kinds
+        ]
+        for command in ("classify", "set", "decompose"):
+            assert cli.main([command, "--input", str(path), "--output", str(tmp_path / f"{command}.json")]) == 0
+        assert built == Counter()
+
+        # a sweep reads the stochastic sets off the size groups and builds one SinkComponent per crossing
+        _, crossings = sweep(net, ShockRay(c, np.full(net.n, 0.5), 0.0, 2.0, 5))
+        assert built == Counter({"SinkComponent": len(crossings)})
+        built.clear()
+
+        # every item, by iteration, index, negative index and slice, equals the row-by-row reference
+        reads, parts = 0, (slice(1, 5), slice(None, None, -3), slice(-4, None), slice(9, 2))
+        for rows, reference in zip((analyses, eq_set.components, dec.sinks, fresh.sinks), (*want, want[2])):
+            for got, ref in zip(list(rows), reference, strict=True):
+                _same_fields(got, ref)
+            for i in (0, 5, -1, -len(reference)):
+                _same_fields(rows[i], reference[i])
+            for part in parts:
+                got = rows[part]
+                assert isinstance(got, tuple) and len(got) == len(reference[part])
+                for a, b in zip(got, reference[part]):
+                    _same_fields(a, b)
+            with pytest.raises(IndexError):
+                rows[len(reference)]
+            with pytest.raises(IndexError):
+                rows[-len(reference) - 1]
+            reads += len(reference) + 4 + sum(len(reference[part]) for part in parts)
+        assert built["SinkAnalysis"] == built["FixedComponent"] + built["SegmentComponent"] == reads // 4
+        assert built["SinkComponent"] == reads // 2
+        assert built["SegmentComponent"] > 0
+
+    def test_results_compare_hash_and_pickle_as_values(self):
+        net, c, _ = core_feeding_sets(np.random.default_rng(12), (1, 2), 4)
+        dec, again = decompose(net), decompose(Network(net.P, net.w))
+        assert dec == again and hash(dec) == hash(again)
+        assert dec.sinks == again.sinks and dec.sinks != tuple(again.sinks)
+        assert repr(dec.sinks) == f"Rows{tuple(again.sinks)!r}"
+        other = decompose(Network(net.P[:-2, :-2], net.w[:-2]))
+        assert dec != other and dec.transient == other.transient
+        # each result survives a pickle round trip with every item intact
+        for rows in (dec.sinks, classify(net, c)[1], equilibrium_set(net, c).components):
+            copy = pickle.loads(pickle.dumps(rows))
+            assert len(copy) == len(rows)
+            for a, b in zip(copy, rows):
+                _same_fields(a, b)
 
 
 class TestNashPayments:
