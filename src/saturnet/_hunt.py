@@ -68,7 +68,8 @@ def hunt_unique(Q, w, c, opts, from_top, label):
     exact solve can cycle at one ulp. ``c`` is left out of the scale, since
     a node with |c| far above w is clamped exactly.
     """
-    gate, band = hunt_gate(opts.tol_fp, w), (opts.tol_class * scale(w))[:, None]
+    s = scale(w)
+    gate, band = hunt_gate(opts.tol_fp, s), (opts.tol_class * s)[:, None]
     above, below = w + band, -band  # the dead-band's edges
     x = np.where(from_top[:, None], w, 0.0)
     out, rows = np.empty_like(x), np.arange(len(x))  # the answers, and the live rows' places in them

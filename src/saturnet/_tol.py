@@ -27,6 +27,6 @@ def flow_tolerance(rel: float, s, c: np.ndarray):
     return rel * (s + np.abs(c).sum(axis=-1))
 
 
-def hunt_gate(tol_fp: float, w: np.ndarray):
-    """``0.5 * tol_fp * s``: the hunt's settling gate, which ``refine`` and the listed pattern solves share."""
-    return 0.5 * tol_fp * scale(w)
+def hunt_gate(tol_fp: float, s):
+    """``0.5 * tol_fp * s``: the hunt's settling gate on a block of scale s, which ``refine``'s pattern solves share."""
+    return 0.5 * tol_fp * s

@@ -633,7 +633,7 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     T = st.transient
     known = np.where(pattern > 0, net.w, 0.0)
     x_T, ok = _transient_block(net, st).solve_patterns(
-        net.w[T][None], c[T][None], pattern[T][None], hunt_gate(opts.tol_fp, net.w[T][None]), x[T][None]
+        net.w[T][None], c[T][None], pattern[T][None], hunt_gate(opts.tol_fp, scale(net.w[T][None])), x[T][None]
     )
     if not ok[0]:
         raise PartitionInconsistencyError(_SINGULAR, **_block_label(net, st, c, T[0]))
@@ -645,7 +645,8 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
         line = g.stochastic & free.all(axis=1)  # wholly exposed stochastic sets: singular
         for rows, Q in _hunt_stacks(net, st, g, free.any(axis=1) & ~line):
             nodes, w = g.nodes[rows], g.w[rows]
-            known[nodes], ok = Q.solve_patterns(w, inflow[nodes], pattern[nodes], hunt_gate(opts.tol_fp, w), x[nodes])
+            gate = hunt_gate(opts.tol_fp, scale(w))
+            known[nodes], ok = Q.solve_patterns(w, inflow[nodes], pattern[nodes], gate, x[nodes])
             faults += [(l, _SINGULAR) for l in g.sets[rows][~ok].tolist()]
         if np.count_nonzero(line):
             # project x onto each set's solution line
