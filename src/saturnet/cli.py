@@ -34,8 +34,8 @@ from .model import (
     validate,
 )
 from .shocks import ShockRay, max_jump_norm, sweep, sweep_to_csv, systemic_loss
-from .solver import SolveOptions, _classify_json, extremal_equilibria, node_partition
-from .structure import equilibrium_set
+from .solver import SolveOptions, extremal_equilibria, node_partition
+from .structure import classify, equilibrium_set
 
 
 class UsageError(Exception):
@@ -186,7 +186,23 @@ def _cmd_solve(args) -> int:
 
 def _cmd_classify(args) -> int:
     net, c = _load_network(args.input)
-    _emit(dumps(_classify_json(net, c, _options(args))), args.output)
+    opts = _options(args)
+    dec, analyses, unique = classify(net, c, opts)
+    sinks = []
+    for a in analyses:
+        entry = {
+            "index": a.index,
+            "nodes": list(a.nodes),
+            "kind": a.kind.value,
+            "inflow_sum": float(a.inflow.sum()) if a.inflow is not None else None,
+            "stationary": a.stationary.tolist() if a.stationary is not None else None,
+            "base": a.base.tolist() if a.base is not None else None,
+            "condition_value": a.condition_value,
+            "alpha_range": list(a.alpha_range) if a.alpha_range is not None else None,
+        }
+        sinks.append(entry)
+    payload = {"is_unique": unique, "transient": list(dec.transient), "sinks": sinks}
+    _emit(dumps(payload), args.output)
     return 0
 
 

@@ -141,19 +141,16 @@ class Decomposition:
     sinks: Rows = field(init=False, hash=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sinks", Rows(self._out_connected.size, self._sink))
+        object.__setattr__(self, "sinks", Rows(self._out_connected.size, self._take))
 
-    def _sink(self, l: int) -> SinkComponent:
-        a, b = self._starts[l : l + 2].tolist()
-        return SinkComponent(tuple(self._nodes[a:b].tolist()), self._out_connected.item(l))
+    def _take(self, ls: np.ndarray) -> list[SinkComponent]:
+        """The SinkComponents of the sets ``ls``."""
+        sets = zip(self._starts[ls].tolist(), self._starts[ls + 1].tolist(), self._out_connected[ls].tolist())
+        return [SinkComponent(tuple(self._nodes[a:b].tolist()), leak) for a, b, leak in sets]
 
     def to_json_dict(self) -> dict:
-        nodes, starts = self._nodes.tolist(), self._starts.tolist()
-        sets = zip(starts, starts[1:], self._out_connected.tolist())
-        return {
-            "transient": list(self.transient),
-            "sinks": [{"nodes": nodes[a:b], "out_connected": leak} for a, b, leak in sets],
-        }
+        sinks = [{"nodes": list(s.nodes), "out_connected": s.out_connected} for s in self.sinks]
+        return {"transient": list(self.transient), "sinks": sinks}
 
 
 def decompose(net: Network) -> Decomposition:
@@ -252,6 +249,16 @@ class BlockStructure:
     groups: tuple[SizeGroup, ...]
     place: np.ndarray
     edges: dict[int, EdgeBlock]
+
+
+def group_rows(place: np.ndarray, rows, ls: np.ndarray) -> list:
+    """The items of the sets ``ls``, in that order, where ``rows(g, r)`` yields those on rows r of size group g."""
+    out, (g_of, r_of) = [None] * len(ls), place[ls].T
+    for g in np.flatnonzero(np.bincount(g_of)).tolist():
+        k = np.flatnonzero(g_of == g)
+        for i, item in zip(k.tolist(), rows(g, r_of[k])):
+            out[i] = item
+    return out
 
 
 def _size_group(P: np.ndarray, w: np.ndarray, sets, nodes, stochastic) -> SizeGroup:

@@ -114,24 +114,26 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 class Rows(Sequence):
-    """A read-only sequence of ``n`` items whose item i is ``build(i)``, built each time it is read and not kept.
+    """A read-only sequence of ``n`` items that ``take(ls)`` builds, as a list, at the indices ``ls`` (an array).
 
-    A slice is the tuple of its items; two Rows are equal when their items are, and
-    like lists they are not hashable.
+    An item is built each time it is read and not kept: iteration takes all at once, a slice
+    is a tuple. Like a list, a Rows equals another item by item and is not hashable.
     """
 
-    def __init__(self, n: int, build):
-        self._n, self._build = n, build
+    def __init__(self, n: int, take):
+        self._n, self._take = n, take
 
     def __len__(self) -> int:
         return self._n
 
     def __getitem__(self, i):
         rows = range(self._n)[i]  # an index checked and made nonnegative, or a range
-        return tuple(map(self._build, rows)) if isinstance(i, slice) else self._build(rows)
+        if isinstance(i, slice):
+            return tuple(self._take(np.arange(rows.start, rows.stop, rows.step)))
+        return self._take(np.array([rows]))[0]
 
     def __iter__(self):
-        return map(self._build, range(self._n))
+        return iter(self._take(np.arange(self._n)))
 
     def __eq__(self, other):
         return isinstance(other, Rows) and tuple(self) == tuple(other)

@@ -71,7 +71,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -81,7 +80,7 @@ from ._linear import DenseBlock, diagonal_blocks, pinned_particular, segment_bou
 from ._tol import TOUCH_REL, ZERO_SUM_REL, flow_tolerance, hunt_gate, scale
 from .decomposition import BlockStructure, SizeGroup, block_structure, network_block
 from .errors import InputError, NonConvergenceError, PartitionInconsistencyError
-from .model import EquilibriumVector, Network, Rows, _as_int, _as_number, _as_vector, as_flow, as_point, require_valid
+from .model import EquilibriumVector, Network, _as_int, _as_number, _as_vector, _readonly, as_flow, as_point, require_valid
 
 
 @dataclass(frozen=True)
@@ -352,40 +351,20 @@ def _analyze(net, c, opts, at=None) -> _Analysis:
     return _Analysis(st, c, x_T, inflow, stacks, groups, at)
 
 
-def _sink_analyses(found: _Analysis) -> Rows:
-    """Every set's SinkAnalysis, in decomposition order, each built off the verdict arrays when it is read."""
-    return Rows(len(found.structure.place), partial(_sink_analysis, found))
-
-
-def _sink_analysis(found: _Analysis, l: int) -> SinkAnalysis:
-    """Set l's SinkAnalysis, read off its row of the verdict arrays."""
-    g, r = found.structure.place[l].tolist()
-    group, v = found.structure.groups[g], found.groups[g]
-    code = v.kind.item(r)
-    zero = code in (_UNIQUE, _SEGMENT)
-    return SinkAnalysis(  # by position: keywords cost a third more
-        l, tuple(group.nodes[r].tolist()), _KINDS[code], v.inflow[r],
-        group.stationary[r] if code != _OUT else None,
-        v.base[r] if zero else None,
-        v.condition.item(r) if zero else None,
-        (v.line[0].item(r), v.line[1].item(r)) if code == _SEGMENT else None,
+def _analyses(groups: tuple[SizeGroup, ...], verdicts: tuple[_Verdicts, ...], g: int, r: np.ndarray):
+    """The SinkAnalyses on rows r of size group g, read off its verdict arrays."""
+    group, v = groups[g], verdicts[g]
+    rows = zip(
+        group.sets[r].tolist(), group.nodes[r].tolist(), v.kind[r].tolist(),
+        *map(_readonly, (v.inflow[r], group.stationary[r], v.base[r])),
+        v.condition[r].tolist(), v.line[0][r].tolist(), v.line[1][r].tolist(),
     )
-
-
-def _classify_json(net, c, opts: SolveOptions) -> dict:
-    """``classify`` as the CLI writes it, read off the verdict arrays one size group at a time."""
-    found, _ = _solve(net, c, opts, assemble=False)
-    sinks = [None] * len(found.structure.place)
-    for g, v in zip(found.structure.groups, found.groups):
-        columns = (g.sets, g.nodes, v.kind, v.total, g.stationary, v.base, v.condition, *v.line)
-        for l, nodes, code, total, pi, base, condition, lo, hi in zip(*(a.tolist() for a in columns)):
-            zero = code in (_UNIQUE, _SEGMENT)
-            sinks[l] = {
-                "index": l, "nodes": nodes, "kind": _KINDS[code].value, "inflow_sum": total,
-                "stationary": pi if code != _OUT else None, "base": base if zero else None,
-                "condition_value": condition if zero else None, "alpha_range": [lo, hi] if code == _SEGMENT else None,
-            }
-    return {"is_unique": _is_unique(found), "transient": list(found.structure.decomposition.transient), "sinks": sinks}
+    for l, nodes, code, inflow, stationary, base, condition, lo, hi in rows:
+        zero = code in (_UNIQUE, _SEGMENT)
+        yield SinkAnalysis(  # by position: keywords cost a third more
+            l, tuple(nodes), _KINDS[code], inflow, stationary if code != _OUT else None, base if zero else None,
+            condition if zero else None, (lo, hi) if code == _SEGMENT else None,
+        )
 
 
 def _residual_gate(net, opts, slack):

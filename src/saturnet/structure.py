@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ._linear import pinned_particular, stationary_block
 from ._tol import ROUND_REL, ZERO_SUM_REL, flow_tolerance
-from .decomposition import Decomposition, strongly_connected_components
+from .decomposition import Decomposition, group_rows, strongly_connected_components
 from .errors import InputError
 from .model import EPS_FEAS, Network, Rows, _readonly, as_point
 from .solver import (
@@ -31,9 +32,9 @@ from .solver import (
     DEFAULT_OPTIONS,
     SinkAnalysis,
     SolveOptions,
+    _analyses,
     _checked_equilibrium,
     _is_unique,
-    _sink_analyses,
     _solve,
 )
 
@@ -88,7 +89,9 @@ def classify(
     """Per-sink uniqueness analyses, each built when it is read; the boolean is True iff no sink is a segment."""
     opts = opts or DEFAULT_OPTIONS
     found, _ = _solve(net, c, opts, assemble=False)
-    return found.structure.decomposition, _sink_analyses(found), _is_unique(found)
+    st = found.structure
+    analyses = partial(group_rows, st.place, partial(_analyses, st.groups, tuple(found.groups)))
+    return st.decomposition, Rows(len(st.place), analyses), _is_unique(found)
 
 
 # ----------------------------- equilibrium set -----------------------------
@@ -141,55 +144,57 @@ def _sup_nearest_alpha(comp: SegmentComponent, y: np.ndarray) -> float:
     return min((lo, hi), key=lambda a: np.abs(comp.at(a) - y).max())
 
 
+def _components(groups: tuple, verdicts: tuple, x_min: np.ndarray, g: int, r: np.ndarray):
+    """The components on rows r of size group g, whose values are read off the minimal equilibrium ``x_min``."""
+    group, v = groups[g], verdicts[g]
+    nodes = group.nodes[r]
+    rows = zip(
+        nodes.tolist(), v.kind[r].tolist(),
+        *map(_readonly, (x_min[nodes], v.base[r], group.stationary[r], group.w[r])),
+        v.line[0][r].tolist(), v.line[1][r].tolist(),
+    )
+    for nodes, code, values, base, direction, w, lo, hi in rows:
+        if code == _SEGMENT:
+            yield SegmentComponent(tuple(nodes), base, direction, lo, hi, w)
+        else:
+            yield FixedComponent(tuple(nodes), values)
+
+
 @dataclass(frozen=True)
 class EquilibriumSet:
     """Every equilibrium: transient values, one component per sink; its ends are the extremes bit for bit.
 
-    The sets stay the solver's columns: a component is built when it is read, and each end is
-    written one size group at a time, as the solver's assembly writes it.
+    ``x_min()`` and ``x_max()`` are copies of the solver's extremes, and a component is
+    built off the solver's verdict arrays when it is read.
     """
 
     n: int
     transient_nodes: tuple[int, ...]
     transient_values: np.ndarray
+    components: Rows  # FixedComponent | SegmentComponent, in sink order
     is_unique: bool
-    _groups: tuple = field(repr=False, compare=False)  # (SizeGroup, _Verdicts, values) per size group
-    _place: np.ndarray = field(repr=False, compare=False)  # set l is row _place[l][1] of group _place[l][0]
-    components: Rows = field(init=False)  # FixedComponent | SegmentComponent, in sink order
+    _x: np.ndarray = field(repr=False, compare=False)  # (2, n): the solver's x_min and x_max, read-only
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", Rows(len(self._place), self._component))
-
-    def _component(self, l: int):
-        g, r = self._place[l].tolist()
-        group, v, values = self._groups[g]
-        nodes = tuple(group.nodes[r].tolist())
-        if v.kind.item(r) != _SEGMENT:
-            return FixedComponent(nodes, values[r])
-        return SegmentComponent(nodes, v.base[r], group.stationary[r], v.line[0].item(r), v.line[1].item(r), group.w[r])
-
-    def _assemble(self, segments) -> np.ndarray:
-        """The member with each size group's segment rows ``s`` at ``segments(g, v, s)``, the rest at their values."""
-        x = np.zeros(self.n)
-        x[list(self.transient_nodes)] = self.transient_values
-        for g, v, values in self._groups:
-            x[g.nodes] = values
-            if np.count_nonzero(s := v.kind == _SEGMENT):
-                x[g.nodes[s]] = segments(g, v, s)
+    def _assemble(self, alpha) -> np.ndarray:
+        """The member placed at ``alpha(k, comp)`` on each segment component k, at x_min elsewhere."""
+        x = self.x_min()
+        for k, comp in enumerate(self.components):
+            if isinstance(comp, SegmentComponent):
+                x[list(comp.nodes)] = comp.at(alpha(k, comp))
         return x
 
     def x_min(self) -> np.ndarray:
-        return self._assemble(lambda g, v, s: np.clip(v.base[s] + v.line[0][s, None] * g.stationary[s], 0.0, g.w[s]))
+        return self._x[0].copy()
 
     def x_max(self) -> np.ndarray:
-        return self._assemble(lambda g, v, s: np.clip(v.base[s] + v.line[1][s, None] * g.stationary[s], 0.0, g.w[s]))
+        return self._x[1].copy()
 
     def sample(self, alphas: dict[int, float]) -> np.ndarray:
         """Assemble the member with the given alpha per segment component index."""
-        missing = [l for g, v, _ in self._groups for l in g.sets[v.kind == _SEGMENT].tolist() if l not in alphas]
-        if missing:
-            raise InputError(f"alphas has no value for segment component {min(missing)}")
-        return self._assemble(lambda g, v, s: [self.components[l].at(alphas[l]) for l in g.sets[s].tolist()])
+        for k, comp in enumerate(self.components):
+            if isinstance(comp, SegmentComponent) and k not in alphas:
+                raise InputError(f"alphas has no value for segment component {k}")
+        return self._assemble(lambda k, comp: alphas[k])
 
     def distance_sup(self, x) -> float:
         """Sup-norm distance from a finite point x of length n to the nearest member of the set.
@@ -198,42 +203,38 @@ class EquilibriumSet:
         alpha nearest to x in the sup norm (``_sup_nearest_alpha``).
         """
         x = as_point(x, self.n)
-        nearest = self._assemble(lambda g, v, s: [
-            (c := self.components[l]).at(_sup_nearest_alpha(c, x[list(c.nodes)])) for l in g.sets[s].tolist()
-        ])
+        nearest = self._assemble(lambda k, comp: _sup_nearest_alpha(comp, x[list(comp.nodes)]))
         return float(np.max(np.abs(x - nearest))) if self.n else 0.0
 
     def to_json_dict(self) -> dict:
-        sinks = [None] * len(self._place)
-        for g, v, values in self._groups:
-            s, u = v.kind == _SEGMENT, v.kind != _SEGMENT
-            for l, nodes, x in zip(g.sets[u].tolist(), g.nodes[u].tolist(), values[u].tolist()):
-                sinks[l] = {"nodes": nodes, "type": "unique", "values": x}
-            columns = (g.sets, g.nodes, v.base, g.stationary, *v.line)
-            for l, nodes, base, pi, lo, hi in zip(*(a[s].tolist() for a in columns)):
-                sinks[l] = {
-                    "nodes": nodes, "type": "segment", "base": base, "direction": pi, "alpha_min": lo, "alpha_max": hi
-                }
+        def entry(comp) -> dict:
+            if isinstance(comp, FixedComponent):
+                return {"nodes": list(comp.nodes), "type": "unique", "values": comp.values.tolist()}
+            return {
+                "nodes": list(comp.nodes), "type": "segment", "base": comp.base.tolist(),
+                "direction": comp.direction.tolist(), "alpha_min": comp.alpha_min, "alpha_max": comp.alpha_max,
+            }
+
         return {
             "is_unique": self.is_unique,
             "transient": {"nodes": list(self.transient_nodes), "values": self.transient_values.tolist()},
-            "sinks": sinks,
+            "sinks": list(map(entry, self.components)),
         }
 
 
 def equilibrium_set(net: Network, c, opts: SolveOptions | None = None) -> EquilibriumSet:
-    """Explicit representation of all equilibria of (net, c): the solver's verdicts and extremes, kept as columns."""
+    """Explicit representation of all equilibria of (net, c): the solver's verdicts and extremes, kept as they are."""
     opts = opts or DEFAULT_OPTIONS
     found, (x, _) = _solve(net, c, opts)
     st = found.structure
-    values = [_readonly(x[0, 0][g.nodes]) for g in st.groups]  # each set's values at the minimal equilibrium
+    components = partial(_components, st.groups, tuple(found.groups), x[0, 0])
     return EquilibriumSet(
         n=net.n,
         transient_nodes=st.decomposition.transient,
         transient_values=found.transient[0],
+        components=Rows(len(st.place), partial(group_rows, st.place, components)),
         is_unique=_is_unique(found),
-        _groups=tuple(zip(st.groups, found.groups, values)),
-        _place=st.place,
+        _x=x[:, 0],
     )
 
 

@@ -18,7 +18,6 @@ from saturnet import (
     SinkComponent,
     SinkKind,
     classify,
-    cli,
     decompose,
     decomposition,
     equilibrium_set,
@@ -26,14 +25,14 @@ from saturnet import (
     fixed_point_residual,
     from_liabilities,
     nash_payments,
-    network_to_dict,
     particular_solution,
     solver,
     stationary_distribution,
     structure,
     sweep,
 )
-from saturnet._fmt import dumps
+from saturnet._linear import SPARSE_MIN, EdgeBlock
+from saturnet.decomposition import network_block
 
 from conftest import (
     C_STAR,
@@ -43,6 +42,7 @@ from conftest import (
     X_MAX_STAR,
     X_MIN_STAR,
     core_feeding_sets,
+    large_blocks,
     random_irreducible_stochastic,
     zero_sum_flow,
 )
@@ -353,27 +353,19 @@ class TestPerSetRows:
             monkeypatch.setattr(module, cls.__name__, Counted)
         return built
 
-    def test_items_are_built_only_when_read(self, monkeypatch, tmp_path):
+    def test_items_are_built_only_when_read(self, monkeypatch):
         net, c, kinds = core_feeding_sets(np.random.default_rng(11), (1, 2, 3, 4), 4)
         want = self._reference(net, c)
         lo, hi = extremal_equilibria(net, c)
-        path = tmp_path / "net.json"
-        path.write_text(dumps(network_to_dict(net, c)))
         built = self._count_builds(monkeypatch)
 
-        # verdicts, extremes, lengths and JSON read the columns only
+        # verdicts, extremes and lengths read the arrays only
         dec, analyses, unique = classify(net, c)
         eq_set = equilibrium_set(net, c)
         fresh = decompose(Network(net.P, net.w))
         assert not unique and not eq_set.is_unique
         assert len(analyses) == len(eq_set.components) == len(dec.sinks) == len(fresh.sinks) == len(kinds)
         assert np.array_equal(eq_set.x_min(), lo.x) and np.array_equal(eq_set.x_max(), hi.x)
-        assert fresh.to_json_dict() == dec.to_json_dict()
-        assert [s["type"] == "segment" for s in eq_set.to_json_dict()["sinks"]] == [
-            k is SinkKind.ZERO_SUM_SEGMENT for k in kinds
-        ]
-        for command in ("classify", "set", "decompose"):
-            assert cli.main([command, "--input", str(path), "--output", str(tmp_path / f"{command}.json")]) == 0
         assert built == Counter()
 
         # a sweep reads the stochastic sets off the size groups and builds one SinkComponent per crossing
@@ -416,6 +408,17 @@ class TestPerSetRows:
             assert len(copy) == len(rows)
             for a, b in zip(copy, rows):
                 _same_fields(a, b)
+
+    def test_pickles_hold_no_part_of_P(self):
+        """On a listed network, a pickled result grows with the number of sets, not with n**2."""
+        sizes = []
+        for big in (600, 1200):
+            net, c = large_blocks(np.random.default_rng(13), 8, big, small=big // 12, stochastic=True)
+            assert net.n >= SPARSE_MIN and isinstance(network_block(net), EdgeBlock)
+            results = (decompose(net).sinks, classify(net, c)[1], equilibrium_set(net, c).components)
+            sizes.append([len(pickle.dumps(rows)) for rows in results])
+            assert max(sizes[-1]) < net.P.nbytes / 20
+        assert all(big < 2.5 * small for small, big in zip(*sizes))
 
 
 class TestNashPayments:
