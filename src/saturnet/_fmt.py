@@ -44,7 +44,8 @@ def fmt_cells(values) -> list[list[str]]:
     return text[inverse.reshape(-1)].reshape(values.shape).tolist()
 
 
-def _render(obj, out: list[str], indent: int, level: int) -> None:
+def _render(obj, out: list[str], slots: list, indent: int, level: int) -> None:
+    """Append obj's JSON text to ``out``, a float or list of floats as an empty slot (place, separator, floats)."""
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
     if isinstance(obj, dict):
@@ -56,7 +57,7 @@ def _render(obj, out: list[str], indent: int, level: int) -> None:
             if not isinstance(k, str):
                 raise InputError(f"JSON object keys must be strings, got {k!r}")
             out.append(f'{pad_in}"{k}": ')
-            _render(v, out, indent, level + 1)
+            _render(v, out, slots, indent, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
@@ -65,13 +66,13 @@ def _render(obj, out: list[str], indent: int, level: int) -> None:
             out.append("[]")
             return
         out.append("[\n")
-        if all(isinstance(v, float) for v in items):  # one pass for a list of numbers
-            out.append(",\n".join(pad_in + text for text in fmt_cells(items)))
-            out.append("\n")
+        if all(isinstance(v, float) for v in items):  # one slot for a list of numbers
+            slots.append((len(out) + 1, ",\n" + pad_in, items))
+            out.extend((pad_in, "", "\n"))
         else:
             for i, v in enumerate(items):
                 out.append(pad_in)
-                _render(v, out, indent, level + 1)
+                _render(v, out, slots, indent, level + 1)
                 out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "]")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -81,7 +82,8 @@ def _render(obj, out: list[str], indent: int, level: int) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(fmt_float(obj))
+        slots.append((len(out), "", [obj]))
+        out.append("")
     elif isinstance(obj, str):
         out.append(_escape(obj))
     else:
@@ -100,9 +102,20 @@ def _escape(s: str) -> str:
 
 
 def dumps(obj, indent: int = 2) -> str:
-    """Serialize to JSON text with fixed float formatting and a trailing newline."""
-    out: list[str] = []
-    _render(obj, out, indent, 0)
+    """Serialize to JSON text with fixed float formatting and a trailing newline.
+
+    One walk renders the document with its floats left as slots, and one
+    ``fmt_cells`` call formats all of them in document order, so the first
+    non-finite one raises (ahead of a fault the walk met after it).
+    """
+    out, slots = [], []
+    try:
+        _render(obj, out, slots, indent, 0)
+    finally:
+        texts, at = fmt_cells([v for _, _, values in slots for v in values]), 0
+    for i, sep, values in slots:
+        out[i] = sep.join(texts[at : at + len(values)])
+        at += len(values)
     return "".join(out) + "\n"
 
 

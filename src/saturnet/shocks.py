@@ -11,16 +11,14 @@ A sweep solves its grid as stacks of flows: each chunk of grid points is
 one pass of the solver's stacked layer (one transient hunt, one verdict
 pass and one hunt per size group), and every point keeps, bit for bit, the
 equilibria it would get alone. The crossings of all stochastic sets are
-bisected in lockstep, and each set keeps the root it would get alone. The
-equilibria are affine in c wherever the transient saturation pattern holds,
-so a set's inflow sum is affine in eps on a bracket whose two ends share
-that pattern: the bisection takes the mean of the ends' sums there, and a
-step hunts the transient part, as one stack with a row per set, only for
-the sets whose bracket spans a pattern change. The roots' flows are then
-solved as stacks too. ``loss_jump`` sums the gap of the same assembled
-extremes. ``sweep_to_csv`` formats each distinct number of the table once:
-the x_max half repeats x_min on every unique row, and saturated nodes hold
-0 or their capacity for long runs of the grid.
+bisected in lockstep, and each set keeps the root it would get alone: a
+midpoint the grid solved is read off it, a set's inflow sum is affine on a
+bracket whose ends share the transient saturation pattern (the mean of the
+ends' sums, in float arithmetic), and the transient part is hunted, as one
+stack, only at the other midpoints. The roots' flows are solved as stacks
+too. ``loss_jump`` sums the gap of the same assembled extremes.
+``sweep_to_csv`` formats each distinct number of the table once, and x_max
+only where it differs from x_min.
 """
 
 from __future__ import annotations
@@ -221,22 +219,26 @@ def _at_eps(eps):
     return lambda f: f"eps = {fmt_float(eps[f])}"
 
 
+def _saturated(x_T, w_T) -> np.ndarray:
+    """The transient saturation pattern of each row of ``x_T``: ``x_T == 0`` beside ``x_T == w_T`` (F, 2·k_T)."""
+    return np.concatenate([x_T == 0.0, x_T == w_T], axis=1)
+
+
 def _inflow_sums(net, st: BlockStructure, ray: ShockRay, eps, sets, opts):
     """Effective inflow sums of the trapping sets ``sets[i]`` (a row of them) at each shock size ``eps[i]``.
 
     ``sets`` is (len(eps), j), and so is the sum. The transient part is
     hunted at every shock size, in stacks of flows; its saturation pattern
-    there, ``x_T == 0`` beside ``x_T == w_T`` (len(eps), 2·k_T), read off
-    the hunt's clipped values, is returned with the sums.
+    there (``_saturated``, read off the hunt's clipped values) is returned
+    with the sums.
     """
     out = np.empty(sets.shape)
     pattern = np.empty((len(eps), 2 * st.transient.size), dtype=bool)
-    w_T = net.w[st.transient]
     group, place = st.place[sets, 0], st.place[sets, 1]
     for part in _chunks(len(eps), _flow_entries(st)):
         c = ray.c0 - eps[part, None] * ray.q
         x_T = _transient_states(net, st, c, opts, _at_eps(eps[part]))
-        pattern[part] = np.concatenate([x_T == 0.0, x_T == w_T], axis=1)
+        pattern[part] = _saturated(x_T, net.w[st.transient])
         inflow = _inflows(net, st, c, x_T)
         for g, size_group in enumerate(st.groups):
             r, j = np.nonzero(group[part] == g)
@@ -246,27 +248,43 @@ def _inflow_sums(net, st: BlockStructure, ray: ShockRay, eps, sets, opts):
     return out, pattern
 
 
-def _critical_eps(net, ray: ShockRay, sets, opts) -> list[float | None]:
+def _critical_eps(net, ray: ShockRay, sets, opts, grid=None) -> list[float | None]:
     """``find_critical_eps`` of every trapping set in ``sets``, bisected in lockstep.
 
-    The range ends are one stack of two flows and the grid scan one stack of
-    the grid. Each set keeps its bracket ``b`` (lo, hi), its inflow sums
-    ``g`` and the transient saturation patterns ``p`` at both ends. Where
-    both ends have one pattern, it holds on the whole bracket (the flows at
-    which one pattern holds form a convex set), so the transient values and
-    the sum are affine there, and the sum at the midpoint is the mean of the
-    ends' sums; no hunt is run. The sets whose bracket spans a pattern
-    change are hunted as one stack, a row per set at its own midpoint. Every
-    set takes the midpoints and decisions it would take alone, so its root
-    is bit for bit the one it would get alone.
+    ``grid``, from a sweep, holds the inflow sums of ``sets`` and the
+    transient patterns at each grid point: a shock size with the bits of a
+    grid point (-0.0 is not 0.0) is read off it, as a hunt would give it.
+    The rest are hunted, the range ends as one stack of two flows and the
+    grid scan as one of the grid. Each set keeps its bracket ``b`` (lo, hi)
+    and its inflow sums ``g`` and transient saturation patterns ``p`` at
+    both ends. The sets whose bracket spans a pattern change go on as one
+    stack, a row per set at its own midpoint. Where both ends have one
+    pattern, it holds on the whole bracket (the flows at which it holds
+    form a convex set), so the sum is affine there, no step hunts again,
+    and the set is finished in float arithmetic, with the same midpoints,
+    mean sums and sign rule. Every set takes the midpoints and decisions it
+    would take alone, so its root is bit for bit that one.
     """
     st = block_structure(net)
     sets = np.asarray(sets, dtype=np.intp)
     if not sets.size:
         return []
-    atol = flow_tolerance(ROUND_REL, scale(net.w), np.abs(ray.c0) + np.abs(ray.q))
+    atol = float(flow_tolerance(ROUND_REL, scale(net.w), np.abs(ray.c0) + np.abs(ray.q)))
+    on_grid = np.linspace(ray.eps_lo, ray.eps_hi, ray.grid)
+
+    def sums(eps, cols):
+        """``_inflow_sums`` of ``sets[cols]`` (len(eps), j) at ``eps``, read off ``grid`` where it holds them."""
+        if grid is None:
+            return _inflow_sums(net, st, ray, eps, sets[cols], opts)
+        i = np.minimum(np.searchsorted(on_grid, eps), ray.grid - 1)
+        hunt = on_grid[i].view(np.int64) != eps.view(np.int64)
+        g, p = grid[0][i[:, None], cols], grid[1][i]
+        if hunt.any():
+            g[hunt], p[hunt] = _inflow_sums(net, st, ray, eps[hunt], sets[cols[hunt]], opts)
+        return g, p
+
     b = np.array([[ray.eps_lo], [ray.eps_hi]]).repeat(sets.size, axis=1)
-    g, ends = _inflow_sums(net, st, ray, b[:, 0], np.broadcast_to(sets, (2, sets.size)), opts)
+    g, ends = sums(b[:, 0], np.broadcast_to(np.arange(sets.size), (2, sets.size)))
     p = ends[:, None].repeat(sets.size, axis=1)
     out = np.full(sets.size, np.nan)  # NaN: no root in range
     at_lo = np.abs(g[0]) <= atol
@@ -278,32 +296,33 @@ def _critical_eps(net, ray: ShockRay, sets, opts) -> list[float | None]:
     if ray.allow_mixed_direction and np.count_nonzero(same):
         # monotonicity is lost: scan the grid for the first sign change
         scan = np.flatnonzero(same)
-        grid = np.linspace(ray.eps_lo, ray.eps_hi, ray.grid)
-        rows = np.broadcast_to(sets[scan], (ray.grid, scan.size))
-        values, patterns = _inflow_sums(net, st, ray, grid, rows, opts)
+        values, patterns = sums(on_grid, np.broadcast_to(scan, (ray.grid, scan.size)))
         change = (np.sign(values[:-1]) != np.sign(values[1:])) | (np.abs(values[1:]) <= atol)
         hit = change.any(axis=0)
         j, scan = change.argmax(axis=0)[hit], scan[hit]
         ends = np.stack([j, j + 1])
-        b[:, scan], g[:, scan], p[:, scan] = grid[ends], values[ends, np.flatnonzero(hit)], patterns[ends]
+        b[:, scan], g[:, scan], p[:, scan] = on_grid[ends], values[ends, np.flatnonzero(hit)], patterns[ends]
         bisect[scan] = True
     live = np.flatnonzero(bisect)
     while True:
-        live = live[b[1, live] - b[0, live] > EPS_BISECT_TOL]
+        live = live[(b[1, live] - b[0, live] > EPS_BISECT_TOL) & (p[0, live] != p[1, live]).any(axis=1)]
         if not live.size:
             break
         mid = 0.5 * (b[0, live] + b[1, live])
-        g_mid = 0.5 * (g[0, live] + g[1, live])  # affine on the bracket, where its pattern holds
-        hunt = np.flatnonzero((p[0, live] != p[1, live]).any(axis=1))
-        if hunt.size:
-            sums, p_mid = _inflow_sums(net, st, ray, mid[hunt], sets[live[hunt], None], opts)
-            g_mid[hunt] = sums[:, 0]
+        g_mid, p_mid = sums(mid, live[:, None])
+        g_mid = g_mid[:, 0]
         up = (np.sign(g_mid) == np.sign(g[0, live])) & (np.abs(g_mid) > atol)
         side = np.where(up, 0, 1)  # the end that moves to the midpoint
-        b[side, live], g[side, live] = mid, g_mid
-        if hunt.size:
-            p[side[hunt], live[hunt]] = p_mid
-    out[bisect] = 0.5 * (b[0, bisect] + b[1, bisect])
+        b[side, live], g[side, live], p[side, live] = mid, g_mid, p_mid
+    for k in np.flatnonzero(bisect).tolist():  # the rest is one affine piece: step it in float arithmetic
+        (lo, hi), (g_lo, g_hi) = b[:, k].tolist(), g[:, k].tolist()
+        while hi - lo > EPS_BISECT_TOL:
+            mid, g_mid = 0.5 * (lo + hi), 0.5 * (g_lo + g_hi)
+            if abs(g_mid) > atol and (g_mid > 0) - (g_mid < 0) == (g_lo > 0) - (g_lo < 0):  # as np.sign
+                lo, g_lo = mid, g_mid
+            else:
+                hi, g_hi = mid, g_mid
+        out[k] = 0.5 * (lo + hi)
     return [None if np.isnan(e) else float(e) for e in out]
 
 
@@ -315,13 +334,11 @@ def find_critical_eps(
     The sum is nonincreasing in eps for nonnegative shock directions
     (transient values move monotonically with c), so bisection localizes the
     root to within EPS_BISECT_TOL. The sum is taken over the set's nodes of
-    the node-indexed effective inflows. It is affine in eps wherever the
-    transient saturation pattern holds, so a step whose bracket ends share
-    that pattern takes the mean of their sums, and the transient part is
-    hunted only where the bracket spans a pattern change. Returns None when
-    the sum keeps one sign over the whole range. This is the lockstep
-    bisection of ``sweep`` on one set, so both give the same root bit for
-    bit.
+    the node-indexed effective inflows; the transient part is hunted only
+    where a bracket spans a change of its saturation pattern, since the sum
+    is affine in eps elsewhere. Returns None when the sum keeps one sign
+    over the whole range. This is the lockstep bisection of ``sweep`` on
+    one set, so both give the same root bit for bit.
     """
     opts = opts or DEFAULT_OPTIONS
     st = block_structure(net)
@@ -346,11 +363,13 @@ def sweep(
     the block and the eps of the first point at fault in its stage.
     Critical crossings are located by one lockstep bisection over the
     stochastic trapping sets (a grid typically straddles the critical eps
-    rather than hitting it) and recorded only where the equilibrium set is
-    genuinely a segment; both one-sided limit equilibria there are the
-    segment endpoints. The roots' flows are solved as stacks, chunked like
-    the grid, and only the segment ones are assembled; each crossing is bit
-    for bit what it would be alone.
+    rather than hitting it), which reads the sets' inflow sums and the
+    transient patterns off the grid wherever it bisects at a grid point,
+    and recorded only where the equilibrium set is genuinely a segment;
+    both one-sided limit equilibria there are the segment endpoints. The
+    roots' flows are solved as stacks, chunked like the grid, and only the
+    segment ones are assembled; each crossing is bit for bit what it would
+    be alone.
     """
     opts = opts or DEFAULT_OPTIONS
     require_valid(net)
@@ -361,9 +380,16 @@ def sweep(
     eps = np.linspace(ray.eps_lo, ray.eps_hi, ray.grid)
     base = ray.c0.sum()
     records = []
+    # the stochastic sets' inflow sums (a column each) and the transient patterns at each point, for the bisection
+    stochastic = np.sort(np.concatenate([g.sets[g.stochastic] for g in st.groups]))
+    totals, patterns = np.empty((ray.grid, stochastic.size)), np.empty((ray.grid, 2 * st.transient.size), bool)
     for part in _chunks(ray.grid, _flow_entries(st)):
         c = ray.c0 - eps[part, None] * ray.q
         found = _analyze(net, c, opts, _at_eps(eps[part]))
+        patterns[part] = _saturated(found.transient, net.w[st.transient])
+        for g, v in zip(st.groups, found.groups):
+            column = np.searchsorted(stochastic, g.sets[g.stochastic])
+            totals[part, column] = v.total.reshape(-1, len(g.sets))[:, g.stochastic]
         x, _ = _assemble_extremes(net, found, opts)
         x.setflags(write=False)
         loss = base - c.sum(axis=1) + net.w.sum() - x.sum(axis=2)  # at the minimal, maximal equilibria
@@ -383,8 +409,8 @@ def sweep(
             )
 
     crossings = []
-    stochastic = sorted(l for g in st.groups for l in g.sets[g.stochastic].tolist())
-    roots = [(l, e) for l, e in zip(stochastic, _critical_eps(net, ray, stochastic, opts)) if e is not None]
+    bisected = _critical_eps(net, ray, stochastic, opts, (totals, patterns))
+    roots = [(l, e) for l, e in zip(stochastic.tolist(), bisected) if e is not None]
     sets = np.array([l for l, _ in roots], dtype=np.intp)
     eps_star = np.array([e for _, e in roots])
     for part in _chunks(len(roots), _flow_entries(st)):
@@ -420,20 +446,23 @@ def sweep(
 def sweep_to_csv(records: list[SweepRecord], n: int) -> str:
     """The sweep table as CSV, each number as ``_fmt.csv_cell`` writes it (12 significant digits, no -0).
 
-    The float cells come from ``_fmt.fmt_cells``, which formats each
-    distinct value once and shares its text among the cells that hold it.
+    One ``_fmt.fmt_cells`` call, which formats each distinct value once,
+    takes the cells in row order: every row's eps, losses and x_min, and
+    x_max only where it differs from x_min as an array; elsewhere the x_max
+    half reuses the row's x_min text.
     """
     header = ["eps", "unique", "loss_min", "loss_max", "n_defaults"]
     header += [f"x_min_{i + 1}" for i in range(n)]
     header += [f"x_max_{i + 1}" for i in range(n)]
     lines = [",".join(header)]
     if records:
-        values = np.column_stack([
-            [(r.eps, r.loss_min, r.loss_max) for r in records],
-            np.array([r.x_min for r in records]),
-            np.array([r.x_max for r in records]),
-        ])
-        for r, v in zip(records, fmt_cells(values)):
-            flag = "true" if r.unique else "false"
-            lines.append(",".join([v[0], flag, v[1], v[2], str(len(r.defaults)), *v[3:]]))
+        x_min, x_max = np.array([r.x_min for r in records]), np.array([r.x_max for r in records])
+        width = np.where((x_min == x_max).all(axis=1), 3 + n, 3 + 2 * n)  # the cells a row formats
+        values = np.column_stack([[(r.eps, r.loss_min, r.loss_max) for r in records], x_min, x_max])
+        cells = fmt_cells(values[np.arange(3 + 2 * n) < width[:, None]])
+        for r, end, w in zip(records, np.cumsum(width).tolist(), width.tolist()):
+            v = cells[end - w : end]
+            low, flag = ",".join(v[3 : 3 + n]), "true" if r.unique else "false"
+            high = ",".join(v[3 + n :]) or low  # no cells: x_max equals x_min
+            lines.append(",".join([v[0], flag, v[1], v[2], str(len(r.defaults)), low, high]))
     return "\n".join(lines) + "\n"

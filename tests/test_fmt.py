@@ -57,6 +57,14 @@ class TestDumps:
                 dumps({"x": bad})
             assert str(got.value) == str(expected.value)
 
+    def test_first_fault_in_document_order_is_named(self):
+        with pytest.raises(InputError, match="non-finite value nan"):
+            dumps({"a": [1.0, np.nan], "b": object()})
+        with pytest.raises(InputError, match="cannot serialize object of type object"):
+            dumps({"a": [1.0, 2.0], "b": object(), "c": np.inf})
+        with pytest.raises(InputError, match="non-finite value inf"):
+            dumps([[0.5, {"x": np.inf}], {1: 2.0}])
+
     def test_string_escaping(self):
         parsed = json.loads(dumps({"s": 'a"b\n\t'}))
         assert parsed["s"] == 'a"b\n\t'

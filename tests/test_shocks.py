@@ -639,6 +639,102 @@ class TestStackedSweep:
         )
 
 
+def with_ray(ray, **changes) -> ShockRay:
+    fields = dict(c0=ray.c0, q=ray.q, eps_lo=ray.eps_lo, eps_hi=ray.eps_hi, grid=ray.grid)
+    return ShockRay(**{**fields, **changes}, allow_mixed_direction=ray.allow_mixed_direction)
+
+
+def grid_of(ray) -> np.ndarray:
+    return np.linspace(ray.eps_lo, ray.eps_hi, ray.grid)
+
+
+def assert_crossings_are_the_roots(net, ray):
+    """``sweep``'s crossings, each bit for bit the root ``find_critical_eps`` gives its set; returns their eps."""
+    _, crossings = sweep(net, ray)
+    for cr in crossings:
+        assert cr.eps_star == find_critical_eps(net, ray, cr.sink_index)
+    return [cr.eps_star for cr in crossings]
+
+
+class TestGridReuse:
+    """The bisection reads the sums and patterns of shock sizes a sweep's grid already solved."""
+
+    # 1401 and 201 points put the first halvings of [0, 14] on the grid; 1400 and 200 only the ends
+    @pytest.mark.parametrize("grid", [1401, 201, 1400, 200])
+    def test_readme_ray_roots_on_any_grid(self, triangle, grid):
+        roots = assert_crossings_are_the_roots(triangle, demo_ray(grid=grid))
+        assert roots == assert_crossings_are_the_roots(triangle, demo_ray())
+        assert len(roots) == 1 and roots[0] == pytest.approx(9.0, abs=1e-9)
+
+    def test_seeded_ray_roots_on_any_grid(self):
+        net, ray = seeded_ray()
+        roots = [assert_crossings_are_the_roots(net, with_ray(ray, grid=grid)) for grid in (101, 201, 100, 2)]
+        assert len(roots[0]) >= 3 and all(r == roots[0] for r in roots)
+
+    def test_negative_zero_range_end(self, triangle):
+        # linspace starts at 0.0, so eps_lo = -0.0 has no grid point's bits,
+        # and the -0.0 in c0 gets another sign there than at the grid's first flow
+        net, ray = seeded_ray()
+        c0 = ray.c0.copy()
+        c0[np.flatnonzero(ray.q)[0]] = -0.0
+        roots = [assert_crossings_are_the_roots(net, with_ray(ray, c0=c0, eps_lo=-0.0, grid=g)) for g in (101, 100)]
+        assert roots[0] and roots[0] == roots[1]
+        rays = [with_ray(demo_ray(grid=g), c0=[5.0, -0.0, 2.0], eps_lo=-0.0) for g in (1401, 8)]
+        readme = [assert_crossings_are_the_roots(triangle, ray) for ray in rays]
+        assert readme[0] and readme[0] == readme[1]
+
+    @pytest.mark.parametrize("case", [mixed_direction_case, mixed_kink_case])
+    @pytest.mark.parametrize("grid", [7, 8, 13, 26, 49])
+    def test_mixed_direction_roots(self, case, grid):
+        net, ray = case()
+        assert_crossings_are_the_roots(net, with_ray(ray, grid=grid))
+
+    def test_mixed_direction_core_rays(self):
+        rng, crossed = np.random.default_rng(917), 0
+        for net, ray in core_rays(919, 3):
+            q = ray.q * rng.choice([-1.0, 1.0], net.n, p=[0.3, 0.7])
+            for grid in (31, 32):
+                ray = ShockRay(ray.c0, q, 0.0, 3.0, grid, allow_mixed_direction=True)
+                crossed += len(assert_crossings_are_the_roots(net, ray))
+        assert crossed >= 4
+
+    def test_grid_sums_are_the_hunts(self):
+        # what the grid's analysis holds, the stochastic sets' inflow sums and
+        # the transient patterns, is what a hunt at the same shock size gives
+        cases = [seeded_ray(), *core_rays(921, 2)]
+        net, c = large_blocks(np.random.default_rng(5), 600, 3, stochastic=True)
+        cases.append((net, ShockRay(c, np.abs(c) + 0.5, 0.0, 4.0, 21)))
+        assert -1 in block_structure(net).edges  # the transient part is listed
+        for net, ray in cases:
+            st, eps = block_structure(net), grid_of(ray)
+            found = saturnet.solver._analyze(net, ray.c0 - eps[:, None] * ray.q, SolveOptions())
+            for g, v in zip(st.groups, found.groups):
+                sets = g.sets[g.stochastic]
+                rows = np.broadcast_to(sets, (ray.grid, sets.size))
+                sums, patterns = saturnet.shocks._inflow_sums(net, st, ray, eps, rows, SolveOptions())
+                assert sums.tobytes() == v.total.reshape(ray.grid, -1)[:, g.stochastic].tobytes()
+                w_T = net.w[st.transient]
+                assert np.array_equal(patterns, np.hstack([found.transient == 0.0, found.transient == w_T]))
+            assert any(g.stochastic.any() for g in st.groups)
+
+    @pytest.mark.parametrize("case, grid", [("readme", 1401), ("seeded", 101), ("seeded", 201)])
+    def test_no_grid_point_is_hunted(self, monkeypatch, triangle, case, grid):
+        net, ray = (triangle, demo_ray()) if case == "readme" else seeded_ray()
+        ray = with_ray(ray, grid=grid)
+        flows, hunt = [], saturnet.shocks._transient_states
+
+        def recording(net, st, c, opts, at=None):
+            flows.extend(c)
+            return hunt(net, st, c, opts, at)
+
+        monkeypatch.setattr(saturnet.shocks, "_transient_states", recording)
+        sweep(net, ray)
+        # a hunted flow with the bits of a grid point's flow re-derives that point
+        on_grid = {(ray.c0 - e * ray.q).tobytes() for e in grid_of(ray).tolist()}
+        assert sum(c.tobytes() in on_grid for c in flows) == 0
+        assert (len(flows) == 0) == (case == "readme")  # the seeded ray still hunts between grid points
+
+
 def generic_sweep_csv(records, n):
     """The sweep table written cell by cell through ``_fmt.csv_lines``."""
     header = ["eps", "unique", "loss_min", "loss_max", "n_defaults"]
@@ -678,6 +774,31 @@ class TestSweepCsv:
         rows = sweep_to_csv(records, 4).split("\n")
         assert rows[1] == "0,true,0,0,1,0,0.3,0.3,2,0,0.3,0.3,2"
         assert rows[2] == rows[3]
+
+    def test_x_max_equal_to_x_min_on_a_row_not_flagged_unique(self):
+        # the x_max half repeats x_min wherever the arrays are equal, whatever the flag says
+        x = np.array([0.1 + 0.2, 2.0 / 3.0, 5.0])
+        records = [
+            SweepRecord(0.0, x, x.copy(), 1.0, 2.0, (), False),
+            SweepRecord(0.5, x, x + 1.0, 1.0, 2.0, (), True),
+        ]
+        rows = sweep_to_csv(records, 3).split("\n")
+        assert sweep_to_csv(records, 3) == generic_sweep_csv(records, 3)
+        assert rows[1] == "0,false,1,2,0,0.3,0.666666666667,5,0.3,0.666666666667,5"
+        assert rows[2].startswith("0.5,true,1,2,0,0.3,0.666666666667,5,1.3,1.66666666667,6")
+
+    def test_negative_zero_across_the_halves(self):
+        # -0.0 == 0.0: the first row's halves are equal and share x_min's
+        # text, the second's differ in their last cell; every zero prints as 0
+        records = [
+            SweepRecord(-0.0, np.array([-0.0, 0.0, 1.5]), np.array([0.0, -0.0, 1.5]), -0.0, 0.0, (0,), True),
+            SweepRecord(0.0, np.array([0.0, -0.0, 1.5]), np.array([-0.0, 0.0, 2.5]), 0.0, -0.0, (1,), False),
+        ]
+        assert sweep_to_csv(records, 3) == generic_sweep_csv(records, 3)
+        assert sweep_to_csv(records, 3).split("\n")[1:3] == [
+            "0,true,0,0,1,0,0,1.5,0,0,1.5",
+            "0,false,0,0,1,0,0,1.5,0,0,2.5",
+        ]
 
     def test_non_finite_value_is_refused(self):
         x = np.array([0.5, np.nan])
