@@ -44,10 +44,9 @@ def fmt_cells(values) -> list[list[str]]:
     return text[inverse.reshape(-1)].reshape(values.shape).tolist()
 
 
-def _render(obj, out: list[str], slots: list, indent: int, level: int) -> None:
+def _render(obj, out: list[str], slots: list, level: int) -> None:
     """Append obj's JSON text to ``out``, a float or list of floats as an empty slot (place, separator, floats)."""
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+    pad, pad_in = "  " * level, "  " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -57,7 +56,7 @@ def _render(obj, out: list[str], slots: list, indent: int, level: int) -> None:
             if not isinstance(k, str):
                 raise InputError(f"JSON object keys must be strings, got {k!r}")
             out.append(f'{pad_in}"{k}": ')
-            _render(v, out, slots, indent, level + 1)
+            _render(v, out, slots, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
@@ -72,7 +71,7 @@ def _render(obj, out: list[str], slots: list, indent: int, level: int) -> None:
         else:
             for i, v in enumerate(items):
                 out.append(pad_in)
-                _render(v, out, slots, indent, level + 1)
+                _render(v, out, slots, level + 1)
                 out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "]")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -101,8 +100,8 @@ def _escape(s: str) -> str:
     return f'"{body}"'
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Serialize to JSON text with fixed float formatting and a trailing newline.
+def dumps(obj) -> str:
+    """Serialize to JSON text, indented two spaces a level, with fixed float formatting and a trailing newline.
 
     One walk renders the document with its floats left as slots, and one
     ``fmt_cells`` call formats all of them in document order, so the first
@@ -110,7 +109,7 @@ def dumps(obj, indent: int = 2) -> str:
     """
     out, slots = [], []
     try:
-        _render(obj, out, slots, indent, 0)
+        _render(obj, out, slots, 0)
     finally:
         texts, at = fmt_cells([v for _, _, values in slots for v in values]), 0
     for i, sep, values in slots:

@@ -147,17 +147,18 @@ class EdgeBlock:
     """One block Q of P on the sorted node ids ``nodes`` (k,), shared by every row, held as its edge list.
 
     ``rows``, ``cols`` and ``vals`` list the nonzero entries Q[i, j] in
-    row-major order, in block labels 0..k-1. The block keeps P and its node
-    ids, not a dense copy: ``dense()`` gathers the dense block anew on each
-    call, which only a fallback of ``solve_patterns`` makes.
+    row-major order, in block labels 0..k-1. The block keeps no part of P
+    and no dense copy: ``dense()`` scatters the edges into the dense block
+    anew on each call, which only a fallback of ``solve_patterns`` makes.
     """
 
-    def __init__(self, rows, cols, vals, P, nodes):
-        self.rows, self.cols, self.vals = rows, cols, vals
-        self.P, self.nodes = P, nodes
+    def __init__(self, rows, cols, vals, nodes):
+        self.rows, self.cols, self.vals, self.nodes = rows, cols, vals, nodes
 
     def dense(self) -> DenseBlock:
-        return DenseBlock(diagonal_blocks(self.P, self.nodes[None]))
+        Q = np.zeros((1, self.nodes.size, self.nodes.size))
+        Q[0, self.rows, self.cols] = self.vals
+        return DenseBlock(Q)
 
     def take(self, rows) -> EdgeBlock:
         """Every row shares the block."""

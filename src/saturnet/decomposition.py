@@ -289,7 +289,7 @@ def _block_edges(net: Network, nodes: np.ndarray) -> EdgeBlock | None:
     if not _is_sparse(nodes.size, rows.size):
         return None
     vals = block.vals[inside] if isinstance(block, EdgeBlock) else net.P[rows, cols]
-    return EdgeBlock(*map(_readonly, (label[rows], label[cols], vals)), net.P, _readonly(nodes))
+    return EdgeBlock(*map(_readonly, (label[rows], label[cols], vals, nodes)))
 
 
 def _build_structure(net: Network) -> BlockStructure:

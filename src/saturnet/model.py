@@ -187,7 +187,7 @@ class Network:
             _require_finite(vals, "P")
             # bincount of no weights counts in int64
             sums = np.bincount(rows, vals, n).astype(float, copy=False)
-            block = EdgeBlock(rows, cols, vals, P, _readonly(np.arange(n)))
+            block = EdgeBlock(rows, cols, vals, _readonly(np.arange(n)))
         else:
             del mask
             # a non-finite entry makes its row sum NaN or infinite, so the entries

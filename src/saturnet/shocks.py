@@ -224,6 +224,14 @@ def _saturated(x_T, w_T) -> np.ndarray:
     return np.concatenate([x_T == 0.0, x_T == w_T], axis=1)
 
 
+def _set_sums(st: BlockStructure, inflow) -> np.ndarray:
+    """Every trapping set's inflow sum at each flow of node inflows ``inflow`` (F, n), as ``_analyze`` sums it."""
+    out = np.empty((len(inflow), len(st.place)))
+    for g in st.groups:
+        out[:, g.sets] = inflow.take(g.nodes, axis=1).sum(axis=-1)
+    return out
+
+
 def _inflow_sums(net, st: BlockStructure, ray: ShockRay, eps, sets, opts):
     """Effective inflow sums of the trapping sets ``sets[i]`` (a row of them) at each shock size ``eps[i]``.
 
@@ -234,17 +242,11 @@ def _inflow_sums(net, st: BlockStructure, ray: ShockRay, eps, sets, opts):
     """
     out = np.empty(sets.shape)
     pattern = np.empty((len(eps), 2 * st.transient.size), dtype=bool)
-    group, place = st.place[sets, 0], st.place[sets, 1]
     for part in _chunks(len(eps), _flow_entries(st)):
         c = ray.c0 - eps[part, None] * ray.q
         x_T = _transient_states(net, st, c, opts, _at_eps(eps[part]))
         pattern[part] = _saturated(x_T, net.w[st.transient])
-        inflow = _inflows(net, st, c, x_T)
-        for g, size_group in enumerate(st.groups):
-            r, j = np.nonzero(group[part] == g)
-            if r.size:
-                nodes = size_group.nodes[place[part][r, j]]
-                out[part][r, j] = inflow[r[:, None], nodes].sum(axis=1)
+        out[part] = np.take_along_axis(_set_sums(st, _inflows(net, st, c, x_T)), sets[part], axis=1)
     return out, pattern
 
 
@@ -387,9 +389,7 @@ def sweep(
         c = ray.c0 - eps[part, None] * ray.q
         found = _analyze(net, c, opts, _at_eps(eps[part]))
         patterns[part] = _saturated(found.transient, net.w[st.transient])
-        for g, v in zip(st.groups, found.groups):
-            column = np.searchsorted(stochastic, g.sets[g.stochastic])
-            totals[part, column] = v.total.reshape(-1, len(g.sets))[:, g.stochastic]
+        totals[part] = _set_sums(st, found.inflow)[:, stochastic]
         x, _ = _assemble_extremes(net, found, opts)
         x.setflags(write=False)
         loss = base - c.sum(axis=1) + net.w.sum() - x.sum(axis=2)  # at the minimal, maximal equilibria
@@ -416,12 +416,11 @@ def sweep(
     for part in _chunks(len(roots), _flow_entries(st)):
         c_star = ray.c0 - eps_star[part, None] * ray.q
         found = _analyze(net, c_star, opts, _at_eps(eps_star[part]))
-        # set r of group g at root f is row f·m + r of the group's verdicts; a
+        # root f's set is set r of group g, whose verdict there is kind[f, r]; a
         # root where the inflow sum crosses zero but the line misses the box
         # is no crossing, and its flow is not assembled
         segment = np.flatnonzero([
-            found.groups[g].kind[f * len(st.groups[g].sets) + r] == _SEGMENT
-            for f, (g, r) in enumerate(st.place[sets[part]].tolist())
+            found.groups[g].kind[f, r] == _SEGMENT for f, (g, r) in enumerate(st.place[sets[part]].tolist())
         ])
         if not segment.size:
             continue

@@ -25,8 +25,8 @@ each size group as arrays, at a stack of F flows at once (one flow for
 pass (``_analyze``) hunts the transient part at every flow (one stack whose
 rows share the transient block), forms the effective inflows (one vector
 per flow, indexed by node) and gives each group its verdict arrays
-(``_verdicts``), F·m rows for its m sets, with one stacked particular
-solve; ``hunt_unique``
+(``_verdicts``), of shape (F, m) for its m sets, with one stacked
+particular solve; ``hunt_unique``
 then hunts every unique set of a group at every flow at once, with one
 stacked pattern solve per step and number of free nodes. Each row keeps its
 own start side, gates, dead-band and solved patterns, and leaves the stack
@@ -178,19 +178,20 @@ def _residual(net, c, x) -> float:
 
 
 def _hunt_stacks(net, st: BlockStructure, group: SizeGroup, hunt):
-    """The rows marked ``hunt`` of a size group, split into the stacks that are solved together (hunt or ``refine``).
+    """The rows marked ``hunt`` (F, m) of a size group, split into the stacks that are solved together (hunt or ``refine``).
 
-    Yields (rows, operator) pairs: the rows of a set with an EdgeBlock (one
-    row per flow), which they share, in set order; then, gathered only when
-    reached, one DenseBlock stack of the sets without one.
+    Yields (f, r, operator), the flows and sets of a stack's rows in row-major
+    order: the rows of a set with an EdgeBlock, which they share, in set order;
+    then, gathered only when reached, one DenseBlock stack of the sets without one.
     """
     rest = hunt.copy()
-    for l in sorted(st.edges.keys() & set(group.sets[hunt].tolist())) if st.edges else ():
+    for l in sorted(st.edges.keys() & set(group.sets[hunt.any(axis=0)].tolist())) if st.edges else ():
         rows = hunt & (group.sets == l)
         rest &= ~rows
-        yield rows, st.edges[l]
+        yield *np.nonzero(rows), st.edges[l]
     if np.count_nonzero(rest):
-        yield rest, DenseBlock(diagonal_blocks(net.P, group.nodes[rest]))
+        f, r = np.nonzero(rest)
+        yield f, r, DenseBlock(diagonal_blocks(net.P, group.nodes[r]))
 
 
 def _transient_block(net, st: BlockStructure):
@@ -249,13 +250,13 @@ class SinkAnalysis:
 
 
 class _Verdicts(NamedTuple):
-    """The verdicts on a stack of trapping sets of one size, one row per set.
+    """The verdicts on the trapping sets of one size at F flows, (F, m) each, or (m,) at one inflow per set.
 
-    ``kind`` holds codes into ``_KINDS``. ``base`` and ``condition`` hold on
-    zero-sum rows only. ``line`` (lo, hi) is the line-parameter interval on
-    which a set's equilibria lie, on the rows marked ``has_line`` (on a
-    segment row, the segment's own bounds); every other set has one
-    equilibrium, which is hunted.
+    ``inflow`` and ``base`` add an axis of the k nodes. ``kind`` holds codes
+    into ``_KINDS``. ``base`` and ``condition`` hold on zero-sum rows only.
+    [``lo``, ``hi``] is the line-parameter interval on which a set's
+    equilibria lie, on the rows marked ``has_line`` (on a segment row, the
+    segment's own bounds); every other set has one equilibrium, which is hunted.
     """
 
     inflow: np.ndarray
@@ -263,32 +264,33 @@ class _Verdicts(NamedTuple):
     kind: np.ndarray
     base: np.ndarray
     condition: np.ndarray
-    line: tuple[np.ndarray, np.ndarray]
+    lo: np.ndarray
+    hi: np.ndarray
     has_line: np.ndarray
 
 
 def _verdicts(P, group: SizeGroup, inflow) -> _Verdicts:
-    """Verdicts on the rows of a size group at their inflows ``inflow`` (m, k), row r on ``group.nodes[r]``.
+    """Verdicts on the sets of a size group at their inflows ``inflow`` (m, k), or (F, m, k) at F flows.
 
-    A stochastic set whose inflow sums to zero within tolerance has a
-    solution line; it is a segment when longer than that tolerance, and
-    otherwise counts as the single point at its middle, so a unique verdict
-    always comes with one point. A line that misses the box (beyond
-    rounding) is no line.
+    Set r lies on ``group.nodes[r]``. A stochastic set whose inflow sums to
+    zero within tolerance has a solution line; it is a segment when longer
+    than that tolerance, and otherwise counts as the single point at its
+    middle, so a unique verdict always comes with one point. A line that
+    misses the box (beyond rounding) is no line.
     """
     nodes, pi, w, stochastic = group.nodes, group.stationary, group.w, group.stochastic
-    m = len(inflow)
-    total = inflow.sum(axis=1)
-    s = scale(w)
+    total = inflow.sum(axis=-1)
+    s = np.broadcast_to(scale(w), total.shape)
     tol = flow_tolerance(ZERO_SUM_REL, s, inflow)
-    kind = stochastic.astype(np.int8)  # _NONZERO or _OUT until a zero sum shows
+    kind = np.broadcast_to(stochastic, total.shape).astype(np.int8)  # _NONZERO or _OUT until a zero sum shows
     base = np.zeros(inflow.shape)
-    condition, lo, hi, line_lo, line_hi = np.full((5, m), np.nan)
-    has_line = np.zeros(m, dtype=bool)
+    condition, lo, hi, line_lo, line_hi = np.full((5,) + total.shape, np.nan)
+    has_line = np.zeros(total.shape, dtype=bool)
     zero = stochastic & (np.abs(total) <= tol)
     if np.count_nonzero(zero):
-        base[zero] = pinned_particular(diagonal_blocks(P, nodes[zero]), inflow[zero])
-        lo[zero], hi[zero] = segment_bounds(base[zero], pi[zero], w[zero])
+        r = np.nonzero(zero)[-1]  # the set of each zero-sum row
+        base[zero] = pinned_particular(diagonal_blocks(P, nodes[r]), inflow[zero])
+        lo[zero], hi[zero] = segment_bounds(base[zero], pi[r], w[r])
         condition = hi - lo  # equals min(base/pi) + min((w-base)/pi)
         segment = zero & (condition > tol)
         unique = zero & ~segment
@@ -299,41 +301,29 @@ def _verdicts(P, group: SizeGroup, inflow) -> _Verdicts:
         slack = np.maximum(np.abs(total[unique]), TOUCH_REL * s[unique])
         has_line[segment] = True
         has_line[unique] = condition[unique] >= -slack
-    return _Verdicts(inflow, total, kind, base, condition, (line_lo, line_hi), has_line)
+    return _Verdicts(inflow, total, kind, base, condition, line_lo, line_hi, has_line)
 
 
 class _Analysis(NamedTuple):
     """One pass over the blocks at F flows: transient values, then every size group.
 
-    ``stacks`` holds each size group repeated once per flow, so that row
-    f·m + r of a stack, and of its verdicts in ``groups``, is set r of the
-    group at flow f.
+    The verdicts in ``groups`` are (F, m) arrays over the untiled size
+    groups of ``structure``: entry [f, r] is set r of the group at flow f.
     """
 
     structure: BlockStructure
     c: np.ndarray  # (F, n)
     transient: np.ndarray  # (F, k_T)
     inflow: np.ndarray  # (F, n), node-indexed, _inflows
-    stacks: list[SizeGroup]  # one per structure.groups entry
-    groups: list[_Verdicts]
+    groups: list[_Verdicts]  # one per structure.groups entry
     at: Callable[[int], str] | None  # names flow f in an error
-
-
-def _repeat(group: SizeGroup, F: int) -> SizeGroup:
-    """The size group stacked F times, once per flow."""
-    return group if F == 1 else SizeGroup(*(np.tile(a, (F,) + (1,) * (a.ndim - 1)) for a in group))
 
 
 def _take_flows(found: _Analysis, keep: np.ndarray) -> _Analysis:
     """The analysis at the flows ``keep`` (indices) only, each row as it was."""
-    stacks, groups = [], []
-    for g, v in zip(found.structure.groups, found.groups):
-        rows = (keep[:, None] * len(g.sets) + np.arange(len(g.sets))).ravel()
-        stacks.append(_repeat(g, len(keep)))
-        groups.append(_Verdicts(*(tuple(a[rows] for a in f) if isinstance(f, tuple) else f[rows] for f in v)))
+    groups = [_Verdicts(*(a[keep] for a in v)) for v in found.groups]
     at = found.at and (lambda f: found.at(keep[f]))
-    c, transient, inflow = found.c[keep], found.transient[keep], found.inflow[keep]
-    return _Analysis(found.structure, c, transient, inflow, stacks, groups, at)
+    return _Analysis(found.structure, found.c[keep], found.transient[keep], found.inflow[keep], groups, at)
 
 
 def _analyze(net, c, opts, at=None) -> _Analysis:
@@ -344,20 +334,18 @@ def _analyze(net, c, opts, at=None) -> _Analysis:
     st = block_structure(net)
     x_T = _transient_states(net, st, c, opts, at)
     inflow = _inflows(net, st, c, x_T)
-    stacks = [_repeat(g, len(c)) for g in st.groups]
-    groups = [
-        _verdicts(net.P, s, inflow[:, g.nodes].reshape(s.nodes.shape)) for g, s in zip(st.groups, stacks)
-    ]
-    return _Analysis(st, c, x_T, inflow, stacks, groups, at)
+    # take gathers in C order (``inflow[:, nodes]`` puts the flows last), so each set sums as it does alone
+    groups = [_verdicts(net.P, g, inflow.take(g.nodes, axis=1)) for g in st.groups]
+    return _Analysis(st, c, x_T, inflow, groups, at)
 
 
 def _analyses(groups: tuple[SizeGroup, ...], verdicts: tuple[_Verdicts, ...], g: int, r: np.ndarray):
-    """The SinkAnalyses on rows r of size group g, read off its verdict arrays."""
+    """The SinkAnalyses on rows r of size group g, read off its verdict arrays at flow 0."""
     group, v = groups[g], verdicts[g]
     rows = zip(
-        group.sets[r].tolist(), group.nodes[r].tolist(), v.kind[r].tolist(),
-        *map(_readonly, (v.inflow[r], group.stationary[r], v.base[r])),
-        v.condition[r].tolist(), v.line[0][r].tolist(), v.line[1][r].tolist(),
+        group.sets[r].tolist(), group.nodes[r].tolist(), v.kind[0, r].tolist(),
+        *map(_readonly, (v.inflow[0, r], group.stationary[r], v.base[0, r])),
+        v.condition[0, r].tolist(), v.lo[0, r].tolist(), v.hi[0, r].tolist(),
     )
     for l, nodes, code, inflow, stationary, base, condition, lo, hi in rows:
         zero = code in (_UNIQUE, _SEGMENT)
@@ -394,18 +382,17 @@ def _assemble_extremes(net, found: _Analysis, opts):
     x = np.zeros((2, F, n))
     x[:, :, st.transient] = found.transient
     slack = np.zeros(F)
-    for g, v in zip(found.stacks, found.groups):
-        flow = np.repeat(np.arange(F), len(g.sets) // F)  # the flow of each row
+    for g, v in zip(st.groups, found.groups):
         line = v.has_line
         if np.count_nonzero(line):
-            nodes, pi, w, base = g.nodes[line], g.stationary[line], g.w[line], v.base[line]
-            f = flow[line, None]
-            x[0, f, nodes] = np.clip(base + v.line[0][line, None] * pi, 0.0, w)
-            x[1, f, nodes] = np.clip(base + v.line[1][line, None] * pi, 0.0, w)
-            np.maximum(slack, np.where(line, np.abs(v.total), 0.0).reshape(F, -1).max(axis=1), out=slack)
+            f, r = np.nonzero(line)
+            nodes, pi, w, base = g.nodes[r], g.stationary[r], g.w[r], v.base[line]
+            x[0, f[:, None], nodes] = np.clip(base + v.lo[line][:, None] * pi, 0.0, w)
+            x[1, f[:, None], nodes] = np.clip(base + v.hi[line][:, None] * pi, 0.0, w)
+            np.maximum(slack, np.where(line, np.abs(v.total), 0.0).max(axis=1), out=slack)
         failed = []  # (flow, set, error) of every stack whose hunt fails
-        for hunt, Q in _hunt_stacks(net, st, g, ~line):
-            nodes, f, from_top = g.nodes[hunt], flow[hunt], g.stochastic[hunt] & (v.total[hunt] > 0)
+        for f, r, Q in _hunt_stacks(net, st, g, ~line):
+            nodes, from_top = g.nodes[r], g.stochastic[r] & (v.total[f, r] > 0)
             named = []  # the row the hunt's error names
 
             def label(i):
@@ -413,7 +400,7 @@ def _assemble_extremes(net, found: _Analysis, opts):
                 return _block_label(net, st, found.inflow[f[i]], nodes[i, 0], at and at(f[i]))
 
             try:
-                x[:, f[:, None], nodes] = hunt_unique(Q, g.w[hunt], v.inflow[hunt], opts, from_top, label)
+                x[:, f[:, None], nodes] = hunt_unique(Q, g.w[r], v.inflow[f, r], opts, from_top, label)
             except NonConvergenceError as err:
                 failed.append((int(f[named[0]]), err.block, err))
         if failed:  # the row one stack of the whole group would name
@@ -622,11 +609,11 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
     for g in st.groups:
         free = pattern[g.nodes] == 0
         line = g.stochastic & free.all(axis=1)  # wholly exposed stochastic sets: singular
-        for rows, Q in _hunt_stacks(net, st, g, free.any(axis=1) & ~line):
-            nodes, w = g.nodes[rows], g.w[rows]
+        for _, r, Q in _hunt_stacks(net, st, g, (free.any(axis=1) & ~line)[None]):
+            nodes, w = g.nodes[r], g.w[r]
             gate = hunt_gate(opts.tol_fp, scale(w))
             known[nodes], ok = Q.solve_patterns(w, inflow[nodes], pattern[nodes], gate, x[nodes])
-            faults += [(l, _SINGULAR) for l in g.sets[rows][~ok].tolist()]
+            faults += [(l, _SINGULAR) for l in g.sets[r][~ok].tolist()]
         if np.count_nonzero(line):
             # project x onto each set's solution line
             sets = SizeGroup(*(a[line] for a in g))
@@ -644,7 +631,7 @@ def refine(net: Network, c, x, opts: SolveOptions | None = None) -> EquilibriumV
             pi, base = sets.stationary, v.base
             d = x[sets.nodes] - base
             a_hat = (pi[:, None, :] @ d[:, :, None])[:, 0, 0] / (pi[:, None, :] @ pi[:, :, None])[:, 0, 0]
-            a_hat = np.minimum(np.maximum(a_hat, v.line[0]), v.line[1])
+            a_hat = np.minimum(np.maximum(a_hat, v.lo), v.hi)
             known[sets.nodes] = np.clip(base + a_hat[:, None] * pi, 0.0, sets.w)
             slack = max(slack, float(np.abs(v.total).max()))
     if faults:

@@ -145,13 +145,13 @@ def _sup_nearest_alpha(comp: SegmentComponent, y: np.ndarray) -> float:
 
 
 def _components(groups: tuple, verdicts: tuple, x_min: np.ndarray, g: int, r: np.ndarray):
-    """The components on rows r of size group g, whose values are read off the minimal equilibrium ``x_min``."""
+    """The components on rows r of size group g at flow 0, with values read off the minimal equilibrium ``x_min``."""
     group, v = groups[g], verdicts[g]
     nodes = group.nodes[r]
     rows = zip(
-        nodes.tolist(), v.kind[r].tolist(),
-        *map(_readonly, (x_min[nodes], v.base[r], group.stationary[r], group.w[r])),
-        v.line[0][r].tolist(), v.line[1][r].tolist(),
+        nodes.tolist(), v.kind[0, r].tolist(),
+        *map(_readonly, (x_min[nodes], v.base[0, r], group.stationary[r], group.w[r])),
+        v.lo[0, r].tolist(), v.hi[0, r].tolist(),
     )
     for nodes, code, values, base, direction, w, lo, hi in rows:
         if code == _SEGMENT:

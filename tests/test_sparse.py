@@ -28,9 +28,9 @@ from saturnet._linear import SPARSE_FILL, SPARSE_MIN, DenseBlock, EdgeBlock, dia
 from saturnet.decomposition import block_structure, network_block
 from saturnet.model import EPS_FEAS
 from saturnet.shocks import _chunks, _flow_entries
-from saturnet.solver import _analyze, _assemble_extremes, _inflows, _routed_in
+from saturnet.solver import _SEGMENT, _analyze, _assemble_extremes, _inflows, _routed_in, _take_flows
 
-from conftest import large_blocks, random_network, strongly_connected_routing
+from conftest import core_feeding_sets, large_blocks, random_network, strongly_connected_routing
 
 
 def sparse_core(rng, n, row_sums):
@@ -120,6 +120,49 @@ def test_stack_of_flows_as_if_alone():
             assert res[:, f].tobytes() == alone_res[:, 0].tobytes()
 
 
+def flow_axis_case(case):
+    """A network and five flows: sets of four sizes with segments (0), a listed set (1), a listed transient part (2)."""
+    rng = np.random.default_rng(1097 + case)
+    if case == 0:
+        net, c, _ = core_feeding_sets(rng, (1, 2, 3, 4), 4)
+        flows = c * rng.uniform(0.5, 1.5, (5, 1))  # a zero own sum stays exactly zero
+        flows[:, :4] *= rng.uniform(0.2, 1.8, (5, 4))  # the core's flows
+        return net, flows
+    net, c = large_blocks(rng, 8, 600, stochastic=True) if case == 1 else large_blocks(rng, 600, 3)
+    return net, c * rng.uniform(0.2, 1.8, (5, net.n))
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_verdicts_keep_the_flow_as_their_first_axis(case):
+    # _analyze at F flows gives every verdict array a leading flow axis, and
+    # row f of each is bit for bit the analysis of flow f alone; the analysis
+    # taken at some flows is the analysis of those flows, and names each
+    # flow by its place in the whole stack
+    net, flows = flow_axis_case(case)
+    opts, at = SolveOptions(), lambda f: f"flow {f}"
+    found = _analyze(net, flows, opts, at)
+    st = found.structure
+    assert len(st.edges) == (case > 0) and (list(st.edges) == [-1]) == (case == 2)
+    if case == 0:
+        assert sum(np.count_nonzero((v.kind == _SEGMENT).any(axis=0)) > 0 for v in found.groups) >= 3
+    for f in range(len(flows)):
+        alone = _analyze(net, flows[f : f + 1], opts)
+        assert found.transient[f].tobytes() == alone.transient[0].tobytes()
+        assert found.inflow[f].tobytes() == alone.inflow[0].tobytes()
+        for g, v, one in zip(st.groups, found.groups, alone.groups):
+            for name, a, b in zip(v._fields, v, one):
+                assert a.shape == (len(flows), len(g.sets)) + b.shape[2:] and b.shape[0] == 1, name
+                assert a[f].tobytes() == b[0].tobytes(), (name, f)
+    keep = np.array([3, 0, 4])
+    taken, direct = _take_flows(found, keep), _analyze(net, flows[keep], opts)
+    for field in ("c", "transient", "inflow"):
+        assert getattr(taken, field).tobytes() == getattr(direct, field).tobytes(), field
+    for v, one in zip(taken.groups, direct.groups):
+        for name, a, b in zip(v._fields, v, one):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert [taken.at(f) for f in range(len(keep))] == ["flow 3", "flow 0", "flow 4"]
+
+
 def test_listed_pattern_solve_starts_from_the_given_iterate(monkeypatch):
     # a pattern whose solution is known: a fifth of the nodes pinned, the rest
     # inside the box. Started at the dense solve's answer, the listed solve
@@ -164,7 +207,7 @@ def test_spectral_radius_near_one_falls_back_to_the_dense_solve(monkeypatch):
     # row sums 1 - 1e-7 and one pinned node: the Neumann steps cannot stop
     # within their budget, and the row gets the dense solve's answer bit for
     # bit; the other row is all pinned and poses no system. The block keeps
-    # no dense array after the fallback.
+    # no dense array after the fallback, and no part of P.
     rng = np.random.default_rng(1019)
     k = SPARSE_MIN + 88
     P = strongly_connected_routing(rng, k, np.full(k, 1.0 - 1e-7))
@@ -185,7 +228,7 @@ def test_spectral_radius_near_one_falls_back_to_the_dense_solve(monkeypatch):
     assert fallbacks == [1] and ok.all()
     dense, _ = dense_solve(DenseBlock(P[None]), w, c, pattern)
     assert x.tobytes() == dense.tobytes()
-    assert vars(block).keys() == {"rows", "cols", "vals", "P", "nodes"} and block.P is net.P
+    assert vars(block).keys() == {"rows", "cols", "vals", "nodes"}
 
     # a singular fallback system still marks its row
     monkeypatch.setattr(saturnet._linear, "solve_stack", lambda A, b: np.full(b.shape, np.nan))

@@ -323,15 +323,15 @@ class TestPerSetRows:
         analyses, components, sinks = ([None] * len(st.place) for _ in range(3))
         for g, v in zip(st.groups, found.groups):
             for r, l in enumerate(g.sets.tolist()):
-                nodes, kind = tuple(g.nodes[r].tolist()), list(SinkKind)[v.kind[r]]
+                nodes, kind = tuple(g.nodes[r].tolist()), list(SinkKind)[v.kind[0, r]]
                 zero = kind in (SinkKind.ZERO_SUM_UNIQUE, SinkKind.ZERO_SUM_SEGMENT)
-                line = (float(v.line[0][r]), float(v.line[1][r])) if kind is SinkKind.ZERO_SUM_SEGMENT else None
+                line = (float(v.lo[0, r]), float(v.hi[0, r])) if kind is SinkKind.ZERO_SUM_SEGMENT else None
                 analyses[l] = SinkAnalysis(
-                    l, nodes, kind, v.inflow[r], None if kind is SinkKind.OUT_CONNECTED else g.stationary[r],
-                    v.base[r] if zero else None, float(v.condition[r]) if zero else None, line,
+                    l, nodes, kind, v.inflow[0, r], None if kind is SinkKind.OUT_CONNECTED else g.stationary[r],
+                    v.base[0, r] if zero else None, float(v.condition[0, r]) if zero else None, line,
                 )
                 if line:
-                    components[l] = SegmentComponent(nodes, v.base[r], g.stationary[r], *line, g.w[r])
+                    components[l] = SegmentComponent(nodes, v.base[0, r], g.stationary[r], *line, g.w[r])
                 else:
                     components[l] = FixedComponent(nodes, x[0, 0][g.nodes[r]])
                 sinks[l] = SinkComponent(nodes, not bool(g.stochastic[r]))
