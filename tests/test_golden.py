@@ -1,14 +1,15 @@
 """CLI artifacts pinned byte for byte.
 
-``tests/golden/`` holds the stdout of ``solve``, ``classify``, ``set`` and
-``decompose`` on every demo file, the README's 1401-point shock sweep (CSV
-plus crossings JSON), and the 101-point sweep of a fixed 39-node ray
-(``seeded_ray.json``: a transient core feeding trapping sets of sizes 1 to
-4 in all four kinds, with shuffled node labels and four crossings; its
-shock direction is the file's ``q``), and the ``classify``, ``set`` and
-``decompose`` stdout of ``many_sets.json``, whose 16 trapping sets (four of
-each size 1 to 4, in all four kinds, segments included, at the file's own
-flow ``c``) pin the JSON of many sets. That file was written once from
+``tests/golden/`` holds the stdout of ``solve``, ``classify``, ``set``,
+``decompose`` and ``jump`` on every demo file, the README's 1401-point
+shock sweep (CSV plus crossings JSON), and the 101-point sweep of a fixed
+39-node ray (``seeded_ray.json``: a transient core feeding trapping sets of
+sizes 1 to 4 in all four kinds, with shuffled node labels and four
+crossings; its shock direction is the file's ``q``), and the ``classify``,
+``set``, ``decompose`` and ``jump`` stdout of ``many_sets.json``, whose 16
+trapping sets (four of each size 1 to 4, in all four kinds, segments
+included, at the file's own flow ``c``) pin the JSON of many sets. That
+file was written once from
 ``conftest.core_feeding_sets(np.random.default_rng(26), (1, 2, 3, 4), 4)``,
 with P row by row. A change to any of these files needs
 a stated reason. To rewrite them from the current code, run
@@ -30,7 +31,7 @@ REPO = Path(__file__).resolve().parents[1]
 DEMOS = REPO / "demos"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-COMMANDS = ("solve", "classify", "set", "decompose")
+COMMANDS = ("solve", "classify", "set", "decompose", "jump")
 DEMO_NAMES = sorted(p.stem for p in DEMOS.glob("*.json"))
 SWEEP_ARGS = (
     "--input", str(DEMOS / "triangle_baseline.json"), "--c0", "5,2,2",
@@ -42,7 +43,7 @@ RAY_INPUT = GOLDEN / "seeded_ray.json"
 RAY_CSV = "seeded_ray.csv"
 RAY_CROSSINGS = "seeded_ray.crossings.json"
 MANY_SETS = GOLDEN / "many_sets.json"
-MANY_SETS_COMMANDS = ("classify", "set", "decompose")
+MANY_SETS_COMMANDS = ("classify", "set", "decompose", "jump")
 
 
 def _ray_args() -> tuple[str, ...]:
