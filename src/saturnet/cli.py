@@ -4,6 +4,9 @@ One input file, one subcommand, machine-readable output (JSON or CSV) with
 fixed 12-significant-digit number formatting so repeated runs are
 byte-identical. Exit codes: 0 success, 1 validation failure, 2 solver
 non-convergence, 3 usage error.
+
+Each subcommand is declared once, in ``build_parser``, with its handler;
+the parsed arguments carry it as ``run``, and ``main`` returns ``args.run(args)``.
 """
 
 from __future__ import annotations
@@ -93,9 +96,10 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"saturnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, solves=False):
-        """A subcommand; ``solves`` gives it the solver's tolerance flags."""
+    def add(name, help_text, run, solves=False):
+        """A subcommand that ``main`` hands to ``run``; ``solves`` adds the solver's tolerance flags."""
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--input", required=True, help="network or liability JSON file")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
         if solves:
@@ -104,28 +108,28 @@ def build_parser() -> _Parser:
             p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
         return p
 
-    add("validate", "check network invariants; exit 1 on violations")
-    add("convert", "convert a liability file to a network file")
-    add("decompose", "transient part and trapping sets")
-    add("solve", "minimal/maximal equilibria and the node partition", solves=True)
-    add("classify", "per-sink uniqueness analysis", solves=True)
-    add("set", "explicit representation of the whole equilibrium set", solves=True)
+    add("validate", "check network invariants; exit 1 on violations", _cmd_validate)
+    add("convert", "convert a liability file to a network file", _cmd_convert)
+    add("decompose", "transient part and trapping sets", _cmd_decompose)
+    add("solve", "minimal/maximal equilibria and the node partition", _cmd_solve, solves=True)
+    add("classify", "per-sink uniqueness analysis", _cmd_classify, solves=True)
+    add("set", "explicit representation of the whole equilibrium set", _cmd_set, solves=True)
 
-    p = add("loss", "systemic loss of the file's flow relative to a baseline", solves=True)
+    p = add("loss", "systemic loss of the file's flow relative to a baseline", _cmd_loss, solves=True)
     p.add_argument("--c0", required=True, help="baseline flow, comma-separated")
 
-    p = add("jump", "largest possible equilibrium jump, p = 1, 2, inf")
+    p = add("jump", "largest possible equilibrium jump, p = 1, 2, inf", _cmd_jump)
     p.add_argument("--p", choices=["1", "2", "inf"], default=None,
                    help="report a single norm instead of all three")
 
-    p = add("sweep", "shock-ray sweep; writes CSV plus a crossings JSON", solves=True)
+    p = add("sweep", "shock-ray sweep; writes CSV plus a crossings JSON", _cmd_sweep, solves=True)
     p.add_argument("--c0", default=None, help="baseline flow (default: the file's c)")
     p.add_argument("--q", required=True, help="shock direction, comma-separated")
     p.add_argument("--eps-lo", dest="eps_lo", type=float, default=0.0)
     p.add_argument("--eps-hi", dest="eps_hi", type=float, required=True)
     p.add_argument("--grid", type=int, default=101)
 
-    p = add("simulate", "integrate the flow dynamics, emit a trajectory CSV")
+    p = add("simulate", "integrate the flow dynamics, emit a trajectory CSV", _cmd_simulate)
     p.add_argument("--x0", choices=["zero", "cap"], default="zero",
                    help="start from the box bottom or top")
     p.add_argument("--t-end", dest="t_end", type=float, default=200.0)
@@ -229,15 +233,8 @@ def _cmd_loss(args) -> int:
 
 def _cmd_jump(args) -> int:
     net, _ = _load_network(args.input)
-    values = {
-        "1": max_jump_norm(net, 1.0),
-        "2": max_jump_norm(net, 2.0),
-        "inf": max_jump_norm(net, float("inf")),
-    }
-    payload = {"p" + k: v for k, v in values.items()} if args.p is None else {
-        "p" + args.p: values[args.p]
-    }
-    _emit(dumps(payload), args.output)
+    norms = ("1", "2", "inf") if args.p is None else (args.p,)
+    _emit(dumps({"p" + p: max_jump_norm(net, float(p)) for p in norms}), args.output)
     return 0
 
 
@@ -267,20 +264,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "convert": _cmd_convert,
-    "decompose": _cmd_decompose,
-    "solve": _cmd_solve,
-    "classify": _cmd_classify,
-    "set": _cmd_set,
-    "loss": _cmd_loss,
-    "jump": _cmd_jump,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-}
-
-
 def _fail(kind: str, message: str, code: int) -> int:
     first_line = str(message).splitlines()[0] if str(message) else kind
     print(f"saturnet: error: {kind}: {first_line}", file=sys.stderr)
@@ -290,7 +273,7 @@ def _fail(kind: str, message: str, code: int) -> int:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         return _fail("usage", str(exc), 3)
     except FileFormatError as exc:

@@ -133,8 +133,9 @@ class CriticalCrossing:
         }
 
 
-def _loss(c0, c, w, x) -> float:
-    return float(c0.sum() - c.sum() + w.sum() - x.sum())
+def _loss(c0, c, w, x):
+    """The systemic loss at a point, or at every point of a stack (summed over the last axis)."""
+    return c0.sum() - c.sum(axis=-1) + w.sum() - x.sum(axis=-1)
 
 
 def systemic_loss(net: Network, c0, c, x) -> float:
@@ -149,7 +150,7 @@ def systemic_loss(net: Network, c0, c, x) -> float:
     c = as_flow(c, net.n)
     if np.any(c > c0 + flow_tolerance(ROUND_REL, scale(net.w), c0)):
         raise InputError("loss requires a shock: c must not exceed c0 entrywise")
-    return _loss(c0, c, net.w, as_point(x, net.n))
+    return float(_loss(c0, c, net.w, as_point(x, net.n)))
 
 
 def loss_jump(net: Network, c_star, opts: SolveOptions | None = None) -> float:
@@ -380,7 +381,6 @@ def sweep(
     st = block_structure(net)
     paid = net.w - opts.tol_class * net.w
     eps = np.linspace(ray.eps_lo, ray.eps_hi, ray.grid)
-    base = ray.c0.sum()
     records = []
     # the stochastic sets' inflow sums (a column each) and the transient patterns at each point, for the bisection
     stochastic = np.sort(np.concatenate([g.sets[g.stochastic] for g in st.groups]))
@@ -392,7 +392,7 @@ def sweep(
         totals[part] = _set_sums(st, found.inflow)[:, stochastic]
         x, _ = _assemble_extremes(net, found, opts)
         x.setflags(write=False)
-        loss = base - c.sum(axis=1) + net.w.sum() - x.sum(axis=2)  # at the minimal, maximal equilibria
+        loss = _loss(ray.c0, c, net.w, x)  # at the minimal, maximal equilibria
         unique = (x[0] == x[1]).all(axis=1).tolist()
         defaults = x[0] < paid
         for f, e in enumerate(eps[part].tolist()):

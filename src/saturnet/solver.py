@@ -382,6 +382,7 @@ def _assemble_extremes(net, found: _Analysis, opts):
     x = np.zeros((2, F, n))
     x[:, :, st.transient] = found.transient
     slack = np.zeros(F)
+    failed = []  # (flow, set, error) of every stack whose hunt fails
     for g, v in zip(st.groups, found.groups):
         line = v.has_line
         if np.count_nonzero(line):
@@ -390,7 +391,6 @@ def _assemble_extremes(net, found: _Analysis, opts):
             x[0, f[:, None], nodes] = np.clip(base + v.lo[line][:, None] * pi, 0.0, w)
             x[1, f[:, None], nodes] = np.clip(base + v.hi[line][:, None] * pi, 0.0, w)
             np.maximum(slack, np.where(line, np.abs(v.total), 0.0).max(axis=1), out=slack)
-        failed = []  # (flow, set, error) of every stack whose hunt fails
         for f, r, Q in _hunt_stacks(net, st, g, ~line):
             nodes, from_top = g.nodes[r], g.stochastic[r] & (v.total[f, r] > 0)
             named = []  # the row the hunt's error names
@@ -403,8 +403,8 @@ def _assemble_extremes(net, found: _Analysis, opts):
                 x[:, f[:, None], nodes] = hunt_unique(Q, g.w[r], v.inflow[f, r], opts, from_top, label)
             except NonConvergenceError as err:
                 failed.append((int(f[named[0]]), err.block, err))
-        if failed:  # the row one stack of the whole group would name
-            raise min(failed, key=lambda fault: fault[:2])[2]
+    if failed:  # the first flow at fault, and its lowest set, over every size group
+        raise min(failed, key=lambda fault: fault[:2])[2]
     gate = _residual_gate(net, opts, slack)
     y = _routed_in(net, x.reshape(2 * F, n)).reshape(x.shape) + c
     gaps = np.abs(np.minimum(np.maximum(y, 0.0), net.w) - x)

@@ -188,6 +188,23 @@ class TestAnalysisCommands:
         payload = json.loads(out)
         assert list(payload) == ["p2"]
 
+    def test_jump_computes_only_the_norms_it_prints(self, capsys, monkeypatch):
+        path = REPO / "tests" / "golden" / "many_sets.json"
+        golden = json.loads((REPO / "tests" / "golden" / "many_sets.jump.json").read_text(encoding="utf-8"))
+        calls = []
+
+        def counting(net, p):
+            calls.append(p)
+            return saturnet.shocks.max_jump_norm(net, p)
+
+        monkeypatch.setattr(saturnet.cli, "max_jump_norm", counting)
+        code, out = run(capsys, "jump", "--input", str(path))
+        assert (code, calls, json.loads(out)) == (0, [1.0, 2.0, float("inf")], golden)
+        for p in ("1", "2", "inf"):
+            calls.clear()
+            code, out = run(capsys, "jump", "--input", str(path), "--p", p)
+            assert (code, len(calls), json.loads(out)) == (0, 1, {"p" + p: golden["p" + p]})
+
 
 class TestSweepCommand:
     def test_artifacts_and_determinism(self, capsys, tmp_path):
@@ -345,6 +362,23 @@ class TestErrorPaths:
         latin1.write_bytes('{"n": 1, "P": [[0]], "w": [1], "note": "é"}'.encode("latin-1"))
         assert main(["validate", "--input", str(latin1)]) == 3
         assert capsys.readouterr().err.count("saturnet: error: file-format: ") == 3
+
+    def test_non_numeric_baseline_is_a_usage_error(self, capsys):
+        assert main(["loss", "--input", str(DEMOS / "triangle.json"), "--c0", "1,x,2"]) == 3
+        assert capsys.readouterr().err == (
+            "saturnet: error: usage: --c0 must be a comma-separated list of numbers\n"
+        )
+
+    def test_malformed_objects_exit_three(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        for text, message in (
+            ("[1, 2]", f"{bad}: top-level JSON value must be an object"),
+            ('{"P": [[0, 1], [1, 0]], "w": [1, 1]}', "network object is missing key 'n'"),
+            ('{"W": [[0, 1], [1, 0]], "a": [1, 1], "u": [1, 0]}', "liability object is missing key 'b'"),
+        ):
+            bad.write_text(text)
+            assert main(["validate", "--input", str(bad)]) == 3
+            assert capsys.readouterr().err == f"saturnet: error: file-format: {message}\n"
 
     def test_non_integer_node_count_exits_three(self, capsys, tmp_path):
         bad = tmp_path / "bad_n.json"

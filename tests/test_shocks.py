@@ -236,6 +236,13 @@ class TestFindCriticalEps:
         with pytest.raises(InputError):
             find_critical_eps(triangle, demo_ray(), 3)
 
+    def test_ray_dimension_must_match_the_network(self, triangle):
+        ray = ShockRay([1.0, 2.0], [0.5, 0.5], 0.0, 1.0, 5)
+        with pytest.raises(InputError, match="^ray dimension does not match the network$"):
+            find_critical_eps(triangle, ray, 0)
+        with pytest.raises(InputError, match="^ray dimension does not match the network$"):
+            sweep(triangle, ray)
+
     def test_sink_index_must_be_an_integer(self, triangle):
         for not_an_integer in (0.5, 0.0, np.float64(0.0), True):
             with pytest.raises(InputError, match="^sink_index must be an integer$"):
@@ -636,6 +643,23 @@ class TestStackedSweep:
         assert str(e) == (
             f"trapping set 1 (out_connected; nodes 2, 3) at eps = {fmt_float(fails[0])}: "
             "no convergence within 2 iterations"
+        )
+
+    def test_error_names_the_first_point_over_every_size_group(self):
+        # set 0 (node 0, the one-node group) fails only at eps = 1; set 1
+        # (nodes 1, 2, the two-node group) already fails at eps = 0
+        net = Network([[0.5, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]], np.ones(3))
+        ray = ShockRay((-1.0, 0.5, -0.2), (-6.0, 1.5, 0.8), 0.0, 1.0, 2, allow_mixed_direction=True)
+        opts = SolveOptions(max_iter=1)
+        with pytest.raises(NonConvergenceError) as alone:
+            extremal_equilibria(net, ray.c_at(0.0), opts)
+        assert alone.value.block == 1
+        with pytest.raises(NonConvergenceError) as err:
+            sweep(net, ray, opts)
+        assert (err.value.block, err.value.at) == (1, "eps = 0")
+        assert str(err.value) == (
+            "trapping set 1 (stochastic_nonzero_sum; nodes 1, 2) at eps = 0: "
+            "no convergence within 1 iterations"
         )
 
 

@@ -69,6 +69,14 @@ class TestStationaryDistribution:
         with pytest.raises(InputError):
             stationary_distribution([[1.0, 0.0], [0.5, 0.5]])
 
+    def test_rejects_a_non_square_block(self):
+        with pytest.raises(InputError, match=r"^block must be square, got shape \(2, 3\)$"):
+            stationary_distribution(np.ones((2, 3)))
+
+    def test_rejects_negative_entries(self):
+        with pytest.raises(InputError, match="^block has negative entries$"):
+            stationary_distribution([[-0.5, 1.5], [1.0, 0.0]])
+
     def test_matches_eigen_route_random(self):
         rng = np.random.default_rng(71)
         for _ in range(100):
@@ -95,6 +103,10 @@ class TestParticularSolution:
     def test_rejects_nonzero_sum(self):
         with pytest.raises(InputError):
             particular_solution(TRIANGLE_P, [1.0, 1.0, 0.0])
+
+    def test_rejects_an_inflow_of_another_length(self):
+        with pytest.raises(InputError, match=r"^inflow has shape \(3,\), expected \(2,\)$"):
+            particular_solution([[0.0, 1.0], [1.0, 0.0]], [1.0, -1.0, 0.0])
 
     def test_solves_the_linear_system_random(self):
         rng = np.random.default_rng(73)
@@ -166,6 +178,16 @@ class TestEquilibriumSet:
         assert np.allclose(eq_set.x_max(), [1.0, 1.0])
         mid = comp.at(0.5 * (comp.alpha_min + comp.alpha_max))
         assert np.allclose(mid, [0.5, 0.5])
+
+    def test_alpha_beyond_the_segment_is_rejected(self, two_cycle):
+        eq_set = equilibrium_set(two_cycle, np.zeros(2))
+        (comp,) = eq_set.components
+        assert comp.alpha_max == 2.0
+        message = r"^alpha 3\.0 outside \[-0\.0, 2\.0\]$"
+        with pytest.raises(InputError, match=message):
+            comp.at(comp.alpha_max + 1)
+        with pytest.raises(InputError, match=message):
+            eq_set.sample({0: comp.alpha_max + 1})
 
     def test_demo_critical_flow_endpoints(self, triangle):
         eq_set = equilibrium_set(triangle, C_STAR)
