@@ -363,23 +363,6 @@ class TestErrorPaths:
         assert main(["validate", "--input", str(latin1)]) == 3
         assert capsys.readouterr().err.count("saturnet: error: file-format: ") == 3
 
-    def test_non_numeric_baseline_is_a_usage_error(self, capsys):
-        assert main(["loss", "--input", str(DEMOS / "triangle.json"), "--c0", "1,x,2"]) == 3
-        assert capsys.readouterr().err == (
-            "saturnet: error: usage: --c0 must be a comma-separated list of numbers\n"
-        )
-
-    def test_malformed_objects_exit_three(self, capsys, tmp_path):
-        bad = tmp_path / "bad.json"
-        for text, message in (
-            ("[1, 2]", f"{bad}: top-level JSON value must be an object"),
-            ('{"P": [[0, 1], [1, 0]], "w": [1, 1]}', "network object is missing key 'n'"),
-            ('{"W": [[0, 1], [1, 0]], "a": [1, 1], "u": [1, 0]}', "liability object is missing key 'b'"),
-        ):
-            bad.write_text(text)
-            assert main(["validate", "--input", str(bad)]) == 3
-            assert capsys.readouterr().err == f"saturnet: error: file-format: {message}\n"
-
     def test_non_integer_node_count_exits_three(self, capsys, tmp_path):
         bad = tmp_path / "bad_n.json"
         for n in ("3.9", '"3"', "true"):
@@ -496,6 +479,27 @@ class TestErrorPaths:
             "--output", "/nonexistent-dir/out.json",
         )
         assert code == 3
+
+
+class TestErrorMessages:
+    """Exit code and exact stderr line of usage and file-format errors."""
+
+    def test_non_numeric_baseline_is_a_usage_error(self, capsys):
+        assert main(["loss", "--input", str(DEMOS / "triangle.json"), "--c0", "1,x,2"]) == 3
+        assert capsys.readouterr().err == (
+            "saturnet: error: usage: --c0 must be a comma-separated list of numbers\n"
+        )
+
+    def test_malformed_objects_exit_three(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        for text, message in (
+            ("[1, 2]", f"{bad}: top-level JSON value must be an object"),
+            ('{"P": [[0, 1], [1, 0]], "w": [1, 1]}', "network object is missing key 'n'"),
+            ('{"W": [[0, 1], [1, 0]], "a": [1, 1], "u": [1, 0]}', "liability object is missing key 'b'"),
+        ):
+            bad.write_text(text)
+            assert main(["validate", "--input", str(bad)]) == 3
+            assert capsys.readouterr().err == f"saturnet: error: file-format: {message}\n"
 
 
 def test_commands_import_no_scipy_or_numpy_ma(tmp_path):
