@@ -9,10 +9,12 @@ block structure is built. The sink components of the graph's
 strong-component condensation are the irreducible trapping sets; every
 other node is transient. A trapping set is "out-connected" when some of its
 rows lose mass (sum below 1), in which case the induced block has spectral
-radius below one. The strong components come from Tarjan's algorithm
-(Tarjan, SIAM J. Comput. 1 (1972)); past it, the labels, the order of the
-trapping sets and the transient part are whole-array passes, with no numpy
-call per set, and :class:`Decomposition` keeps the sets as columns.
+radius below one. Whole-array passes peel the one- and two-node strong
+components (the trim steps of Hong, Rodia & Olukotun, SC'13), and
+Tarjan's algorithm (Tarjan, SIAM J. Comput. 1 (1972)) finds the others;
+past it, the labels, the order of the trapping sets and the transient part
+are whole-array passes, with no numpy call per set, and
+:class:`Decomposition` keeps the sets as columns.
 
 None of this depends on the exogenous flow, so :func:`block_structure`
 computes it once per (immutable) Network and every analysis reads that copy.
@@ -124,6 +126,54 @@ def _tarjan(n: int, rows: np.ndarray, cols: np.ndarray) -> list[list[int]]:
     return components
 
 
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The strong components of the row-major edge list (rows, cols) of n nodes, as (order, sizes).
+
+    ``order`` lists the nodes component by component, each component
+    ascending, and ``sizes`` gives the components' sizes, in no particular
+    order of components. Whole-array passes first peel the trivial ones
+    (the trim steps of Hong, Rodia & Olukotun, SC'13): a node with no
+    in-edge or no out-edge besides a self-loop is a component of its own,
+    and two nodes whose only out-neighbour besides themselves is each other
+    form one (no edge leaves the pair). Tarjan's pass then walks the
+    subgraph of the other nodes, relabelled to them, or the edge list
+    itself when nothing was peeled. A peeled node lies on no cycle with a
+    node outside its component, so the rest has the same components.
+    """
+    count = np.bincount(rows, minlength=n)
+    loops = rows[rows == cols]
+    out, into = count.copy(), np.bincount(cols, minlength=n)
+    out[loops] -= 1
+    into[loops] -= 1
+    single = np.flatnonzero((out == 0) | (into == 0))
+    # the one out-neighbour besides itself of each node that has one: its
+    # first edge, or the second when the first is its self-loop
+    starts = np.cumsum(count) - count
+    v = np.flatnonzero(out == 1)
+    first = cols[starts[v]]
+    nxt = np.full(n, -1, dtype=np.intp)
+    nxt[v] = cols[starts[v] + (first == v)]
+    u = nxt[v]
+    a = v[(v < u) & (nxt[u] == v)]
+    pairs = np.stack([a, nxt[a]], axis=1).ravel()
+
+    rest = np.ones(n, dtype=bool)
+    rest[single] = rest[pairs] = False
+    keep = np.flatnonzero(rest)
+    if keep.size < n:
+        # int32 labels (a dense P of 2**31 nodes cannot exist), gathered one array at a time
+        label = np.full(n, -1, dtype=np.int32)
+        label[keep] = np.arange(keep.size, dtype=np.int32)
+        inside = rest[rows]
+        inside &= rest[cols]
+        rows, cols = label[rows][inside], label[cols][inside]
+    comps = _tarjan(keep.size, rows, cols)
+    found = np.fromiter(chain.from_iterable(comps), dtype=np.intp, count=keep.size)
+    order = np.concatenate([single, pairs, keep[found]])
+    sizes = np.repeat([1, 2], [single.size, a.size])
+    return order, np.concatenate([sizes, np.fromiter(map(len, comps), dtype=np.intp, count=len(comps))])
+
+
 @dataclass(frozen=True)
 class SinkComponent:
     nodes: tuple[int, ...]
@@ -164,7 +214,9 @@ def decompose(net: Network) -> Decomposition:
 
     The network is validated before its nonzeros are read
     (``Network._nonzeros``), so an invalid network is scanned only if
-    construction scanned it. Past Tarjan's pass, the labels, the leaks, the
+    construction scanned it. The strong components come from
+    ``_components``, whose array passes peel the one- and two-node ones, so
+    Tarjan's pass walks only the rest. Past it, the labels, the leaks, the
     order of the sets and the transient part are array passes, and the sets
     are kept as columns: no per-set Python runs until a set is read.
     """
@@ -173,18 +225,16 @@ def decompose(net: Network) -> Decomposition:
     if net._min_entry < 0:  # a valid P's negative entries, within EPS_FEAS, are no edges
         positive = net.P[rows, cols] > 0
         rows, cols = rows[positive], cols[positive]
-    comps = _tarjan(net.n, rows, cols)
+    order, sizes = _components(net.n, rows, cols)
 
-    sizes = np.fromiter(map(len, comps), dtype=np.intp, count=len(comps))
-    order = np.fromiter(chain.from_iterable(comps), dtype=np.intp, count=net.n)
     # int32 labels (a dense P of 2**31 nodes cannot exist) halve the two
     # per-edge temporaries below
     label = np.empty(net.n, dtype=np.int32)
-    label[order] = np.repeat(np.arange(len(comps), dtype=np.int32), sizes)
-    leaky = np.zeros(len(comps), dtype=bool)  # some edge leaves the component
+    label[order] = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
+    leaky = np.zeros(sizes.size, dtype=bool)  # some edge leaves the component
     tail = label[rows]
     leaky[tail[tail != label[cols]]] = True
-    deficient = np.zeros(len(comps), dtype=bool)
+    deficient = np.zeros(sizes.size, dtype=bool)
     deficient[label[net._row_sums < 1.0 - EPS_FEAS]] = True
 
     smallest = order[np.cumsum(sizes) - sizes]  # of each component, which is sorted

@@ -384,12 +384,14 @@ def sweep(
     records = []
     # the stochastic sets' inflow sums (a column each) and the transient patterns at each point, for the bisection
     stochastic = np.sort(np.concatenate([g.sets[g.stochastic] for g in st.groups]))
+    columns = [np.searchsorted(stochastic, g.sets[g.stochastic]) for g in st.groups]
     totals, patterns = np.empty((ray.grid, stochastic.size)), np.empty((ray.grid, 2 * st.transient.size), bool)
     for part in _chunks(ray.grid, _flow_entries(st)):
         c = ray.c0 - eps[part, None] * ray.q
         found = _analyze(net, c, opts, _at_eps(eps[part]))
         patterns[part] = _saturated(found.transient, net.w[st.transient])
-        totals[part] = _set_sums(st, found.inflow)[:, stochastic]
+        for g, v, cols in zip(st.groups, found.groups, columns):
+            totals[part, cols] = v.total[:, g.stochastic]
         x, _ = _assemble_extremes(net, found, opts)
         x.setflags(write=False)
         loss = _loss(ray.c0, c, net.w, x)  # at the minimal, maximal equilibria

@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import saturnet._linear
 from saturnet import (
     EPS_FEAS,
     InputError,
     Network,
     decompose,
+    decomposition,
     deficiency_set,
     is_out_connected,
     strongly_connected_components,
@@ -368,6 +370,176 @@ def test_strong_components_of_a_long_path_need_no_recursion():
     adj = np.zeros((n, n), dtype=bool)
     adj[np.arange(n - 1), np.arange(1, n)] = True
     assert strongly_connected_components(adj) == [[v] for v in range(n - 1, -1, -1)]
+
+
+def _core(rng, adj: np.ndarray, nodes: np.ndarray) -> None:
+    """A Hamiltonian cycle over ``nodes`` plus two random out-edges a node: one strong component, none of it peeled."""
+    adj[nodes, np.roll(nodes, -1)] = True
+    adj[np.repeat(nodes, 2), rng.choice(nodes, 2 * nodes.size)] = True
+
+
+def _walked(monkeypatch) -> list[int]:
+    """The node count of every ``_tarjan`` call from here on."""
+    walked, tarjan = [], decomposition._tarjan
+    monkeypatch.setattr(decomposition, "_tarjan", lambda k, rows, cols: walked.append(k) or tarjan(k, rows, cols))
+    return walked
+
+
+def _peeled_cases():
+    """Seeded routing matrices of SPARSE_MIN nodes or more, each with some kind of node the pre-pass peels or must not.
+
+    Each comes with the number of nodes left for Tarjan's pass, counted by
+    hand. Each holds at most 1/64 nonzeros, so it is listed unless
+    SPARSE_MIN is raised past its size. Labels are shuffled, so no pair
+    sits on adjacent labels.
+    """
+    rng = np.random.default_rng(89)
+    core, n = 112, SPARSE_MIN
+    C = np.arange(core)
+
+    def case(name, adj, walked, negative=None):
+        P = _routing(rng, adj)
+        if negative is not None:
+            P[negative & (P == 0)] = -EPS_FEAS * rng.uniform(0.01, 0.99)
+        label = rng.permutation(len(P))
+        return name, P[np.ix_(label, label)], walked
+
+    # 2-cycles with an exit edge, from either node, into the next pair, the last one into a node with only a self-loop
+    adj = np.zeros((n + 1, n + 1), dtype=bool)
+    _core(rng, adj, C)
+    a = core + 2 * np.arange((n - core) // 2)
+    adj[a, a + 1] = adj[a + 1, a] = True
+    adj[rng.choice(C, a.size), a] = True
+    adj[a + rng.integers(2, size=a.size), a + 2] = True  # a + 2 is the next pair's first node, or node n
+    adj[n, n] = True
+    yield case("open_pairs_with_an_exit", adj, n)
+    # closed 2-cycles fed by the core, with a self-loop on neither node, either one or both
+    adj = np.zeros((n, n), dtype=bool)
+    _core(rng, adj, C)
+    adj[a, a + 1] = adj[a + 1, a] = True
+    adj[rng.choice(C, a.size), a + rng.integers(2, size=a.size)] = True
+    loops = rng.integers(4, size=a.size)
+    adj[a[loops & 1 == 1], a[loops & 1 == 1]] = adj[a[loops >= 2] + 1, a[loops >= 2] + 1] = True
+    yield case("pairs_with_self_loops", adj, core)
+    # nodes with a self-loop: alone, fed by the core, feeding it, or on a cycle through it (not peeled)
+    adj = np.zeros((n, n), dtype=bool)
+    _core(rng, adj, C)
+    v = np.arange(core, n)
+    adj[v, v] = True
+    fed, feeding = v[v % 4 == 1], v[v % 4 >= 2]
+    adj[rng.choice(C, fed.size), fed] = True
+    adj[feeding, rng.choice(C, feeding.size)] = True
+    adj[rng.choice(C, feeding.size // 2), feeding[::2]] = True
+    yield case("self_loop_only_nodes", adj, core + (n - core) // 4)
+    # chains of 20 singletons: out of nowhere into the core, out of the core to a dead end, or both
+    adj = np.zeros((n, n), dtype=bool)
+    _core(rng, adj, C)
+    for j, start in enumerate(range(core, n, 20)):
+        chain = np.arange(start, min(start + 20, n))
+        adj[chain[:-1], chain[1:]] = True
+        if j % 3 == 0:
+            adj[chain[-1], rng.choice(C)] = True
+        elif j % 3 == 1:
+            adj[rng.choice(C), chain[0]] = True
+    yield case("singleton_chains", adj, n - 7 - 7 - 2 * 6)  # 7, 7 and 6 chains of the three kinds
+    # four strong cycles with chords, each feeding the next: every node has an in- and an out-edge
+    adj = np.zeros((n, n), dtype=bool)
+    for cycle in np.split(np.arange(n), 4):
+        _core(rng, adj, cycle)
+    tail = rng.integers(n - 128, size=64)
+    adj[tail, (tail // 128 + 1) * 128 + rng.integers(128, size=64)] = True
+    yield case("nothing_peeled", adj, n)
+    # sources feeding closed pairs (some with self-loops) and dead ends: no node is left for Tarjan
+    adj = np.zeros((n, n), dtype=bool)
+    src, pair, dead = np.arange(150), 150 + 2 * np.arange(150), np.arange(450, n)
+    adj[pair, pair + 1] = adj[pair + 1, pair] = True
+    adj[pair[::3], pair[::3]] = True
+    adj[dead[::2], dead[::2]] = True
+    adj[np.repeat(src, 2), rng.choice(np.concatenate([pair, pair + 1, dead]), 2 * src.size)] = True
+    yield case("everything_peeled", adj, 0)
+    # the pairs and self-loop nodes above, whose would-be exits, in-edges and out-edges are entries in (-EPS_FEAS, 0)
+    adj = np.zeros((n, n), dtype=bool)
+    _core(rng, adj, C)
+    adj[a, a + 1] = adj[a + 1, a] = True
+    adj[rng.choice(C, a.size), a] = True
+    negative = np.zeros((n, n), dtype=bool)
+    negative[a + rng.integers(2, size=a.size), rng.choice(C, a.size)] = True  # an exit from each closed pair
+    negative[rng.choice(C, 8), rng.choice(C, 8)] = True
+    yield case("negative_entries_within_eps_feas", adj, core, negative)
+
+
+@pytest.mark.parametrize("storage", ["listed", "dense"])
+@pytest.mark.parametrize("P, tarjan_nodes", [pytest.param(P, k, id=name) for name, P, k in _peeled_cases()])
+def test_peeled_components_match_the_closure(monkeypatch, P, tarjan_nodes, storage):
+    n, adj = len(P), P > 0
+    if storage == "dense":
+        monkeypatch.setattr(saturnet._linear, "SPARSE_MIN", n + 1)
+    net = Network(P, np.ones(n))
+    assert isinstance(network_block(net), EdgeBlock) == (storage == "listed")
+    reach = _closure_by_squaring(adj)
+    mutual = reach & reach.T
+    walked = _walked(monkeypatch)
+    dec = decompose(net)
+    sums = P.sum(axis=1)
+    closed = [i for i in range(n) if (reach[i] <= reach[:, i]).all()]
+    sinks = sorted({tuple(np.flatnonzero(mutual[i]).tolist()) for i in closed})
+    assert [s.nodes for s in dec.sinks] == sinks
+    assert [s.out_connected for s in dec.sinks] == [bool((sums[list(s)] < 1.0 - EPS_FEAS).any()) for s in sinks]
+    assert dec.transient == tuple(sorted(set(range(n)) - set(closed)))
+    # Tarjan walks once, on what is neither a node without an in- or out-edge
+    # besides a self-loop nor a two-node trapping set
+    others = adj & ~np.eye(n, dtype=bool)
+    alone = ~others.any(axis=0) | ~others.any(axis=1)
+    assert walked == [tarjan_nodes] == [n - np.count_nonzero(alone) - 2 * sum(len(s) == 2 for s in sinks)]
+    order, sizes = decomposition._components(n, *np.nonzero(adj))
+    comps = np.split(order, np.cumsum(sizes)[:-1])
+    assert sorted(tuple(c.tolist()) for c in comps) == sorted({tuple(np.flatnonzero(row).tolist()) for row in mutual})
+    assert all((np.diff(c) > 0).all() for c in comps)
+
+
+def test_tarjan_walks_only_the_core_of_many_closed_pairs(monkeypatch):
+    rng = np.random.default_rng(83)
+    core, pairs = 200, 1000
+    n = core + 2 * pairs
+    adj = np.zeros((n, n), dtype=bool)
+    _core(rng, adj, np.arange(core))
+    a = core + 2 * np.arange(pairs)
+    adj[a, a + 1] = adj[a + 1, a] = True
+    adj[a[::2], a[::2]] = True
+    adj[rng.integers(core, size=pairs), a + rng.integers(2, size=pairs)] = True
+    label = rng.permutation(n)
+    P = _routing(rng, adj)[np.ix_(label, label)]
+    walked = _walked(monkeypatch)
+    dec = decompose(Network(P, np.ones(n)))
+    assert len(walked) == 1 and walked[0] <= core
+    assert len(dec.sinks) == pairs and all(len(s.nodes) == 2 for s in dec.sinks)
+    assert len(dec.transient) == core
+
+
+def test_decompose_with_peeled_nodes_stays_within_four_times_p(monkeypatch):
+    # 10 sources and 15 closed pairs are peeled, and Tarjan walks the dense
+    # core relabelled: the relabelled edge arrays keep the bound of a full network
+    rng = np.random.default_rng(5)
+    n, core = 600, 560
+    P = np.zeros((n, n))
+    P[:core, :core] = rng.random((core, core))
+    P[:core, core + 10 :] = rng.random((core, n - core - 10))
+    P[core : core + 10, :core] = rng.random((10, core))
+    np.fill_diagonal(P, 0.0)
+    a = core + 10 + 2 * np.arange(15)
+    P[a, a + 1] = P[a + 1, a] = 1.0
+    P[: core + 10] *= (rng.uniform(0.8, 0.98, core + 10) / P[: core + 10].sum(axis=1))[:, None]
+    net = Network(P, np.ones(n))
+    walked = _walked(monkeypatch)
+    tracemalloc.start()
+    try:
+        dec = decompose(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walked == [core]
+    assert [s.nodes for s in dec.sinks] == [(i, i + 1) for i in a.tolist()]
+    assert peak < 4 * net.P.nbytes
 
 
 MIN_KINDS = ("no_zero", "negative_zero", "negative_within", "negative_beyond")
