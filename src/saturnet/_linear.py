@@ -12,7 +12,9 @@ operators with one interface (``matvec``, ``take``, ``solve_patterns``) in
 two storage forms: ``DenseBlock``, and ``EdgeBlock``, a large shared block
 held as its edge list, whose products cost one pass over its edges and
 whose pattern solves are Neumann steps (Saad, Iterative Methods for Sparse
-Linear Systems, 2nd ed., SIAM 2003, ch. 3). A large sparse network is an
+Linear Systems, 2nd ed., SIAM 2003, ch. 3) that extrapolate their slowest
+mode away every few steps, as PageRank's power iteration is accelerated
+(Kamvar, Haveliwala, Manning & Golub, WWW 2003). A large sparse network is an
 EdgeBlock too, from its construction on, for the products that certify
 its results. Whether a block is listed is one predicate of its size and
 its number of nonzeros (``_is_sparse``).
@@ -141,6 +143,14 @@ NEUMANN_STEPS = 256
 #: A Neumann pattern solve stops once its step is at most this fraction of
 #: the hunt's gate.
 NEUMANN_REL = 2.0**-8
+#: Every NEUMANN_JUMP_EVERY steps a Neumann pattern solve estimates each
+#: row's decay ratio from its last two steps and, where it lies in
+#: (0, NEUMANN_JUMP_MAX), extrapolates that slowest mode away. Periods 4,
+#: 6, 12 and 16 took 257, 237, 228 and 225 steps on a pass of sparse-core
+#: that took 449 with none; a bound of 0.999 let the extremes drift to
+#: 9.4e-13·max w from the dense ones on near-stochastic cores, 0.99 to 1.5e-13.
+NEUMANN_JUMP_EVERY = 12
+NEUMANN_JUMP_MAX = 0.99
 
 
 class EdgeBlock:
@@ -190,8 +200,15 @@ class EdgeBlock:
         case when the spectral radius of Q_ff is 1 or close to it. At steps
         32, 64 and 128 a row whose step, shrinking at its rate since the
         half-way step, would still exceed the stop at the budget's end gives
-        up at once. A row's steps and decisions read only its own edges and
-        values, so it ends where it would end alone.
+        up at once. Every ``NEUMANN_JUMP_EVERY`` steps a row whose last two
+        steps d' and d shrink by the ratio lam = d.d' / d'.d' in
+        (0, ``NEUMANN_JUMP_MAX``) adds the rest of that geometric series,
+        d lam / (1 - lam), to its iterate: Q_ff >= 0, so its slowest mode is
+        real and positive, and this removes it. A row whose step has not
+        shrunk since its last jump jumps no more, as on a chain, whose steps
+        carry the error along rather than shrink it by one ratio. A row's
+        steps, sums and decisions read only its own edges and values, so it
+        ends where it would end alone.
         """
         x = np.where(pattern > 0, w, 0.0)
         ok = np.ones(len(x), dtype=bool)
@@ -204,9 +221,13 @@ class EdgeBlock:
             src, bins, vals = r * free.shape[1] + self.rows[e], r * free.shape[1] + self.cols[e], self.vals[e]
             y = np.where(free, start[rows], 0.0)
             live, solved = np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
+            # a row jumps again only if its step has shrunk since its last jump:
+            # +inf before a jump, -inf for good once one did not pay
+            bar = np.full(len(rows), np.inf)
             for t in range(1, NEUMANN_STEPS + 1):
                 yn = np.bincount(bins, weights=y.ravel()[src] * vals, minlength=y.size).reshape(y.shape) + b
-                step = np.abs(yn - y).max(axis=1)
+                d = yn - y
+                step = np.abs(d).max(axis=1)
                 done = live & (step <= tol)
                 checkpoint = t in (16, 32, 64, 128)
                 if checkpoint or np.count_nonzero(done):  # the stack changes only where a row stops or gives up
@@ -220,7 +241,15 @@ class EdgeBlock:
                         half = step
                     if not live.any():
                         break
-                y = yn
+                if t % NEUMANN_JUMP_EVERY == 0:
+                    num, den = (d * prev).sum(axis=1), (prev * prev).sum(axis=1)
+                    lam = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+                    paid = step < bar
+                    jump = paid & (lam > 0) & (lam < NEUMANN_JUMP_MAX)
+                    bar = np.where(jump, step, np.where(paid, np.inf, -np.inf))
+                    j = np.flatnonzero(jump)
+                    yn[j] += d[j] * (lam[j] / (1.0 - lam[j]))[:, None]
+                y, prev = yn, d
             rows = rows[~solved]
             if rows.size:
                 x[rows], ok[rows] = self.dense().solve_patterns(w[rows], c[rows], pattern[rows])

@@ -55,11 +55,12 @@ def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
     adj = np.asarray(adj)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise InputError(f"adjacency must be a square matrix, got shape {adj.shape}")
-    return _tarjan(adj.shape[0], *np.nonzero(adj))
+    rows, cols = np.nonzero(adj)
+    return _tarjan(adj.shape[0], np.bincount(rows, minlength=adj.shape[0]), cols)
 
 
-def _tarjan(n: int, rows: np.ndarray, cols: np.ndarray) -> list[list[int]]:
-    """Tarjan's algorithm on the row-major edge list (rows, cols) of n nodes.
+def _tarjan(n: int, counts: np.ndarray, cols: np.ndarray) -> list[list[int]]:
+    """Tarjan's algorithm on n nodes whose successors are listed in ``cols`` in node order, counts[v] of them for node v.
 
     Node v's successors are ``cols[starts[v]:starts[v + 1]]``, read through
     a memoryview, so no edge becomes a Python object of its own. The DFS
@@ -71,7 +72,7 @@ def _tarjan(n: int, rows: np.ndarray, cols: np.ndarray) -> list[list[int]]:
     in reverse topological order.
     """
     starts = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=starts[1:])
+    np.cumsum(counts, out=starts[1:])
     starts = starts.tolist()
     resume = starts[:-1]
     succ = memoryview(cols)
@@ -161,13 +162,16 @@ def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray,
     rest[single] = rest[pairs] = False
     keep = np.flatnonzero(rest)
     if keep.size < n:
-        # int32 labels (a dense P of 2**31 nodes cannot exist), gathered one array at a time
+        # a kept node's edges among the kept are its edges less those to a
+        # peeled node; the heads get int32 labels (a dense P of 2**31 nodes
+        # cannot exist)
+        head, inside = rest[cols], rest[rows]
+        count = (count - np.bincount(rows[inside > head], minlength=n))[keep]
+        inside &= head
         label = np.full(n, -1, dtype=np.int32)
         label[keep] = np.arange(keep.size, dtype=np.int32)
-        inside = rest[rows]
-        inside &= rest[cols]
-        rows, cols = label[rows][inside], label[cols][inside]
-    comps = _tarjan(keep.size, rows, cols)
+        cols = label[cols][inside]
+    comps = _tarjan(keep.size, count, cols)
     found = np.fromiter(chain.from_iterable(comps), dtype=np.intp, count=keep.size)
     order = np.concatenate([single, pairs, keep[found]])
     sizes = np.repeat([1, 2], [single.size, a.size])

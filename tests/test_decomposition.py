@@ -518,7 +518,9 @@ def test_tarjan_walks_only_the_core_of_many_closed_pairs(monkeypatch):
 
 def test_decompose_with_peeled_nodes_stays_within_four_times_p(monkeypatch):
     # 10 sources and 15 closed pairs are peeled, and Tarjan walks the dense
-    # core relabelled: the relabelled edge arrays keep the bound of a full network
+    # core relabelled: only its heads are relabelled, and each kept node's
+    # count of edges is read off the original list, so the peak stays near a
+    # full network's (3.01 times P here; 3.73 with relabelled tails as well)
     rng = np.random.default_rng(5)
     n, core = 600, 560
     P = np.zeros((n, n))
@@ -539,7 +541,7 @@ def test_decompose_with_peeled_nodes_stays_within_four_times_p(monkeypatch):
         tracemalloc.stop()
     assert walked == [core]
     assert [s.nodes for s in dec.sinks] == [(i, i + 1) for i in a.tolist()]
-    assert peak < 4 * net.P.nbytes
+    assert peak < 3.25 * net.P.nbytes
 
 
 MIN_KINDS = ("no_zero", "negative_zero", "negative_within", "negative_beyond")
