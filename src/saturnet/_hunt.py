@@ -96,7 +96,7 @@ def hunt_unique(Q, w, c, opts, from_top, label):
             out[rows] = np.where(exact[:, None], x, xn)  # rows still live are written again later
             if settled == len(done):
                 return out
-            live = ~done
+            live = np.flatnonzero(~done)  # one index array serves every per-row array
             Q = Q.take(live)
             w, c, gate, above, below, rows, xn, pattern = (
                 a[live] for a in (w, c, gate, above, below, rows, xn, pattern)

@@ -95,13 +95,13 @@ class DenseBlock:
         free = pattern == 0
         counts = free.sum(axis=1)
         ok = np.ones(len(x), dtype=bool)
-        sizes = sorted(set(counts.tolist()) - {0})
-        if sizes:
+        sizes = np.flatnonzero(np.bincount(counts)[1:]) + 1  # the numbers of free nodes rows have, ascending
+        if sizes.size:
             rhs = self.matvec(x) + c
         k = Q.shape[-1]
-        for f in sizes:
+        for f in sizes.tolist():
             rows = np.flatnonzero(counts == f)[:, None]
-            idx = np.nonzero(free[rows[:, 0]])[1].reshape(-1, f)
+            idx = (np.flatnonzero(free[rows[:, 0]]) % k).reshape(-1, f)
             # I - Q[idx, idx]' per row, gathered from the rows of Q (from its one
             # row when shared); two index arrays into the stacked rows gather as
             # fast as np.ix_, three do not
@@ -217,7 +217,8 @@ class EdgeBlock:
             free, tol = pattern[rows] == 0, NEUMANN_REL * gate[rows]
             b = np.where(free, self.matvec(x[rows]) + c[rows], 0.0)
             # the free-to-free edges of every row, as offsets into the flattened stack
-            r, e = np.nonzero(free[:, self.rows] & free[:, self.cols])
+            both = np.take(free, self.rows, axis=1) & np.take(free, self.cols, axis=1)
+            r, e = divmod(np.flatnonzero(both), self.rows.size)
             src, bins, vals = r * free.shape[1] + self.rows[e], r * free.shape[1] + self.cols[e], self.vals[e]
             y = np.where(free, start[rows], 0.0)
             live, solved = np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)

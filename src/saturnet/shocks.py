@@ -17,14 +17,20 @@ bracket whose ends share the transient saturation pattern (the mean of the
 ends' sums, in float arithmetic), and the transient part is hunted, as one
 stack, only at the other midpoints. The roots' flows are solved as stacks
 too. ``loss_jump`` sums the gap of the same assembled extremes.
-``sweep_to_csv`` formats each distinct number of the table once, and x_max
-only where it differs from x_min.
+
+The grid stays in arrays from the solve to the CSV: ``sweep`` returns its
+records as a ``SweepTable``, a read-only sequence that builds a
+``SweepRecord`` only when it is read, and ``sweep_to_csv`` reads the
+table's arrays, formatting each distinct number once, and x_max only where
+it differs from x_min.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +38,7 @@ from ._fmt import fmt_cells, fmt_float
 from ._tol import ROUND_REL, flow_tolerance, scale
 from .decomposition import BlockStructure, block_structure
 from .errors import InputError, NotCriticalError
-from .model import Network, _as_int, _as_number, _as_vector, _frozen, as_flow, as_point, require_valid
+from .model import Network, Rows, _as_int, _as_number, _as_vector, _frozen, _readonly, as_flow, as_point, require_valid
 from .solver import (
     _SEGMENT,
     DEFAULT_OPTIONS,
@@ -111,6 +117,43 @@ class SweepRecord:
     loss_max: float  # loss at the minimal equilibrium
     defaults: tuple[int, ...]  # nodes paying below capacity, judged on x_min
     unique: bool
+
+
+class SweepTable(Rows):
+    """A sweep's grid as arrays, read as a sequence of ``SweepRecord``, each built when it is read.
+
+    ``eps`` (m,); the extremes ``x`` (2, m, n), x_min then x_max; ``loss``
+    (2, m), loss_min then loss_max; the defaults mask ``defaults`` (m, n);
+    and ``unique`` (m,). A record's x_min and x_max are views of ``x``. The
+    builder holds the arrays, not the table, so a dropped table is freed at
+    once rather than by the cycle collector.
+    """
+
+    def __init__(self, eps, x, loss, defaults, unique):
+        self.eps, self.x, self.loss, self.defaults, self.unique = eps, x, loss, defaults, unique
+        super().__init__(len(eps), partial(self._records, eps, x, loss, defaults, unique))
+
+    @classmethod
+    def stack(cls, records: Sequence[SweepRecord], n: int) -> SweepTable:
+        """The table of records of n nodes each, such as a hand-built list: their fields stacked."""
+        defaults = np.zeros((len(records), n), dtype=bool)
+        for row, r in zip(defaults, records):
+            row[list(r.defaults)] = True
+        return cls(
+            np.array([r.eps for r in records], dtype=float),
+            np.array([[r.x_min for r in records], [r.x_max for r in records]], dtype=float).reshape(2, -1, n),
+            np.array([[r.loss_min for r in records], [r.loss_max for r in records]], dtype=float),
+            defaults,
+            np.array([bool(r.unique) for r in records], dtype=bool),
+        )
+
+    @staticmethod
+    def _records(eps, x, loss, defaults, unique, ls):
+        columns = zip(ls.tolist(), eps[ls].tolist(), *loss[:, ls].tolist(), unique[ls].tolist())
+        return [
+            SweepRecord(e, x[0, i], x[1, i], lo, hi, tuple(np.flatnonzero(defaults[i]).tolist()), u)
+            for i, e, lo, hi, u in columns
+        ]
 
 
 @dataclass(frozen=True)
@@ -356,13 +399,16 @@ def find_critical_eps(
 
 def sweep(
     net: Network, ray: ShockRay, opts: SolveOptions | None = None
-) -> tuple[list[SweepRecord], list[CriticalCrossing]]:
+) -> tuple[Sequence[SweepRecord], list[CriticalCrossing]]:
     """Evaluate extreme equilibria, losses, and defaults along a shock ray.
 
     The grid is solved in ascending eps order as stacks of flows, in chunks
     that hold at most STACK_ENTRIES entries in blocks and per-row arrays (a
     network whose one dense trapping set spans it goes one point at a time); each point
-    gets, bit for bit, the equilibria it would get alone. An error names
+    gets, bit for bit, the equilibria it would get alone. Each chunk writes
+    its extremes, losses, defaults and verdicts into the grid's arrays, and
+    the records are returned as a ``SweepTable`` over them, read-only, which
+    builds a record only when it is read. An error names
     the block and the eps of the first point at fault in its stage.
     Critical crossings are located by one lockstep bisection over the
     stochastic trapping sets (a grid typically straddles the critical eps
@@ -381,7 +427,8 @@ def sweep(
     st = block_structure(net)
     paid = net.w - opts.tol_class * net.w
     eps = np.linspace(ray.eps_lo, ray.eps_hi, ray.grid)
-    records = []
+    x, loss = np.empty((2, ray.grid, net.n)), np.empty((2, ray.grid))
+    defaults, unique = np.empty((ray.grid, net.n), dtype=bool), np.empty(ray.grid, dtype=bool)
     # the stochastic sets' inflow sums (a column each) and the transient patterns at each point, for the bisection
     stochastic = np.sort(np.concatenate([g.sets[g.stochastic] for g in st.groups]))
     columns = [np.searchsorted(stochastic, g.sets[g.stochastic]) for g in st.groups]
@@ -392,23 +439,12 @@ def sweep(
         patterns[part] = _saturated(found.transient, net.w[st.transient])
         for g, v, cols in zip(st.groups, found.groups, columns):
             totals[part, cols] = v.total[:, g.stochastic]
-        x, _ = _assemble_extremes(net, found, opts)
-        x.setflags(write=False)
-        loss = _loss(ray.c0, c, net.w, x)  # at the minimal, maximal equilibria
-        unique = (x[0] == x[1]).all(axis=1).tolist()
-        defaults = x[0] < paid
-        for f, e in enumerate(eps[part].tolist()):
-            records.append(
-                SweepRecord(
-                    eps=e,
-                    x_min=x[0, f],
-                    x_max=x[1, f],
-                    loss_min=float(loss[1, f]),
-                    loss_max=float(loss[0, f]),
-                    defaults=tuple(np.flatnonzero(defaults[f]).tolist()),
-                    unique=unique[f],
-                )
-            )
+        x_part, _ = _assemble_extremes(net, found, opts)
+        x[:, part] = x_part
+        loss[:, part] = _loss(ray.c0, c, net.w, x_part)[::-1]  # at the maximal, minimal equilibria
+        defaults[part] = x_part[0] < paid
+        unique[part] = (x_part[0] == x_part[1]).all(axis=1)
+    records = SweepTable(*map(_readonly, (eps, x, loss, defaults, unique)))
 
     crossings = []
     bisected = _critical_eps(net, ray, stochastic, opts, (totals, patterns))
@@ -444,26 +480,31 @@ def sweep(
     return records, crossings
 
 
-def sweep_to_csv(records: list[SweepRecord], n: int) -> str:
+def sweep_to_csv(records: Sequence[SweepRecord], n: int) -> str:
     """The sweep table as CSV, each number as ``_fmt.csv_cell`` writes it (12 significant digits, no -0).
 
+    A ``SweepTable``, as ``sweep`` returns, is read as its arrays; any other
+    sequence of records is stacked into one first (``SweepTable.stack``).
     One ``_fmt.fmt_cells`` call, which formats each distinct value once,
     takes the cells in row order: every row's eps, losses and x_min, and
     x_max only where it differs from x_min as an array; elsewhere the x_max
     half reuses the row's x_min text.
     """
+    table = records if isinstance(records, SweepTable) else SweepTable.stack(records, n)
     header = ["eps", "unique", "loss_min", "loss_max", "n_defaults"]
     header += [f"x_min_{i + 1}" for i in range(n)]
     header += [f"x_max_{i + 1}" for i in range(n)]
     lines = [",".join(header)]
-    if records:
-        x_min, x_max = np.array([r.x_min for r in records]), np.array([r.x_max for r in records])
+    if len(table):
+        x_min, x_max = table.x
         width = np.where((x_min == x_max).all(axis=1), 3 + n, 3 + 2 * n)  # the cells a row formats
-        values = np.column_stack([[(r.eps, r.loss_min, r.loss_max) for r in records], x_min, x_max])
+        values = np.column_stack([table.eps, table.loss.T, x_min, x_max])
         cells = fmt_cells(values[np.arange(3 + 2 * n) < width[:, None]])
-        for r, end, w in zip(records, np.cumsum(width).tolist(), width.tolist()):
+        flags = np.where(table.unique, "true", "false").tolist()
+        counts = np.count_nonzero(table.defaults, axis=1).tolist()
+        for end, w, flag, count in zip(np.cumsum(width).tolist(), width.tolist(), flags, counts):
             v = cells[end - w : end]
-            low, flag = ",".join(v[3 : 3 + n]), "true" if r.unique else "false"
+            low = ",".join(v[3 : 3 + n])
             high = ",".join(v[3 + n :]) or low  # no cells: x_max equals x_min
-            lines.append(",".join([v[0], flag, v[1], v[2], str(len(r.defaults)), low, high]))
+            lines.append(",".join([v[0], flag, v[1], v[2], str(count), low, high]))
     return "\n".join(lines) + "\n"

@@ -557,6 +557,13 @@ def assert_each_point_as_alone(net, ray, records, crossings):
         assert cr.loss_jump == loss_jump(net, cr.c_star)
 
 
+def record_bits(r):
+    """A record's fields as bytes and exact floats, so -0.0 and 0.0 differ."""
+    return (
+        r.eps.hex(), r.x_min.tobytes(), r.x_max.tobytes(), r.loss_min.hex(), r.loss_max.hex(), r.defaults, r.unique
+    )
+
+
 class TestStackedSweep:
     """A sweep solves its grid and its bisections as stacks of flows; nothing may move a bit."""
 
@@ -573,6 +580,26 @@ class TestStackedSweep:
         records, crossings = sweep(net, ray)
         assert_each_point_as_alone(net, ray, records, crossings)
         assert [cr.eps_star for cr in crossings] == [find_critical_eps(net, ray, 0)]
+
+    def test_records_read_from_the_table(self):
+        # the table builds a record when it is read: an index, a slice and full
+        # iteration read the same bits, each as the single-flow calls give it,
+        # and a list of the records writes the CSV the table writes
+        tol = SolveOptions().tol_class
+        for net, ray in [*core_rays(909, 2), mixed_direction_case()]:
+            records, crossings = sweep(net, ray)
+            assert len(records) == ray.grid
+            by_index = [records[i] for i in range(ray.grid)]
+            assert_each_point_as_alone(net, ray, by_index, crossings)
+            assert_each_point_as_alone(net, ray, records[:], [])
+            assert list(map(record_bits, records)) == list(map(record_bits, by_index))
+            assert list(map(record_bits, records[-2::-3])) == list(map(record_bits, by_index[-2::-3]))
+            assert record_bits(records[-1]) == record_bits(by_index[-1])
+            for r in by_index:
+                lo, hi = extremal_equilibria(net, ray.c_at(r.eps))
+                assert r.defaults == tuple(np.flatnonzero(lo.x < net.w - tol * net.w).tolist())
+                assert r.unique == (lo.x == hi.x).all() and not r.x_min.flags.writeable
+            assert sweep_to_csv(list(records), net.n) == sweep_to_csv(records, net.n)
 
     def test_chunks_of_one_point_give_the_same_sweep(self, monkeypatch):
         net, ray = next(core_rays(911, 1))

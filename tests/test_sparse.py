@@ -535,6 +535,9 @@ def test_operators_take_and_gather():
     stack = DenseBlock(diagonal_blocks(net.P, nodes))
     rows = np.arange(len(nodes)) % 2 == 0
     assert stack.take(rows).Q.tobytes() == diagonal_blocks(net.P, nodes[rows]).tobytes()
+    # the hunt drops settled rows by an index array: the same take as the mask
+    assert stack.take(np.flatnonzero(rows)).Q.tobytes() == stack.take(rows).Q.tobytes()
+    assert block.take(np.flatnonzero(live)) is block and shared.take(np.flatnonzero(live)) is shared
 
 
 @pytest.fixture(scope="module")
